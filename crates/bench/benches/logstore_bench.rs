@@ -42,9 +42,10 @@ fn wire_chunk(records: usize) -> Vec<u8> {
 }
 
 /// Ingest: run the same wire stream through the filter engine into
-/// (a) the text sink discipline the shard workers use — render each
-/// kept record, batch to [`DEFAULT_BATCH_BYTES`], append to a backend
-/// file — and (b) the store's group-commit segment writer.
+/// (a) the text sink discipline the shard workers use — format each
+/// kept record into the batch, flush at [`DEFAULT_BATCH_BYTES`] to a
+/// backend file — and (b) the store's group-commit segment writer,
+/// which takes the raw bytes and renders nothing.
 fn bench_ingest(c: &mut Criterion) {
     let wire = wire_chunk(RECORDS);
     let mut g = c.benchmark_group("logstore_ingest");
@@ -59,7 +60,7 @@ fn bench_ingest(c: &mut Criterion) {
                 let mut engine = FilterEngine::standard();
                 let mut batch = String::new();
                 let mut kept = 0usize;
-                engine.feed_into(wire, &mut |rec| {
+                engine.feed_records(wire, &mut |_view, rec| {
                     writeln!(batch, "{rec}").expect("write to String");
                     if batch.len() >= DEFAULT_BATCH_BYTES {
                         dpm_logstore::Backend::append(&backend, "/log.f1", batch.as_bytes());

@@ -66,13 +66,45 @@ pub enum FieldValue {
     Bytes(Vec<u8>),
 }
 
+impl FieldValue {
+    fn as_ref(&self) -> FieldRef<'_> {
+        match self {
+            FieldValue::Int(v) => FieldRef::Int(*v),
+            FieldValue::Bytes(b) => FieldRef::Bytes(b),
+        }
+    }
+}
+
 impl fmt::Display for FieldValue {
     /// Integers print in decimal. Byte fields print as a decoded
     /// socket name when possible (`inet:1:1701`), otherwise as hex.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// A field value borrowed from its record: what the render walk
+/// yields, so a text line is written without copying name bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FieldRef<'a> {
+    Int(u64),
+    Bytes(&'a [u8]),
+}
+
+impl FieldRef<'_> {
+    pub(crate) fn to_value(self) -> FieldValue {
         match self {
-            FieldValue::Int(v) => write!(f, "{v}"),
-            FieldValue::Bytes(b) => {
+            FieldRef::Int(v) => FieldValue::Int(v),
+            FieldRef::Bytes(b) => FieldValue::Bytes(b.to_vec()),
+        }
+    }
+}
+
+impl fmt::Display for FieldRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FieldRef::Int(v) => write!(f, "{v}"),
+            FieldRef::Bytes(b) => {
                 if b.iter().all(|&x| x == 0) {
                     return f.write_str("-");
                 }
@@ -246,50 +278,85 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
     /// `type` resolves to `traceType`, and an event name can be used
     /// as a `type` value by the rules layer.
     pub fn field(&self, record: &[u8], name: &str) -> Option<FieldValue> {
-        let name = if name == "type" { "traceType" } else { name };
-        for &(hname, off, len) in HEADER_LAYOUT {
-            if hname == name {
-                return read_int(record, off, len).map(FieldValue::Int);
-            }
+        if let Some(v) = header_field(record, name) {
+            return v.map(FieldValue::Int);
         }
-        let trace = Self::record_type(record)?;
-        let event = self.event(trace)?;
+        let event = self.event(Self::record_type(record)?)?;
         let field = event.fields.iter().find(|f| f.name == name)?;
-        let body = record.get(HEADER_LEN..)?;
-        if field.base == 16 {
-            body.get(field.offset..field.offset + field.len)
-                .map(|b| FieldValue::Bytes(b.to_vec()))
-        } else {
-            read_int(body, field.offset, field.len).map(FieldValue::Int)
-        }
+        body_field(record, field).map(FieldRef::to_value)
     }
 
     /// All fields of a record (header then body), in layout order,
     /// with the `size` and `*Len` bookkeeping fields skipped — the
     /// shape written to the trace log.
     pub fn all_fields(&self, record: &[u8]) -> Vec<(String, FieldValue)> {
-        let mut out = Vec::new();
-        for &(hname, off, len) in HEADER_LAYOUT {
-            if hname == "size" {
-                continue;
-            }
-            if let Some(v) = read_int(record, off, len) {
-                out.push((hname.to_owned(), FieldValue::Int(v)));
-            }
-        }
-        if let Some(trace) = Self::record_type(record) {
-            if let Some(event) = self.event(trace) {
-                for f in &event.fields {
-                    if f.name.ends_with("Len") {
-                        continue;
-                    }
-                    if let Some(v) = self.field(record, &f.name) {
-                        out.push((f.name.clone(), v));
-                    }
-                }
-            }
-        }
-        out
+        let event = Self::record_type(record).and_then(|t| self.event(t));
+        logged_header(record)
+            .chain(event.into_iter().flat_map(|e| e.logged_body(record)))
+            .map(|(name, v)| (name.to_owned(), v.to_value()))
+            .collect()
+    }
+}
+
+impl EventDesc {
+    /// The logged fields of `record` under this description — header
+    /// then body, in layout order, `size` and `*Len` skipped — read in
+    /// place, one pass by offset.
+    pub(crate) fn logged_fields<'a>(
+        &'a self,
+        record: &'a [u8],
+    ) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
+        logged_header(record).chain(self.logged_body(record))
+    }
+
+    fn logged_body<'a>(
+        &'a self,
+        record: &'a [u8],
+    ) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
+        self.fields
+            .iter()
+            .filter(|f| !f.name.ends_with("Len"))
+            .filter_map(move |f| {
+                // Names resolve header-first (see `Descriptions::field`),
+                // so a body field called like a header field — SOCKET's
+                // `type` — logs the header's value.
+                let v = match header_field(record, &f.name) {
+                    Some(v) => v.map(FieldRef::Int),
+                    None => body_field(record, f),
+                };
+                Some((f.name.as_str(), v?))
+            })
+    }
+}
+
+/// The header fields written to the log: all but `size`.
+fn logged_header<'a>(record: &'a [u8]) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
+    HEADER_LAYOUT
+        .iter()
+        .filter(|(name, ..)| *name != "size")
+        .filter_map(move |&(name, off, len)| {
+            Some((name, FieldRef::Int(read_int(record, off, len)?)))
+        })
+}
+
+/// Reads `name` as a header field (`type` is `traceType`): `None` when
+/// it is not one, `Some(None)` when the record is too short to hold it.
+fn header_field(record: &[u8], name: &str) -> Option<Option<u64>> {
+    let name = if name == "type" { "traceType" } else { name };
+    HEADER_LAYOUT
+        .iter()
+        .find(|(hname, ..)| *hname == name)
+        .map(|&(_, off, len)| read_int(record, off, len))
+}
+
+/// Reads one described body field in place.
+fn body_field<'a>(record: &'a [u8], field: &FieldDesc) -> Option<FieldRef<'a>> {
+    let body = record.get(HEADER_LEN..)?;
+    if field.base == 16 {
+        body.get(field.offset..field.offset + field.len)
+            .map(FieldRef::Bytes)
+    } else {
+        read_int(body, field.offset, field.len).map(FieldRef::Int)
     }
 }
 

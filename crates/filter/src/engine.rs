@@ -24,15 +24,20 @@
 //! corrupt stream cost O(n²)). The carry buffer is compacted at most
 //! once per `feed_into` call, so every input byte is moved O(1) times
 //! in the worst case and 0 times in the steady state.
+//!
+//! A kept record reaches the sink as its borrowed bytes plus a
+//! [`KeptRecord`], the text rendering *not yet done*: whether a log
+//! line or a [`LogRecord`] is ever built is the sink's choice. The
+//! store sink and the edge pre-filter take the bytes and never render,
+//! so a kept record costs them framing, dedup and the rules — no
+//! allocation.
 
-use crate::desc::HEADER_LEN;
-use crate::log::LogRecord;
+use crate::desc::{Descriptions, HEADER_LEN};
+use crate::log::{KeptRecord, LogRecord};
 use crate::rules::{Rules, Verdict};
 use dpm_meter::{DecodeError, MeterMsg, MAX_METER_MSG};
 use std::mem;
 use std::ops::Deref;
-
-use crate::desc::Descriptions;
 
 /// Counters the filter keeps about its own work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -240,26 +245,27 @@ impl FilterEngine {
     /// wholly contained in `data` are framed and processed in place;
     /// only a trailing partial frame is copied into the engine. In the
     /// steady state (no corruption, records completed by each chunk)
-    /// the per-record path performs no heap allocation for rejected
-    /// records; kept records allocate only their [`LogRecord`].
+    /// the per-record path performs no heap allocation of its own;
+    /// this wrapper renders each kept record into a [`LogRecord`].
     pub fn feed_into<F>(&mut self, data: &[u8], sink: &mut F)
     where
         F: FnMut(LogRecord),
     {
-        self.feed_records(data, &mut |_view, rec| sink(rec));
+        self.feed_records(data, &mut |_view, rec| sink(rec.to_log_record()));
     }
 
-    /// Like [`FilterEngine::feed_into`], but delivers each kept record
-    /// together with its borrowed raw wire bytes.
+    /// Delivers each kept record as its borrowed raw wire bytes plus
+    /// the unrendered [`KeptRecord`].
     ///
-    /// This is the entry point for sinks that store the record itself
-    /// rather than (or in addition to) its textual rendering — the
-    /// binary log store appends `view.bytes()` verbatim. The view
-    /// borrows either the caller's chunk or the engine's carry buffer
-    /// and is valid only for the duration of the callback.
+    /// This is the streaming core, and the entry point for sinks that
+    /// store the record itself rather than (or in addition to) its
+    /// textual rendering — the binary log store appends `view.bytes()`
+    /// verbatim and ignores the second argument; a text sink formats
+    /// it. Both borrow either the caller's chunk or the engine's carry
+    /// buffer and are valid only for the duration of the callback.
     pub fn feed_records<F>(&mut self, data: &[u8], sink: &mut F)
     where
-        F: FnMut(RecordView<'_>, LogRecord),
+        F: FnMut(RecordView<'_>, KeptRecord<'_>),
     {
         let data = self.drain_carry(data, sink);
         let Some(mut data) = data else { return };
@@ -294,7 +300,7 @@ impl FilterEngine {
     /// `None` when the whole chunk was absorbed into the carry buffer.
     fn drain_carry<'a, F>(&mut self, mut data: &'a [u8], sink: &mut F) -> Option<&'a [u8]>
     where
-        F: FnMut(RecordView<'_>, LogRecord),
+        F: FnMut(RecordView<'_>, KeptRecord<'_>),
     {
         if self.pending.is_empty() {
             return Some(data);
@@ -350,12 +356,12 @@ impl FilterEngine {
     /// Feeds a chunk of meter-connection bytes; returns the log lines
     /// for the records completed and kept by this chunk.
     ///
-    /// Compatibility wrapper over [`FilterEngine::feed_into`] — it
+    /// Compatibility wrapper over [`FilterEngine::feed_records`] — it
     /// materializes one `String` per kept record. Streaming consumers
-    /// should use `feed_into` directly.
+    /// should use `feed_records` directly.
     pub fn feed(&mut self, data: &[u8]) -> Vec<String> {
         let mut out = Vec::new();
-        self.feed_into(data, &mut |rec: LogRecord| out.push(rec.to_string()));
+        self.feed_records(data, &mut |_view, rec| out.push(rec.to_string()));
         out
     }
 
@@ -365,14 +371,14 @@ impl FilterEngine {
     where
         F: FnMut(LogRecord),
     {
-        self.process_raw(record, &mut |_view, rec| sink(rec));
+        self.process_raw(record, &mut |_view, rec| sink(rec.to_log_record()));
     }
 
     /// [`FilterEngine::process_view`] delivering the raw view
-    /// alongside the rendered record.
+    /// alongside the unrendered record.
     fn process_raw<F>(&mut self, record: RecordView<'_>, sink: &mut F)
     where
-        F: FnMut(RecordView<'_>, LogRecord),
+        F: FnMut(RecordView<'_>, KeptRecord<'_>),
     {
         self.stats.seen += 1;
         // Sequence dedup: a record whose per-process sequence does not
@@ -394,7 +400,7 @@ impl FilterEngine {
                 self.stats.rejected += 1;
             }
             Verdict::Keep { discard_fields } => {
-                match LogRecord::from_raw(&self.desc, record.bytes(), &discard_fields) {
+                match KeptRecord::new(&self.desc, record.bytes(), &discard_fields) {
                     Some(rec) => {
                         self.stats.kept += 1;
                         sink(record, rec);
@@ -410,10 +416,10 @@ impl FilterEngine {
 
     /// Runs one complete record through selection and reduction.
     ///
-    /// Compatibility wrapper over [`FilterEngine::process_view`].
+    /// [`FilterEngine::process_view`] rendering the log line.
     pub fn process_record(&mut self, record: &[u8]) -> Option<String> {
         let mut out = None;
-        self.process_view(RecordView::new(record), &mut |rec: LogRecord| {
+        self.process_raw(RecordView::new(record), &mut |_view, rec| {
             out = Some(rec.to_string());
         });
         out

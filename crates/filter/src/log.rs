@@ -25,34 +25,52 @@
 //! structure. [`LogRecord::parse`] of [`fmt::Display`] output is the
 //! identity for *any* record.
 
-use crate::desc::Descriptions;
+use crate::desc::{Descriptions, EventDesc, FieldRef};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Escapes a token so it contains no whitespace, `=`, or bare
-/// backslash. Returns the input unchanged (no allocation) when no
-/// escaping is needed — the case for every standard field value.
-fn escape(s: &str) -> Cow<'_, str> {
-    if !s.contains(['\\', ' ', '\t', '\n', '\r', '=']) {
-        return Cow::Borrowed(s);
-    }
-    let mut out = String::with_capacity(s.len() + 4);
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            ' ' => out.push_str("\\s"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '=' => out.push_str("\\e"),
-            c => out.push(c),
+/// The characters a token may not contain bare.
+const SPECIAL: [char; 6] = ['\\', ' ', '\t', '\n', '\r', '='];
+
+/// A writer that escapes what passes through it, so a token contains
+/// no whitespace, `=`, or bare backslash. Text that needs no escaping
+/// — the case for every standard field value — goes through whole.
+struct Escaped<'a, 'b>(&'a mut fmt::Formatter<'b>);
+
+impl fmt::Write for Escaped<'_, '_> {
+    fn write_str(&mut self, mut s: &str) -> fmt::Result {
+        while let Some(i) = s.find(SPECIAL) {
+            self.0.write_str(&s[..i])?;
+            self.0.write_str(match s.as_bytes()[i] {
+                b'\\' => "\\\\",
+                b' ' => "\\s",
+                b'\t' => "\\t",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                _ => "\\e",
+            })?;
+            s = &s[i + 1..]; // every special character is one byte
         }
+        self.0.write_str(s)
     }
-    Cow::Owned(out)
 }
 
-/// Reverses [`escape`]. Unknown escape pairs (and a trailing lone
+/// Writes one `name=value` token after `lead` (the separator: empty
+/// for a line's first token), both sides escaped.
+fn write_token(
+    f: &mut fmt::Formatter<'_>,
+    lead: &str,
+    name: &str,
+    value: impl fmt::Display,
+) -> fmt::Result {
+    f.write_str(lead)?;
+    Escaped(f).write_str(name)?;
+    f.write_str("=")?;
+    write!(Escaped(f), "{value}")
+}
+
+/// Reverses [`Escaped`]. Unknown escape pairs (and a trailing lone
 /// backslash) are kept verbatim, so parsing stays total.
 fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('\\') {
@@ -96,19 +114,7 @@ impl LogRecord {
     /// Builds a record from a raw meter message, skipping the named
     /// discard fields.
     pub fn from_raw(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<LogRecord> {
-        let trace = Descriptions::record_type(record)?;
-        let event = desc.event(trace)?.name.clone();
-        let fields = desc
-            .all_fields(record)
-            .into_iter()
-            .filter(|(name, _)| {
-                !discard
-                    .iter()
-                    .any(|d| d == name || (d == "size" && name == "msgLength"))
-            })
-            .map(|(name, value)| (name, value.to_string()))
-            .collect();
-        Some(LogRecord { event, fields })
+        KeptRecord::new(desc, record, discard).map(|kept| kept.to_log_record())
     }
 
     /// Looks up a field's display value.
@@ -156,9 +162,75 @@ impl LogRecord {
 
 impl fmt::Display for LogRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "event={}", escape(&self.event))?;
+        write_token(f, "", "event", &self.event)?;
         for (n, v) in &self.fields {
-            write!(f, " {}={}", escape(n), escape(v))?;
+            write_token(f, " ", n, v)?;
+        }
+        Ok(())
+    }
+}
+
+/// A kept record not yet rendered: the raw bytes, the description of
+/// their event type and the verdict's discard list, all borrowed.
+///
+/// This is what [`crate::FilterEngine::feed_records`] hands its sink.
+/// A sink that stores or forwards the raw bytes never touches it and
+/// pays nothing for it; a sink that wants text formats it
+/// ([`fmt::Display`] writes the §3.4 log line in place) or asks for
+/// the owned [`LogRecord`] — both exactly what
+/// [`LogRecord::from_raw`] gives for the same arguments.
+#[derive(Debug, Clone, Copy)]
+pub struct KeptRecord<'a> {
+    event: &'a EventDesc,
+    record: &'a [u8],
+    discard: &'a [String],
+}
+
+impl<'a> KeptRecord<'a> {
+    /// Binds a raw record to its description; `None` when the
+    /// descriptions do not know the record's trace type.
+    pub fn new(
+        desc: &'a Descriptions,
+        record: &'a [u8],
+        discard: &'a [String],
+    ) -> Option<KeptRecord<'a>> {
+        let event = desc.event(Descriptions::record_type(record)?)?;
+        Some(KeptRecord {
+            event,
+            record,
+            discard,
+        })
+    }
+
+    /// The fields that survive reduction, in layout order.
+    fn fields(&self) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
+        let discard = self.discard;
+        self.event
+            .logged_fields(self.record)
+            .filter(move |(name, _)| {
+                !discard
+                    .iter()
+                    .any(|d| d == name || (d == "size" && *name == "msgLength"))
+            })
+    }
+
+    /// Renders the owned, structured form.
+    pub fn to_log_record(&self) -> LogRecord {
+        LogRecord {
+            event: self.event.name.clone(),
+            fields: self
+                .fields()
+                .map(|(name, value)| (name.to_owned(), value.to_string()))
+                .collect(),
+        }
+    }
+}
+
+impl fmt::Display for KeptRecord<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_token(f, "", "event", &self.event.name)?;
+        for (name, value) in self.fields() {
+            write_token(f, " ", name, value)?;
         }
         Ok(())
     }

@@ -18,12 +18,14 @@
 //!   shard-local set of atomics after every message;
 //!   [`ShardedFilter::snapshot`] merges them without stopping the
 //!   pipeline.
-//! * **Batched log writes.** Kept records are rendered into a
-//!   shard-local buffer and handed to the shard's sink in batches
-//!   (threshold [`DEFAULT_BATCH_BYTES`]) rather than line by line.
-//!   Batches always end on a line boundary. A shard flushes when its
-//!   queue goes idle, when a connection closes, and at shutdown, so
-//!   logs stay fresh for `getlog` without per-line write amplification.
+//! * **Batched log writes.** A text shard formats kept records
+//!   straight into a shard-local buffer and hands it to the shard's
+//!   sink in batches (threshold [`DEFAULT_BATCH_BYTES`]) rather than
+//!   line by line; a store shard appends the raw bytes and renders
+//!   nothing. Batches always end on a line boundary. A shard flushes
+//!   when its queue goes idle, when a connection closes, and at
+//!   shutdown, so logs stay fresh for `getlog` without per-line write
+//!   amplification.
 //!
 //! Determinism: a shard serving one connection produces byte-identical
 //! sink output to a lone [`FilterEngine`] fed the same stream — the
@@ -32,7 +34,7 @@
 
 use crate::desc::Descriptions;
 use crate::engine::{FilterEngine, FilterStats, RecordView};
-use crate::log::LogRecord;
+use crate::log::KeptRecord;
 use crate::rules::Rules;
 use dpm_logstore::SegmentWriter;
 use dpm_telemetry::{Counter, Gauge, Histogram};
@@ -84,7 +86,7 @@ struct ShardLogger {
 
 impl ShardLogger {
     /// Writes one kept record to the shard's log.
-    fn write(&mut self, view: RecordView<'_>, rec: &LogRecord) {
+    fn write(&mut self, view: RecordView<'_>, rec: KeptRecord<'_>) {
         match &mut self.log {
             ShardLog::Text(_) => {
                 writeln!(self.batch, "{rec}").expect("write to Vec");
@@ -452,11 +454,11 @@ fn shard_worker(
                 let engine = engines
                     .entry(conn)
                     .or_insert_with(|| FilterEngine::new(desc.clone(), rules.clone()));
-                engine.feed_records(&bytes, &mut |view, rec: LogRecord| {
+                engine.feed_records(&bytes, &mut |view, rec| {
                     if let Some((hist, clock)) = &tm.staleness {
                         hist.record(u64::from(clock().saturating_sub(view.cpu_time())));
                     }
-                    logger.write(view, &rec);
+                    logger.write(view, rec);
                 });
             }
             Msg::Close { conn } => {
@@ -485,6 +487,7 @@ fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::LogRecord;
     use dpm_meter::{MeterBody, MeterHeader, MeterMsg, MeterSendMsg, SockName};
     use std::sync::Mutex;
 

@@ -48,7 +48,8 @@ const MAX_PENDING_BYTES: usize = 8 * 1024 * 1024;
 pub struct MergedRecord {
     /// Raw wire bytes, header + body.
     pub raw: Vec<u8>,
-    /// The textual log line, without the trailing newline.
+    /// The textual log line, without the trailing newline; left empty
+    /// by an aggregate whose log is the binary store.
     pub line: String,
 }
 
@@ -304,6 +305,7 @@ pub fn run_aggregate(
         let desc = desc.clone();
         let rules = rules.clone();
         let child_shared = Arc::clone(&shared);
+        let text_log = !args.store_log;
         let fork = p.fork_with(move |c| {
             let mut engine = FilterEngine::new(desc, rules);
             let read_result = loop {
@@ -322,7 +324,11 @@ pub fn run_aggregate(
                         view.seq(),
                         MergedRecord {
                             raw: view.bytes().to_vec(),
-                            line: rec.to_string(),
+                            line: if text_log {
+                                rec.to_string()
+                            } else {
+                                String::new()
+                            },
                         },
                     );
                 });

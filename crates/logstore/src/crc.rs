@@ -1,15 +1,19 @@
 //! CRC-32 (IEEE 802.3) used to seal every stored frame.
 //!
 //! The store cannot take an external checksum crate (the build image
-//! is offline), and the classic table-driven CRC-32 is a dozen lines;
-//! the table is built at compile time by a `const fn`.
+//! is offline). Every frame is checksummed once when it is encoded and
+//! once every time it is decoded (load, scan, point reads, tail,
+//! recovery), so the function is slicing-by-8: eight 256-entry tables,
+//! built at compile time by a `const fn`, fold eight input bytes per
+//! step instead of one. `TABLES[0]` is the classic bytewise table and
+//! finishes the tail.
 
-/// The 256-entry lookup table for the reflected polynomial
-/// `0xEDB88320`.
-const TABLE: [u32; 256] = make_table();
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// for the reflected polynomial `0xEDB88320`.
+const TABLES: [[u32; 256]; 8] = make_tables();
 
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,18 +26,40 @@ const fn make_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 of `data` (IEEE, reflected, init/xorout `0xFFFF_FFFF`) —
 /// the same function `cksum`-style tools and zlib compute.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][c[4] as usize]
+            ^ TABLES[2][c[5] as usize]
+            ^ TABLES[1][c[6] as usize]
+            ^ TABLES[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -41,6 +67,48 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-byte-per-step definition the sliced version must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn matches_bytewise_at_every_length_and_alignment() {
+        // SplitMix64 bytes: no structure the tables could agree on by
+        // accident.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..608)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=600 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn known_vectors() {

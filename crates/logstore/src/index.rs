@@ -78,8 +78,10 @@ impl SegmentIndex {
     /// `>= ts_us` (frames within a segment are timestamp-ordered: one
     /// shard, one monotonic clock).
     pub fn seek_ts(&self, ts_us: u64) -> u32 {
-        // Last sparse entry at or before the target.
-        match self.sparse.partition_point(|e| e.ts_us <= ts_us) {
+        // Last sparse entry strictly before the target: the clock is
+        // monotonic, not strictly increasing, so frames just ahead of
+        // an entry stamped `ts_us` may carry `ts_us` too.
+        match self.sparse.partition_point(|e| e.ts_us < ts_us) {
             0 => SEG_HEADER_LEN as u32,
             n => self.sparse[n - 1].off,
         }
@@ -223,9 +225,10 @@ mod tests {
         // Period 2: entries for records 0 and 2.
         assert_eq!(idx.sparse.len(), 2);
         assert_eq!(idx.seek_ts(5), SEG_HEADER_LEN as u32);
-        assert_eq!(idx.seek_ts(10), 32);
+        assert_eq!(idx.seek_ts(10), SEG_HEADER_LEN as u32);
         assert_eq!(idx.seek_ts(25), 32);
-        assert_eq!(idx.seek_ts(30), 160);
+        // Record 1 (off 96) could be stamped 30 as well: start before it.
+        assert_eq!(idx.seek_ts(30), 32);
         assert_eq!(idx.seek_ts(1000), 160);
     }
 

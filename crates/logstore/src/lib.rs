@@ -37,6 +37,7 @@
 //!
 //! [`SimFs`]: Backend
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

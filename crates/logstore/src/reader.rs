@@ -401,6 +401,34 @@ mod tests {
         assert_eq!(r.range_by_time(0, u64::MAX).len(), 5);
     }
 
+    /// Regression: the store clock is monotonic, not strictly
+    /// increasing, so a run of equal stamps can straddle a sparse
+    /// entry; seeking to the entry itself skipped the frames before it.
+    #[test]
+    fn range_by_time_keeps_equal_stamps_straddling_a_sparse_entry() {
+        let period = REBUILD_INDEX_EVERY as u64;
+        // Frames period-2 ..= period+1 share one stamp; the sparse
+        // entry at ordinal `period` sits inside the run.
+        let tie = 10 * (period - 2);
+        let frames: Vec<(u64, u64, u16, u32)> = (0..3 * period)
+            .map(|i| {
+                let in_run = (period - 2..=period + 1).contains(&i);
+                (i, if in_run { tie } else { 10 * i }, 1, 5)
+            })
+            .collect();
+        let r = StoreReader::from_segment_bytes(vec![segment(0, &frames)]);
+        for (lo, hi) in [(tie, tie), (tie, tie + 100), (tie - 10, tie), (0, tie)] {
+            let want: Vec<u64> = r
+                .scan()
+                .filter(|f| (lo..=hi).contains(&f.ts_us))
+                .map(|f| f.seq)
+                .collect();
+            let got: Vec<u64> = r.range_by_time(lo, hi).iter().map(|f| f.seq).collect();
+            assert_eq!(got, want, "range [{lo}, {hi}]");
+        }
+        assert_eq!(r.range_by_time(tie, tie).len(), 4);
+    }
+
     #[test]
     fn by_proc_returns_only_that_process() {
         let a = segment(0, &[(0, 10, 1, 5), (2, 30, 1, 5), (4, 50, 1, 6)]);
