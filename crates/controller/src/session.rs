@@ -16,13 +16,11 @@
 use crate::job::{Job, ManagedProc, ProcAction, ProcState};
 use dpm_analysis::{ByzReport, MutexReport, Trace};
 use dpm_controlplane::{ControlEvent, ControlLog, JobTable, DEFAULT_LEASE_MS};
-use dpm_filter::{parse_host_port, Descriptions, FilterRole, LogRecord, Rules};
+use dpm_filter::{ArgsError, Descriptions, FilterArgs, FilterRole, LogRecord, Rules};
 use dpm_live::{LiveWatch, WindowSnapshot};
 use dpm_logstore::{seals_name, seg_ids_of, Backend, OwnedFrame, StoreReader, StoreTail};
 use dpm_meter::MeterFlags;
-use dpm_meterd::{
-    read_frame, rpc_call_retry, FilterSpec, LogSinkMode, Reply, Request, RpcStatus, RPC_TIMEOUT_MS,
-};
+use dpm_meterd::{read_frame, rpc_call_retry, Reply, Request, RpcStatus, RPC_TIMEOUT_MS};
 use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysError, SysResult, Uid};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -41,22 +39,11 @@ pub struct FilterInfo {
     pub machine: String,
     /// Its pid.
     pub pid: Pid,
-    /// The port metered processes' meter connections go to.
-    pub port: u16,
-    /// Its log file path on its machine (for `log=store`, the prefix
-    /// its segment files live under).
-    pub logfile: String,
-    /// Where its accepted records go: text log or binary store.
-    pub log_mode: LogSinkMode,
-    /// How many shards it runs (one segment stream each in store
-    /// mode).
-    pub shards: u32,
-    /// Its place in the filter tree: classic standalone `leaf`,
-    /// forwarding `edge` pre-filter, or merging `aggregate`.
-    pub role: FilterRole,
-    /// `host:port` of the parent filter (edges always; aggregates
-    /// optionally); empty when the filter has no parent.
-    pub upstream: String,
+    /// The description it was created from: the port metered
+    /// processes' meter connections go to, its log path (for
+    /// `log=store`, the prefix its segment files live under), sink,
+    /// shard count, place in the filter tree and upstream `host:port`.
+    pub spec: FilterArgs,
     /// The descriptions it filters with — kept so `getlog` can render
     /// store frames as text without re-fetching the file.
     pub desc: Descriptions,
@@ -475,13 +462,10 @@ impl Controller {
 
     fn cmd_help(&mut self) {
         self.emit("Commands:");
-        self.emit("  filter [<name> [<machine>] [key=value ...]]");
+        self.emit("  filter [<name> [<machine> [<filterfile> [<descriptions> [<templates>]]]] [key=value ...]]");
         self.emit("      keys: file=<filterfile> desc=<descriptions> templates=<templates>");
         self.emit("            shards=<n> log=text|store role=leaf|edge|aggregate");
         self.emit("            upstream=<filtername|host:port>   (required for role=edge)");
-        self.emit(
-            "      (positional <filterfile> <descriptions> <templates> <shards> is deprecated)",
-        );
         self.emit("  newjob <jobname> [<filtername>]");
         self.emit("  addprocess <jobname> <machine> <processfile> [<parms ...>] [< <inputfile>]");
         self.emit("  acquire <jobname> <machine> <process identifier>");
@@ -503,172 +487,26 @@ impl Controller {
 
     /// `filter` — create a filter process, or list filters (§4.3).
     ///
-    /// Creation takes the keyword grammar
-    /// `filter <name> [<machine>] [key=value ...]` with the keys
-    /// `file= desc= templates= shards= log= role= upstream=`;
-    /// `upstream=` accepts either the name of a filter created earlier
-    /// in this session or a literal `host:port`. The pre-keyword
-    /// positional form `filter <name> <machine> <filterfile>
-    /// <descriptions> <templates> <shards>` is still accepted
-    /// (deprecated).
+    /// `filter <name> [<machine> [<filterfile> [<descriptions>
+    /// [<templates>]]]] [key=value ...]`: the paper's positionals are
+    /// shorthand for `file= desc= templates=`, and every `key=value`
+    /// goes to the [`FilterArgs`] key table.
     fn cmd_filter(&mut self, args: &[&str]) {
-        if args.is_empty() {
-            if self.filters.is_empty() {
-                self.emit("no filters");
-            }
-            let lines: Vec<String> = self
-                .filters
-                .iter()
-                .map(|f| {
-                    let mode = match f.log_mode {
-                        LogSinkMode::Text => String::new(),
-                        LogSinkMode::Store => "  log=store".to_owned(),
-                    };
-                    let role = match f.role {
-                        FilterRole::Leaf => String::new(),
-                        r => format!("  role={r}"),
-                    };
-                    let up = if f.upstream.is_empty() {
-                        String::new()
-                    } else {
-                        format!("  upstream={}", f.upstream)
-                    };
-                    format!(
-                        "{}  pid {}  machine {}  port {}{}{}{}",
-                        f.name, f.pid, f.machine, f.port, mode, role, up
-                    )
-                })
-                .collect();
-            for l in lines {
-                self.emit(&l);
-            }
+        let Some((name, rest)) = args.split_first() else {
+            self.list_filters();
             return;
-        }
-        let name = args[0].to_owned();
-        if self.filters.iter().any(|f| f.name == name) {
+        };
+        if self.filters.iter().any(|f| f.name == *name) {
             self.emit(&format!("filter '{name}' already exists"));
             return;
         }
-
-        // Split what follows the name into positional tokens and
-        // `key=value` pairs. The first positional is the machine; more
-        // positionals mean the deprecated pre-keyword grammar.
-        let mut positional: Vec<&str> = Vec::new();
-        let mut keywords: Vec<(&str, &str)> = Vec::new();
-        for a in &args[1..] {
-            match a.split_once('=') {
-                Some((k, v)) => keywords.push((k, v)),
-                None => positional.push(a),
-            }
-        }
-        let machine = positional
-            .first()
-            .map_or(self.machine.clone(), |s| (*s).to_owned());
-
-        let mut filterfile = "/bin/filter".to_owned();
-        let mut descriptions = "descriptions".to_owned();
-        let mut templates = "templates".to_owned();
-        let mut shards = 1u32;
-        let mut log_mode = LogSinkMode::Text;
-        let mut role = FilterRole::Leaf;
-        let mut upstream = String::new();
-
-        if positional.len() > 1 {
-            // Deprecated positional layout after the machine:
-            // <filterfile> <descriptions> <templates> <shards>. Only
-            // `log=` may ride along as a keyword.
-            if let Some((k, _)) = keywords.iter().find(|(k, _)| *k != "log") {
-                self.emit(&format!(
-                    "cannot mix positional arguments with key '{k}' (use keyword form: filter <name> [<machine>] key=value ...)"
-                ));
+        let (machine, spec) = match self.describe_filter(name, rest) {
+            Ok(described) => described,
+            Err(e) => {
+                self.emit(&e.to_string());
                 return;
             }
-            filterfile = positional[1].to_owned();
-            if let Some(d) = positional.get(2) {
-                descriptions = (*d).to_owned();
-            }
-            if let Some(t) = positional.get(3) {
-                templates = (*t).to_owned();
-            }
-            if let Some(s) = positional.get(4) {
-                match s.parse::<u32>() {
-                    Ok(n) if n >= 1 => shards = n,
-                    _ => {
-                        self.emit(&format!("bad shard count '{s}'"));
-                        return;
-                    }
-                }
-            }
-            if let Some(extra) = positional.get(5) {
-                self.emit(&format!("unexpected argument '{extra}'"));
-                return;
-            }
-        }
-        for (key, value) in keywords {
-            match key {
-                "file" => filterfile = value.to_owned(),
-                "desc" | "descriptions" => descriptions = value.to_owned(),
-                "templates" => templates = value.to_owned(),
-                "shards" => match value.parse::<u32>() {
-                    Ok(n) if n >= 1 => shards = n,
-                    _ => {
-                        self.emit(&format!(
-                            "bad value '{value}' for key 'shards' (want a count >= 1)"
-                        ));
-                        return;
-                    }
-                },
-                "log" | "mode" => match value {
-                    "text" => log_mode = LogSinkMode::Text,
-                    "store" => log_mode = LogSinkMode::Store,
-                    other => {
-                        self.emit(&format!(
-                            "bad value '{other}' for key '{key}' (want text or store)"
-                        ));
-                        return;
-                    }
-                },
-                "role" => match FilterRole::from_arg(value) {
-                    Some(r) => role = r,
-                    None => {
-                        self.emit(&format!(
-                            "bad value '{value}' for key 'role' (want leaf, edge, or aggregate)"
-                        ));
-                        return;
-                    }
-                },
-                "upstream" => upstream = value.to_owned(),
-                other => {
-                    self.emit(&format!(
-                        "unknown key '{other}' (valid keys: file, desc, templates, shards, log, role, upstream)"
-                    ));
-                    return;
-                }
-            }
-        }
-        // `upstream=` names either a filter from this session or a
-        // literal host:port for parents the controller did not create.
-        if !upstream.is_empty() && !upstream.contains(':') {
-            match self.filters.iter().find(|f| f.name == upstream) {
-                Some(parent) => upstream = format!("{}:{}", parent.machine, parent.port),
-                None => {
-                    self.emit(&format!(
-                        "bad value '{upstream}' for key 'upstream' (no such filter; use a filter name or host:port)"
-                    ));
-                    return;
-                }
-            }
-        }
-        if !upstream.is_empty() && parse_host_port(&upstream).is_err() {
-            self.emit(&format!(
-                "bad value '{upstream}' for key 'upstream' (want host:port)"
-            ));
-            return;
-        }
-        if role == FilterRole::Edge && upstream.is_empty() {
-            self.emit("role=edge requires key 'upstream' (a filter name or host:port)");
-            return;
-        }
+        };
         if self.cluster.machine(&machine).is_none() {
             self.emit(&format!("unknown machine '{machine}'"));
             return;
@@ -678,19 +516,25 @@ impl Controller {
         // present, else install the standard ones.
         let local_fs = self.proc.machine().fs();
         let desc_data = local_fs
-            .read(&descriptions)
+            .read(&spec.descriptions)
             .unwrap_or_else(|| Descriptions::standard_text().as_bytes().to_vec());
-        let tmpl_data = local_fs.read(&templates).unwrap_or_default();
+        let tmpl_data = local_fs.read(&spec.templates).unwrap_or_default();
         let desc_text = String::from_utf8_lossy(&desc_data).into_owned();
-        let Ok(parsed_desc) = Descriptions::parse(&desc_text) else {
-            self.emit(&format!("descriptions file '{descriptions}' is malformed"));
+        let Ok(desc) = Descriptions::parse(&desc_text) else {
+            self.emit(&format!(
+                "descriptions file '{}' is malformed",
+                spec.descriptions
+            ));
             return;
         };
         if Rules::parse(&String::from_utf8_lossy(&tmpl_data)).is_err() {
-            self.emit(&format!("templates file '{templates}' is malformed"));
+            self.emit(&format!("templates file '{}' is malformed", spec.templates));
             return;
         }
-        for (path, data) in [(&descriptions, desc_data), (&templates, tmpl_data)] {
+        for (path, data) in [
+            (&spec.descriptions, desc_data),
+            (&spec.templates, tmpl_data),
+        ] {
             let r = self.rpc(
                 &machine,
                 &Request::WriteFile {
@@ -703,69 +547,111 @@ impl Controller {
                 return;
             }
         }
-        let port = self.next_filter_port;
         self.next_filter_port += 1;
-        // Edges keep no log — everything they accept is forwarded
-        // upstream, so they get no log path.
-        let logfile = if role == FilterRole::Edge {
-            String::new()
-        } else {
-            format!("/usr/tmp/log.{name}")
-        };
-        let mut builder = FilterSpec::builder(&filterfile, port)
-            .descriptions(&descriptions)
-            .templates(&templates)
-            .shards(shards)
-            .log_mode(log_mode)
-            .role(role)
-            .upstream(&upstream);
-        if !logfile.is_empty() {
-            builder = builder.logfile(&logfile);
-        }
-        let spec = match builder.build() {
-            Ok(spec) => spec,
-            Err(e) => {
-                self.emit(&format!("bad filter spec: {e}"));
-                return;
-            }
-        };
-        let reply = self.rpc(&machine, &Request::CreateFilter { spec });
+        let reply = self.rpc(&machine, &Request::CreateFilter { spec: spec.clone() });
         match reply {
             Ok(Reply::Create {
                 pid,
                 status: RpcStatus::Ok,
             }) => {
                 self.record(ControlEvent::FilterCreated {
-                    name: name.clone(),
+                    name: (*name).to_owned(),
                     machine: machine.clone(),
                     pid: pid.0,
-                    port,
-                    logfile: logfile.clone(),
-                    mode: match log_mode {
-                        LogSinkMode::Text => "text".to_owned(),
-                        LogSinkMode::Store => "store".to_owned(),
-                    },
-                    shards,
-                    role: role.to_string(),
-                    upstream: upstream.clone(),
+                    port: spec.port,
+                    logfile: spec.logfile.clone(),
+                    mode: spec.mode_arg().to_owned(),
+                    shards: spec.shards,
+                    role: spec.role.to_string(),
+                    upstream: spec.upstream.clone(),
                     desc_text,
                 });
                 self.filters.push(FilterInfo {
-                    name: name.clone(),
+                    name: (*name).to_owned(),
                     machine,
                     pid,
-                    port,
-                    logfile,
-                    log_mode,
-                    shards,
-                    role,
-                    upstream,
-                    desc: parsed_desc,
+                    spec,
+                    desc,
                 });
                 self.emit(&format!("filter '{name}' ... created: identifier= {pid}"));
             }
             Ok(r) => self.emit(&format!("filter creation failed: {}", r.status())),
             Err(e) => self.emit(&format!("filter creation failed: {e}")),
+        }
+    }
+
+    /// Turns what follows `filter <name>` into the machine and the
+    /// validated [`FilterArgs`] to request there. The controller adds
+    /// only what is its own: the listening port and the log path are
+    /// assigned, not typed, so `log=` names the sink (`text|store`)
+    /// here; and `upstream=` may name a filter of this session.
+    fn describe_filter(
+        &self,
+        name: &str,
+        tokens: &[&str],
+    ) -> Result<(String, FilterArgs), ArgsError> {
+        let mut machine = self.machine.clone();
+        let mut spec = FilterArgs::default();
+        let mut positional = [None, Some("file"), Some("desc"), Some("templates")].into_iter();
+        for token in tokens {
+            match token.split_once('=') {
+                None => match positional.next() {
+                    Some(None) => machine = (*token).to_owned(),
+                    Some(Some(key)) => spec.set(key, token)?,
+                    None => return Err(ArgsError::new(format!("unexpected argument '{token}'"))),
+                },
+                Some(("port", _)) => {
+                    return Err(ArgsError::new("key 'port' is assigned by the controller"))
+                }
+                Some(("log", sink)) => spec.set("mode", sink)?,
+                Some(("upstream", parent)) if !parent.contains(':') => {
+                    let Some(f) = self.filters.iter().find(|f| f.name == parent) else {
+                        return Err(ArgsError::new(format!(
+                            "bad value '{parent}' for key 'upstream' (no such filter; use a filter name or host:port)"
+                        )));
+                    };
+                    spec.upstream = format!("{}:{}", f.machine, f.spec.port);
+                }
+                Some((key, value)) => spec.set(key, value)?,
+            }
+        }
+        spec.port = self.next_filter_port;
+        // Edges keep no log — everything they accept is forwarded
+        // upstream, so they get no log path.
+        if spec.role != FilterRole::Edge {
+            spec.logfile = format!("/usr/tmp/log.{name}");
+        }
+        spec.validate()?;
+        Ok((machine, spec))
+    }
+
+    /// Bare `filter`: one line per filter created so far.
+    fn list_filters(&mut self) {
+        if self.filters.is_empty() {
+            self.emit("no filters");
+        }
+        let lines: Vec<String> = self
+            .filters
+            .iter()
+            .map(|f| {
+                let mut line = format!(
+                    "{}  pid {}  machine {}  port {}",
+                    f.name, f.pid, f.machine, f.spec.port
+                );
+                if f.spec.store_log {
+                    line.push_str("  log=store");
+                }
+                if f.spec.role != FilterRole::Leaf {
+                    line.push_str(&format!("  role={}", f.spec.role));
+                }
+                if !f.spec.upstream.is_empty() {
+                    line.push_str(&format!("  upstream={}", f.spec.upstream));
+                }
+                line
+            })
+            .collect();
+        for l in lines {
+            self.emit(&l);
         }
     }
 
@@ -831,17 +717,8 @@ impl Controller {
             }
             None => (rest, None),
         };
-        let Some(job) = self.jobs.get(&job_name) else {
-            self.emit(&format!("no job named '{job_name}'"));
+        let Some((filter_host, filter_port, flags)) = self.job_meter_target(&job_name) else {
             return;
-        };
-        let (filter_host, filter_port, flags) = {
-            let f = self
-                .filters
-                .iter()
-                .find(|f| f.name == job.filter)
-                .expect("job's filter exists");
-            (f.machine.clone(), f.port, job.flags)
         };
         if self.cluster.machine(&machine).is_none() {
             self.emit(&format!("unknown machine '{machine}'"));
@@ -853,14 +730,7 @@ impl Controller {
         let mut needed = vec![file.clone()];
         needed.extend(stdin_file.clone());
         for path in &needed {
-            let remote_has = matches!(
-                self.rpc(&machine, &Request::GetFile { path: path.clone() }),
-                Ok(Reply::File {
-                    status: RpcStatus::Ok,
-                    ..
-                })
-            );
-            if remote_has {
+            if self.get_file(&machine, path).is_some() {
                 continue;
             }
             match self.proc.machine().fs().read(path) {
@@ -939,31 +809,18 @@ impl Controller {
             self.emit(&format!("bad process identifier '{pid}'"));
             return;
         };
-        let job_name = (*job_name).to_owned();
-        let machine = (*machine).to_owned();
-        let Some(job) = self.jobs.get(&job_name) else {
-            self.emit(&format!("no job named '{job_name}'"));
+        let Some((filter_host, filter_port, meter_flags)) = self.job_meter_target(job_name) else {
             return;
         };
-        let (filter_host, filter_port, flags) = {
-            let f = self
-                .filters
-                .iter()
-                .find(|f| f.name == job.filter)
-                .expect("job's filter exists");
-            (f.machine.clone(), f.port, job.flags)
-        };
-        let control_host = self.machine.clone();
-        let control_port = self.control_port;
         let reply = self.rpc(
-            &machine,
+            machine,
             &Request::Acquire {
                 pid: Pid(pid_num),
                 filter_port,
                 filter_host,
-                meter_flags: flags,
-                control_port,
-                control_host,
+                meter_flags,
+                control_port: self.control_port,
+                control_host: self.machine.clone(),
             },
         );
         match reply {
@@ -971,24 +828,49 @@ impl Controller {
                 pid,
                 status: RpcStatus::Ok,
             }) => {
-                let job = self.jobs.get_mut(&job_name).expect("job exists");
-                job.procs.push(ManagedProc {
-                    name: format!("pid{pid}"),
-                    machine: machine.clone(),
-                    pid,
-                    state: ProcState::Acquired,
-                });
-                self.record(ControlEvent::ProcAdded {
-                    job: job_name.clone(),
-                    name: format!("pid{pid}"),
-                    machine,
-                    pid: pid.0,
-                    state: ProcState::Acquired.to_string(),
-                });
+                self.register_acquired(job_name, machine, &[pid]);
                 self.emit(&format!("process {pid} ... acquired"));
             }
             Ok(r) => self.emit(&format!("acquire failed: {}", r.status())),
             Err(e) => self.emit(&format!("acquire failed: {e}")),
+        }
+    }
+
+    /// Where a job's processes send their meter records and with which
+    /// flags: its filter's machine and port, and the job's flag mask.
+    /// Says so and returns `None` when there is no such job.
+    fn job_meter_target(&mut self, job_name: &str) -> Option<(String, u16, MeterFlags)> {
+        let Some(job) = self.jobs.get(job_name) else {
+            self.emit(&format!("no job named '{job_name}'"));
+            return None;
+        };
+        let f = self
+            .filters
+            .iter()
+            .find(|f| f.name == job.filter)
+            .expect("job's filter exists");
+        Some((f.machine.clone(), f.spec.port, job.flags))
+    }
+
+    /// Adds processes a daemon reported acquired to the job table and
+    /// the control log.
+    fn register_acquired(&mut self, job_name: &str, machine: &str, pids: &[Pid]) {
+        for &pid in pids {
+            let name = format!("pid{pid}");
+            let job = self.jobs.get_mut(job_name).expect("job exists");
+            job.procs.push(ManagedProc {
+                name: name.clone(),
+                machine: machine.to_owned(),
+                pid,
+                state: ProcState::Acquired,
+            });
+            self.record(ControlEvent::ProcAdded {
+                job: job_name.to_owned(),
+                name,
+                machine: machine.to_owned(),
+                pid: pid.0,
+                state: ProcState::Acquired.to_string(),
+            });
         }
     }
 
@@ -1246,45 +1128,27 @@ impl Controller {
             self.emit("usage: getlog <filtername> <destination filename>");
             return;
         };
-        let Some(f) = self.filters.iter().find(|f| f.name == **fname).cloned() else {
-            self.emit(&format!("no filter named '{fname}'"));
+        let Some(f) = self.logging_filter(fname, "getlog") else {
             return;
         };
-        if f.role == FilterRole::Edge {
-            self.emit(&format!(
-                "filter '{fname}' is an edge pre-filter and keeps no log; getlog its upstream aggregate instead"
-            ));
-            return;
-        }
-        match f.log_mode {
-            LogSinkMode::Text => match self.rpc(
-                &f.machine,
-                &Request::GetFile {
-                    path: f.logfile.clone(),
-                },
-            ) {
-                Ok(Reply::File {
-                    status: RpcStatus::Ok,
-                    data,
-                }) => {
-                    self.proc.machine().fs().write(dest, data);
+        if f.spec.store_log {
+            let Some(segments) = self.fetch_segments(&f) else {
+                self.emit(&format!("cannot list segments of filter '{fname}'"));
+                return;
+            };
+            let reader = StoreReader::from_named_segment_bytes(segments);
+            let mut text = String::new();
+            for frame in reader.scan() {
+                if let Some(rec) = LogRecord::from_raw(&f.desc, frame.raw, &[]) {
+                    text.push_str(&rec.to_string());
+                    text.push('\n');
                 }
-                _ => self.emit(&format!("cannot retrieve log of filter '{fname}'")),
-            },
-            LogSinkMode::Store => {
-                let Some(segments) = self.fetch_segments(&f) else {
-                    self.emit(&format!("cannot list segments of filter '{fname}'"));
-                    return;
-                };
-                let reader = StoreReader::from_named_segment_bytes(segments);
-                let mut text = String::new();
-                for frame in reader.scan() {
-                    if let Some(rec) = LogRecord::from_raw(&f.desc, frame.raw, &[]) {
-                        text.push_str(&rec.to_string());
-                        text.push('\n');
-                    }
-                }
-                self.proc.machine().fs().write(dest, text.into_bytes());
+            }
+            self.proc.machine().fs().write(dest, text.into_bytes());
+        } else {
+            match self.get_file(&f.machine, &f.spec.logfile) {
+                Some(data) => self.proc.machine().fs().write(dest, data),
+                None => self.emit(&format!("cannot retrieve log of filter '{fname}'")),
             }
         }
     }
@@ -1400,26 +1264,68 @@ impl Controller {
         self.watches.insert(fname, st);
     }
 
-    /// Resolves a filter name for `watch`/`tail`: must exist, keep a
-    /// log (not an edge), and log to a store.
-    fn watchable_filter(&mut self, fname: &str) -> Option<FilterInfo> {
+    /// Resolves the filter whose log `verb` (`getlog`, `check`,
+    /// `watch`) is to read: it must exist and keep a log, which an
+    /// edge does not.
+    fn logging_filter(&mut self, fname: &str, verb: &str) -> Option<FilterInfo> {
         let Some(f) = self.filters.iter().find(|f| f.name == fname).cloned() else {
             self.emit(&format!("no filter named '{fname}'"));
             return None;
         };
-        if f.role == FilterRole::Edge {
+        if f.spec.role == FilterRole::Edge {
             self.emit(&format!(
-                "filter '{fname}' is an edge pre-filter and keeps no log; watch its upstream aggregate instead"
+                "filter '{fname}' is an edge pre-filter and keeps no log; {verb} its upstream aggregate instead"
             ));
             return None;
         }
-        if f.log_mode != LogSinkMode::Store {
+        Some(f)
+    }
+
+    /// Resolves a filter name for `watch`/`tail`: a logging filter
+    /// that logs to a store.
+    fn watchable_filter(&mut self, fname: &str) -> Option<FilterInfo> {
+        let f = self.logging_filter(fname, "watch")?;
+        if !f.spec.store_log {
             self.emit(&format!(
                 "filter '{fname}' logs text; watch/tail need log=store"
             ));
             return None;
         }
         Some(f)
+    }
+
+    /// Fetches one file from `machine` through its meterdaemon;
+    /// `None` when it is missing or the daemon cannot be reached.
+    fn get_file(&self, machine: &str, path: &str) -> Option<Vec<u8>> {
+        match self.rpc(
+            machine,
+            &Request::GetFile {
+                path: path.to_owned(),
+            },
+        ) {
+            Ok(Reply::File {
+                status: RpcStatus::Ok,
+                data,
+            }) => Some(data),
+            _ => None,
+        }
+    }
+
+    /// Names of a store filter's segment files, as its daemon lists
+    /// them; `None` if the listing fails.
+    fn list_segments(&self, f: &FilterInfo) -> Option<Vec<String>> {
+        match self.rpc(
+            &f.machine,
+            &Request::ListFiles {
+                prefix: format!("{}/", f.spec.logfile),
+            },
+        ) {
+            Ok(Reply::FileList {
+                status: RpcStatus::Ok,
+                names,
+            }) => Some(names.into_iter().filter(|n| n.ends_with(".seg")).collect()),
+            _ => None,
+        }
     }
 
     /// The watch state for a filter, creating it on first use. Taken
@@ -1443,15 +1349,7 @@ impl Controller {
     /// re-fetched each round.
     fn poll_filter_frames(&mut self, f: &FilterInfo, st: &mut WatchState) -> Vec<OwnedFrame> {
         // Seal notifications, as appended by the filter's seal hook.
-        if let Ok(Reply::File {
-            status: RpcStatus::Ok,
-            data,
-        }) = self.rpc(
-            &f.machine,
-            &Request::GetFile {
-                path: seals_name(&f.logfile),
-            },
-        ) {
+        if let Some(data) = self.get_file(&f.machine, &seals_name(&f.spec.logfile)) {
             let text = String::from_utf8_lossy(&data);
             let lines: Vec<&str> = text.lines().collect();
             for l in lines.iter().skip(st.seal_lines) {
@@ -1460,17 +1358,8 @@ impl Controller {
             st.seal_lines = st.seal_lines.max(lines.len());
         }
 
-        let names: Vec<String> = match self.rpc(
-            &f.machine,
-            &Request::ListFiles {
-                prefix: format!("{}/", f.logfile),
-            },
-        ) {
-            Ok(Reply::FileList {
-                status: RpcStatus::Ok,
-                names,
-            }) => names.into_iter().filter(|n| n.ends_with(".seg")).collect(),
-            _ => return Vec::new(),
+        let Some(names) = self.list_segments(f) else {
+            return Vec::new();
         };
         let mut max_no: HashMap<u16, u32> = HashMap::new();
         for n in &names {
@@ -1484,11 +1373,7 @@ impl Controller {
             if st.consumed.contains(&name) {
                 continue;
             }
-            let Ok(Reply::File {
-                status: RpcStatus::Ok,
-                data,
-            }) = self.rpc(&f.machine, &Request::GetFile { path: name.clone() })
-            else {
+            let Some(data) = self.get_file(&f.machine, &name) else {
                 continue;
             };
             frames.extend(st.tail.offer_segment(&name, &data));
@@ -1522,26 +1407,11 @@ impl Controller {
     /// classify sealed vs in-progress segments — the same listing
     /// facts the live tail uses. `None` if the listing fails.
     fn fetch_segments(&mut self, f: &FilterInfo) -> Option<Vec<(String, Vec<u8>)>> {
-        let mut names: Vec<String> = match self.rpc(
-            &f.machine,
-            &Request::ListFiles {
-                prefix: format!("{}/", f.logfile),
-            },
-        ) {
-            Ok(Reply::FileList {
-                status: RpcStatus::Ok,
-                names,
-            }) => names.into_iter().filter(|n| n.ends_with(".seg")).collect(),
-            _ => return None,
-        };
+        let mut names = self.list_segments(f)?;
         names.sort();
         let mut segments = Vec::new();
         for path in names {
-            if let Ok(Reply::File {
-                status: RpcStatus::Ok,
-                data,
-            }) = self.rpc(&f.machine, &Request::GetFile { path: path.clone() })
-            {
+            if let Some(data) = self.get_file(&f.machine, &path) {
                 segments.push((path, data));
             }
         }
@@ -1551,23 +1421,12 @@ impl Controller {
     /// Rebuilds a filter's log as an analysis trace, whichever sink
     /// mode it uses.
     fn filter_trace(&mut self, f: &FilterInfo) -> Option<Trace> {
-        match f.log_mode {
-            LogSinkMode::Text => match self.rpc(
-                &f.machine,
-                &Request::GetFile {
-                    path: f.logfile.clone(),
-                },
-            ) {
-                Ok(Reply::File {
-                    status: RpcStatus::Ok,
-                    data,
-                }) => Some(Trace::parse(&String::from_utf8_lossy(&data))),
-                _ => None,
-            },
-            LogSinkMode::Store => {
-                let reader = StoreReader::from_named_segment_bytes(self.fetch_segments(f)?);
-                Some(Trace::from_store(&reader, &f.desc))
-            }
+        if f.spec.store_log {
+            let reader = StoreReader::from_named_segment_bytes(self.fetch_segments(f)?);
+            Some(Trace::from_store(&reader, &f.desc))
+        } else {
+            let data = self.get_file(&f.machine, &f.spec.logfile)?;
+            Some(Trace::parse(&String::from_utf8_lossy(&data)))
         }
     }
 
@@ -1579,16 +1438,9 @@ impl Controller {
             self.emit("usage: check <filtername> <mutex|byzantine>");
             return;
         };
-        let Some(f) = self.filters.iter().find(|f| f.name == **fname).cloned() else {
-            self.emit(&format!("no filter named '{fname}'"));
+        let Some(f) = self.logging_filter(fname, "check") else {
             return;
         };
-        if f.role == FilterRole::Edge {
-            self.emit(&format!(
-                "filter '{fname}' is an edge pre-filter and keeps no log; check its upstream aggregate instead"
-            ));
-            return;
-        }
         let Some(trace) = self.filter_trace(&f) else {
             self.emit(&format!("cannot retrieve log of filter '{fname}'"));
             return;
@@ -1815,24 +1667,26 @@ impl Controller {
             let Ok(desc) = Descriptions::parse(&fr.desc_text) else {
                 continue;
             };
-            let Some(role) = FilterRole::from_arg(&fr.role) else {
+            // The journal keeps the sink and role as their keywords:
+            // back through the key table, then the validator.
+            let mut spec = FilterArgs {
+                port: fr.port,
+                logfile: fr.logfile.clone(),
+                shards: fr.shards,
+                upstream: fr.upstream.clone(),
+                ..FilterArgs::default()
+            };
+            if spec.set("mode", &fr.mode).is_err()
+                || spec.set("role", &fr.role).is_err()
+                || spec.validate().is_err()
+            {
                 continue;
-            };
-            let log_mode = if fr.mode == "store" {
-                LogSinkMode::Store
-            } else {
-                LogSinkMode::Text
-            };
+            }
             self.filters.push(FilterInfo {
                 name: fr.name.clone(),
                 machine: fr.machine.clone(),
                 pid: Pid(fr.pid),
-                port: fr.port,
-                logfile: fr.logfile.clone(),
-                log_mode,
-                shards: fr.shards,
-                role,
-                upstream: fr.upstream.clone(),
+                spec,
                 desc,
             });
             self.next_filter_port = self.next_filter_port.max(fr.port + 1);
@@ -1948,8 +1802,7 @@ impl Controller {
     /// Re-points the daemon-side control bindings of `pids` on
     /// `machine` at this controller (one `AcquireMany{rebind_only}`
     /// round-trip), marking processes the daemon no longer knows as
-    /// killed. Falls back to per-pid `QueryProc` resync against
-    /// daemons that predate the batched message.
+    /// killed.
     fn rebind_machine(&mut self, job_name: &str, machine: &str, pids: &[Pid]) {
         let reply = self.rpc(
             machine,
@@ -1968,24 +1821,6 @@ impl Controller {
                 .into_iter()
                 .filter(|(_, st)| *st != RpcStatus::Ok)
                 .map(|(pid, _)| pid)
-                .collect(),
-            // An old daemon cannot decode AcquireMany and answers a
-            // plain failure Ack: fall back to per-pid resync. (Not
-            // re-acquisition — the meter stream is still connected.)
-            Ok(Reply::Ack {
-                status: RpcStatus::Fail,
-            }) => pids
-                .iter()
-                .filter(|pid| {
-                    matches!(
-                        self.rpc(machine, &Request::QueryProc { pid: **pid }),
-                        Ok(Reply::ProcStatus {
-                            status: RpcStatus::Srch,
-                            ..
-                        })
-                    )
-                })
-                .copied()
                 .collect(),
             _ => Vec::new(),
         };
@@ -2020,64 +1855,32 @@ impl Controller {
 
     /// Batched `acquire`: meters already-running `pids` on `machine`
     /// into `job_name` with a single `AcquireMany` round-trip instead
-    /// of one `Acquire` RPC per process. Falls back to per-pid
-    /// `Acquire` when the daemon predates the batched message.
-    /// Returns how many processes were acquired.
+    /// of one `Acquire` RPC per process. Returns how many processes
+    /// were acquired.
     pub fn acquire_many(&mut self, job_name: &str, machine: &str, pids: &[Pid]) -> usize {
-        let Some(job) = self.jobs.get(job_name) else {
-            self.emit(&format!("no job named '{job_name}'"));
+        let Some((filter_host, filter_port, meter_flags)) = self.job_meter_target(job_name) else {
             return 0;
-        };
-        let (filter_host, filter_port, flags) = {
-            let f = self
-                .filters
-                .iter()
-                .find(|f| f.name == job.filter)
-                .expect("job's filter exists");
-            (f.machine.clone(), f.port, job.flags)
         };
         let reply = self.rpc(
             machine,
             &Request::AcquireMany {
                 pids: pids.to_vec(),
                 filter_port,
-                filter_host: filter_host.clone(),
-                meter_flags: flags,
+                filter_host,
+                meter_flags,
                 control_port: self.control_port,
                 control_host: self.machine.clone(),
                 rebind_only: false,
             },
         );
-        let results: Vec<(Pid, RpcStatus)> = match reply {
+        let acquired: Vec<Pid> = match reply {
             Ok(Reply::AcquireMany {
                 status: RpcStatus::Ok,
                 results,
-            }) => results,
-            // An old daemon cannot decode AcquireMany and answers a
-            // plain failure Ack: one classic Acquire per pid instead.
-            Ok(Reply::Ack {
-                status: RpcStatus::Fail,
-            }) => pids
-                .iter()
-                .map(|&pid| {
-                    let r = self.rpc(
-                        machine,
-                        &Request::Acquire {
-                            pid,
-                            filter_port,
-                            filter_host: filter_host.clone(),
-                            meter_flags: flags,
-                            control_port: self.control_port,
-                            control_host: self.machine.clone(),
-                        },
-                    );
-                    let st = match r {
-                        Ok(Reply::Create { status, .. }) => status,
-                        Ok(r) => r.status(),
-                        Err(_) => RpcStatus::Fail,
-                    };
-                    (pid, st)
-                })
+            }) => results
+                .into_iter()
+                .filter(|(_, st)| *st == RpcStatus::Ok)
+                .map(|(pid, _)| pid)
                 .collect(),
             Ok(r) => {
                 self.emit(&format!("acquire failed: {}", r.status()));
@@ -2088,33 +1891,13 @@ impl Controller {
                 return 0;
             }
         };
-        let mut acquired = 0usize;
-        let mut events = Vec::new();
-        for (pid, st) in results {
-            if st != RpcStatus::Ok {
-                continue;
-            }
-            let job = self.jobs.get_mut(job_name).expect("job exists");
-            job.procs.push(ManagedProc {
-                name: format!("pid{pid}"),
-                machine: machine.to_owned(),
-                pid,
-                state: ProcState::Acquired,
-            });
-            events.push(ControlEvent::ProcAdded {
-                job: job_name.to_owned(),
-                name: format!("pid{pid}"),
-                machine: machine.to_owned(),
-                pid: pid.0,
-                state: ProcState::Acquired.to_string(),
-            });
-            acquired += 1;
-        }
-        for ev in events {
-            self.record(ev);
-        }
-        self.emit(&format!("{acquired} of {} processes acquired", pids.len()));
-        acquired
+        self.register_acquired(job_name, machine, &acquired);
+        self.emit(&format!(
+            "{} of {} processes acquired",
+            acquired.len(),
+            pids.len()
+        ));
+        acquired.len()
     }
 
     fn rpc(&self, machine: &str, req: &Request) -> Result<Reply, SysError> {

@@ -1,20 +1,23 @@
-//! The filter program's argument grammar, shared by every caller.
+//! The one description of a filter.
 //!
-//! Historically the standard filter took positional arguments —
-//! `<port> <logfile> [descriptions [templates [shards [logmode]]]]` —
-//! and each new capability meant another trailing field that every
-//! caller (the meterdaemon's `CreateFilter` handler, the controller's
-//! `filter` command, hand-rolled sessions) had to get in the right
-//! order. The filter tree work replaces that with one keyword form,
+//! In the paper a filter is configured exactly once: the controller's
+//! §4.3 `filter` command becomes one Fig. 3.6 create-filter request,
+//! which the meterdaemon turns into one process creation (§3.3–3.4).
+//! [`FilterArgs`] is that one fact. The controller fills it from the
+//! typed tokens, the meterdaemon protocol carries it as the
+//! `CreateFilter` body, the daemon spawns `filterfile` with
+//! [`FilterArgs::to_args`], and the filter program — the standard one
+//! or a user-written §3.4 filter — reads it back with
+//! [`FilterArgs::parse`]:
 //!
 //! ```text
-//! port=4000 log=/usr/tmp/log.f1 mode=store shards=4 role=aggregate
-//! upstream=blue:4001
+//! port=4000 log=/usr/tmp/log.f1 desc=descriptions templates=templates
+//! shards=4 mode=store role=aggregate upstream=blue:4001
 //! ```
 //!
-//! parsed here in exactly one place. The legacy positional form is
-//! still accepted (deprecated) so pre-upgrade scripts keep working;
-//! [`FilterArgs::parse`] auto-detects which form it was given.
+//! There is one key table ([`FilterArgs::set`]) and one validator
+//! ([`FilterArgs::validate`]); every layer's error text comes from
+//! them.
 
 use std::fmt;
 
@@ -75,7 +78,9 @@ impl fmt::Display for FilterRole {
 pub struct ArgsError(String);
 
 impl ArgsError {
-    fn new(msg: impl Into<String>) -> ArgsError {
+    /// An error with the given message — for a layer that adds a key
+    /// of its own to the table (the controller's `upstream=<name>`).
+    pub fn new(msg: impl Into<String>) -> ArgsError {
         ArgsError(msg.into())
     }
 }
@@ -88,8 +93,9 @@ impl fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
-/// The keys the keyword form understands, in canonical order.
+/// The keys of the key table, in canonical order.
 pub const FILTER_ARG_KEYS: &[&str] = &[
+    "file",
     "port",
     "log",
     "desc",
@@ -99,12 +105,6 @@ pub const FILTER_ARG_KEYS: &[&str] = &[
     "role",
     "upstream",
 ];
-
-/// Splits one `key=value` token; `None` when there is no `=`.
-#[must_use]
-pub fn split_kv(token: &str) -> Option<(&str, &str)> {
-    token.split_once('=')
-}
 
 /// Parses `host:port` (as used by `upstream=`).
 ///
@@ -125,11 +125,16 @@ pub fn parse_host_port(s: &str) -> Result<(String, u16), ArgsError> {
     Ok((host.to_owned(), port))
 }
 
-/// The standard filter's parsed configuration — one struct, one
-/// parser, used identically by the filter program, the meterdaemon's
-/// `CreateFilter` handler, and the controller's `filter` command.
+/// Everything that describes one filter process: what to execute,
+/// where it listens, where its records go and its place in the filter
+/// tree. The controller's `filter` command, the `CreateFilter`
+/// request, the meterdaemon's spawn and the filter program all use
+/// this struct, its key table and its validator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterArgs {
+    /// Executable file of the filter on its machine. The daemon
+    /// executes it; it is not part of the program's argument vector.
+    pub filterfile: String,
     /// Port the filter listens on for meter/record connections.
     pub port: u16,
     /// Log file (text mode) or store directory prefix (store mode).
@@ -139,7 +144,8 @@ pub struct FilterArgs {
     pub descriptions: String,
     /// Path of the selection-templates file on the filter's machine.
     pub templates: String,
-    /// Number of shard workers (leaf filters; ≥ 1).
+    /// Number of shard workers (leaf filters; ≥ 1). One shard
+    /// reproduces the classic single-engine filter.
     pub shards: u32,
     /// `true` for the binary log store, `false` for the text log.
     pub store_log: bool,
@@ -153,6 +159,7 @@ pub struct FilterArgs {
 impl Default for FilterArgs {
     fn default() -> FilterArgs {
         FilterArgs {
+            filterfile: "/bin/filter".to_owned(),
             port: 0,
             logfile: String::new(),
             descriptions: "descriptions".to_owned(),
@@ -166,135 +173,96 @@ impl Default for FilterArgs {
 }
 
 impl FilterArgs {
-    /// Parses program arguments, auto-detecting the keyword form (any
-    /// token containing `=`) versus the legacy positional form.
+    /// Applies one `key=value` of the key table.
     ///
     /// # Errors
     ///
-    /// A message naming the bad key (or position) and what a valid
-    /// value looks like.
-    pub fn parse(args: &[String]) -> Result<FilterArgs, ArgsError> {
-        if args.iter().any(|a| a.contains('=')) {
-            FilterArgs::parse_keywords(args)
-        } else {
-            FilterArgs::parse_positional(args)
+    /// A message naming the unknown key, or the bad value and what a
+    /// valid one looks like.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ArgsError> {
+        let bad = |expect: &str| {
+            ArgsError::new(format!(
+                "bad value '{value}' for key '{key}' (want {expect})"
+            ))
+        };
+        match key {
+            "file" => self.filterfile = value.to_owned(),
+            "port" => {
+                self.port = value
+                    .parse()
+                    .ok()
+                    .filter(|&p| p != 0)
+                    .ok_or_else(|| bad("a non-zero port number"))?;
+            }
+            "log" => self.logfile = value.to_owned(),
+            "desc" => self.descriptions = value.to_owned(),
+            "templates" => self.templates = value.to_owned(),
+            "shards" => {
+                self.shards = value
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| bad("a shard count >= 1"))?;
+            }
+            "mode" => {
+                self.store_log = match value {
+                    "text" => false,
+                    "store" => true,
+                    _ => return Err(bad("text|store")),
+                };
+            }
+            "role" => {
+                self.role =
+                    FilterRole::from_arg(value).ok_or_else(|| bad("leaf|edge|aggregate"))?;
+            }
+            "upstream" => {
+                parse_host_port(value)?;
+                self.upstream = value.to_owned();
+            }
+            _ => {
+                return Err(ArgsError::new(format!(
+                    "unknown key '{key}' (valid keys: {})",
+                    FILTER_ARG_KEYS.join(", ")
+                )));
+            }
         }
+        Ok(())
     }
 
-    fn parse_keywords(args: &[String]) -> Result<FilterArgs, ArgsError> {
+    /// Parses a filter program's argument vector — `key=value` tokens
+    /// over the defaults — and validates the result.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the bad token or key and what a valid value
+    /// looks like.
+    pub fn parse(args: &[String]) -> Result<FilterArgs, ArgsError> {
         let mut out = FilterArgs::default();
         for token in args {
-            let Some((key, value)) = split_kv(token) else {
-                return Err(ArgsError::new(format!(
-                    "positional argument '{token}' mixed into keyword form (use key=value)"
-                )));
-            };
-            let bad = |expect: &str| {
-                ArgsError::new(format!(
-                    "bad value '{value}' for key '{key}' (want {expect})"
-                ))
-            };
-            match key {
-                "port" => {
-                    out.port = value
-                        .parse()
-                        .ok()
-                        .filter(|&p| p != 0)
-                        .ok_or_else(|| bad("a non-zero port number"))?;
-                }
-                "log" => out.logfile = value.to_owned(),
-                "desc" => out.descriptions = value.to_owned(),
-                "templates" => out.templates = value.to_owned(),
-                "shards" => {
-                    out.shards = value
-                        .parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| bad("a shard count >= 1"))?;
-                }
-                "mode" => {
-                    out.store_log = match value {
-                        "text" => false,
-                        "store" => true,
-                        _ => return Err(bad("text|store")),
-                    };
-                }
-                "role" => {
-                    out.role =
-                        FilterRole::from_arg(value).ok_or_else(|| bad("leaf|edge|aggregate"))?;
-                }
-                "upstream" => {
-                    parse_host_port(value)?;
-                    out.upstream = value.to_owned();
-                }
-                _ => {
-                    return Err(ArgsError::new(format!(
-                        "unknown key '{key}' (valid keys: {})",
-                        FILTER_ARG_KEYS.join(", ")
-                    )));
-                }
-            }
+            let (key, value) = token.split_once('=').ok_or_else(|| {
+                ArgsError::new(format!("bad argument '{token}' (want key=value)"))
+            })?;
+            out.set(key, value)?;
         }
         out.validate()?;
         Ok(out)
     }
 
-    /// The deprecated positional form:
-    /// `<port> <logfile> [desc [templates [shards [text|store]]]]`.
-    fn parse_positional(args: &[String]) -> Result<FilterArgs, ArgsError> {
-        let mut out = FilterArgs {
-            port: args
-                .first()
-                .and_then(|a| a.parse().ok())
-                .filter(|&p| p != 0)
-                .ok_or_else(|| ArgsError::new("missing or bad <port> (positional argument 1)"))?,
-            logfile: args
-                .get(1)
-                .cloned()
-                .ok_or_else(|| ArgsError::new("missing <logfile> (positional argument 2)"))?,
-            ..FilterArgs::default()
-        };
-        if let Some(d) = args.get(2) {
-            out.descriptions = d.clone();
-        }
-        if let Some(t) = args.get(3) {
-            out.templates = t.clone();
-        }
-        if let Some(s) = args.get(4) {
-            out.shards = s
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| ArgsError::new(format!("bad shard count '{s}' (want >= 1)")))?;
-        }
-        match args.get(5).map(String::as_str) {
-            None | Some("text") => {}
-            Some("store") => out.store_log = true,
-            Some(other) => {
-                return Err(ArgsError::new(format!(
-                    "bad log mode '{other}' (want text|store)"
-                )));
-            }
-        }
-        if args.len() > 6 {
-            return Err(ArgsError::new(format!(
-                "unexpected positional argument '{}' (the positional form ends at the log mode; \
-                 use key=value for tree options)",
-                args[6]
-            )));
-        }
-        out.validate()?;
-        Ok(out)
-    }
-
-    /// Cross-field checks shared by both forms.
+    /// The cross-field checks, run wherever a description enters a
+    /// layer: typed at the controller, decoded from the wire, parsed
+    /// from an argument vector, replayed from the control log.
     ///
     /// # Errors
     ///
-    /// When the combination is unusable regardless of spelling.
+    /// When the combination is unusable.
     pub fn validate(&self) -> Result<(), ArgsError> {
         if self.port == 0 {
             return Err(ArgsError::new("missing key 'port' (a filter must listen)"));
+        }
+        if self.shards == 0 {
+            return Err(ArgsError::new(
+                "bad value '0' for key 'shards' (want a shard count >= 1)",
+            ));
         }
         match self.role {
             FilterRole::Edge => {
@@ -329,8 +297,18 @@ impl FilterArgs {
         }
     }
 
-    /// Renders the canonical keyword form — the exact argument vector
-    /// the meterdaemon passes when spawning the filter program.
+    /// The sink mode's keyword (`mode=<this>`).
+    #[must_use]
+    pub fn mode_arg(&self) -> &'static str {
+        if self.store_log {
+            "store"
+        } else {
+            "text"
+        }
+    }
+
+    /// Renders the argument vector the meterdaemon passes when
+    /// spawning `filterfile`; [`FilterArgs::parse`] reads it back.
     #[must_use]
     pub fn to_args(&self) -> Vec<String> {
         let mut out = vec![format!("port={}", self.port)];
@@ -340,10 +318,7 @@ impl FilterArgs {
         out.push(format!("desc={}", self.descriptions));
         out.push(format!("templates={}", self.templates));
         out.push(format!("shards={}", self.shards));
-        out.push(format!(
-            "mode={}",
-            if self.store_log { "store" } else { "text" }
-        ));
+        out.push(format!("mode={}", self.mode_arg()));
         if self.role != FilterRole::Leaf {
             out.push(format!("role={}", self.role));
         }
@@ -363,8 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn keyword_form_parses_every_key() {
+    fn every_key_parses() {
         let a = FilterArgs::parse(&v(&[
+            "file=/bin/myfilter",
             "port=4000",
             "log=/usr/tmp/log.f1",
             "desc=d",
@@ -375,6 +351,7 @@ mod tests {
             "upstream=blue:4001",
         ]))
         .unwrap();
+        assert_eq!(a.filterfile, "/bin/myfilter");
         assert_eq!(a.port, 4000);
         assert_eq!(a.logfile, "/usr/tmp/log.f1");
         assert_eq!(a.descriptions, "d");
@@ -383,20 +360,6 @@ mod tests {
         assert!(a.store_log);
         assert_eq!(a.role, FilterRole::Aggregate);
         assert_eq!(a.upstream_addr(), Some(("blue".to_owned(), 4001)));
-    }
-
-    #[test]
-    fn legacy_positional_form_still_parses() {
-        let a = FilterArgs::parse(&v(&["4600", "/usr/tmp/log.text", "descriptions"])).unwrap();
-        assert_eq!(a.port, 4600);
-        assert_eq!(a.logfile, "/usr/tmp/log.text");
-        assert_eq!(a.shards, 1);
-        assert!(!a.store_log);
-        assert_eq!(a.role, FilterRole::Leaf);
-
-        let b = FilterArgs::parse(&v(&["4601", "L", "d", "t", "3", "store"])).unwrap();
-        assert_eq!(b.shards, 3);
-        assert!(b.store_log);
     }
 
     #[test]
@@ -413,6 +376,12 @@ mod tests {
 
         let e = FilterArgs::parse(&v(&["port=4000", "log=x", "upstream=nocolon"])).unwrap_err();
         assert!(e.to_string().contains("key 'upstream'"), "{e}");
+
+        let e = FilterArgs::parse(&v(&["port=4000", "log=x", "shards=0"])).unwrap_err();
+        assert!(e.to_string().contains("key 'shards'"), "{e}");
+
+        let e = FilterArgs::parse(&v(&["4000", "log=x"])).unwrap_err();
+        assert!(e.to_string().contains("bad argument '4000'"), "{e}");
     }
 
     #[test]
@@ -428,6 +397,14 @@ mod tests {
         assert!(e.to_string().contains("'log'"), "{e}");
         let e = FilterArgs::parse(&v(&["port=4000", "role=aggregate"])).unwrap_err();
         assert!(e.to_string().contains("'log'"), "{e}");
+        // A struct assembled field by field meets the same checks.
+        let zero = FilterArgs {
+            port: 4000,
+            logfile: "x".to_owned(),
+            shards: 0,
+            ..FilterArgs::default()
+        };
+        assert!(zero.validate().unwrap_err().to_string().contains("shards"));
     }
 
     #[test]
@@ -436,17 +413,10 @@ mod tests {
             v(&["port=4000", "log=x", "mode=store", "shards=2"]),
             v(&["port=4001", "role=edge", "upstream=blue:4000"]),
             v(&["port=4002", "log=y", "role=aggregate", "upstream=hub:9"]),
-            v(&["4600", "L", "d", "t", "3", "store"]),
         ] {
             let a = FilterArgs::parse(&args).unwrap();
             let b = FilterArgs::parse(&a.to_args()).unwrap();
             assert_eq!(a, b, "canonical form of {args:?} re-parses identically");
         }
-    }
-
-    #[test]
-    fn mixed_forms_are_rejected() {
-        let e = FilterArgs::parse(&v(&["4000", "port=4000"])).unwrap_err();
-        assert!(e.to_string().contains("positional argument '4000'"), "{e}");
     }
 }

@@ -8,17 +8,15 @@
 //!
 //! The one basic constraint (§3.4) is that a filter must listen for
 //! meter messages arriving over meter connections; this implementation
-//! binds an Internet-domain stream socket at the port given in its
-//! first argument, accepts one connection per metered process, and
+//! binds an Internet-domain stream socket at the port given by its
+//! `port=` argument, accepts one connection per metered process, and
 //! forks a reader per connection (each meter connection is an
 //! independent byte stream). The readers feed a [`ShardedFilter`]
 //! pipeline that fans the streams across worker threads; accepted
 //! records are appended to the filter's log file in batches.
 //!
-//! Program arguments are the shared [`FilterArgs`] grammar — keyword
-//! form `port=… log=… mode=store shards=4 role=aggregate upstream=…`,
-//! with the legacy positional form `<port> <logfile> [descriptions
-//! [templates [shards [logmode]]]]` still accepted (deprecated). The
+//! Program arguments are the [`FilterArgs`] key table —
+//! `port=… log=… mode=store shards=4 role=aggregate upstream=…`. The
 //! descriptions and templates are read from files on the filter's
 //! machine, defaulting to the standard descriptions and
 //! keep-everything rules when the files are absent (the controller
@@ -88,7 +86,7 @@ pub fn filter_main(p: Proc, args: Vec<String>) -> SysResult<()> {
 /// The classic standalone (`role=leaf`) filter: meter connections in,
 /// a sharded selection pipeline, a local log out.
 fn run_leaf(p: &Proc, args: &FilterArgs, desc: Descriptions, rules: Rules) -> SysResult<()> {
-    let shards = args.shards.max(1) as usize;
+    let shards = args.shards as usize;
     let log_path = args.logfile.clone();
     // Shard workers are plain OS threads with no Proc of their own;
     // hand them this machine's clock so they can stamp the

@@ -91,11 +91,11 @@ fn sharded_filter_log_matches_single_engine_reference() {
         filter_main(
             p,
             vec![
-                FILTER_PORT.to_string(),
-                LOGFILE.to_owned(),
-                "descriptions".to_owned(),
-                "templates".to_owned(),
-                "4".to_owned(),
+                format!("port={FILTER_PORT}"),
+                format!("log={LOGFILE}"),
+                "desc=descriptions".to_owned(),
+                "templates=templates".to_owned(),
+                "shards=4".to_owned(),
             ],
         )
     })
@@ -177,8 +177,8 @@ fn default_single_shard_filter_still_logs() {
         filter_main(
             p,
             vec![
-                (FILTER_PORT + 1).to_string(),
-                "/usr/tmp/log.solo".to_owned(),
+                format!("port={}", FILTER_PORT + 1),
+                "log=/usr/tmp/log.solo".to_owned(),
             ],
         )
     })
@@ -229,11 +229,11 @@ fn more_connections_than_shards_round_robin() {
         filter_main(
             p,
             vec![
-                (FILTER_PORT + 2).to_string(),
-                "/usr/tmp/log.wrap".to_owned(),
-                "descriptions".to_owned(),
-                "templates".to_owned(),
-                "2".to_owned(),
+                format!("port={}", FILTER_PORT + 2),
+                "log=/usr/tmp/log.wrap".to_owned(),
+                "desc=descriptions".to_owned(),
+                "templates=templates".to_owned(),
+                "shards=2".to_owned(),
             ],
         )
     })

@@ -586,11 +586,9 @@ fn handle(
             Ok(Some(reply))
         }
         Request::CreateFilter { spec } => {
-            // The spec renders to the filter program's argv —
-            // positional for plain leaves (the §3.4 user-filter
-            // contract), keyword for tree roles; shard clamping for
-            // legacy v0 bodies happens inside `to_program_args`.
-            match p.spawn_file(&spec.filterfile, spec.to_program_args(), None) {
+            // `spec` passed the validator at decode; the program reads
+            // this argv back with `FilterArgs::parse`.
+            match p.spawn_file(&spec.filterfile, spec.to_args(), None) {
                 Ok(pid) => {
                     // Filters run immediately.
                     p.kill(pid, Sig::Cont)?;

@@ -25,7 +25,5 @@ pub use daemon::{
     meterd_main, notify, read_exact, read_frame, rpc_call, rpc_call_retry, start_meterdaemons,
     METERD_PORT, METERD_PROGRAM, RPC_TIMEOUT_MS,
 };
-pub use proto::{
-    frame_len, msg_type, FilterSpec, FilterSpecBuilder, LogSinkMode, ProtoError, Reply, Request,
-    RpcStatus, FILTER_SPEC_VERSION,
-};
+pub use dpm_filter::FilterArgs;
+pub use proto::{frame_len, msg_type, ProtoError, Reply, Request, RpcStatus, FILTER_SPEC_VERSION};

@@ -172,56 +172,7 @@ impl fmt::Display for RpcStatus {
     }
 }
 
-/// How a filter should record its accepted records — carried in
-/// [`Request::CreateFilter`] and threaded down to the filter program.
-///
-/// On the wire this is a bare `u32` (0 = text, 1 = store); unknown
-/// values are rejected at decode time since silently mis-choosing a
-/// log format would corrupt a measurement session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LogSinkMode {
-    /// The paper's §3.4 log: one rendered text line per record.
-    #[default]
-    Text,
-    /// The binary log store: raw records in segment files under the
-    /// logfile prefix (crate `dpm-logstore`).
-    Store,
-}
-
-impl LogSinkMode {
-    /// The wire code.
-    pub fn code(self) -> u32 {
-        match self {
-            LogSinkMode::Text => 0,
-            LogSinkMode::Store => 1,
-        }
-    }
-
-    /// Decodes a wire code.
-    fn from_code(code: u32) -> Result<LogSinkMode, ProtoError> {
-        match code {
-            0 => Ok(LogSinkMode::Text),
-            1 => Ok(LogSinkMode::Store),
-            other => Err(ProtoError::new(format!("unknown log sink mode {other}"))),
-        }
-    }
-
-    /// The filter program's `logmode` argument string.
-    pub fn as_arg(self) -> &'static str {
-        match self {
-            LogSinkMode::Text => "text",
-            LogSinkMode::Store => "store",
-        }
-    }
-}
-
-impl fmt::Display for LogSinkMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_arg())
-    }
-}
-
-/// [`FilterRole`]'s wire code (`0` = leaf keeps the pre-tree default).
+/// [`FilterRole`]'s wire code.
 fn role_code(role: FilterRole) -> u32 {
     match role {
         FilterRole::Leaf => 0,
@@ -230,9 +181,9 @@ fn role_code(role: FilterRole) -> u32 {
     }
 }
 
-/// Decodes a [`FilterRole`] wire code; unknown values are rejected
-/// like [`LogSinkMode`]'s — silently mis-placing a filter in the tree
-/// would corrupt a measurement session.
+/// Decodes a [`FilterRole`] wire code; unknown values are rejected —
+/// silently mis-placing a filter in the tree would corrupt a
+/// measurement session.
 fn role_from_code(code: u32) -> Result<FilterRole, ProtoError> {
     match code {
         0 => Ok(FilterRole::Leaf),
@@ -242,245 +193,62 @@ fn role_from_code(code: u32) -> Result<FilterRole, ProtoError> {
     }
 }
 
-/// Marks a [`FilterSpec`] body as versioned. The first `u32` of a
-/// legacy (v0) `CreateFilter` body is the filterfile's string length,
-/// which the frame-size cap bounds far below `u32::MAX` — so this
-/// sentinel can never be mistaken for a v0 body, and a v0 body can
-/// never be mistaken for a versioned one.
+/// First word of a `CreateFilter` body, ahead of the version — part
+/// of the pinned layout.
 const SPEC_TAG: u32 = 0xFFFF_FFFF;
 
-/// The current [`FilterSpec`] wire version.
+/// The `CreateFilter` body's wire version.
 pub const FILTER_SPEC_VERSION: u32 = 1;
 
-/// Everything a meterdaemon needs to spawn a filter — the structured,
-/// versioned replacement for `CreateFilter`'s seven positional wire
-/// fields.
-///
-/// Construct specs with [`FilterSpec::builder`], which validates the
-/// cross-field rules (an edge needs an upstream, a leaf/aggregate
-/// needs a log, addresses must parse) before anything hits the wire.
-///
-/// On the wire the body is `SPEC_TAG, version, fields…`; decoding
-/// rejects unknown versions, log-sink modes, and roles outright (like
-/// [`LogSinkMode`] always has), while a body *without* the tag is
-/// decoded as the legacy v0 positional layout — so a pre-upgrade
-/// request replayed from a controller's retry buffer (or answered from
-/// the daemon's reply cache) still works.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FilterSpec {
-    /// Executable file of the filter on the daemon's machine.
-    pub filterfile: String,
-    /// Port the filter will listen on for meter/record connections.
-    pub port: u16,
-    /// Log file path (text) or store prefix (store) on the filter's
-    /// machine; empty for edges, which keep no log.
-    pub logfile: String,
-    /// Descriptions file path.
-    pub descriptions: String,
-    /// Templates (selection rules) file path.
-    pub templates: String,
-    /// How many selection shards the filter should run (≥ 1). One
-    /// shard reproduces the classic single-engine filter.
-    pub shards: u32,
-    /// Where accepted records go: the text log or the binary store.
-    pub log_mode: LogSinkMode,
-    /// The filter's place in the tree.
-    pub role: FilterRole,
-    /// Upstream `host:port` (edges always, aggregates optionally);
-    /// empty when there is no upstream.
-    pub upstream: String,
+/// Writes a [`FilterArgs`] as the `CreateFilter` body:
+/// `SPEC_TAG, version, filterfile, port, logfile, descriptions,
+/// templates, shards, sink mode (0 = text, 1 = store), role, upstream`.
+fn encode_filter_args(spec: &FilterArgs, w: &mut W) {
+    w.u32(SPEC_TAG);
+    w.u32(FILTER_SPEC_VERSION);
+    w.str(&spec.filterfile);
+    w.u32(spec.port as u32);
+    w.str(&spec.logfile);
+    w.str(&spec.descriptions);
+    w.str(&spec.templates);
+    w.u32(spec.shards);
+    w.u32(spec.store_log as u32);
+    w.u32(role_code(spec.role));
+    w.str(&spec.upstream);
 }
 
-impl FilterSpec {
-    /// Starts building a spec for `filterfile` listening on `port`.
-    #[must_use]
-    pub fn builder(filterfile: impl Into<String>, port: u16) -> FilterSpecBuilder {
-        FilterSpecBuilder {
-            spec: FilterSpec {
-                filterfile: filterfile.into(),
-                port,
-                logfile: String::new(),
-                descriptions: "descriptions".to_owned(),
-                templates: "templates".to_owned(),
-                shards: 1,
-                log_mode: LogSinkMode::Text,
-                role: FilterRole::Leaf,
-                upstream: String::new(),
-            },
-        }
+/// Reads a `CreateFilter` body and runs [`FilterArgs::validate`] on
+/// it, so a daemon never spawns (or registers an edge for) a filter
+/// that would die on its own argument check. Unknown versions, sink
+/// modes and roles are rejected outright.
+fn decode_filter_args(r: &mut R<'_>) -> Result<FilterArgs, ProtoError> {
+    if r.u32()? != SPEC_TAG {
+        return Err(ProtoError::new("filter spec: missing version tag"));
     }
-
-    /// The spec as the shared [`FilterArgs`] the filter program
-    /// parses. Shard counts are clamped to ≥ 1 here because legacy v0
-    /// bodies could carry 0.
-    #[must_use]
-    pub fn to_filter_args(&self) -> FilterArgs {
-        FilterArgs {
-            port: self.port,
-            logfile: self.logfile.clone(),
-            descriptions: self.descriptions.clone(),
-            templates: self.templates.clone(),
-            shards: self.shards.max(1),
-            store_log: self.log_mode == LogSinkMode::Store,
-            role: self.role,
-            upstream: self.upstream.clone(),
-        }
+    let version = r.u32()?;
+    if version != FILTER_SPEC_VERSION {
+        return Err(ProtoError::new(format!(
+            "unknown filter spec version {version}"
+        )));
     }
-
-    /// The argument vector the daemon passes when spawning the filter
-    /// program.
-    ///
-    /// Plain leaf filters keep the pre-tree positional argv — §3.4
-    /// lets users substitute their own filter program, and existing
-    /// ones parse their arguments by position. Tree roles (and leaves
-    /// with an upstream) get the keyword form, which only the shared
-    /// [`FilterArgs`] parser understands.
-    #[must_use]
-    pub fn to_program_args(&self) -> Vec<String> {
-        let fa = self.to_filter_args();
-        if fa.role == FilterRole::Leaf && fa.upstream.is_empty() {
-            return vec![
-                fa.port.to_string(),
-                fa.logfile.clone(),
-                fa.descriptions.clone(),
-                fa.templates.clone(),
-                fa.shards.to_string(),
-                if fa.store_log { "store" } else { "text" }.to_owned(),
-            ];
-        }
-        fa.to_args()
-    }
-
-    /// The upstream address parsed, when one is set.
-    #[must_use]
-    pub fn upstream_addr(&self) -> Option<(String, u16)> {
-        self.to_filter_args().upstream_addr()
-    }
-
-    fn encode_body(&self, w: &mut W) {
-        w.u32(SPEC_TAG);
-        w.u32(FILTER_SPEC_VERSION);
-        w.str(&self.filterfile);
-        w.u32(self.port as u32);
-        w.str(&self.logfile);
-        w.str(&self.descriptions);
-        w.str(&self.templates);
-        w.u32(self.shards);
-        w.u32(self.log_mode.code());
-        w.u32(role_code(self.role));
-        w.str(&self.upstream);
-    }
-
-    fn decode_body(r: &mut R<'_>) -> Result<FilterSpec, ProtoError> {
-        let probe = r.u32()?;
-        if probe != SPEC_TAG {
-            // Legacy v0: the probe was the filterfile's string length.
-            r.pos -= 4;
-            return Ok(FilterSpec {
-                filterfile: r.str()?,
-                port: r.u32()? as u16,
-                logfile: r.str()?,
-                descriptions: r.str()?,
-                templates: r.str()?,
-                shards: r.u32()?,
-                log_mode: LogSinkMode::from_code(r.u32()?)?,
-                role: FilterRole::Leaf,
-                upstream: String::new(),
-            });
-        }
-        let version = r.u32()?;
-        if version != FILTER_SPEC_VERSION {
-            return Err(ProtoError::new(format!(
-                "unknown filter spec version {version}"
-            )));
-        }
-        Ok(FilterSpec {
-            filterfile: r.str()?,
-            port: r.u32()? as u16,
-            logfile: r.str()?,
-            descriptions: r.str()?,
-            templates: r.str()?,
-            shards: r.u32()?,
-            log_mode: LogSinkMode::from_code(r.u32()?)?,
-            role: role_from_code(r.u32()?)?,
-            upstream: r.str()?,
-        })
-    }
-}
-
-/// Builds a [`FilterSpec`], validating at [`FilterSpecBuilder::build`].
-#[derive(Debug, Clone)]
-pub struct FilterSpecBuilder {
-    spec: FilterSpec,
-}
-
-impl FilterSpecBuilder {
-    /// Log file path (text) or store prefix (store).
-    #[must_use]
-    pub fn logfile(mut self, path: impl Into<String>) -> Self {
-        self.spec.logfile = path.into();
-        self
-    }
-
-    /// Descriptions file path (default `descriptions`).
-    #[must_use]
-    pub fn descriptions(mut self, path: impl Into<String>) -> Self {
-        self.spec.descriptions = path.into();
-        self
-    }
-
-    /// Templates file path (default `templates`).
-    #[must_use]
-    pub fn templates(mut self, path: impl Into<String>) -> Self {
-        self.spec.templates = path.into();
-        self
-    }
-
-    /// Shard count (default 1).
-    #[must_use]
-    pub fn shards(mut self, n: u32) -> Self {
-        self.spec.shards = n;
-        self
-    }
-
-    /// Log sink mode (default text).
-    #[must_use]
-    pub fn log_mode(mut self, mode: LogSinkMode) -> Self {
-        self.spec.log_mode = mode;
-        self
-    }
-
-    /// Tree role (default leaf).
-    #[must_use]
-    pub fn role(mut self, role: FilterRole) -> Self {
-        self.spec.role = role;
-        self
-    }
-
-    /// Upstream `host:port`.
-    #[must_use]
-    pub fn upstream(mut self, addr: impl Into<String>) -> Self {
-        self.spec.upstream = addr.into();
-        self
-    }
-
-    /// Validates the cross-field rules and yields the spec.
-    ///
-    /// # Errors
-    ///
-    /// A [`ProtoError`] naming the missing/bad field: a zero port or
-    /// shard count, an edge without an upstream, a leaf or aggregate
-    /// without a log, or an unparseable upstream address.
-    pub fn build(self) -> Result<FilterSpec, ProtoError> {
-        if self.spec.shards == 0 {
-            return Err(ProtoError::new("filter spec: shard count must be >= 1"));
-        }
-        self.spec
-            .to_filter_args()
-            .validate()
-            .map_err(|e| ProtoError::new(format!("filter spec: {e}")))?;
-        Ok(self.spec)
-    }
+    let spec = FilterArgs {
+        filterfile: r.str()?,
+        port: r.port()?,
+        logfile: r.str()?,
+        descriptions: r.str()?,
+        templates: r.str()?,
+        shards: r.u32()?,
+        store_log: match r.u32()? {
+            0 => false,
+            1 => true,
+            other => return Err(ProtoError::new(format!("unknown log sink mode {other}"))),
+        },
+        role: role_from_code(r.u32()?)?,
+        upstream: r.str()?,
+    };
+    spec.validate()
+        .map_err(|e| ProtoError::new(format!("filter spec: {e}")))?;
+    Ok(spec)
 }
 
 /// A request sent from the controller to a meterdaemon (or, for the
@@ -517,8 +285,8 @@ pub enum Request {
     /// `12`: create a filter process (runs immediately).
     CreateFilter {
         /// What to spawn, where it listens, where its records go, and
-        /// its place in the filter tree — see [`FilterSpec`].
-        spec: FilterSpec,
+        /// its place in the filter tree — see [`FilterArgs`].
+        spec: FilterArgs,
     },
     /// `13`: replace a process's meter flags.
     SetFlags {
@@ -776,6 +544,12 @@ impl<'a> R<'a> {
         self.pos += 4;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
+    /// A port number: carried as a `u32`, rejected beyond 65535
+    /// instead of narrowed to some other port.
+    fn port(&mut self) -> Result<u16, ProtoError> {
+        let v = self.u32()?;
+        u16::try_from(v).map_err(|_| ProtoError::new(format!("port {v} out of range")))
+    }
     fn u64(&mut self) -> Result<u64, ProtoError> {
         let b = self
             .buf
@@ -852,9 +626,7 @@ impl Request {
                 w.u32(*redirect_io as u32);
                 w.str(stdin_file.as_deref().unwrap_or(""));
             }
-            Request::CreateFilter { spec } => {
-                spec.encode_body(&mut w);
-            }
+            Request::CreateFilter { spec } => encode_filter_args(spec, &mut w),
             Request::SetFlags { pid, flags } => {
                 w.u32(pid.0);
                 w.u32(flags.bits());
@@ -937,7 +709,8 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// [`ProtoError`] on truncation or an unknown type number.
+    /// [`ProtoError`] on truncation, an unknown type number, a port
+    /// beyond 65535, or a filter description its validator rejects.
     pub fn decode(buf: &[u8]) -> Result<Request, ProtoError> {
         let mut r = R { buf, pos: 0 };
         let _len = r.u32()?;
@@ -956,10 +729,10 @@ impl Request {
                 Request::Create {
                     filename,
                     params,
-                    filter_port: r.u32()? as u16,
+                    filter_port: r.port()?,
                     filter_host: r.str()?,
                     meter_flags: MeterFlags::from_bits(r.u32()?),
-                    control_port: r.u32()? as u16,
+                    control_port: r.port()?,
                     control_host: r.str()?,
                     redirect_io: r.u32()? != 0,
                     stdin_file: {
@@ -973,7 +746,7 @@ impl Request {
                 }
             }
             msg_type::CREATE_FILTER => Request::CreateFilter {
-                spec: FilterSpec::decode_body(&mut r)?,
+                spec: decode_filter_args(&mut r)?,
             },
             msg_type::SET_FLAGS => Request::SetFlags {
                 pid: Pid(r.u32()?),
@@ -984,10 +757,10 @@ impl Request {
             msg_type::KILL => Request::Kill { pid: Pid(r.u32()?) },
             msg_type::ACQUIRE => Request::Acquire {
                 pid: Pid(r.u32()?),
-                filter_port: r.u32()? as u16,
+                filter_port: r.port()?,
                 filter_host: r.str()?,
                 meter_flags: MeterFlags::from_bits(r.u32()?),
-                control_port: r.u32()? as u16,
+                control_port: r.port()?,
                 control_host: r.str()?,
             },
             msg_type::ACQUIRE_MANY => {
@@ -1001,10 +774,10 @@ impl Request {
                 }
                 Request::AcquireMany {
                     pids,
-                    filter_port: r.u32()? as u16,
+                    filter_port: r.port()?,
                     filter_host: r.str()?,
                     meter_flags: MeterFlags::from_bits(r.u32()?),
-                    control_port: r.u32()? as u16,
+                    control_port: r.port()?,
                     control_host: r.str()?,
                     rebind_only: r.u32()? != 0,
                 }
@@ -1208,27 +981,30 @@ mod tests {
         let f = MeterFlags::ALL;
         let reqs = vec![
             Request::CreateFilter {
-                spec: FilterSpec::builder("/bin/filter", 4001)
-                    .logfile("/usr/tmp/f1")
-                    .shards(4)
-                    .build()
-                    .unwrap(),
+                spec: FilterArgs {
+                    port: 4001,
+                    logfile: "/usr/tmp/f1".into(),
+                    shards: 4,
+                    ..FilterArgs::default()
+                },
             },
             Request::CreateFilter {
-                spec: FilterSpec::builder("/bin/filter", 4002)
-                    .logfile("/usr/tmp/f2")
-                    .shards(2)
-                    .log_mode(LogSinkMode::Store)
-                    .role(FilterRole::Aggregate)
-                    .build()
-                    .unwrap(),
+                spec: FilterArgs {
+                    port: 4002,
+                    logfile: "/usr/tmp/f2".into(),
+                    shards: 2,
+                    store_log: true,
+                    role: FilterRole::Aggregate,
+                    ..FilterArgs::default()
+                },
             },
             Request::CreateFilter {
-                spec: FilterSpec::builder("/bin/filter", 4003)
-                    .role(FilterRole::Edge)
-                    .upstream("blue:4002")
-                    .build()
-                    .unwrap(),
+                spec: FilterArgs {
+                    port: 4003,
+                    role: FilterRole::Edge,
+                    upstream: "blue:4002".into(),
+                    ..FilterArgs::default()
+                },
             },
             Request::SetFlags {
                 pid: Pid(7),
@@ -1385,11 +1161,12 @@ mod tests {
         // the same id across re-encodes (the retry path depends on
         // byte-identical retransmissions).
         let inner = Request::CreateFilter {
-            spec: FilterSpec::builder("/bin/filter", 4001)
-                .logfile("/usr/tmp/f1")
-                .log_mode(LogSinkMode::Store)
-                .build()
-                .unwrap(),
+            spec: FilterArgs {
+                port: 4001,
+                logfile: "/usr/tmp/f1".into(),
+                store_log: true,
+                ..FilterArgs::default()
+            },
         };
         let tagged = Request::Tagged {
             req_id: 42,
@@ -1464,179 +1241,162 @@ mod tests {
         assert!(Reply::decode(&[0; 8]).is_err());
     }
 
-    #[test]
-    fn log_sink_mode_codes_and_args() {
-        assert_eq!(LogSinkMode::Text.code(), 0);
-        assert_eq!(LogSinkMode::Store.code(), 1);
-        assert_eq!(LogSinkMode::from_code(0), Ok(LogSinkMode::Text));
-        assert_eq!(LogSinkMode::from_code(1), Ok(LogSinkMode::Store));
-        assert!(LogSinkMode::from_code(7).is_err());
-        assert_eq!(LogSinkMode::default(), LogSinkMode::Text);
-        assert_eq!(LogSinkMode::Store.as_arg(), "store");
-        assert_eq!(LogSinkMode::Text.to_string(), "text");
-        // A CreateFilter with a garbage mode is rejected, not guessed.
-        // v1 body tail (empty upstream): …, mode, role, upstream-len.
-        let mut wire = Request::CreateFilter {
-            spec: FilterSpec::builder("f", 1)
-                .logfile("l")
-                .descriptions("d")
-                .templates("t")
-                .log_mode(LogSinkMode::Store)
-                .build()
-                .unwrap(),
-        }
-        .encode();
-        let n = wire.len();
-        wire[n - 12..n - 8].copy_from_slice(&9u32.to_le_bytes());
-        assert!(Request::decode(&wire)
-            .unwrap_err()
-            .to_string()
-            .contains("log sink mode"));
-    }
-
-    /// Encodes the pre-FilterSpec (v0) CreateFilter body: seven
-    /// positional fields, no version tag — what an un-upgraded
-    /// controller still sends.
-    fn legacy_v0_create_filter_wire() -> Vec<u8> {
-        let mut w = W::new(msg_type::CREATE_FILTER);
-        w.str("/bin/filter");
-        w.u32(4001);
-        w.str("/usr/tmp/f1");
-        w.str("descriptions");
-        w.str("templates");
-        w.u32(0); // v0 senders could say 0; the daemon clamped to 1
-        w.u32(LogSinkMode::Store.code());
-        w.finish()
-    }
-
-    #[test]
-    fn legacy_v0_create_filter_still_decodes() {
-        let wire = legacy_v0_create_filter_wire();
-        match Request::decode(&wire).unwrap() {
-            Request::CreateFilter { spec } => {
-                assert_eq!(spec.filterfile, "/bin/filter");
-                assert_eq!(spec.port, 4001);
-                assert_eq!(spec.logfile, "/usr/tmp/f1");
-                assert_eq!(spec.log_mode, LogSinkMode::Store);
-                assert_eq!(spec.role, FilterRole::Leaf, "v0 is always a leaf");
-                assert_eq!(spec.upstream, "");
-                assert_eq!(spec.shards, 0);
-                assert_eq!(
-                    spec.to_filter_args().shards,
-                    1,
-                    "program args clamp the v0 zero"
-                );
-            }
-            other => panic!("decoded {other:?}"),
-        }
-        // The same body wrapped in a Tagged retry decodes too — a
-        // replayed pre-upgrade request must hit the reply cache, not a
-        // decode error.
-        let mut w = W::new(msg_type::TAGGED);
-        w.u64(0xFEED_0042);
-        w.bytes(&legacy_v0_create_filter_wire());
-        let tagged = w.finish();
-        match Request::decode(&tagged).unwrap() {
-            Request::Tagged { req_id, inner } => {
-                assert_eq!(req_id, 0xFEED_0042);
-                assert!(matches!(*inner, Request::CreateFilter { .. }));
-            }
-            other => panic!("decoded {other:?}"),
+    /// A store-logging aggregate with an upstream: every field of the
+    /// body off its default.
+    fn sample_spec() -> FilterArgs {
+        FilterArgs {
+            filterfile: "/bin/filter".into(),
+            port: 4700,
+            logfile: "/usr/tmp/log.root".into(),
+            descriptions: "descriptions".into(),
+            templates: "templates".into(),
+            shards: 3,
+            store_log: true,
+            role: FilterRole::Aggregate,
+            upstream: "hub:4900".into(),
         }
     }
 
     #[test]
-    fn filter_spec_v1_round_trips_and_rejects_garbage() {
-        let spec = FilterSpec::builder("/bin/filter", 4700)
-            .logfile("/usr/tmp/log.root")
-            .log_mode(LogSinkMode::Store)
-            .role(FilterRole::Aggregate)
-            .upstream("hub:4900")
-            .shards(3)
-            .build()
-            .unwrap();
-        let req = Request::CreateFilter { spec: spec.clone() };
+    fn create_filter_round_trips_with_pinned_bytes() {
+        let req = Request::CreateFilter {
+            spec: sample_spec(),
+        };
         let wire = req.encode();
         assert_eq!(Request::decode(&wire).unwrap(), req);
-        // Body layout: tag at 8..12, version at 12..16.
-        assert_eq!(&wire[8..12], &SPEC_TAG.to_le_bytes());
-        assert_eq!(&wire[12..16], &FILTER_SPEC_VERSION.to_le_bytes());
 
-        // Unknown version: rejected with the version named.
-        let mut bad = wire.clone();
-        bad[12..16].copy_from_slice(&99u32.to_le_bytes());
-        let err = Request::decode(&bad).unwrap_err().to_string();
-        assert!(err.contains("unknown filter spec version 99"), "{err}");
+        // The bytes the v1 encoder has always produced for this spec:
+        // length 109, type 12, tag, version 1, then the fields
+        // (strings as u32 length + bytes, little-endian).
+        let pinned: &[u8] = b"\x6d\0\0\0\x0c\0\0\0\xff\xff\xff\xff\x01\0\0\0\
+            \x0b\0\0\0/bin/filter\x5c\x12\0\0\
+            \x11\0\0\0/usr/tmp/log.root\
+            \x0c\0\0\0descriptions\
+            \x09\0\0\0templates\
+            \x03\0\0\0\x01\0\0\0\x02\0\0\0\
+            \x08\0\0\0hub:4900";
+        assert_eq!(wire, pinned);
+    }
 
-        // Garbage role: rejected, not guessed. Tail (upstream
-        // "hub:4900", 8 bytes): …, role, upstream-len, upstream.
-        let n = wire.len();
-        let mut bad = wire.clone();
-        bad[n - 16..n - 12].copy_from_slice(&7u32.to_le_bytes());
-        let err = Request::decode(&bad).unwrap_err().to_string();
-        assert!(err.contains("unknown filter role 7"), "{err}");
+    /// Overwrites the `u32` at `at` in an encoded `CreateFilter`.
+    fn patched(spec: &FilterArgs, at: usize, word: u32) -> Vec<u8> {
+        let mut wire = Request::CreateFilter { spec: spec.clone() }.encode();
+        wire[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        wire
     }
 
     #[test]
-    fn filter_spec_builder_validates() {
-        // An edge without an upstream is unusable.
-        let err = FilterSpec::builder("/bin/filter", 4000)
-            .role(FilterRole::Edge)
-            .build()
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("upstream"), "{err}");
-        // A leaf (or aggregate) without a log has nowhere to write.
-        let err = FilterSpec::builder("/bin/filter", 4000)
-            .build()
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("log"), "{err}");
-        // Upstream addresses must parse as host:port.
-        let err = FilterSpec::builder("/bin/filter", 4000)
-            .role(FilterRole::Edge)
-            .upstream("nocolon")
-            .build()
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("upstream"), "{err}");
-        // Zero shards never made sense; the builder says so now.
-        let err = FilterSpec::builder("/bin/filter", 4000)
-            .logfile("l")
-            .shards(0)
-            .build()
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("shard"), "{err}");
-        // Edges legitimately have no log.
-        let spec = FilterSpec::builder("/bin/filter", 4000)
-            .role(FilterRole::Edge)
-            .upstream("blue:4001")
-            .build()
-            .unwrap();
-        assert_eq!(spec.upstream_addr(), Some(("blue".to_owned(), 4001)));
-        assert!(spec.logfile.is_empty());
-        // The program args honor the keyword grammar end to end.
-        let args = spec.to_program_args();
-        assert!(args.contains(&"role=edge".to_owned()), "{args:?}");
-        assert!(args.contains(&"upstream=blue:4001".to_owned()), "{args:?}");
+    fn create_filter_rejects_what_the_validator_rejects() {
+        let spec = sample_spec();
+        let n = Request::CreateFilter { spec: spec.clone() }.encode().len();
+        // Offsets in `sample_spec`'s body: tag 8, version 12, port
+        // after the 11-byte filterfile; from the end: upstream (4 + 8),
+        // role, mode, shards.
+        let (tag, version, port) = (8, 12, 16 + 4 + 11);
+        let (role, mode, shards) = (n - 16, n - 20, n - 24);
+        for (wire, want) in [
+            (patched(&spec, tag, 11), "missing version tag"),
+            (
+                patched(&spec, version, 99),
+                "unknown filter spec version 99",
+            ),
+            (patched(&spec, role, 7), "unknown filter role 7"),
+            (patched(&spec, mode, 9), "unknown log sink mode 9"),
+            (patched(&spec, shards, 0), "key 'shards'"),
+            (patched(&spec, port, 0), "missing key 'port'"),
+            // 65536 + 4000 must not be narrowed to port 4000.
+            (patched(&spec, port, 69_536), "port 69536 out of range"),
+        ] {
+            let err = Request::decode(&wire).unwrap_err().to_string();
+            assert!(err.contains(want), "{want}: {err}");
+        }
+        // Cross-field rules: an edge without an upstream, a leaf
+        // without a log, an upstream that is no host:port.
+        for (bad, want) in [
+            (
+                FilterArgs {
+                    role: FilterRole::Edge,
+                    upstream: String::new(),
+                    ..sample_spec()
+                },
+                "requires key 'upstream'",
+            ),
+            (
+                FilterArgs {
+                    role: FilterRole::Leaf,
+                    logfile: String::new(),
+                    ..sample_spec()
+                },
+                "requires key 'log'",
+            ),
+            (
+                FilterArgs {
+                    upstream: "nocolon".into(),
+                    ..sample_spec()
+                },
+                "key 'upstream'",
+            ),
+        ] {
+            let req = Request::CreateFilter { spec: bad };
+            let err = Request::decode(&req.encode()).unwrap_err().to_string();
+            assert!(err.contains(want), "{want}: {err}");
+            // Wrapped in a retry tag it is rejected just the same.
+            let tagged = Request::Tagged {
+                req_id: 7,
+                inner: Box::new(req),
+            };
+            let err = Request::decode(&tagged.encode()).unwrap_err().to_string();
+            assert!(err.contains(want), "tagged {want}: {err}");
+        }
     }
 
     #[test]
-    fn leaf_specs_spawn_with_the_positional_argv() {
-        // User-written filters (§3.4) parse their argv by position, so
-        // plain leaves must keep the pre-tree layout.
-        let spec = FilterSpec::builder("/bin/filter", 4000)
-            .logfile("/usr/tmp/log.f1")
-            .build()
-            .unwrap();
-        let args = spec.to_program_args();
-        assert_eq!(args[0], "4000");
-        assert_eq!(args[1], "/usr/tmp/log.f1");
-        assert!(
-            args.iter().all(|a| !a.contains('=')),
-            "leaf argv stays positional: {args:?}"
-        );
+    fn out_of_range_ports_are_rejected_everywhere() {
+        let f = MeterFlags::ALL;
+        let create = Request::Create {
+            filename: "/bin/A".into(),
+            params: vec![],
+            filter_port: 4000,
+            filter_host: "h".into(),
+            meter_flags: f,
+            control_port: 5000,
+            control_host: "c".into(),
+            redirect_io: false,
+            stdin_file: None,
+        };
+        let acquire = Request::Acquire {
+            pid: Pid(9),
+            filter_port: 4000,
+            filter_host: "h".into(),
+            meter_flags: f,
+            control_port: 5000,
+            control_host: "c".into(),
+        };
+        let many = Request::AcquireMany {
+            pids: vec![Pid(9)],
+            filter_port: 4000,
+            filter_host: "h".into(),
+            meter_flags: f,
+            control_port: 5000,
+            control_host: "c".into(),
+            rebind_only: false,
+        };
+        for req in [create, acquire, many] {
+            let wire = req.encode();
+            for (port, name) in [(4000u32, "filter"), (5000u32, "control")] {
+                let at = wire
+                    .windows(4)
+                    .position(|w| w == port.to_le_bytes())
+                    .unwrap_or_else(|| panic!("{name} port in {req:?}"));
+                let mut bad = wire.clone();
+                bad[at..at + 4].copy_from_slice(&(65_536 + port).to_le_bytes());
+                let err = Request::decode(&bad).unwrap_err().to_string();
+                assert!(
+                    err.contains("out of range"),
+                    "{name} port of {req:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

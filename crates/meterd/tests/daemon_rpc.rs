@@ -7,10 +7,12 @@ use dpm_filter::register_filter_program;
 use dpm_meter::MeterFlags;
 use dpm_meterd::{
     notify, read_frame, rpc_call, rpc_call_retry, start_meterdaemons, Reply, Request, RpcStatus,
-    RPC_TIMEOUT_MS,
+    METERD_PORT, RPC_TIMEOUT_MS,
 };
 use dpm_simnet::NetConfig;
-use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysResult, Uid};
+use dpm_simos::{
+    connect_backoff, Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysResult, Uid,
+};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -53,6 +55,12 @@ where
             }
             lp.close(conn)?;
         })?;
+        // The daemons were spawned a moment ago and `rpc_call` does
+        // not retry a refused connect: wait until each one listens.
+        for host in ["red", "blue"] {
+            let probe = connect_backoff(&p, host, METERD_PORT, Backoff::standard())?;
+            p.close(probe)?;
+        }
         body(&p)
     });
     yellow.wait_exit(pid);
@@ -73,15 +81,20 @@ fn create_req(filename: &str, params: Vec<String>, flags: MeterFlags, redirect: 
     }
 }
 
+fn filter_spec() -> dpm_meterd::FilterArgs {
+    dpm_meterd::FilterArgs {
+        port: 4000,
+        logfile: "/usr/tmp/log.f1".into(),
+        ..Default::default()
+    }
+}
+
 fn start_filter(p: &Proc) -> SysResult<Pid> {
     let rep = rpc_call(
         p,
         "blue",
         &Request::CreateFilter {
-            spec: dpm_meterd::FilterSpec::builder("/bin/filter", 4000)
-                .logfile("/usr/tmp/log.f1")
-                .build()
-                .expect("valid spec"),
+            spec: filter_spec(),
         },
     )?;
     match rep {
@@ -318,6 +331,53 @@ fn send_input_reaches_redirected_stdin() {
 }
 
 #[test]
+fn hostile_create_filter_bodies_fail_and_spawn_nothing() {
+    let c = cluster();
+    let _ = with_controller(&c, |p| {
+        let good = filter_spec();
+        // 65536 + 4000 in the port word (after tag, version and the
+        // 11-byte filterfile): must not be narrowed to port 4000.
+        let mut wide_port = Request::CreateFilter { spec: good.clone() }.encode();
+        let at = 16 + 4 + good.filterfile.len();
+        wide_port[at..at + 4].copy_from_slice(&69_536u32.to_le_bytes());
+        let hostile = [
+            Request::CreateFilter {
+                spec: dpm_meterd::FilterArgs {
+                    role: dpm_filter::FilterRole::Edge,
+                    logfile: String::new(),
+                    ..good.clone()
+                },
+            }
+            .encode(),
+            Request::CreateFilter {
+                spec: dpm_meterd::FilterArgs {
+                    shards: 0,
+                    ..good.clone()
+                },
+            }
+            .encode(),
+            wide_port,
+        ];
+        for frame in hostile {
+            let s = p.socket(Domain::Inet, SockType::Stream)?;
+            p.connect_host(s, "blue", METERD_PORT)?;
+            p.write(s, &frame)?;
+            let reply = read_frame(p, s)?.expect("daemon answers");
+            p.close(s)?;
+            let reply = Reply::decode(&reply).expect("reply decodes");
+            assert_eq!(reply.status(), RpcStatus::Fail, "{reply:?}");
+        }
+        Ok(())
+    });
+    let blue = c.machine("blue").unwrap();
+    assert!(
+        blue.procs_named("filter").is_empty(),
+        "a rejected description must not become a process"
+    );
+    c.shutdown();
+}
+
+#[test]
 fn retried_tagged_requests_are_applied_once() {
     let c = cluster();
     let _ = with_controller(&c, |p| {
@@ -328,10 +388,7 @@ fn retried_tagged_requests_are_applied_once() {
         let req = Request::Tagged {
             req_id: 0xFEED_0001,
             inner: Box::new(Request::CreateFilter {
-                spec: dpm_meterd::FilterSpec::builder("/bin/filter", 4000)
-                    .logfile("/usr/tmp/log.f1")
-                    .build()
-                    .expect("valid spec"),
+                spec: filter_spec(),
             }),
         };
         let first = rpc_call(p, "blue", &req)?;

@@ -55,10 +55,14 @@ fn arb_request() -> impl Strategy<Value = Request> {
             arb_string(),
             arb_string(),
             arb_string(),
-            1u32..16,
+            0u32..16,
             any::<bool>(),
             0u32..3,
-            arb_string(),
+            prop_oneof![
+                Just(String::new()),
+                Just("hub:4900".to_owned()),
+                arb_string()
+            ],
         )
             .prop_map(
                 |(
@@ -72,23 +76,17 @@ fn arb_request() -> impl Strategy<Value = Request> {
                     role,
                     upstream,
                 )| {
-                    // Direct struct construction on purpose: the wire
-                    // codec must round-trip any field combination, not
-                    // only the ones the builder's cross-field
-                    // validation would allow.
+                    // Any field combination, valid or not: decode must
+                    // return exactly the ones the validator allows.
                     Request::CreateFilter {
-                        spec: dpm_meterd::FilterSpec {
+                        spec: dpm_meterd::FilterArgs {
                             filterfile,
                             port,
                             logfile,
                             descriptions,
                             templates,
                             shards,
-                            log_mode: if store {
-                                dpm_meterd::LogSinkMode::Store
-                            } else {
-                                dpm_meterd::LogSinkMode::Text
-                            },
+                            store_log: store,
                             role: match role {
                                 0 => dpm_filter::FilterRole::Leaf,
                                 1 => dpm_filter::FilterRole::Edge,
@@ -144,7 +142,12 @@ proptest! {
     fn requests_round_trip(req in arb_request()) {
         let wire = req.encode();
         prop_assert_eq!(frame_len(&wire), Some(wire.len()));
-        prop_assert_eq!(Request::decode(&wire).expect("decode"), req);
+        match &req {
+            Request::CreateFilter { spec } if spec.validate().is_err() => {
+                prop_assert!(Request::decode(&wire).is_err(), "decoded invalid {:?}", spec);
+            }
+            _ => prop_assert_eq!(Request::decode(&wire).expect("decode"), req),
+        }
     }
 
     #[test]

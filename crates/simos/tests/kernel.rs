@@ -4,8 +4,8 @@
 use dpm_meter::{trace_type, MeterBody, MeterFlags, MeterMsg, SockName, TermReason};
 use dpm_simnet::{ClockSpec, NetConfig};
 use dpm_simos::{
-    BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, RunState, Sig, SockSel, SockType,
-    SysError, SysResult, Uid,
+    connect_backoff, Backoff, BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, RunState, Sig,
+    SockSel, SockType, SysError, SysResult, Uid,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -62,6 +62,15 @@ fn spawn_collector_n(
     (pid, buf)
 }
 
+/// A one-shot "I am bound" signal from a receiver to the sender it
+/// was spawned beside: a datagram (or a unix-domain connect) that
+/// beats the bind is lost for good, and the receiver would block
+/// forever. The sender waits on the second half before its first
+/// system call.
+fn ready() -> (std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>) {
+    std::sync::mpsc::channel()
+}
+
 /// One-connection collector, the common case.
 fn spawn_collector(cluster: &Arc<Cluster>, machine: &str, port: u16) -> (Pid, Arc<Mutex<Vec<u8>>>) {
     spawn_collector_n(cluster, machine, port, 1)
@@ -96,11 +105,13 @@ fn datagram_round_trip_carries_source_name() {
     let cluster = two_machines();
     let green = cluster.machine("green").unwrap();
     let red = cluster.machine("red").unwrap();
+    let (bound, wait_bound) = ready();
 
     let rx = cluster
-        .spawn_user("green", "rx", U, |p| {
+        .spawn_user("green", "rx", U, move |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             p.bind(s, BindTo::Port(53))?;
+            bound.send(()).ok();
             let (data, src) = p.recvfrom(s, 100)?;
             assert_eq!(data, b"query");
             // The sender was auto-bound, so its name is known.
@@ -113,7 +124,8 @@ fn datagram_round_trip_carries_source_name() {
         .unwrap();
 
     let tx = cluster
-        .spawn_user("red", "tx", U, |p| {
+        .spawn_user("red", "tx", U, move |p| {
+            wait_bound.recv().ok();
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             let host = p.cluster().resolve_host("green")?;
             p.sendto(
@@ -137,17 +149,20 @@ fn datagram_round_trip_carries_source_name() {
 fn datagram_connect_then_send_uses_default_peer() {
     let cluster = two_machines();
     let green = cluster.machine("green").unwrap();
+    let (bound, wait_bound) = ready();
     let rx = cluster
-        .spawn_user("green", "rx", U, |p| {
+        .spawn_user("green", "rx", U, move |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             p.bind(s, BindTo::Port(99))?;
+            bound.send(()).ok();
             let (data, _) = p.recvfrom(s, 10)?;
             assert_eq!(data, b"hi");
             Ok(())
         })
         .unwrap();
     let tx = cluster
-        .spawn_user("red", "tx", U, |p| {
+        .spawn_user("red", "tx", U, move |p| {
+            wait_bound.recv().ok();
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             let host = p.cluster().resolve_host("green")?;
             p.connect(
@@ -194,8 +209,7 @@ fn stream_is_reliable_and_ordered_across_many_writes() {
         .unwrap();
     let client = cluster
         .spawn_user("red", "client", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "green", 2000)?;
+            let s = connect_backoff(&p, "green", 2000, Backoff::standard())?;
             let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
             for chunk in data.chunks(100) {
                 p.write(s, chunk)?;
@@ -225,10 +239,12 @@ fn lossy_network_drops_datagrams_but_never_stream_bytes() {
     // Datagrams: send 200, expect visibly fewer to arrive.
     let n_recv = Arc::new(Mutex::new(0usize));
     let n = n_recv.clone();
+    let (bound, wait_bound) = ready();
     let rx = cluster
         .spawn_user("green", "rx", U, move |p| {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             p.bind(s, BindTo::Port(7))?;
+            bound.send(()).ok();
             loop {
                 let (data, _) = p.recvfrom(s, 16)?;
                 if data == b"done" {
@@ -240,7 +256,8 @@ fn lossy_network_drops_datagrams_but_never_stream_bytes() {
         })
         .unwrap();
     let tx = cluster
-        .spawn_user("red", "tx", U, |p| {
+        .spawn_user("red", "tx", U, move |p| {
+            wait_bound.recv().ok();
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             let host = p.cluster().resolve_host("green")?;
             let dest = SockName::Inet {
@@ -306,8 +323,7 @@ fn eof_and_epipe_after_close() {
         .unwrap();
     let client = cluster
         .spawn_user("red", "client", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "green", 2100)?;
+            let s = connect_backoff(&p, "green", 2100, Backoff::standard())?;
             p.write(s, b"bye")?;
             p.close(s)?;
             Ok(())
@@ -325,11 +341,13 @@ fn eof_and_epipe_after_close() {
 fn unix_domain_sockets_work_within_a_machine() {
     let cluster = two_machines();
     let red = cluster.machine("red").unwrap();
+    let (listening, wait_listening) = ready();
     let server = cluster
-        .spawn_user("red", "server", U, |p| {
+        .spawn_user("red", "server", U, move |p| {
             let s = p.socket(Domain::Unix, SockType::Stream)?;
             p.bind(s, BindTo::Path("/tmp/srv".into()))?;
             p.listen(s, 1)?;
+            listening.send(()).ok();
             let (conn, peer) = p.accept(s)?;
             assert!(
                 matches!(peer, SockName::Internal(_)),
@@ -340,7 +358,8 @@ fn unix_domain_sockets_work_within_a_machine() {
         })
         .unwrap();
     let client = cluster
-        .spawn_user("red", "client", U, |p| {
+        .spawn_user("red", "client", U, move |p| {
+            wait_listening.recv().ok();
             let s = p.socket(Domain::Unix, SockType::Stream)?;
             p.connect(s, &SockName::UnixPath("/tmp/srv".into()))?;
             p.write(s, b"local")?;
@@ -872,8 +891,7 @@ fn accept_and_connect_events_pair_by_names() {
         Ok(())
     });
     let client = green.spawn_fn("client", U, None, false, |p| {
-        let s = p.socket(Domain::Inet, SockType::Stream)?;
-        p.connect_host(s, "red", 2500)?;
+        let s = connect_backoff(&p, "red", 2500, Backoff::standard())?;
         p.write(s, b"x")?;
         Ok(())
     });

@@ -5,7 +5,8 @@
 use dpm_meter::{trace_type, MeterFlags, MeterMsg, TermReason};
 use dpm_simnet::NetConfig;
 use dpm_simos::{
-    BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, Sig, SockSel, SockType, SysResult, Uid,
+    connect_backoff, Backoff, BindTo, Cluster, Domain, FlagSel, Pid, PidSel, Proc, Sig, SockSel,
+    SockType, SysResult, Uid,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -45,8 +46,7 @@ fn collector(c: &Arc<Cluster>, port: u16) -> (Pid, Arc<Mutex<Vec<u8>>>) {
 }
 
 fn meter(p: &Proc, target: Pid, flags: MeterFlags, port: u16) -> SysResult<()> {
-    let s = p.socket(Domain::Inet, SockType::Stream)?;
-    p.connect_host(s, "mon", port)?;
+    let s = connect_backoff(p, "mon", port, Backoff::standard())?;
     p.setmeter(PidSel::Pid(target), FlagSel::Set(flags), SockSel::Fd(s))?;
     p.close(s)
 }
@@ -300,11 +300,14 @@ fn switching_meter_sockets_loses_nothing() {
     let (c2, buf2) = collector(&c, 4002);
     let gate = Arc::new(Mutex::new(false));
     let g = gate.clone();
+    let first_phase_done = Arc::new(Mutex::new(false));
+    let done = first_phase_done.clone();
     let worker = work.spawn_fn("worker", U, None, false, move |p| {
         for _ in 0..5 {
             let s = p.socket(Domain::Inet, SockType::Datagram)?;
             let _ = s;
         }
+        *done.lock() = true;
         // Wait for the switch.
         while !*g.lock() {
             p.sleep_ms(1)?;
@@ -320,8 +323,9 @@ fn switching_meter_sockets_loses_nothing() {
     let setup = work.spawn_fn("setup", Uid::ROOT, None, true, move |p| {
         meter(&p, worker, MeterFlags::SOCKET, 4001)?;
         p.kill(worker, Sig::Cont)?;
-        // Let the first phase run.
-        while work_events(&p, worker) < 5 {
+        // Let the first phase run to its end: a switch that lands
+        // between two of its calls splits the phase across the filters.
+        while !*first_phase_done.lock() {
             p.sleep_ms(1)?;
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
@@ -329,10 +333,6 @@ fn switching_meter_sockets_loses_nothing() {
         *gate2.lock() = true;
         Ok(())
     });
-    fn work_events(p: &Proc, pid: Pid) -> u32 {
-        // Syscall count proxy: CPU charged grows with each event.
-        p.machine().proc_cpu_us(pid).unwrap_or(0) as u32 / 150
-    }
     work.wait_exit(setup);
     work.wait_exit(worker);
     mon.wait_exit(c1);

@@ -4,7 +4,7 @@
 
 use dpm_meter::{SockName, TermReason};
 use dpm_simnet::NetConfig;
-use dpm_simos::{BindTo, Cluster, Domain, SockType, SysError, Uid};
+use dpm_simos::{connect_backoff, Backoff, BindTo, Cluster, Domain, SockType, SysError, Uid};
 use std::sync::Arc;
 
 const U: Uid = Uid(100);
@@ -20,52 +20,53 @@ fn cluster() -> Arc<Cluster> {
 
 #[test]
 fn backlog_overflow_refuses_excess_connectors() {
+    use std::sync::mpsc;
     let c = cluster();
     let a = c.machine("a").unwrap();
     // A listener with backlog 2 that never accepts: it blocks reading
     // its (never-fed) console until killed.
+    let (listening, wait_listening) = mpsc::channel();
     let lazy = c
-        .spawn_user("b", "lazy", U, |p| {
+        .spawn_user("b", "lazy", U, move |p| {
             let s = p.socket(Domain::Inet, SockType::Stream)?;
             p.bind(s, BindTo::Port(3000))?;
             p.listen(s, 2)?;
+            listening.send(()).ok();
             let _ = p.read(0, 1)?; // parks forever
             Ok(())
         })
         .unwrap();
-    let started = Arc::new(parking_lot::Mutex::new(0u32));
-    let client = {
-        let started = started.clone();
-        c.spawn_user("a", "clients", U, move |p| {
-            // Two connects park in the backlog (they block, so spawn
-            // children to issue them).
-            for _ in 0..2 {
-                let started = started.clone();
+    // A connect that beats the `listen` is refused whatever the
+    // backlog: start the connectors only once the listener is up.
+    wait_listening.recv().unwrap();
+    // Three connectors race for the two backlog slots (a parked
+    // connect blocks, so each is a child of its own). Whatever the
+    // order, two park — never accepted, until killed — and exactly one
+    // returns, refused; no timing decides which.
+    let (returned, wait_returned) = mpsc::channel();
+    let client = c
+        .spawn_user("a", "clients", U, move |p| {
+            for _ in 0..3 {
+                let returned = returned.clone();
                 p.fork_with(move |cp| {
                     let s = cp.socket(Domain::Inet, SockType::Stream)?;
-                    *started.lock() += 1;
-                    // Blocks forever (never accepted) until killed.
-                    let _ = cp.connect_host(s, "b", 3000);
+                    returned.send(cp.connect_host(s, "b", 3000)).ok();
                     Ok(())
                 })?;
             }
-            // Wait (in real time — the children are real threads) for
-            // both connects to be in flight, plus a beat to park.
-            while *started.lock() < 2 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            assert_eq!(
-                p.connect_host(s, "b", 3000),
-                Err(SysError::Econnrefused),
-                "third connection exceeds the backlog"
-            );
             Ok(())
         })
-        .unwrap()
-    };
+        .unwrap();
     assert_eq!(a.wait_exit(client), Some(TermReason::Normal));
+    assert_eq!(
+        wait_returned.recv_timeout(std::time::Duration::from_secs(30)),
+        Ok(Err(SysError::Econnrefused)),
+        "one of three connections exceeds the backlog of two"
+    );
+    assert!(
+        wait_returned.try_recv().is_err(),
+        "the other two are parked in the backlog"
+    );
     let b = c.machine("b").unwrap();
     b.signal(None, lazy, dpm_simos::Sig::Kill).unwrap();
     b.wait_exit(lazy);
@@ -189,11 +190,14 @@ fn datagram_reads_truncate_to_the_buffer() {
 fn unix_domain_names_do_not_cross_machines() {
     let c = cluster();
     let a = c.machine("a").unwrap();
-    // Bind a unix datagram path on machine b.
+    // Bind a unix datagram path on machine b; the local sender waits
+    // for the bind (a datagram that beats it is lost for good).
+    let (bound, wait_bound) = std::sync::mpsc::channel::<()>();
     let server = c
-        .spawn_user("b", "unixd", U, |p| {
+        .spawn_user("b", "unixd", U, move |p| {
             let s = p.socket(Domain::Unix, SockType::Datagram)?;
             p.bind(s, BindTo::Path("/tmp/svc".into()))?;
+            bound.send(()).ok();
             // Expect exactly one message — the local one.
             let (d, _) = p.recvfrom(s, 64)?;
             assert_eq!(d, b"local");
@@ -212,7 +216,8 @@ fn unix_domain_names_do_not_cross_machines() {
     a.wait_exit(remote);
     // The local sender gets through.
     let local = c
-        .spawn_user("b", "local", U, |p| {
+        .spawn_user("b", "local", U, move |p| {
+            wait_bound.recv().ok();
             let s = p.socket(Domain::Unix, SockType::Datagram)?;
             p.sendto(s, b"local", &SockName::UnixPath("/tmp/svc".into()))?;
             Ok(())
@@ -285,8 +290,7 @@ fn double_connect_is_eisconn() {
         .unwrap();
     let client = c
         .spawn_user("a", "cli", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "b", 3500)?;
+            let s = connect_backoff(&p, "b", 3500, Backoff::standard())?;
             assert_eq!(
                 p.connect_host(s, "b", 3500),
                 Err(SysError::Eisconn),
@@ -325,8 +329,8 @@ fn wire_stats_count_frames_and_bytes() {
         .unwrap();
     let client = c
         .spawn_user("a", "cli", U, |p| {
-            let s = p.socket(Domain::Inet, SockType::Stream)?;
-            p.connect_host(s, "b", 3600)?;
+            // A refused attempt puts no frame on the wire.
+            let s = connect_backoff(&p, "b", 3600, Backoff::standard())?;
             for _ in 0..3 {
                 p.write(s, &[9u8; 100])?;
             }

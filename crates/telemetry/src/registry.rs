@@ -197,9 +197,9 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Renders a line-JSON snapshot following the `bench_report`
-    /// conventions: one `"component/name{label}": {...}` entry per
-    /// line inside a single object, keys sorted.
+    /// Renders a line-JSON snapshot: one
+    /// `"component/name{label}": {...}` entry per line inside a single
+    /// object, keys sorted.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let mut first = true;

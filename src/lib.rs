@@ -27,8 +27,6 @@
 
 pub use dpm_core::*;
 
-pub mod bench_report;
-
 /// The individual subsystem crates, for direct access.
 pub mod crates {
     pub use dpm_analysis as analysis;

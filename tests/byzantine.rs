@@ -7,7 +7,6 @@
 //! round-2 relay beacons contradict the order the commander's round-1
 //! beacons demonstrate.
 
-use dpm::bench_report::BenchEntry;
 use dpm::crates::analysis::{ByzReport, Trace};
 use dpm::crates::filter::SimFsBackend;
 use dpm::crates::logstore::StoreReader;
@@ -81,9 +80,7 @@ fn byzantine_agreement_and_the_traitor_are_verified_from_the_store_log() {
     let trace = Trace::from_store(&reader, &desc);
     assert_eq!(trace, Trace::parse(&text), "store and text traces agree");
 
-    let t0 = std::time::Instant::now();
     let report = ByzReport::check(&trace);
-    let analysis = t0.elapsed();
 
     // Interactive consistency among the generals the trace exonerates,
     // the exact oral-messages complexity, and the traitor by name.
@@ -117,18 +114,6 @@ fn byzantine_agreement_and_the_traitor_are_verified_from_the_store_log() {
     );
     assert!(t.contains("within bound"), "{t}");
     assert!(t.contains("link faults: none"), "{t}");
-
-    let secs = analysis.as_secs_f64().max(1e-9);
-    let entry = BenchEntry::new("byzantine")
-        .int("trace_events", trace.len() as u64)
-        .int("store_records", reader.n_records())
-        .int("r1_sends", report.r1_sends as u64)
-        .int("r2_sends", report.r2_sends as u64)
-        .num("check_ms", analysis.as_secs_f64() * 1e3)
-        .num("events_per_sec", trace.len() as f64 / secs)
-        .text("net", "ideal");
-    let path = dpm::bench_report::record(&entry).expect("bench snapshot written");
-    assert!(path.exists());
 
     control.exec("bye");
     sim.shutdown();

@@ -8,8 +8,8 @@
 //! census — and tells the controller to use it via the `filterfile`
 //! argument of the `filter` command.
 
-use dpm::crates::filter::Descriptions;
-use dpm::Simulation;
+use dpm::crates::filter::{Descriptions, FilterArgs};
+use dpm::{Simulation, SysError};
 
 #[test]
 fn a_user_written_filter_runs_in_place_of_the_standard_one() {
@@ -21,8 +21,8 @@ fn a_user_written_filter_runs_in_place_of_the_standard_one() {
     // The custom filter: accepts meter connections, counts records by
     // event name, and (re)writes a census file instead of a log.
     sim.cluster().register_program("censusfilter", |p, args| {
-        let port: u16 = args[0].parse().unwrap_or(0);
-        let logfile = args.get(1).cloned().unwrap_or_else(|| "census".into());
+        let args = FilterArgs::parse(&args).map_err(|_| SysError::Einval)?;
+        let (port, logfile) = (args.port, args.logfile);
         let l = p.socket(
             dpm::crates::simos::Domain::Inet,
             dpm::crates::simos::SockType::Stream,

@@ -14,7 +14,6 @@
 //! it as `upstream=`, a metered job whose machines carry edges, and
 //! the analysis built from the root store.
 
-use dpm::bench_report::BenchEntry;
 use dpm::crates::analysis::{Analysis, Trace};
 use dpm::crates::filter::{filter_main, FilterEngine};
 use dpm::crates::logstore::StoreReader;
@@ -292,19 +291,6 @@ fn tree_cuts_cross_network_bytes_and_preserves_the_trace() {
         Trace::from_store_canonical(&tree_reader, &desc),
     );
 
-    let entry = BenchEntry::new("filter_tree")
-        .int("machines", N_WORKERS as u64 + 1)
-        .int("records_sent", (N_WORKERS * 40) as u64)
-        .int("records_kept", expected)
-        .int("flat_cross_bytes", flat_cross)
-        .int("tree_cross_bytes", tree_cross)
-        .num("reduction", reduction)
-        .text(
-            "note",
-            "flat vs 2-level tree (8 edges + aggregate), selective templates keep 1-in-8 records",
-        );
-    dpm::bench_report::record(&entry).expect("bench snapshot written");
-
     c.shutdown();
 }
 
@@ -323,8 +309,6 @@ fn controller_session_with_filter_tree() {
     assert!(out.contains("unknown key 'colour'"), "{out}");
     let out = control.exec("filter bogus role=edge");
     assert!(out.contains("requires key 'upstream'"), "{out}");
-    let out = control.exec("help");
-    assert!(out.contains("deprecated"), "help flags the positional form");
 
     // A two-level tree: a store-backed aggregate on blue, edges on the
     // two machines that will run metered processes.

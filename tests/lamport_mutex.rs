@@ -7,7 +7,6 @@
 //! message complexity out of counting protocol beacons, all against a
 //! trace rebuilt from store segments.
 
-use dpm::bench_report::BenchEntry;
 use dpm::crates::analysis::{MutexReport, Trace};
 use dpm::crates::filter::SimFsBackend;
 use dpm::crates::logstore::StoreReader;
@@ -83,9 +82,7 @@ fn mutual_exclusion_is_verified_from_the_store_log() {
     let trace = Trace::from_store(&reader, &desc);
     assert_eq!(trace, Trace::parse(&text), "store and text traces agree");
 
-    let t0 = std::time::Instant::now();
     let report = MutexReport::check(&trace);
-    let analysis = t0.elapsed();
 
     // Safety, order, liveness and complexity — all from the trace.
     assert_eq!(report.n, HOSTS.len(), "{report}");
@@ -109,17 +106,6 @@ fn mutual_exclusion_is_verified_from_the_store_log() {
     assert!(t.contains("total request order: OK"), "{t}");
     assert!(t.contains("within bound"), "{t}");
     assert!(t.contains("link faults: none"), "{t}");
-
-    let secs = analysis.as_secs_f64().max(1e-9);
-    let entry = BenchEntry::new("lamport_mutex")
-        .int("trace_events", trace.len() as u64)
-        .int("store_records", reader.n_records())
-        .int("protocol_sends", report.protocol_sends as u64)
-        .num("check_ms", analysis.as_secs_f64() * 1e3)
-        .num("events_per_sec", trace.len() as f64 / secs)
-        .text("net", "ideal");
-    let path = dpm::bench_report::record(&entry).expect("bench snapshot written");
-    assert!(path.exists());
 
     control.exec("bye");
     sim.shutdown();

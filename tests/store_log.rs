@@ -147,12 +147,12 @@ fn store_filter_matches_text_filter_on_identical_streams() {
             filter_main(
                 p,
                 vec![
-                    port.to_string(),
-                    log.to_owned(),
-                    "descriptions".to_owned(),
-                    "templates".to_owned(),
-                    "1".to_owned(),
-                    mode.to_owned(),
+                    format!("port={port}"),
+                    format!("log={log}"),
+                    "desc=descriptions".to_owned(),
+                    "templates=templates".to_owned(),
+                    "shards=1".to_owned(),
+                    format!("mode={mode}"),
                 ],
             )
         })
