@@ -27,8 +27,9 @@ pub struct HappensBefore {
     lamport: Vec<u64>,
     /// Vector-clock index per process.
     proc_index: HashMap<ProcKey, usize>,
-    /// Vector clock per event.
-    vclock: Vec<Vec<u64>>,
+    /// Vector clock per event: one row-major arena, row `i` (one
+    /// component per process of `proc_index`) is event `i`'s clock.
+    vclock: Vec<u64>,
     /// Whether the edge set contained a cycle — evidence of a wrong
     /// message matching (a receive paired with a send that it could
     /// not have been caused by), never of a real execution.
@@ -73,20 +74,21 @@ impl HappensBefore {
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut lamport = vec![0u64; n];
-        let mut vclock = vec![vec![0u64; procs.len()]; n];
+        let width = procs.len();
+        let mut vclock = vec![0u64; n * width];
         let mut seen = 0;
         while let Some(i) = queue.pop() {
             seen += 1;
             let pi = proc_index[&trace.events[i].proc];
-            vclock[i][pi] += 1;
+            vclock[i * width + pi] += 1;
             for &s in &succs[i] {
                 lamport[s] = lamport[s].max(lamport[i] + 1);
                 let (a, b) = if i < s {
-                    let (lo, hi) = vclock.split_at_mut(s);
-                    (&lo[i], &mut hi[0])
+                    let (lo, hi) = vclock.split_at_mut(s * width);
+                    (&lo[i * width..][..width], &mut hi[..width])
                 } else {
-                    let (lo, hi) = vclock.split_at_mut(i);
-                    (&hi[0], &mut lo[s])
+                    let (lo, hi) = vclock.split_at_mut(i * width);
+                    (&hi[..width], &mut lo[s * width..][..width])
                 };
                 for (bv, av) in b.iter_mut().zip(a.iter()) {
                     *bv = (*bv).max(*av);
@@ -129,9 +131,8 @@ impl HappensBefore {
         // but our per-event vector clocks count events per process, so
         // a → b iff Va ≤ Vb componentwise (a's knowledge is contained
         // in b's) and they differ.
-        let (va, vb) = match (self.vclock.get(a), self.vclock.get(b)) {
-            (Some(x), Some(y)) => (x, y),
-            _ => return false,
+        let (Some(va), Some(vb)) = (self.vector(a), self.vector(b)) else {
+            return false;
         };
         va.iter().zip(vb).all(|(x, y)| x <= y) && va != vb
     }
@@ -149,7 +150,8 @@ impl HappensBefore {
     /// The vector clock of an event (indexed per
     /// [`HappensBefore::process_index`]).
     pub fn vector(&self, idx: usize) -> Option<&[u64]> {
-        self.vclock.get(idx).map(Vec::as_slice)
+        let width = self.proc_index.len();
+        (idx < self.lamport.len()).then(|| &self.vclock[idx * width..][..width])
     }
 
     /// The vector-clock component index of a process.
@@ -167,7 +169,7 @@ impl HappensBefore {
     /// trace lets us deduce. 1 means a total order (fully sequential
     /// computation); lower values mean more genuine concurrency.
     pub fn ordered_fraction(&self) -> f64 {
-        let n = self.vclock.len();
+        let n = self.lamport.len();
         if n < 2 {
             return 1.0;
         }

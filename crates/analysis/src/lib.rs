@@ -9,7 +9,8 @@
 //!
 //! The modules implement, over the filter's trace logs:
 //!
-//! * [`Trace`] — typed events parsed back out of log records;
+//! * [`Trace`] — typed events parsed back out of log records (text, or
+//!   stored raw records through a [`FrameDecoder`]);
 //! * [`Pairing`] — connection pairing and send↔receive message
 //!   matching, recovering recipients the meter could not name (§4.1);
 //! * [`HappensBefore`] — the deducible partial global order (Lamport),
@@ -35,6 +36,7 @@
 //! assert_eq!(a.stats.matched, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod critical;
@@ -59,7 +61,7 @@ pub use properties::{ByzReport, CsInterval, LinkFaults, MutexReport};
 pub use stats::{CommStats, OffsetEstimate, ProcStats, SizeHistogram};
 pub use structure::{CommEdge, StructureReport};
 pub use timeline::{Bucket, Timeline};
-pub use trace::{Event, EventKind, ProcKey, Trace};
+pub use trace::{Event, EventKind, FrameDecoder, ProcKey, Trace};
 
 /// Runs every analysis over one trace log — the convenient all-in-one
 /// entry point used by the examples.

@@ -22,7 +22,7 @@
 //!    meter).
 
 use crate::trace::{Event, EventKind, ProcKey, Trace};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A recovered stream connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +94,8 @@ impl Pairing {
     /// prefix.
     pub fn from_queues(trace: &Trace, queues: &PairQueues) -> Pairing {
         let connections = pair_connections(trace);
-        let (messages, unmatched_sends, unmatched_recvs) = match_messages(queues, &connections);
+        let (messages, unmatched_sends, unmatched_recvs) =
+            match_messages(queues, &connections, trace.events.len());
         Pairing {
             connections,
             messages,
@@ -106,16 +107,27 @@ impl Pairing {
 
 /// Matches connect events to accept events by name symmetry.
 fn pair_connections(trace: &Trace) -> Vec<Connection> {
+    // Accepts queue up under their (sockName, peerName), in trace
+    // order: the front of a queue is its earliest unused accept.
+    type Names<'a> = (Option<&'a str>, Option<&'a str>);
+    let mut accepts: HashMap<Names<'_>, VecDeque<(&Event, u32)>> = HashMap::new();
+    for ev in &trace.events {
+        if let EventKind::Accept {
+            new_sock,
+            sock_name,
+            peer_name,
+        } = &ev.kind
+        {
+            accepts
+                .entry((sock_name.as_deref(), peer_name.as_deref()))
+                .or_default()
+                .push_back((ev, *new_sock));
+        }
+    }
     let mut out = Vec::new();
-    let mut used_accepts = vec![false; trace.events.len()];
-    let accepts: Vec<&Event> = trace
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Accept { .. }))
-        .collect();
     for ev in &trace.events {
         let EventKind::Connect {
-            sock_name: c_sock,
+            sock_name: c_sock @ Some(_),
             peer_name: c_peer,
         } = &ev.kind
         else {
@@ -123,25 +135,10 @@ fn pair_connections(trace: &Trace) -> Vec<Connection> {
         };
         // The matching accept: its sockName is our peerName, its
         // peerName is our sockName, and it is the earliest unused one.
-        let hit = accepts.iter().find(|a| {
-            if used_accepts[a.idx] {
-                return false;
-            }
-            let EventKind::Accept {
-                sock_name: a_sock,
-                peer_name: a_peer,
-                ..
-            } = &a.kind
-            else {
-                return false;
-            };
-            a_peer == c_sock && a_sock == c_peer && c_sock.is_some()
-        });
-        if let Some(a) = hit {
-            used_accepts[a.idx] = true;
-            let EventKind::Accept { new_sock, .. } = a.kind else {
-                unreachable!()
-            };
+        let hit = accepts
+            .get_mut(&(c_peer.as_deref(), c_sock.as_deref()))
+            .and_then(VecDeque::pop_front);
+        if let Some((a, new_sock)) = hit {
             out.push(Connection {
                 client: (ev.proc, ev.sock.unwrap_or(0)),
                 server: (a.proc, new_sock),
@@ -164,6 +161,31 @@ struct QueuedMsg {
     len: u32,
 }
 
+/// Datagram queues of one direction: per process, per peer name. Two
+/// levels so that `add` looks a known name up borrowed and copies it
+/// only the first time it is seen.
+type NamedQueues = HashMap<ProcKey, HashMap<String, Vec<QueuedMsg>>>;
+
+/// Appends `rec` to the queue of `(proc, name)`.
+fn push_named(queues: &mut NamedQueues, proc: ProcKey, name: &str, rec: QueuedMsg) {
+    let by_name = queues.entry(proc).or_default();
+    match by_name.get_mut(name) {
+        Some(queue) => queue.push(rec),
+        None => {
+            by_name.insert(name.to_owned(), vec![rec]);
+        }
+    }
+}
+
+/// The groups of `queues` as `(process, name, queue)`, in no order.
+fn groups(queues: &NamedQueues) -> impl Iterator<Item = (ProcKey, &str, &[QueuedMsg])> {
+    queues.iter().flat_map(|(proc, by_name)| {
+        by_name
+            .iter()
+            .map(move |(name, queue)| (*proc, name.as_str(), queue.as_slice()))
+    })
+}
+
 /// Pass-1 state of message matching: per-channel FIFO queues of send
 /// and receive events. The queues are **append-only** — `add` folds
 /// one event in O(1) — so a live consumer can grow them as records
@@ -176,10 +198,10 @@ pub struct PairQueues {
     stream_sends: HashMap<(ProcKey, u32), Vec<QueuedMsg>>,
     /// Stream receives by (receiver process, socket id).
     stream_recvs: HashMap<(ProcKey, u32), Vec<QueuedMsg>>,
-    /// Datagram sends by (sender process, destination name).
-    dgram_sends: HashMap<(ProcKey, String), Vec<QueuedMsg>>,
-    /// Datagram receives by (receiver process, source name).
-    dgram_recvs: HashMap<(ProcKey, String), Vec<QueuedMsg>>,
+    /// Datagram sends by sender process, then destination name.
+    dgram_sends: NamedQueues,
+    /// Datagram receives by receiver process, then source name.
+    dgram_recvs: NamedQueues,
     /// Every send event's trace index, in trace order.
     all_sends: Vec<usize>,
 }
@@ -198,11 +220,7 @@ impl PairQueues {
                     len: *len,
                 };
                 match dest {
-                    Some(name) => self
-                        .dgram_sends
-                        .entry((ev.proc, name.clone()))
-                        .or_default()
-                        .push(rec),
+                    Some(name) => push_named(&mut self.dgram_sends, ev.proc, name, rec),
                     None => {
                         let Some(sock) = ev.sock else { return };
                         self.stream_sends
@@ -219,11 +237,7 @@ impl PairQueues {
                     len: *len,
                 };
                 match source {
-                    Some(name) => self
-                        .dgram_recvs
-                        .entry((ev.proc, name.clone()))
-                        .or_default()
-                        .push(rec),
+                    Some(name) => push_named(&mut self.dgram_recvs, ev.proc, name, rec),
                     None => {
                         let Some(sock) = ev.sock else { return };
                         self.stream_recvs
@@ -252,6 +266,7 @@ impl PairQueues {
 fn match_messages(
     queues: &PairQueues,
     connections: &[Connection],
+    n_events: usize,
 ) -> (Vec<MatchedMessage>, Vec<usize>, Vec<usize>) {
     // Stream endpoints pair through the recovered connections.
     let mut peer_of: HashMap<(ProcKey, u32), (ProcKey, u32)> = HashMap::new();
@@ -261,7 +276,8 @@ fn match_messages(
     }
 
     let mut matches: Vec<MatchedMessage> = Vec::new();
-    let mut matched: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    // Which send events are matched, by trace index. Only ever grows.
+    let mut matched = vec![false; n_events];
 
     // Pass 2a: streams — merge the sender queue into the paired
     // receiver queue, splitting bytes across read boundaries. The
@@ -296,7 +312,7 @@ fn match_messages(
                         to: r.proc,
                         bytes: take,
                     });
-                    matched.insert(s.idx);
+                    matched[s.idx] = true;
                     *s_remaining -= take;
                     r_remaining -= take;
                 }
@@ -322,46 +338,46 @@ fn match_messages(
     // lengths, no receive is ever paired with a send that did not
     // really precede it. (The beacon convention in
     // `crate::properties` is built on exactly this guarantee.)
+    //
+    // The candidate set depends only on (source host, receiver
+    // machine), so receive groups that agree on both share one pool.
+    // A pool is sorted by (length, trace index) and keeps one cursor
+    // per length, pointing at the earliest send of that length not yet
+    // known to be matched. Pools overlap and `matched` is shared, so a
+    // cursor may find sends another pool took; it steps over them.
+    // Because `matched` only grows, nothing a cursor has passed can
+    // become available again: the cursor never moves back, and the
+    // send it stops at is exactly the one a scan from the start of
+    // the pool would find.
+    let send_groups: Vec<(u32, Option<u32>, &[QueuedMsg])> = groups(&queues.dgram_sends)
+        .map(|(tx_proc, dest, sends)| (tx_proc.machine, host_of(dest), sends))
+        .collect();
+    let mut recv_groups: Vec<_> = groups(&queues.dgram_recvs).collect();
+    recv_groups.sort_by_key(|&(rx_proc, src_name, _)| (rx_proc, src_name));
+    let mut pools: HashMap<(Option<u32>, u32), SendPool> = HashMap::new();
     let mut unmatched_recvs: Vec<usize> = Vec::new();
-    let mut recv_groups: Vec<(ProcKey, String)> = queues.dgram_recvs.keys().cloned().collect();
-    recv_groups.sort();
-    for key in recv_groups {
-        let (rx_proc, src_name) = &key;
+    for (rx_proc, src_name, recvs) in recv_groups {
         let src_host = host_of(src_name);
-        let mut candidates: Vec<(ProcKey, String)> = queues
-            .dgram_sends
-            .keys()
-            .filter(|(tx_proc, dest)| {
-                (src_host.is_none() || Some(tx_proc.machine) == src_host)
-                    && host_of(dest).is_none_or(|h| h == rx_proc.machine)
-            })
-            .cloned()
-            .collect();
-        candidates.sort();
-        // One pooled sender-order list: within a process, trace order
-        // is send order; across candidate groups order is arbitrary
-        // anyway (distinct sockets), so trace order is as good as any.
-        let mut pool: Vec<&QueuedMsg> = candidates
-            .iter()
-            .flat_map(|cand| queues.dgram_sends[cand].iter())
-            .collect();
-        pool.sort_by_key(|s| s.idx);
-        let recvs = &queues.dgram_recvs[&key];
+        let pool = pools.entry((src_host, rx_proc.machine)).or_insert_with(|| {
+            SendPool::new(
+                send_groups
+                    .iter()
+                    .filter_map(|&(tx_machine, dest_host, sends)| {
+                        let candidate = src_host.is_none_or(|h| h == tx_machine)
+                            && dest_host.is_none_or(|h| h == rx_proc.machine);
+                        candidate.then_some(sends)
+                    }),
+            )
+        });
         for r in recvs {
-            let hit = pool
-                .iter()
-                .find(|s| !matched.contains(&s.idx) && s.len == r.len);
-            match hit {
-                Some(s) => {
-                    matches.push(MatchedMessage {
-                        send_idx: s.idx,
-                        recv_idx: r.idx,
-                        from: s.proc,
-                        to: r.proc,
-                        bytes: r.len,
-                    });
-                    matched.insert(s.idx);
-                }
+            match pool.take(r.len, &mut matched) {
+                Some(s) => matches.push(MatchedMessage {
+                    send_idx: s.idx,
+                    recv_idx: r.idx,
+                    from: s.proc,
+                    to: r.proc,
+                    bytes: r.len,
+                }),
                 None => unmatched_recvs.push(r.idx),
             }
         }
@@ -372,11 +388,49 @@ fn match_messages(
         .all_sends
         .iter()
         .copied()
-        .filter(|i| !matched.contains(i))
+        .filter(|&i| !matched[i])
         .collect();
     unmatched.sort_unstable();
     unmatched_recvs.sort_unstable();
     (matches, unmatched, unmatched_recvs)
+}
+
+/// The sends a receive group may draw on, indexed for "earliest
+/// unmatched send of exactly this length". Earliest is by trace index:
+/// within a process trace order is send order, and across candidate
+/// groups (distinct sockets) any order is as good as another.
+struct SendPool {
+    /// Sorted by `(len, idx)`.
+    sends: Vec<QueuedMsg>,
+    /// Per length: position in `sends` of the earliest send of that
+    /// length not yet seen matched.
+    cursors: HashMap<u32, usize>,
+}
+
+impl SendPool {
+    fn new<'a>(groups: impl Iterator<Item = &'a [QueuedMsg]>) -> SendPool {
+        let mut sends: Vec<QueuedMsg> = groups.flatten().copied().collect();
+        sends.sort_unstable_by_key(|s| (s.len, s.idx));
+        let mut cursors = HashMap::new();
+        for (at, s) in sends.iter().enumerate() {
+            cursors.entry(s.len).or_insert(at);
+        }
+        SendPool { sends, cursors }
+    }
+
+    /// Takes the earliest unmatched send of `len` bytes, marking it
+    /// matched.
+    fn take(&mut self, len: u32, matched: &mut [bool]) -> Option<QueuedMsg> {
+        let cursor = self.cursors.get_mut(&len)?;
+        while let Some(s) = self.sends.get(*cursor).filter(|s| s.len == len) {
+            *cursor += 1;
+            if !matched[s.idx] {
+                matched[s.idx] = true;
+                return Some(*s);
+            }
+        }
+        None
+    }
 }
 
 /// The host id of an `inet:<host>:<port>` display name.
@@ -486,6 +540,104 @@ event=accept machine=1 cpuTime=4 procTime=0 traceType=8 pid=2 pc=2 sock=4 newSoc
         assert_eq!(p.connections.len(), 2);
         assert_eq!(p.connections[0].server.1, 9);
         assert_eq!(p.connections[1].server.1, 10);
+    }
+
+    /// The nested loop `pair_connections` replaced, kept as the oracle:
+    /// every connect scans every accept for the earliest unused one
+    /// whose names mirror its own.
+    fn reference_pair_connections(trace: &Trace) -> Vec<Connection> {
+        let mut out = Vec::new();
+        let mut used_accepts = vec![false; trace.events.len()];
+        let accepts: Vec<&Event> = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Accept { .. }))
+            .collect();
+        for ev in &trace.events {
+            let EventKind::Connect {
+                sock_name: c_sock,
+                peer_name: c_peer,
+            } = &ev.kind
+            else {
+                continue;
+            };
+            let hit = accepts.iter().find(|a| {
+                if used_accepts[a.idx] {
+                    return false;
+                }
+                let EventKind::Accept {
+                    sock_name: a_sock,
+                    peer_name: a_peer,
+                    ..
+                } = &a.kind
+                else {
+                    return false;
+                };
+                a_peer == c_sock && a_sock == c_peer && c_sock.is_some()
+            });
+            if let Some(a) = hit {
+                used_accepts[a.idx] = true;
+                let EventKind::Accept { new_sock, .. } = a.kind else {
+                    unreachable!()
+                };
+                out.push(Connection {
+                    client: (ev.proc, ev.sock.unwrap_or(0)),
+                    server: (a.proc, new_sock),
+                    client_name: c_sock.clone(),
+                    server_name: c_peer.clone(),
+                    connect_idx: ev.idx,
+                    accept_idx: a.idx,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn two_thousand_connections_pair_like_the_nested_loop() {
+        // Few distinct names, so most connects compete for the same
+        // accepts and "earliest unused" decides; some connects carry no
+        // name of their own (never paired), some accepts no listener
+        // name (paired by a connect without a peer name), and a third
+        // of the accepts are logged before their connects.
+        let name = |host: usize, port: usize| Some(format!("inet:{host}:{port}"));
+        let mut trace = Trace::default();
+        let mut push = |machine: u32, pid: u32, kind: EventKind| {
+            let idx = trace.events.len();
+            trace.events.push(Event {
+                idx,
+                proc: ProcKey { machine, pid },
+                cpu_time: idx as u32,
+                proc_time: 0,
+                sock: (idx % 5 != 0).then_some(idx as u32 % 7),
+                kind,
+            });
+        };
+        for i in 0..2000usize {
+            let client = if i % 11 == 0 { None } else { name(0, i % 13) };
+            let server = if i % 17 == 0 { None } else { name(1, i % 3) };
+            let accept = EventKind::Accept {
+                new_sock: 100 + i as u32,
+                sock_name: server.clone(),
+                peer_name: client.clone(),
+            };
+            let connect = EventKind::Connect {
+                sock_name: client,
+                peer_name: server,
+            };
+            if i % 3 == 0 {
+                push(1, 2, accept);
+                push(0, 1 + (i % 4) as u32, connect);
+            } else {
+                push(0, 1 + (i % 4) as u32, connect);
+                if i % 7 != 0 {
+                    push(1, 2, accept);
+                }
+            }
+        }
+        let got = pair_connections(&trace);
+        assert_eq!(got, reference_pair_connections(&trace));
+        assert!(got.len() > 1500, "{} paired", got.len());
     }
 
     #[test]

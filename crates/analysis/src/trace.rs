@@ -4,13 +4,17 @@
 //! traces created by filters. They give meaning to the data by
 //! summarizing and operating on the event records collected." (§3.3)
 //!
-//! This module turns the filter's textual log records back into typed
-//! [`Event`]s. A process is identified by `(machine, pid)` because pid
-//! uniqueness is per machine in 4.2BSD.
+//! This module turns the filter's log records back into typed
+//! [`Event`]s — text records through [`Trace::parse`], stored raw
+//! records through a [`FrameDecoder`], which reads the few fields
+//! typing needs straight off the record bytes. Both feed one typing
+//! function, so the two routes cannot drift. A process is identified
+//! by `(machine, pid)` because pid uniqueness is per machine in 4.2BSD.
 
-use dpm_filter::{Descriptions, LogRecord};
+use dpm_filter::{Descriptions, FieldRef, FieldSlot, LogRecord};
 use dpm_logstore::{Frame, StoreReader};
-use std::fmt;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 
 /// Identifies a process across the whole computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -154,20 +158,29 @@ impl Trace {
     }
 
     /// Appends one decoded log record to the trace, typing it exactly
-    /// as [`Trace::from_records`]/[`Trace::from_frames`] would. Returns
-    /// whether the record produced an event (records that lack the
-    /// fields needed to type them are skipped). This is the append
-    /// primitive live consumers grow a trace with, one record at a
-    /// time — a trace grown by `push_record` in record order is equal
-    /// to the batch-built trace over the same records.
+    /// as [`Trace::from_records`] would. Returns whether the record
+    /// produced an event (records that lack the fields needed to type
+    /// them are skipped).
     pub fn push_record(&mut self, r: &LogRecord) -> bool {
-        match typed_event(self.events.len(), r) {
-            Some(ev) => {
-                self.events.push(ev);
-                true
-            }
-            None => false,
-        }
+        self.push(r)
+    }
+
+    /// Appends one stored raw record to the trace, typing it exactly
+    /// as [`Trace::from_frames`] would. Returns whether the record
+    /// produced an event (records no description matches, or that lack
+    /// the fields needed to type them, are skipped). This is the append
+    /// primitive live consumers grow a trace with, one record at a
+    /// time — a trace grown by `push_frame` in frame order is equal to
+    /// the batch-built trace over the same frames.
+    pub fn push_frame(&mut self, decoder: &FrameDecoder, raw: &[u8]) -> bool {
+        decoder.fields(raw).is_some_and(|fields| self.push(&fields))
+    }
+
+    fn push(&mut self, r: &impl Fields) -> bool {
+        let ev = typed_event(self.events.len(), r);
+        let typed = ev.is_some();
+        self.events.extend(ev);
+        typed
     }
 
     /// Builds a trace straight from a binary log store, decoding each
@@ -203,25 +216,22 @@ impl Trace {
     where
         I: IntoIterator<Item = Frame<'a>>,
     {
+        let decoder = FrameDecoder::new(desc);
         let mut t = Trace::default();
         for f in frames {
-            let Some(rec) = LogRecord::from_raw(desc, f.raw, &[]) else {
-                continue;
-            };
-            t.push_record(&rec);
+            t.push_frame(&decoder, f.raw);
         }
         t
     }
 
     /// The distinct processes, in first-appearance order.
     pub fn processes(&self) -> Vec<ProcKey> {
-        let mut seen = Vec::new();
-        for e in &self.events {
-            if !seen.contains(&e.proc) {
-                seen.push(e.proc);
-            }
-        }
-        seen
+        let mut seen = HashSet::new();
+        self.events
+            .iter()
+            .map(|e| e.proc)
+            .filter(|p| seen.insert(*p))
+            .collect()
     }
 
     /// The distinct machines, ascending.
@@ -248,51 +258,182 @@ impl Trace {
     }
 }
 
-fn opt_name(r: &LogRecord, field: &str) -> Option<String> {
-    match r.get(field) {
-        None | Some("-") => None,
-        Some(v) => Some(v.to_owned()),
+/// Declares [`Field`] — the fields typing reads — beside each one's
+/// log name, so the two cannot drift.
+macro_rules! fields {
+    ($($variant:ident = $name:literal),* $(,)?) => {
+        #[derive(Debug, Clone, Copy)]
+        enum Field { $($variant),* }
+        /// Log name of each [`Field`], indexed by discriminant.
+        const FIELD_NAMES: [&str; [$($name),*].len()] = [$($name),*];
+    };
+}
+
+fields! {
+    Machine = "machine", Pid = "pid", CpuTime = "cpuTime", ProcTime = "procTime",
+    Sock = "sock", MsgLength = "msgLength", DestName = "destName", SourceName = "sourceName",
+    NewSock = "newSock", NewPid = "newPid", Domain = "domain", Type = "type",
+    TraceType = "traceType", Reason = "reason", SockName = "sockName", PeerName = "peerName",
+}
+
+/// Where [`typed_event`] gets a record's fields from: a parsed text
+/// record, or raw bytes under compiled offsets.
+trait Fields {
+    /// The event name (`send`, `accept`, …).
+    fn event(&self) -> &str;
+    /// A field's value as the integer its log text parses to.
+    fn int(&self, field: Field) -> Option<u64>;
+    /// A name field's display form; `None` when absent or `-`.
+    fn name(&self, field: Field) -> Option<String>;
+}
+
+impl Fields for LogRecord {
+    fn event(&self) -> &str {
+        &self.event
+    }
+
+    fn int(&self, field: Field) -> Option<u64> {
+        self.get_int(FIELD_NAMES[field as usize])
+    }
+
+    fn name(&self, field: Field) -> Option<String> {
+        match self.get(FIELD_NAMES[field as usize]) {
+            None | Some("-") => None,
+            Some(v) => Some(v.to_owned()),
+        }
     }
 }
 
-fn typed_event(idx: usize, r: &LogRecord) -> Option<Event> {
-    let machine = r.get_int("machine")? as u32;
-    let pid = r.get_int("pid")? as u32;
-    let cpu_time = r.get_int("cpuTime").unwrap_or(0) as u32;
-    let proc_time = r.get_int("procTime").unwrap_or(0) as u32;
-    let sock = r.get_int("sock").map(|v| v as u32);
-    let kind = match r.event.as_str() {
+/// One described event type: its name and where each [`Field`] lives
+/// in its records.
+#[derive(Debug, Clone)]
+struct EventSlots {
+    trace_type: u32,
+    name: String,
+    slots: [FieldSlot; FIELD_NAMES.len()],
+}
+
+/// A [`Descriptions`] compiled for typing raw records: the field names
+/// [`Trace`] needs are resolved to offsets once, here, so decoding a
+/// stored frame reads a handful of integers in place and renders a
+/// socket name only for the events that carry one — no intermediate
+/// text record. The offsets come from the description, so a
+/// user-written descriptions file decodes exactly as its rendered log
+/// text would parse.
+#[derive(Debug, Clone)]
+pub struct FrameDecoder {
+    /// Sorted by trace type.
+    events: Vec<EventSlots>,
+}
+
+impl FrameDecoder {
+    /// Compiles `desc`.
+    pub fn new(desc: &Descriptions) -> FrameDecoder {
+        let events = desc
+            .events()
+            .into_iter()
+            .map(|e| EventSlots {
+                trace_type: e.trace_type,
+                name: e.name.clone(),
+                slots: FIELD_NAMES.map(|name| e.slot(name)),
+            })
+            .collect();
+        FrameDecoder { events }
+    }
+
+    /// Whether a description matches `raw`'s trace type — `false` for
+    /// the frames [`Trace::push_frame`] skips as undecodable (shorter
+    /// than a header included).
+    pub fn describes(&self, raw: &[u8]) -> bool {
+        self.fields(raw).is_some()
+    }
+
+    fn fields<'a>(&'a self, raw: &'a [u8]) -> Option<RawFields<'a>> {
+        let trace_type = Descriptions::record_type(raw)?;
+        let at = self
+            .events
+            .binary_search_by_key(&trace_type, |e| e.trace_type)
+            .ok()?;
+        Some(RawFields {
+            event: &self.events[at],
+            raw,
+        })
+    }
+}
+
+/// A raw record bound to its event's compiled offsets.
+struct RawFields<'a> {
+    event: &'a EventSlots,
+    raw: &'a [u8],
+}
+
+impl RawFields<'_> {
+    fn read(&self, field: Field) -> Option<FieldRef<'_>> {
+        self.event.slots[field as usize].read(self.raw)
+    }
+}
+
+impl Fields for RawFields<'_> {
+    fn event(&self) -> &str {
+        &self.event.name
+    }
+
+    fn int(&self, field: Field) -> Option<u64> {
+        match self.read(field)? {
+            FieldRef::Int(v) => Some(v),
+            // A byte field read as a number: whatever its text says.
+            bytes => bytes.to_string().parse().ok(),
+        }
+    }
+
+    fn name(&self, field: Field) -> Option<String> {
+        let value = self.read(field).filter(|v| !v.is_blank())?;
+        // Room for any 16-byte name's display form: one allocation.
+        let mut name = String::with_capacity(32);
+        write!(name, "{value}").expect("writing to a String cannot fail");
+        Some(name)
+    }
+}
+
+fn typed_event(idx: usize, r: &impl Fields) -> Option<Event> {
+    use Field::*;
+    let machine = r.int(Machine)? as u32;
+    let pid = r.int(Pid)? as u32;
+    let cpu_time = r.int(CpuTime).unwrap_or(0) as u32;
+    let proc_time = r.int(ProcTime).unwrap_or(0) as u32;
+    let sock = r.int(Sock).map(|v| v as u32);
+    let kind = match r.event() {
         "send" => EventKind::Send {
-            len: r.get_int("msgLength")? as u32,
-            dest: opt_name(r, "destName"),
+            len: r.int(MsgLength)? as u32,
+            dest: r.name(DestName),
         },
         "receivecall" => EventKind::RecvCall,
         "receive" => EventKind::Recv {
-            len: r.get_int("msgLength")? as u32,
-            source: opt_name(r, "sourceName"),
+            len: r.int(MsgLength)? as u32,
+            source: r.name(SourceName),
         },
         "socket" => EventKind::Socket {
-            domain: r.get_int("domain")? as u32,
-            sock_type: r.get_int("type").or_else(|| r.get_int("traceType"))? as u32,
+            domain: r.int(Domain)? as u32,
+            sock_type: r.int(Type).or_else(|| r.int(TraceType))? as u32,
         },
         "dup" => EventKind::Dup {
-            new_sock: r.get_int("newSock")? as u32,
+            new_sock: r.int(NewSock)? as u32,
         },
         "destsocket" => EventKind::DestSocket,
         "fork" => EventKind::Fork {
-            child: r.get_int("newPid")? as u32,
+            child: r.int(NewPid)? as u32,
         },
         "accept" => EventKind::Accept {
-            new_sock: r.get_int("newSock")? as u32,
-            sock_name: opt_name(r, "sockName"),
-            peer_name: opt_name(r, "peerName"),
+            new_sock: r.int(NewSock)? as u32,
+            sock_name: r.name(SockName),
+            peer_name: r.name(PeerName),
         },
         "connect" => EventKind::Connect {
-            sock_name: opt_name(r, "sockName"),
-            peer_name: opt_name(r, "peerName"),
+            sock_name: r.name(SockName),
+            peer_name: r.name(PeerName),
         },
         "termproc" => EventKind::Term {
-            reason: r.get_int("reason").unwrap_or(0) as u32,
+            reason: r.int(Reason).unwrap_or(0) as u32,
         },
         _ => return None,
     };

@@ -1,9 +1,14 @@
 //! Property-based tests for the analyses: happens-before is a strict
 //! partial order, vector clocks agree with reachability, pairing never
-//! invents bytes, and everything survives arbitrary log text.
+//! invents bytes, the indexed message matcher agrees with the scan it
+//! replaced, and everything survives arbitrary log text.
 
-use dpm_analysis::{Analysis, EventKind, HappensBefore, Pairing, Trace};
+use dpm_analysis::{
+    host_of, Analysis, Connection, EventKind, HappensBefore, MatchedMessage, Pairing, ProcKey,
+    Trace,
+};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// Generates a plausible two-machine datagram conversation: machine 0
 /// sends, machine 1 receives a prefix of them (models loss).
@@ -85,6 +90,390 @@ fn arb_paired_trace() -> impl Strategy<Value = (String, usize, usize)> {
     })
 }
 
+/// One queued message endpoint record of the reference matcher.
+#[derive(Debug, Clone, Copy)]
+struct QueuedMsg {
+    idx: usize,
+    proc: ProcKey,
+    len: u32,
+}
+
+/// The reference matcher's pass-1 queues, filled as `PairQueues::add`
+/// fills its own.
+#[derive(Default)]
+struct RefQueues {
+    stream_sends: HashMap<(ProcKey, u32), Vec<QueuedMsg>>,
+    stream_recvs: HashMap<(ProcKey, u32), Vec<QueuedMsg>>,
+    dgram_sends: HashMap<(ProcKey, String), Vec<QueuedMsg>>,
+    dgram_recvs: HashMap<(ProcKey, String), Vec<QueuedMsg>>,
+    all_sends: Vec<usize>,
+}
+
+impl RefQueues {
+    fn of(trace: &Trace) -> RefQueues {
+        let mut q = RefQueues::default();
+        for ev in &trace.events {
+            let (len, name, named, socks) = match &ev.kind {
+                EventKind::Send { len, dest } => {
+                    q.all_sends.push(ev.idx);
+                    (*len, dest, &mut q.dgram_sends, &mut q.stream_sends)
+                }
+                EventKind::Recv { len, source } => {
+                    (*len, source, &mut q.dgram_recvs, &mut q.stream_recvs)
+                }
+                _ => continue,
+            };
+            let queue = match (name, ev.sock) {
+                (Some(name), _) => named.entry((ev.proc, name.clone())).or_default(),
+                (None, Some(sock)) => socks.entry((ev.proc, sock)).or_default(),
+                (None, None) => continue,
+            };
+            queue.push(QueuedMsg {
+                idx: ev.idx,
+                proc: ev.proc,
+                len,
+            });
+        }
+        q
+    }
+}
+
+/// The message matcher as it stood before datagram matching was
+/// indexed, verbatim: pass 2b scans a receive group's whole candidate
+/// pool from the start for every receive. Quadratic by design — it is
+/// the oracle, not the product.
+fn reference_match(
+    queues: &RefQueues,
+    connections: &[Connection],
+) -> (Vec<MatchedMessage>, Vec<usize>, Vec<usize>) {
+    // Stream endpoints pair through the recovered connections.
+    let mut peer_of: HashMap<(ProcKey, u32), (ProcKey, u32)> = HashMap::new();
+    for c in connections {
+        peer_of.insert(c.client, c.server);
+        peer_of.insert(c.server, c.client);
+    }
+
+    let mut matches: Vec<MatchedMessage> = Vec::new();
+    let mut matched: HashSet<usize> = HashSet::new();
+
+    // Pass 2a: streams — merge the sender queue into the paired
+    // receiver queue, splitting bytes across read boundaries. The
+    // byte-consumption state lives in local copies so the queues stay
+    // immutable (and reusable for the next incremental call).
+    let mut send_left: HashMap<(ProcKey, u32), Vec<(QueuedMsg, u32)>> = queues
+        .stream_sends
+        .iter()
+        .map(|(k, v)| (*k, v.iter().map(|s| (*s, s.len)).collect()))
+        .collect();
+    let mut recv_endpoints: Vec<(ProcKey, u32)> = queues.stream_recvs.keys().copied().collect();
+    recv_endpoints.sort();
+    for rx_ep in recv_endpoints {
+        let Some(&tx_ep) = peer_of.get(&rx_ep) else {
+            continue;
+        };
+        let Some(sends) = send_left.get_mut(&tx_ep) else {
+            continue;
+        };
+        let recvs = &queues.stream_recvs[&rx_ep];
+        let mut si = 0;
+        for r in recvs {
+            let mut r_remaining = r.len;
+            while r_remaining > 0 && si < sends.len() {
+                let (s, s_remaining) = &mut sends[si];
+                let take = (*s_remaining).min(r_remaining);
+                if take > 0 {
+                    matches.push(MatchedMessage {
+                        send_idx: s.idx,
+                        recv_idx: r.idx,
+                        from: s.proc,
+                        to: r.proc,
+                        bytes: take,
+                    });
+                    matched.insert(s.idx);
+                    *s_remaining -= take;
+                    r_remaining -= take;
+                }
+                if *s_remaining == 0 {
+                    si += 1;
+                }
+            }
+        }
+    }
+
+    // Pass 2b: datagrams — each receive consumes exactly one send,
+    // and a datagram is delivered whole: a receive of `k` bytes can
+    // only have been caused by a send of `k` bytes. A receive group
+    // (receiver, source-name) draws candidate sends from send groups
+    // whose sender lives on the source name's machine and whose
+    // destination names the receiver's machine; within the candidate
+    // pool each receive takes the earliest unmatched send of *exactly
+    // its length*. Length-aware matching is what keeps the deduced
+    // order sound under duplication: a duplicated delivery finds its
+    // one send already matched and is reported in `unmatched_recvs`
+    // instead of stealing a later (possibly future) send — as long as
+    // concurrently-in-flight payloads on one channel have distinct
+    // lengths, no receive is ever paired with a send that did not
+    // really precede it. (The beacon convention in
+    // `crate::properties` is built on exactly this guarantee.)
+    let mut unmatched_recvs: Vec<usize> = Vec::new();
+    let mut recv_groups: Vec<(ProcKey, String)> = queues.dgram_recvs.keys().cloned().collect();
+    recv_groups.sort();
+    for key in recv_groups {
+        let (rx_proc, src_name) = &key;
+        let src_host = host_of(src_name);
+        let mut candidates: Vec<(ProcKey, String)> = queues
+            .dgram_sends
+            .keys()
+            .filter(|(tx_proc, dest)| {
+                (src_host.is_none() || Some(tx_proc.machine) == src_host)
+                    && host_of(dest).is_none_or(|h| h == rx_proc.machine)
+            })
+            .cloned()
+            .collect();
+        candidates.sort();
+        // One pooled sender-order list: within a process, trace order
+        // is send order; across candidate groups order is arbitrary
+        // anyway (distinct sockets), so trace order is as good as any.
+        let mut pool: Vec<&QueuedMsg> = candidates
+            .iter()
+            .flat_map(|cand| queues.dgram_sends[cand].iter())
+            .collect();
+        pool.sort_by_key(|s| s.idx);
+        let recvs = &queues.dgram_recvs[&key];
+        for r in recvs {
+            let hit = pool
+                .iter()
+                .find(|s| !matched.contains(&s.idx) && s.len == r.len);
+            match hit {
+                Some(s) => {
+                    matches.push(MatchedMessage {
+                        send_idx: s.idx,
+                        recv_idx: r.idx,
+                        from: s.proc,
+                        to: r.proc,
+                        bytes: r.len,
+                    });
+                    matched.insert(s.idx);
+                }
+                None => unmatched_recvs.push(r.idx),
+            }
+        }
+    }
+
+    matches.sort_by_key(|m| (m.recv_idx, m.send_idx));
+    let mut unmatched: Vec<usize> = queues
+        .all_sends
+        .iter()
+        .copied()
+        .filter(|i| !matched.contains(i))
+        .collect();
+    unmatched.sort_unstable();
+    unmatched_recvs.sort_unstable();
+    (matches, unmatched, unmatched_recvs)
+}
+
+/// One step of a mixed trace.
+#[derive(Debug, Clone)]
+enum Op {
+    /// A datagram from a process on `src` to one on `dst`.
+    Dgram {
+        src: u32,
+        dst: u32,
+        /// Which of the machine's two processes sends / receives.
+        pids: (bool, bool),
+        len: u32,
+        /// 0, 1: two ports on the destination host; 2: a name with no
+        /// parsable host, so the send is a candidate for every machine.
+        dest_name: u32,
+        /// Same three choices for the name the receiver sees.
+        source_name: u32,
+        /// 0 = lost, 1 = delivered, 2 = delivered twice.
+        deliveries: usize,
+        /// Log the (first) receive *before* the send.
+        early: bool,
+        /// Queued deliveries to log after this step.
+        flush: usize,
+    },
+    /// Bytes over one of the two stream connections: a write on the
+    /// client and (when non-zero) a read on the server.
+    Stream { conn: usize, wrote: u32, read: u32 },
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let dgram = (
+        (0u32..3, 0u32..3, any::<bool>(), any::<bool>()),
+        // Three lengths only: equal lengths are routinely in flight
+        // together on one channel.
+        (
+            0usize..3,
+            0u32..3,
+            0u32..3,
+            0usize..3,
+            any::<bool>(),
+            0usize..4,
+        ),
+    )
+        .prop_map(
+            |((src, dst, p, q), (len, dest_name, source_name, deliveries, early, flush))| {
+                Op::Dgram {
+                    src,
+                    dst,
+                    pids: (p, q),
+                    len: [10, 20, 33][len],
+                    dest_name,
+                    source_name,
+                    deliveries,
+                    early,
+                    flush,
+                }
+            },
+        );
+    let stream = (0usize..2, 1u32..200, 0u32..300).prop_map(|(conn, wrote, read)| Op::Stream {
+        conn,
+        wrote,
+        read,
+    });
+    prop_oneof![3 => dgram, 1 => stream]
+}
+
+/// Generates a trace mixing stream and datagram traffic among six
+/// processes on three machines, with everything the datagram matcher
+/// has to get right: lost sends, duplicated deliveries, equal lengths
+/// concurrently in flight, receives logged before their sends, names
+/// without a parsable host (their pools overlap across groups), and
+/// send groups reachable from several receive groups (two receiving
+/// processes per machine, several source names per sender).
+fn arb_mixed_trace() -> impl Strategy<Value = String> {
+    proptest::collection::vec(arb_op(), 1..60).prop_map(|ops| {
+        let pid = |machine: u32, second: bool| if second { 20 } else { 10 } + machine;
+        let mut log = String::new();
+        // Two stream connections, both into machine 1.
+        let conns = [(0u32, 5u32, 9u32, 2000u32), (2, 6, 10, 2001)];
+        for (client, c_sock, s_sock, port) in conns {
+            log.push_str(&format!(
+                "event=connect machine={client} cpuTime=1 procTime=0 traceType=9 pid={} pc=0 sock={c_sock} sockName=inet:{client}:{port} peerName=inet:1:80\n",
+                pid(client, false)
+            ));
+            log.push_str(&format!(
+                "event=accept machine=1 cpuTime=1 procTime=0 traceType=8 pid=11 pc=0 sock=4 newSock={s_sock} sockName=inet:1:80 peerName=inet:{client}:{port}\n"
+            ));
+        }
+        let mut pending: Vec<String> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Stream { conn, wrote, read } => {
+                    let (client, c_sock, s_sock, _) = conns[conn];
+                    log.push_str(&format!(
+                        "event=send machine={client} cpuTime=2 procTime=0 traceType=1 pid={} pc=0 sock={c_sock} msgLength={wrote} destName=-\n",
+                        pid(client, false)
+                    ));
+                    if read > 0 {
+                        log.push_str(&format!(
+                            "event=receive machine=1 cpuTime=2 procTime=0 traceType=3 pid=11 pc=0 sock={s_sock} msgLength={read} sourceName=-\n"
+                        ));
+                    }
+                }
+                Op::Dgram {
+                    src,
+                    dst,
+                    pids,
+                    len,
+                    dest_name,
+                    source_name,
+                    deliveries,
+                    early,
+                    flush,
+                } => {
+                    let name = |host: u32, choice: u32, port: u32| match choice {
+                        2 => format!("unix:/tmp/sock{port}"),
+                        c => format!("inet:{host}:{}", port + c),
+                    };
+                    let send = format!(
+                        "event=send machine={src} cpuTime=3 procTime=0 traceType=1 pid={} pc=0 sock=3 msgLength={len} destName={}\n",
+                        pid(src, pids.0),
+                        name(dst, dest_name, 53)
+                    );
+                    let recv = format!(
+                        "event=receive machine={dst} cpuTime=3 procTime=0 traceType=3 pid={} pc=0 sock=7 msgLength={len} sourceName={}\n",
+                        pid(dst, pids.1),
+                        name(src, source_name, 1024)
+                    );
+                    let mut copies = vec![recv; deliveries];
+                    if early {
+                        log.extend(copies.pop());
+                    }
+                    log.push_str(&send);
+                    pending.extend(copies);
+                    let due = flush.min(pending.len());
+                    log.extend(pending.drain(..due));
+                }
+            }
+        }
+        log.extend(pending);
+        log
+    })
+}
+
+/// `Pairing::analyze` against [`reference_match`] over the same trace
+/// and connections: messages and both unmatched lists, in order.
+fn assert_matches_reference(log: &str) -> Pairing {
+    let trace = Trace::parse(log);
+    assert_eq!(trace.len(), log.lines().count(), "every line types");
+    let got = Pairing::analyze(&trace);
+    let (messages, unmatched_sends, unmatched_recvs) =
+        reference_match(&RefQueues::of(&trace), &got.connections);
+    assert_eq!(got.messages, messages);
+    assert_eq!(got.unmatched_sends, unmatched_sends);
+    assert_eq!(got.unmatched_recvs, unmatched_recvs);
+    got
+}
+
+/// The cases the indexed matcher must not get wrong, one each, with
+/// the outcome spelled out — so the generated property below is known
+/// not to hold vacuously.
+#[test]
+fn indexed_matcher_agrees_with_the_reference_on_the_hard_cases() {
+    let send = |m: u32, pid: u32, len: u32, dest: &str| {
+        format!("event=send machine={m} cpuTime=1 procTime=0 traceType=1 pid={pid} pc=0 sock=3 msgLength={len} destName={dest}\n")
+    };
+    let recv = |m: u32, pid: u32, len: u32, source: &str| {
+        format!("event=receive machine={m} cpuTime=1 procTime=0 traceType=3 pid={pid} pc=0 sock=7 msgLength={len} sourceName={source}\n")
+    };
+    let log = [
+        // 0-2: equal lengths in flight on one channel; the middle one
+        // is lost, the first is delivered twice.
+        send(0, 10, 10, "inet:1:53"),
+        send(0, 10, 10, "inet:1:53"),
+        send(0, 10, 10, "inet:1:53"),
+        recv(1, 11, 10, "inet:0:1024"), // 3 <- 0
+        recv(1, 11, 10, "inet:0:1024"), // 4 <- 1 (the duplicate steals it)
+        // 5: a second receive group (another process on machine 1)
+        // reaches the same send group and takes what is left.
+        recv(1, 21, 10, "inet:0:1024"), // 5 <- 2
+        recv(1, 21, 10, "inet:0:1024"), // 6: nothing left
+        // 7-9: a destination with no parsable host is a candidate for
+        // receivers on every machine; the groups are visited in sorted
+        // order, so machine 1's receive gets there first.
+        send(0, 10, 20, "unix:/tmp/any"),
+        recv(2, 12, 20, "inet:0:1024"), // 8: unmatched
+        recv(1, 11, 20, "inet:0:1025"), // 9 <- 7
+        // 10-11: a source with no parsable host draws on senders of
+        // every machine, logged before the send it pairs with.
+        recv(2, 12, 33, "unix:/tmp/from"), // 10 <- 11
+        send(1, 11, 33, "inet:2:53"),
+    ]
+    .concat();
+    let p = assert_matches_reference(&log);
+    let pairs: Vec<(usize, usize)> = p
+        .messages
+        .iter()
+        .map(|m| (m.send_idx, m.recv_idx))
+        .collect();
+    assert_eq!(pairs, [(0, 3), (1, 4), (2, 5), (7, 9), (11, 10)]);
+    assert!(p.unmatched_sends.is_empty());
+    assert_eq!(p.unmatched_recvs, [6, 8]);
+}
+
 /// Two events with no message path between them must stay unordered,
 /// and one exchange must order everything across it — the concurrency
 /// regression pinned by hand.
@@ -114,6 +503,11 @@ fn concurrent_events_stay_unordered_across_one_exchange() {
 }
 
 proptest! {
+    #[test]
+    fn indexed_matcher_equals_the_reference_scan(log in arb_mixed_trace()) {
+        assert_matches_reference(&log);
+    }
+
     #[test]
     fn paired_traces_match_their_plan(
         (log, delivered, lost) in arb_paired_trace()

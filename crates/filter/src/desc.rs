@@ -83,11 +83,14 @@ impl fmt::Display for FieldValue {
     }
 }
 
-/// A field value borrowed from its record: what the render walk
-/// yields, so a text line is written without copying name bytes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FieldRef<'a> {
+/// A field value borrowed from its record: what the render walk and
+/// [`FieldSlot::read`] yield, so a value is looked at — or a text line
+/// written — without copying name bytes. Displays like [`FieldValue`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldRef<'a> {
+    /// An integer (base-10 field).
     Int(u64),
+    /// Raw bytes (base-16 field, i.e. a socket name).
     Bytes(&'a [u8]),
 }
 
@@ -98,6 +101,12 @@ impl FieldRef<'_> {
             FieldRef::Bytes(b) => FieldValue::Bytes(b.to_vec()),
         }
     }
+
+    /// Whether this is a byte field holding no name (all zeros) — the
+    /// value the log writes as `-`.
+    pub fn is_blank(self) -> bool {
+        matches!(self, FieldRef::Bytes(b) if b.iter().all(|&x| x == 0))
+    }
 }
 
 impl fmt::Display for FieldRef<'_> {
@@ -105,7 +114,7 @@ impl fmt::Display for FieldRef<'_> {
         match *self {
             FieldRef::Int(v) => write!(f, "{v}"),
             FieldRef::Bytes(b) => {
-                if b.iter().all(|&x| x == 0) {
+                if self.is_blank() {
                     return f.write_str("-");
                 }
                 if b.len() == NAME_LEN {
@@ -309,6 +318,23 @@ impl EventDesc {
         logged_header(record).chain(self.logged_body(record))
     }
 
+    /// Resolves `name` as the log resolves it for this event's
+    /// records — the logged header fields first, then the body fields
+    /// in file order (`*Len` bookkeeping is not logged, and a body
+    /// field called like a header field carries the header's value).
+    pub fn slot(&self, name: &str) -> FieldSlot {
+        let header = header_loc(name).map(|(off, len)| (off, len, 10));
+        let logged_header = header.filter(|_| name != "size" && name != "type");
+        let body = self
+            .fields
+            .iter()
+            .filter(|f| f.name == name && !name.ends_with("Len"))
+            .map(|f| header.unwrap_or((HEADER_LEN.saturating_add(f.offset), f.len, f.base)));
+        FieldSlot {
+            locs: logged_header.into_iter().chain(body).collect(),
+        }
+    }
+
     fn logged_body<'a>(
         &'a self,
         record: &'a [u8],
@@ -339,34 +365,73 @@ fn logged_header<'a>(record: &'a [u8]) -> impl Iterator<Item = (&'a str, FieldRe
         })
 }
 
-/// Reads `name` as a header field (`type` is `traceType`): `None` when
-/// it is not one, `Some(None)` when the record is too short to hold it.
-fn header_field(record: &[u8], name: &str) -> Option<Option<u64>> {
+/// Where the header keeps `name` (`type` is `traceType`), as
+/// `(offset, length)`; `None` when it is not a header field.
+fn header_loc(name: &str) -> Option<(usize, usize)> {
     let name = if name == "type" { "traceType" } else { name };
     HEADER_LAYOUT
         .iter()
         .find(|(hname, ..)| *hname == name)
-        .map(|&(_, off, len)| read_int(record, off, len))
+        .map(|&(_, off, len)| (off, len))
+}
+
+/// Reads `name` as a header field: `None` when it is not one,
+/// `Some(None)` when the record is too short to hold it.
+fn header_field(record: &[u8], name: &str) -> Option<Option<u64>> {
+    header_loc(name).map(|(off, len)| read_int(record, off, len))
 }
 
 /// Reads one described body field in place.
 fn body_field<'a>(record: &'a [u8], field: &FieldDesc) -> Option<FieldRef<'a>> {
     let body = record.get(HEADER_LEN..)?;
-    if field.base == 16 {
-        body.get(field.offset..field.offset + field.len)
-            .map(FieldRef::Bytes)
+    read_at(body, field.offset, field.len, field.base)
+}
+
+/// Reads the `len` bytes at `off` as their base says: raw bytes for
+/// base 16, a little-endian integer otherwise. `None` when `buf` ends
+/// before the field does.
+fn read_at(buf: &[u8], off: usize, len: usize, base: u32) -> Option<FieldRef<'_>> {
+    let field = buf.get(off..off.checked_add(len)?)?;
+    Some(if base == 16 {
+        FieldRef::Bytes(field)
     } else {
-        read_int(body, field.offset, field.len).map(FieldRef::Int)
-    }
+        FieldRef::Int(le_int(field))
+    })
 }
 
 fn read_int(buf: &[u8], off: usize, len: usize) -> Option<u64> {
-    let slice = buf.get(off..off + len)?;
+    buf.get(off..off + len).map(le_int)
+}
+
+/// A little-endian integer field's value (its first eight bytes).
+fn le_int(field: &[u8]) -> u64 {
     let mut v: u64 = 0;
-    for (i, b) in slice.iter().enumerate().take(8) {
+    for (i, b) in field.iter().enumerate().take(8) {
         v |= (*b as u64) << (8 * i);
     }
-    Some(v)
+    v
+}
+
+/// Where a named field of one event type lives in a raw record: the
+/// name resolved once ([`EventDesc::slot`]), so reading it off each
+/// record is offset arithmetic instead of a lookup by name.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FieldSlot {
+    /// `(offset from the record start, length, base)` of every logged
+    /// field carrying the name, in log order.
+    locs: Vec<(usize, usize, u32)>,
+}
+
+impl FieldSlot {
+    /// The value a log line of `record` would carry under the slot's
+    /// name — the first field of that name the record is long enough
+    /// to hold. `None` when the event logs no such field or the record
+    /// ends before it; never panics, whatever the bytes.
+    pub fn read<'a>(&self, record: &'a [u8]) -> Option<FieldRef<'a>> {
+        self.locs
+            .iter()
+            .find_map(|&(off, len, base)| read_at(record, off, len, base))
+    }
 }
 
 #[cfg(test)]
@@ -462,6 +527,31 @@ mod tests {
                 "destName"
             ]
         );
+    }
+
+    #[test]
+    fn slots_read_what_the_log_shows() {
+        let d = Descriptions::standard();
+        let r = send_record();
+        let send = d.event(1).unwrap();
+        // Every logged field, resolved once, reads its logged value.
+        for (name, value) in d.all_fields(&r) {
+            let read = send.slot(&name).read(&r).map(FieldRef::to_value);
+            assert_eq!(read, Some(value), "{name}");
+        }
+        // Not logged: bookkeeping, the header's `size`, unknown names.
+        for name in ["destNameLen", "size", "type", "nonexistent"] {
+            assert_eq!(send.slot(name).read(&r), None, "{name}");
+        }
+        // SOCKET's body `type` logs the header's `traceType`.
+        let socket = d.event(4).unwrap();
+        assert_eq!(socket.slot("type").read(&r), Some(FieldRef::Int(1)));
+        // A record cut inside a field reads as absent, at any length.
+        let dest = send.slot("destName");
+        for cut in 0..r.len() {
+            assert_eq!(dest.read(&r[..cut]), None, "{cut} bytes");
+        }
+        assert!(dest.read(&r).is_some_and(|v| !v.is_blank()));
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! construction. See DESIGN §13 for the worked counter-example.
 
 use dpm_analysis::{CommStats, HappensBefore, PairQueues, Pairing, ProcKey, ProcStats, Trace};
-use dpm_analysis::{EventKind, SizeHistogram};
-use dpm_filter::{Descriptions, LogRecord, RecordView};
+use dpm_analysis::{EventKind, FrameDecoder, SizeHistogram};
+use dpm_filter::{Descriptions, RecordView};
 use dpm_logstore::OwnedFrame;
 use dpm_telemetry::{Gauge, Histogram};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -67,7 +67,7 @@ struct Cached {
 /// An incrementally-grown trace with memoized derived analyses. See
 /// the module docs for the invariant and the ordering discipline.
 pub struct LiveTrace {
-    desc: Descriptions,
+    decoder: FrameDecoder,
     /// The filter-tree dedup discipline: `(machine, pid, meter seq)`.
     seen: HashSet<(u16, u32, u32)>,
     trace: Trace,
@@ -109,7 +109,7 @@ impl LiveTrace {
     /// An empty live trace decoding records with `desc`.
     pub fn new(desc: Descriptions) -> LiveTrace {
         LiveTrace {
-            desc,
+            decoder: FrameDecoder::new(&desc),
             seen: HashSet::new(),
             trace: Trace::default(),
             queues: PairQueues::default(),
@@ -177,11 +177,11 @@ impl LiveTrace {
             self.duplicates += 1;
             return;
         }
-        let Some(rec) = LogRecord::from_raw(&self.desc, &frame.raw, &[]) else {
+        if !self.decoder.describes(&frame.raw) {
             self.undecodable += 1;
             return;
-        };
-        if self.trace.push_record(&rec) {
+        }
+        if self.trace.push_frame(&self.decoder, &frame.raw) {
             let ev = self.trace.events.last().expect("just pushed");
             self.queues.add(ev);
             self.per_proc.entry(ev.proc).or_default().record(ev);
@@ -260,6 +260,9 @@ impl LiveTrace {
         {
             return;
         }
+        // The stale memo goes first: old and new clock arenas never
+        // coexist.
+        self.cache = None;
         let pairing = Pairing::from_queues(&self.trace, &self.queues);
         let hb = HappensBefore::build(&self.trace, &pairing);
         let stats = CommStats::with_proc_stats(

@@ -33,6 +33,7 @@
 //!
 //! [`Trace`]: dpm_analysis::Trace
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod anomaly;
