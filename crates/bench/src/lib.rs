@@ -7,8 +7,9 @@
 //! measured in **virtual time** (the simulation's deterministic CPU
 //! and network clock), so results are reproducible to the microsecond;
 //! the pure-computation components (wire codec, filter engine,
-//! analysis) are additionally benchmarked in real time with Criterion
-//! under `benches/`.
+//! analysis) are measured in real time, layer by layer, by
+//! `pipeline_bench/` — which calls [`run_metered`] for its
+//! metering-overhead layer.
 
 use dpm_meter::{MeterDecoder, MeterFlags, MeterMsg};
 use dpm_simnet::NetConfig;

@@ -7,6 +7,7 @@
 //! that is not a control event (or is from a future format) instead of
 //! misparsing it.
 
+use dpm_logstore::wire::{Reader, Writer};
 use std::fmt;
 
 /// First word of every encoded control event ("CTL1" little-endian) —
@@ -189,102 +190,25 @@ mod code {
     pub const LEASE_RENEWED: u8 = 8;
 }
 
-struct W {
-    buf: Vec<u8>,
-}
-
-impl W {
-    fn new(code: u8) -> W {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&CONTROL_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&CONTROL_EVENT_VERSION.to_le_bytes());
-        buf.push(code);
-        W { buf }
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl R<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| "truncated control event".to_owned())?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.u32()? as usize;
-        if n > MAX_STR {
-            return Err(format!("absurd string length {n}"));
-        }
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "control event string is not UTF-8".to_owned())
-    }
-}
-
 impl ControlEvent {
     /// Encodes to the control log's record form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = match self {
-            ControlEvent::JobCreated { .. } => W::new(code::JOB_CREATED),
-            ControlEvent::FilterCreated { .. } => W::new(code::FILTER_CREATED),
-            ControlEvent::ProcAdded { .. } => W::new(code::PROC_ADDED),
-            ControlEvent::FlagsSet { .. } => W::new(code::FLAGS_SET),
-            ControlEvent::ProcStateChanged { .. } => W::new(code::PROC_STATE_CHANGED),
-            ControlEvent::JobRemoved { .. } => W::new(code::JOB_REMOVED),
-            ControlEvent::LeaseAcquired { .. } => W::new(code::LEASE_ACQUIRED),
-            ControlEvent::LeaseRenewed { .. } => W::new(code::LEASE_RENEWED),
-        };
+        let mut buf = Vec::with_capacity(64);
+        let mut w = Writer::new(&mut buf);
+        w.u32(CONTROL_MAGIC).u32(CONTROL_EVENT_VERSION);
+        w.u8(match self {
+            ControlEvent::JobCreated { .. } => code::JOB_CREATED,
+            ControlEvent::FilterCreated { .. } => code::FILTER_CREATED,
+            ControlEvent::ProcAdded { .. } => code::PROC_ADDED,
+            ControlEvent::FlagsSet { .. } => code::FLAGS_SET,
+            ControlEvent::ProcStateChanged { .. } => code::PROC_STATE_CHANGED,
+            ControlEvent::JobRemoved { .. } => code::JOB_REMOVED,
+            ControlEvent::LeaseAcquired { .. } => code::LEASE_ACQUIRED,
+            ControlEvent::LeaseRenewed { .. } => code::LEASE_RENEWED,
+        });
         match self {
             ControlEvent::JobCreated { job, filter } => {
-                w.str(job);
-                w.str(filter);
+                w.str(job).str(filter);
             }
             ControlEvent::FilterCreated {
                 name,
@@ -298,16 +222,9 @@ impl ControlEvent {
                 upstream,
                 desc_text,
             } => {
-                w.str(name);
-                w.str(machine);
-                w.u32(*pid);
-                w.u16(*port);
-                w.str(logfile);
-                w.str(mode);
-                w.u32(*shards);
-                w.str(role);
-                w.str(upstream);
-                w.str(desc_text);
+                w.str(name).str(machine).u32(*pid).u16(*port);
+                w.str(logfile).str(mode).u32(*shards);
+                w.str(role).str(upstream).str(desc_text);
             }
             ControlEvent::ProcAdded {
                 job,
@@ -316,15 +233,10 @@ impl ControlEvent {
                 pid,
                 state,
             } => {
-                w.str(job);
-                w.str(name);
-                w.str(machine);
-                w.u32(*pid);
-                w.str(state);
+                w.str(job).str(name).str(machine).u32(*pid).str(state);
             }
             ControlEvent::FlagsSet { job, flags } => {
-                w.str(job);
-                w.u32(*flags);
+                w.str(job).u32(*flags);
             }
             ControlEvent::ProcStateChanged {
                 job,
@@ -332,10 +244,7 @@ impl ControlEvent {
                 pid,
                 state,
             } => {
-                w.str(job);
-                w.str(machine);
-                w.u32(*pid);
-                w.str(state);
+                w.str(job).str(machine).u32(*pid).str(state);
             }
             ControlEvent::JobRemoved { job } => {
                 w.str(job);
@@ -352,13 +261,10 @@ impl ControlEvent {
                 at_us,
                 expires_us,
             } => {
-                w.str(job);
-                w.str(owner);
-                w.u64(*at_us);
-                w.u64(*expires_us);
+                w.str(job).str(owner).u64(*at_us).u64(*expires_us);
             }
         }
-        w.buf
+        buf
     }
 
     /// Decodes one control-event record.
@@ -368,7 +274,8 @@ impl ControlEvent {
     /// A description of the malformation: wrong magic (not a control
     /// event at all), an unknown version or type code, or truncation.
     pub fn decode(buf: &[u8]) -> Result<ControlEvent, String> {
-        let mut r = R { buf, pos: 0 };
+        let mut r = Reader::new(buf);
+        let string = |r: &mut Reader<'_>| r.str(MAX_STR).map(str::to_owned);
         let magic = r.u32()?;
         if magic != CONTROL_MAGIC {
             return Err(format!("not a control event (magic {magic:#x})"));
@@ -380,48 +287,50 @@ impl ControlEvent {
         let code = r.u8()?;
         Ok(match code {
             code::JOB_CREATED => ControlEvent::JobCreated {
-                job: r.str()?,
-                filter: r.str()?,
+                job: string(&mut r)?,
+                filter: string(&mut r)?,
             },
             code::FILTER_CREATED => ControlEvent::FilterCreated {
-                name: r.str()?,
-                machine: r.str()?,
+                name: string(&mut r)?,
+                machine: string(&mut r)?,
                 pid: r.u32()?,
                 port: r.u16()?,
-                logfile: r.str()?,
-                mode: r.str()?,
+                logfile: string(&mut r)?,
+                mode: string(&mut r)?,
                 shards: r.u32()?,
-                role: r.str()?,
-                upstream: r.str()?,
-                desc_text: r.str()?,
+                role: string(&mut r)?,
+                upstream: string(&mut r)?,
+                desc_text: string(&mut r)?,
             },
             code::PROC_ADDED => ControlEvent::ProcAdded {
-                job: r.str()?,
-                name: r.str()?,
-                machine: r.str()?,
+                job: string(&mut r)?,
+                name: string(&mut r)?,
+                machine: string(&mut r)?,
                 pid: r.u32()?,
-                state: r.str()?,
+                state: string(&mut r)?,
             },
             code::FLAGS_SET => ControlEvent::FlagsSet {
-                job: r.str()?,
+                job: string(&mut r)?,
                 flags: r.u32()?,
             },
             code::PROC_STATE_CHANGED => ControlEvent::ProcStateChanged {
-                job: r.str()?,
-                machine: r.str()?,
+                job: string(&mut r)?,
+                machine: string(&mut r)?,
                 pid: r.u32()?,
-                state: r.str()?,
+                state: string(&mut r)?,
             },
-            code::JOB_REMOVED => ControlEvent::JobRemoved { job: r.str()? },
+            code::JOB_REMOVED => ControlEvent::JobRemoved {
+                job: string(&mut r)?,
+            },
             code::LEASE_ACQUIRED => ControlEvent::LeaseAcquired {
-                job: r.str()?,
-                owner: r.str()?,
+                job: string(&mut r)?,
+                owner: string(&mut r)?,
                 at_us: r.u64()?,
                 expires_us: r.u64()?,
             },
             code::LEASE_RENEWED => ControlEvent::LeaseRenewed {
-                job: r.str()?,
-                owner: r.str()?,
+                job: string(&mut r)?,
+                owner: string(&mut r)?,
                 at_us: r.u64()?,
                 expires_us: r.u64()?,
             },

@@ -32,12 +32,17 @@
 //! so a kept record costs them framing, dedup and the rules — no
 //! allocation.
 
-use crate::desc::{Descriptions, HEADER_LEN};
+use crate::desc::Descriptions;
 use crate::log::{KeptRecord, LogRecord};
 use crate::rules::{Rules, Verdict};
-use dpm_meter::{DecodeError, MeterMsg, MAX_METER_MSG};
+use dpm_meter::wire::{frame_step, FrameStep};
 use std::mem;
-use std::ops::Deref;
+
+/// One complete event record borrowed from a stream buffer — the
+/// currency of the filter hot path. This *is* [`dpm_meter::MeterRecord`]
+/// (one record view for the whole monitor); the name survives for the
+/// filter-side callers that frame and consume records.
+pub use dpm_meter::MeterRecord as RecordView;
 
 /// Counters the filter keeps about its own work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,99 +70,6 @@ impl FilterStats {
             duplicates: self.duplicates + other.duplicates,
             garbage_bytes: self.garbage_bytes + other.garbage_bytes,
         }
-    }
-}
-
-/// One complete, size-validated event record borrowed from a stream
-/// buffer.
-///
-/// This is the currency of the filter hot path: reassembly frames
-/// records in place and hands them to the rules without copying.
-/// `RecordView` derefs to `[u8]`, so everything that accepts a raw
-/// record slice (e.g. [`Rules::verdict`]) accepts a view.
-#[derive(Debug, Clone, Copy)]
-pub struct RecordView<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> RecordView<'a> {
-    /// Wraps a complete record. The slice must hold at least a header;
-    /// the engine's reassembly guarantees this, hand-built callers get
-    /// a debug assertion.
-    pub fn new(bytes: &'a [u8]) -> RecordView<'a> {
-        debug_assert!(bytes.len() >= HEADER_LEN, "record shorter than header");
-        RecordView { bytes }
-    }
-
-    /// The record's raw wire bytes (header + body).
-    pub fn bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
-
-    /// Total record length in bytes.
-    #[allow(clippy::len_without_is_empty)] // never empty: >= HEADER_LEN
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// The header's machine field, read in place.
-    pub fn machine(&self) -> u16 {
-        u16::from_le_bytes([self.bytes[4], self.bytes[5]])
-    }
-
-    /// The header's trace-type field, read in place.
-    pub fn trace_type(&self) -> u32 {
-        u32::from_le_bytes([
-            self.bytes[20],
-            self.bytes[21],
-            self.bytes[22],
-            self.bytes[23],
-        ])
-    }
-
-    /// The header's `cpu_time` stamp (emitting machine's local clock,
-    /// milliseconds), read in place. The ingest side subtracts this
-    /// from its own machine clock for the emit→ingest staleness
-    /// readout — honest only up to the skew between the two clocks,
-    /// which is the paper's own caveat about distributed timestamps.
-    pub fn cpu_time(&self) -> u32 {
-        u32::from_le_bytes([self.bytes[8], self.bytes[9], self.bytes[10], self.bytes[11]])
-    }
-
-    /// The header's per-process sequence number, read in place. `0`
-    /// means unsequenced (pre-sequence producers); see
-    /// [`dpm_meter::MeterHeader::seq`].
-    pub fn seq(&self) -> u32 {
-        u32::from_le_bytes([
-            self.bytes[12],
-            self.bytes[13],
-            self.bytes[14],
-            self.bytes[15],
-        ])
-    }
-
-    /// The emitting process id, read in place. Every meter body puts
-    /// `pid` at body offset 0; returns `None` for a header-only frame.
-    pub fn pid(&self) -> Option<u32> {
-        let b = self.bytes.get(HEADER_LEN..HEADER_LEN + 4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Decodes the full message, allocating owned bodies.
-    ///
-    /// # Errors
-    ///
-    /// Any [`DecodeError`] the underlying decoder reports.
-    pub fn to_msg(&self) -> Result<MeterMsg, DecodeError> {
-        MeterMsg::decode(self.bytes).map(|(msg, _)| msg)
-    }
-}
-
-impl Deref for RecordView<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.bytes
     }
 }
 
@@ -272,21 +184,20 @@ impl FilterEngine {
 
         // Cursor walk over the caller's buffer: zero-copy framing.
         let mut off = 0usize;
-        while data.len() - off >= HEADER_LEN {
-            let size = read_size(&data[off..]);
-            if !(HEADER_LEN..=MAX_METER_MSG).contains(&size) {
-                // Corrupt stream: advance the cursor one byte. No
-                // bytes move; this is O(1) per garbage byte.
-                off += 1;
-                self.stats.garbage_bytes += 1;
-                continue;
+        loop {
+            match frame_step(&data[off..]) {
+                FrameStep::Record(size) => {
+                    self.process_raw(RecordView::new(&data[off..off + size]), sink);
+                    off += size;
+                }
+                FrameStep::Garbage(_) => {
+                    // Corrupt stream: advance the cursor one byte. No
+                    // bytes move; this is O(1) per garbage byte.
+                    off += 1;
+                    self.stats.garbage_bytes += 1;
+                }
+                FrameStep::Partial(_) => break,
             }
-            if data.len() - off < size {
-                break; // partial tail
-            }
-            let view = RecordView::new(&data[off..off + size]);
-            self.process_raw(view, sink);
-            off += size;
         }
         data = &data[off..];
         if !data.is_empty() {
@@ -310,37 +221,28 @@ impl FilterEngine {
         let mut carry = mem::take(&mut self.pending);
         let mut pos = 0usize; // resync/consume cursor — no shifting
         let remainder = loop {
-            if carry.len() - pos < HEADER_LEN {
-                // Top up with just enough to read a size field.
-                let need = HEADER_LEN - (carry.len() - pos);
-                let take = need.min(data.len());
-                carry.extend_from_slice(&data[..take]);
-                data = &data[take..];
-                if carry.len() - pos < HEADER_LEN {
-                    break None; // input exhausted; still partial
+            match frame_step(&carry[pos..]) {
+                FrameStep::Record(size) => {
+                    self.process_raw(RecordView::new(&carry[pos..pos + size]), sink);
+                    pos += size;
+                    if pos == carry.len() {
+                        break Some(data); // carry drained; back to zero-copy
+                    }
                 }
-            }
-            let size = read_size(&carry[pos..]);
-            if !(HEADER_LEN..=MAX_METER_MSG).contains(&size) {
-                pos += 1;
-                self.stats.garbage_bytes += 1;
-                continue;
-            }
-            if carry.len() - pos < size {
-                // Top up with just enough to finish this frame.
-                let need = size - (carry.len() - pos);
-                let take = need.min(data.len());
-                carry.extend_from_slice(&data[..take]);
-                data = &data[take..];
-                if carry.len() - pos < size {
-                    break None; // input exhausted; still partial
+                FrameStep::Garbage(_) => {
+                    pos += 1;
+                    self.stats.garbage_bytes += 1;
                 }
-            }
-            let view = RecordView::new(&carry[pos..pos + size]);
-            self.process_raw(view, sink);
-            pos += size;
-            if pos == carry.len() {
-                break Some(data); // carry drained; back to zero-copy
+                FrameStep::Partial(need) => {
+                    // Top up with just enough to read a size field, or
+                    // to finish the frame it announced.
+                    let take = (need - (carry.len() - pos)).min(data.len());
+                    if take == 0 {
+                        break None; // input exhausted; still partial
+                    }
+                    carry.extend_from_slice(&data[..take]);
+                    data = &data[take..];
+                }
             }
         };
         // Compact once per call: every carried byte moves O(1) times.
@@ -424,11 +326,6 @@ impl FilterEngine {
         });
         out
     }
-}
-
-/// Reads the header's little-endian size field at the front of `buf`.
-fn read_size(buf: &[u8]) -> usize {
-    u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
 }
 
 #[cfg(test)]
@@ -631,6 +528,12 @@ mod tests {
         assert_eq!(view.bytes().as_ptr(), wire.as_ptr(), "borrow, not copy");
         let msg = view.to_msg().unwrap();
         assert_eq!(msg.header.machine, 9);
+        // One type under two names: what the meter crate parses is
+        // what the engine processes.
+        let parsed: dpm_meter::MeterRecord<'_> = dpm_meter::MeterRecord::parse(&wire).unwrap();
+        let mut kept = 0;
+        FilterEngine::standard().process_view(parsed, &mut |_| kept += 1);
+        assert_eq!(kept, 1);
     }
 
     #[test]

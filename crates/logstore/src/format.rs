@@ -35,7 +35,8 @@
 //! ```
 
 use crate::crc::crc32;
-use dpm_meter::{HEADER_LEN, MAX_METER_MSG};
+use dpm_meter::wire::{Reader, Writer};
+use dpm_meter::{MeterRecord, MAX_METER_MSG};
 
 /// Magic bytes opening every segment file.
 pub const SEG_MAGIC: &[u8; 8] = b"DPMSEG01";
@@ -72,20 +73,15 @@ impl std::fmt::Display for ProcId {
     }
 }
 
-/// Extracts the index key from a raw meter record. Every Appendix-A
-/// event body begins with `pid` at offset 0 and the header carries
-/// `machine` at offset 4, so this works for all standard formats; a
-/// record too short to carry a pid keys as pid 0.
+/// Extracts the index key from a raw meter record: the header's
+/// `machine` and the body's leading `pid`, which every Appendix-A
+/// event carries there. A record too short for either keys as 0.
 pub fn proc_id_of(raw: &[u8]) -> ProcId {
-    let machine = raw
-        .get(4..6)
-        .map(|b| u16::from_le_bytes([b[0], b[1]]))
-        .unwrap_or(0);
-    let pid = raw
-        .get(HEADER_LEN..HEADER_LEN + 4)
-        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .unwrap_or(0);
-    ProcId { machine, pid }
+    let record = MeterRecord::new(raw);
+    ProcId {
+        machine: record.machine(),
+        pid: record.pid().unwrap_or(0),
+    }
 }
 
 /// The decoded envelope of one frame (borrowing nothing).
@@ -107,16 +103,12 @@ pub fn encode_frame(out: &mut Vec<u8>, env: &Envelope, raw: &[u8]) -> usize {
     let payload_len = ENVELOPE_LEN + raw.len();
     debug_assert!(payload_len <= MAX_PAYLOAD, "record exceeds MAX_METER_MSG");
     let start = out.len();
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // CRC placeholder
-    out.extend_from_slice(&env.seq.to_le_bytes());
-    out.extend_from_slice(&env.ts_us.to_le_bytes());
-    out.extend_from_slice(&env.shard.to_le_bytes());
-    out.extend_from_slice(&env.proc.machine.to_le_bytes());
-    out.extend_from_slice(&env.proc.pid.to_le_bytes());
-    out.extend_from_slice(raw);
+    let mut w = Writer::new(out);
+    w.u32(payload_len as u32).u32(0); // CRC placeholder
+    w.u64(env.seq).u64(env.ts_us).u16(env.shard);
+    w.u16(env.proc.machine).u32(env.proc.pid).raw(raw);
     let crc = crc32(&out[start + 8..]);
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Writer::new(out).patch_u32(start + 4, crc);
     out.len() - start
 }
 
@@ -125,38 +117,37 @@ pub fn encode_frame(out: &mut Vec<u8>, env: &Envelope, raw: &[u8]) -> usize {
 /// `None` for anything invalid — truncation, out-of-range length, or
 /// CRC mismatch — which recovery treats as the torn tail.
 pub fn decode_frame(bytes: &[u8], off: usize) -> Option<(Envelope, &[u8], usize)> {
-    let prefix = bytes.get(off..off + 8)?;
-    let payload_len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
+    let mut r = Reader::new(bytes.get(off..)?);
+    let payload_len = r.u32().ok()? as usize;
     if !(ENVELOPE_LEN..=MAX_PAYLOAD).contains(&payload_len) {
         return None;
     }
-    let want_crc = u32::from_le_bytes([prefix[4], prefix[5], prefix[6], prefix[7]]);
-    let payload = bytes.get(off + 8..off + 8 + payload_len)?;
+    let want_crc = r.u32().ok()?;
+    let payload = r.take(payload_len).ok()?;
     if crc32(payload) != want_crc {
         return None;
     }
+    let mut r = Reader::new(payload);
     let env = Envelope {
-        seq: u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes")),
-        ts_us: u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes")),
-        shard: u16::from_le_bytes([payload[16], payload[17]]),
+        seq: r.u64().ok()?,
+        ts_us: r.u64().ok()?,
+        shard: r.u16().ok()?,
         proc: ProcId {
-            machine: u16::from_le_bytes([payload[18], payload[19]]),
-            pid: u32::from_le_bytes([payload[20], payload[21], payload[22], payload[23]]),
+            machine: r.u16().ok()?,
+            pid: r.u32().ok()?,
         },
     };
-    Some((env, &payload[ENVELOPE_LEN..], off + 8 + payload_len))
+    Some((env, r.rest(), off + 8 + payload_len))
 }
 
 /// Encodes a segment header.
 pub fn encode_seg_header(shard: u16, base_seq: u64, created_us: u64) -> [u8; SEG_HEADER_LEN] {
-    let mut h = [0u8; SEG_HEADER_LEN];
-    h[0..8].copy_from_slice(SEG_MAGIC);
-    h[8..12].copy_from_slice(&SEG_VERSION.to_le_bytes());
-    h[12..14].copy_from_slice(&shard.to_le_bytes());
-    // [14..16) reserved
-    h[16..24].copy_from_slice(&base_seq.to_le_bytes());
-    h[24..32].copy_from_slice(&created_us.to_le_bytes());
-    h
+    let mut h = Vec::with_capacity(SEG_HEADER_LEN);
+    let mut w = Writer::new(&mut h);
+    w.raw(SEG_MAGIC).u32(SEG_VERSION).u16(shard).u16(0); // reserved
+    w.u64(base_seq).u64(created_us);
+    h.try_into()
+        .expect("a segment header is SEG_HEADER_LEN bytes")
 }
 
 /// Decoded segment header.
@@ -173,18 +164,15 @@ pub struct SegHeader {
 /// Validates and decodes a segment header; `None` when the bytes do
 /// not start with a well-formed header of a known version.
 pub fn decode_seg_header(bytes: &[u8]) -> Option<SegHeader> {
-    let h = bytes.get(..SEG_HEADER_LEN)?;
-    if &h[0..8] != SEG_MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take(SEG_MAGIC.len()).ok()? != SEG_MAGIC || r.u32().ok()? != SEG_VERSION {
         return None;
     }
-    let version = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
-    if version != SEG_VERSION {
-        return None;
-    }
+    let (shard, _reserved) = (r.u16().ok()?, r.u16().ok()?);
     Some(SegHeader {
-        shard: u16::from_le_bytes([h[12], h[13]]),
-        base_seq: u64::from_le_bytes(h[16..24].try_into().expect("8 bytes")),
-        created_us: u64::from_le_bytes(h[24..32].try_into().expect("8 bytes")),
+        shard,
+        base_seq: r.u64().ok()?,
+        created_us: r.u64().ok()?,
     })
 }
 

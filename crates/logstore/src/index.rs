@@ -22,6 +22,7 @@
 //! n × u32 off` each).
 
 use crate::format::{decode_frame, ProcId, SEG_HEADER_LEN};
+use dpm_meter::wire::{Reader, WireError, Writer};
 use std::collections::BTreeMap;
 
 /// Magic bytes opening every index sidecar.
@@ -29,6 +30,13 @@ pub const IDX_MAGIC: &[u8; 8] = b"DPMIDX01";
 
 /// Sidecar format version.
 pub const IDX_VERSION: u32 = 1;
+
+/// Wire bytes of one sparse entry (`u64 seq, u64 ts, u32 off`).
+const SPARSE_ENTRY_LEN: usize = 20;
+
+/// Wire bytes of one posting ahead of its offsets (`u16 machine,
+/// u16 pad, u32 pid, u32 n`).
+const POSTING_HEAD_LEN: usize = 12;
 
 /// One sparse-index entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,25 +98,19 @@ impl SegmentIndex {
     /// Serializes the sidecar.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 20 * self.sparse.len());
-        out.extend_from_slice(IDX_MAGIC);
-        out.extend_from_slice(&IDX_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.index_every.to_le_bytes());
-        out.extend_from_slice(&self.n_records.to_le_bytes());
-        out.extend_from_slice(&self.data_len.to_le_bytes());
-        out.extend_from_slice(&(self.sparse.len() as u32).to_le_bytes());
+        let mut w = Writer::new(&mut out);
+        w.raw(IDX_MAGIC).u32(IDX_VERSION).u32(self.index_every);
+        w.u64(self.n_records).u64(self.data_len);
+        w.u32(self.sparse.len() as u32);
         for e in &self.sparse {
-            out.extend_from_slice(&e.seq.to_le_bytes());
-            out.extend_from_slice(&e.ts_us.to_le_bytes());
-            out.extend_from_slice(&e.off.to_le_bytes());
+            w.u64(e.seq).u64(e.ts_us).u32(e.off);
         }
-        out.extend_from_slice(&(self.postings.len() as u32).to_le_bytes());
+        w.u32(self.postings.len() as u32);
         for (proc, offs) in &self.postings {
-            out.extend_from_slice(&proc.machine.to_le_bytes());
-            out.extend_from_slice(&0u16.to_le_bytes());
-            out.extend_from_slice(&proc.pid.to_le_bytes());
-            out.extend_from_slice(&(offs.len() as u32).to_le_bytes());
+            w.u16(proc.machine).u16(0).u32(proc.pid);
+            w.u32(offs.len() as u32);
             for off in offs {
-                out.extend_from_slice(&off.to_le_bytes());
+                w.u32(*off);
             }
         }
         out
@@ -116,18 +118,22 @@ impl SegmentIndex {
 
     /// Deserializes a sidecar; `None` on any structural problem.
     pub fn decode(bytes: &[u8]) -> Option<SegmentIndex> {
-        let mut r = Cursor { bytes, pos: 0 };
-        if r.take(8)? != IDX_MAGIC {
-            return None;
-        }
-        if r.u32()? != IDX_VERSION {
-            return None;
+        Self::read(&mut Reader::new(bytes)).ok().flatten()
+    }
+
+    /// The sidecar at `r`, which it must fill exactly; `Ok(None)` for
+    /// a foreign magic, an unknown version or trailing bytes. Every
+    /// reservation goes through [`Reader::count`], so a hostile
+    /// sidecar cannot claim more entries than it has bytes for.
+    fn read(r: &mut Reader<'_>) -> Result<Option<SegmentIndex>, WireError> {
+        if r.take(IDX_MAGIC.len())? != IDX_MAGIC || r.u32()? != IDX_VERSION {
+            return Ok(None);
         }
         let mut idx = SegmentIndex::new(r.u32()?);
         idx.n_records = r.u64()?;
         idx.data_len = r.u64()?;
-        let n_sparse = r.u32()? as usize;
-        idx.sparse.reserve(n_sparse.min(1 << 20));
+        let n_sparse = r.count(SPARSE_ENTRY_LEN)?;
+        idx.sparse.reserve(n_sparse);
         for _ in 0..n_sparse {
             idx.sparse.push(SparseEntry {
                 seq: r.u64()?,
@@ -135,22 +141,16 @@ impl SegmentIndex {
                 off: r.u32()?,
             });
         }
-        let n_postings = r.u32()? as usize;
-        for _ in 0..n_postings {
-            let machine = r.u16()?;
-            let _pad = r.u16()?;
-            let pid = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut offs = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..r.count(POSTING_HEAD_LEN)? {
+            let (machine, _pad, pid) = (r.u16()?, r.u16()?, r.u32()?);
+            let n = r.count(4)?;
+            let mut offs = Vec::with_capacity(n);
             for _ in 0..n {
                 offs.push(r.u32()?);
             }
             idx.postings.insert(ProcId { machine, pid }, offs);
         }
-        if r.pos != bytes.len() {
-            return None;
-        }
-        Some(idx)
+        Ok(r.rest().is_empty().then_some(idx))
     }
 
     /// Rebuilds the index by scanning `segment` (stopping at the
@@ -164,31 +164,6 @@ impl SegmentIndex {
         }
         idx.data_len = off as u64;
         idx
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.take(2)?;
-        Some(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 }
 

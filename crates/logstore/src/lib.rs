@@ -49,6 +49,10 @@ pub mod tail;
 pub mod writer;
 
 pub use backend::{Backend, DirBackend, MemBackend};
+/// The monitor's one byte codec, re-exported so crates that frame
+/// their records for this store reach it without a dependency edge of
+/// their own.
+pub use dpm_meter::wire;
 pub use format::{ProcId, ENVELOPE_LEN, FRAME_OVERHEAD, SEG_HEADER_LEN, SEG_MAGIC};
 pub use reader::{list_segments, Frame, Scan, SegmentInfo, StoreReader};
 pub use tail::{OwnedFrame, StoreTail};

@@ -17,6 +17,13 @@
 //! `long` is 4 bytes, `short` 2 bytes, `SOCKET` (a file-table-entry
 //! address) 4 bytes, and `NAME` (`struct sockaddr`) 16 bytes.
 //!
+//! Two things here serve the whole monitor, not only this crate:
+//! [`wire`] is the one byte codec every wire surface (these messages,
+//! the daemon RPC, control events, the log store's files) is read and
+//! written through, and [`MeterRecord`] is the one borrowed record
+//! view — `dpm_filter::RecordView` *is* `MeterRecord`, re-exported
+//! under the filter's name for it.
+//!
 //! # Example
 //!
 //! ```
@@ -43,6 +50,7 @@
 pub mod flags;
 pub mod msg;
 pub mod name;
+pub mod wire;
 
 pub use flags::MeterFlags;
 pub use msg::{

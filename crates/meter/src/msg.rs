@@ -15,7 +15,9 @@
 //! reconstructions.
 
 use crate::name::{NameDecodeError, SockName, NAME_LEN};
+use crate::wire::{frame_step, u16_at, u32_at, FrameStep, Reader, WireError, Writer};
 use std::fmt;
+use std::ops::Deref;
 
 /// `traceType` values identifying the event kind of a meter message.
 ///
@@ -125,58 +127,30 @@ pub struct MeterHeader {
     pub trace_type: u32,
 }
 
-impl MeterHeader {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(&self.machine.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // padding
-        out.extend_from_slice(&self.cpu_time.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes()); // paper: dummy
-        out.extend_from_slice(&self.proc_time.to_le_bytes());
-        out.extend_from_slice(&self.trace_type.to_le_bytes());
-    }
-
-    fn decode(buf: &[u8]) -> Result<MeterHeader, DecodeError> {
-        if buf.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated {
-                need: HEADER_LEN,
-                have: buf.len(),
-            });
-        }
-        Ok(MeterHeader {
-            size: read_u32(buf, 0),
-            machine: u16::from_le_bytes([buf[4], buf[5]]),
-            cpu_time: read_u32(buf, 8),
-            seq: read_u32(buf, 12),
-            proc_time: read_u32(buf, 16),
-            trace_type: read_u32(buf, 20),
-        })
-    }
-}
-
-fn read_u32(buf: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-}
-
-/// Writes an optional name as a `nameLen` field. Length zero means the
+/// Writes an optional name's `nameLen` field. Length zero means the
 /// name was not available to the metering software (§4.1), e.g. the
 /// recipient of a `write` across a connection.
-fn encode_opt_name_len(name: &Option<SockName>, out: &mut Vec<u8>) {
-    out.extend_from_slice(&name.as_ref().map_or(0, SockName::wire_len).to_le_bytes());
+fn write_name_len(w: &mut Writer<'_>, name: &Option<SockName>) {
+    w.u32(name.as_ref().map_or(0, SockName::wire_len));
 }
 
-fn encode_opt_name(name: &Option<SockName>, out: &mut Vec<u8>) {
+/// Writes an optional name's 16-byte `NAME` field, zeros when absent.
+fn write_name(w: &mut Writer<'_>, name: &Option<SockName>) {
     match name {
-        Some(n) => out.extend_from_slice(&n.encode()),
-        None => out.extend_from_slice(&[0u8; NAME_LEN]),
+        Some(n) => n.write(w),
+        None => {
+            w.raw(&[0u8; NAME_LEN]);
+        }
     }
 }
 
-fn decode_opt_name(buf: &[u8], len_field: u32) -> Result<Option<SockName>, DecodeError> {
+/// Reads a `NAME` field whose `nameLen` field said `len_field`.
+fn read_name(r: &mut Reader<'_>, len_field: u32) -> Result<Option<SockName>, DecodeError> {
+    let field = r.take(NAME_LEN)?;
     if len_field == 0 {
         return Ok(None);
     }
-    Ok(Some(SockName::decode(buf)?))
+    Ok(Some(SockName::decode(field)?))
 }
 
 /// `struct MeterSendMsg`: a message was sent (trace type
@@ -423,200 +397,145 @@ impl MeterBody {
         }
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn write(&self, w: &mut Writer<'_>) {
         match self {
             MeterBody::Send(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
-                out.extend_from_slice(&b.msg_length.to_le_bytes());
-                encode_opt_name_len(&b.dest_name, out);
-                encode_opt_name(&b.dest_name, out);
+                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.msg_length);
+                write_name_len(w, &b.dest_name);
+                write_name(w, &b.dest_name);
             }
             MeterBody::RecvCall(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
+                w.u32(b.pid).u32(b.pc).u32(b.sock);
             }
             MeterBody::Recv(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
-                out.extend_from_slice(&b.msg_length.to_le_bytes());
-                encode_opt_name_len(&b.source_name, out);
-                encode_opt_name(&b.source_name, out);
+                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.msg_length);
+                write_name_len(w, &b.source_name);
+                write_name(w, &b.source_name);
             }
             MeterBody::SockCrt(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
-                out.extend_from_slice(&b.domain.to_le_bytes());
-                out.extend_from_slice(&b.sock_type.to_le_bytes());
-                out.extend_from_slice(&b.protocol.to_le_bytes());
+                w.u32(b.pid).u32(b.pc).u32(b.sock);
+                w.u32(b.domain).u32(b.sock_type).u32(b.protocol);
             }
             MeterBody::Dup(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
-                out.extend_from_slice(&b.new_sock.to_le_bytes());
+                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.new_sock);
             }
             MeterBody::DestSock(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
+                w.u32(b.pid).u32(b.pc).u32(b.sock);
             }
             MeterBody::Fork(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.new_pid.to_le_bytes());
+                w.u32(b.pid).u32(b.pc).u32(b.new_pid);
             }
             MeterBody::Accept(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
-                out.extend_from_slice(&b.new_sock.to_le_bytes());
-                encode_opt_name_len(&b.sock_name, out);
-                encode_opt_name_len(&b.peer_name, out);
-                encode_opt_name(&b.sock_name, out);
-                encode_opt_name(&b.peer_name, out);
+                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.new_sock);
+                write_name_len(w, &b.sock_name);
+                write_name_len(w, &b.peer_name);
+                write_name(w, &b.sock_name);
+                write_name(w, &b.peer_name);
             }
             MeterBody::Connect(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                out.extend_from_slice(&b.sock.to_le_bytes());
-                encode_opt_name_len(&b.sock_name, out);
-                encode_opt_name_len(&b.peer_name, out);
-                encode_opt_name(&b.sock_name, out);
-                encode_opt_name(&b.peer_name, out);
+                w.u32(b.pid).u32(b.pc).u32(b.sock);
+                write_name_len(w, &b.sock_name);
+                write_name_len(w, &b.peer_name);
+                write_name(w, &b.sock_name);
+                write_name(w, &b.peer_name);
             }
             MeterBody::TermProc(b) => {
-                out.extend_from_slice(&b.pid.to_le_bytes());
-                out.extend_from_slice(&b.pc.to_le_bytes());
-                let reason: u32 = match b.reason {
+                w.u32(b.pid).u32(b.pc).u32(match b.reason {
                     TermReason::Normal => 0,
                     TermReason::Killed => 1,
-                };
-                out.extend_from_slice(&reason.to_le_bytes());
+                });
             }
         }
     }
 
-    fn decode(trace: u32, buf: &[u8]) -> Result<MeterBody, DecodeError> {
-        let need = |n: usize| -> Result<(), DecodeError> {
-            if buf.len() < n {
-                Err(DecodeError::Truncated {
-                    need: n + HEADER_LEN,
-                    have: buf.len() + HEADER_LEN,
-                })
-            } else {
-                Ok(())
-            }
-        };
-        match trace {
+    /// Reads the body of a `trace` event; `r` stands just past the
+    /// header, so a short body reports sizes of the whole message.
+    fn read(trace: u32, r: &mut Reader<'_>) -> Result<MeterBody, DecodeError> {
+        Ok(match trace {
             trace_type::SEND => {
-                need(20 + NAME_LEN)?;
-                let len = read_u32(buf, 16);
-                Ok(MeterBody::Send(MeterSendMsg {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                    msg_length: read_u32(buf, 12),
-                    dest_name: decode_opt_name(&buf[20..], len)?,
-                }))
+                let (pid, pc, sock) = (r.u32()?, r.u32()?, r.u32()?);
+                let (msg_length, len) = (r.u32()?, r.u32()?);
+                MeterBody::Send(MeterSendMsg {
+                    pid,
+                    pc,
+                    sock,
+                    msg_length,
+                    dest_name: read_name(r, len)?,
+                })
             }
-            trace_type::RECEIVECALL => {
-                need(12)?;
-                Ok(MeterBody::RecvCall(MeterRecvCall {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                }))
-            }
+            trace_type::RECEIVECALL => MeterBody::RecvCall(MeterRecvCall {
+                pid: r.u32()?,
+                pc: r.u32()?,
+                sock: r.u32()?,
+            }),
             trace_type::RECEIVE => {
-                need(20 + NAME_LEN)?;
-                let len = read_u32(buf, 16);
-                Ok(MeterBody::Recv(MeterRecvMsg {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                    msg_length: read_u32(buf, 12),
-                    source_name: decode_opt_name(&buf[20..], len)?,
-                }))
+                let (pid, pc, sock) = (r.u32()?, r.u32()?, r.u32()?);
+                let (msg_length, len) = (r.u32()?, r.u32()?);
+                MeterBody::Recv(MeterRecvMsg {
+                    pid,
+                    pc,
+                    sock,
+                    msg_length,
+                    source_name: read_name(r, len)?,
+                })
             }
-            trace_type::SOCKET => {
-                need(24)?;
-                Ok(MeterBody::SockCrt(MeterSockCrt {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                    domain: read_u32(buf, 12),
-                    sock_type: read_u32(buf, 16),
-                    protocol: read_u32(buf, 20),
-                }))
-            }
-            trace_type::DUP => {
-                need(16)?;
-                Ok(MeterBody::Dup(MeterDup {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                    new_sock: read_u32(buf, 12),
-                }))
-            }
-            trace_type::DESTSOCKET => {
-                need(12)?;
-                Ok(MeterBody::DestSock(MeterDestSock {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                }))
-            }
-            trace_type::FORK => {
-                need(12)?;
-                Ok(MeterBody::Fork(MeterFork {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    new_pid: read_u32(buf, 8),
-                }))
-            }
+            trace_type::SOCKET => MeterBody::SockCrt(MeterSockCrt {
+                pid: r.u32()?,
+                pc: r.u32()?,
+                sock: r.u32()?,
+                domain: r.u32()?,
+                sock_type: r.u32()?,
+                protocol: r.u32()?,
+            }),
+            trace_type::DUP => MeterBody::Dup(MeterDup {
+                pid: r.u32()?,
+                pc: r.u32()?,
+                sock: r.u32()?,
+                new_sock: r.u32()?,
+            }),
+            trace_type::DESTSOCKET => MeterBody::DestSock(MeterDestSock {
+                pid: r.u32()?,
+                pc: r.u32()?,
+                sock: r.u32()?,
+            }),
+            trace_type::FORK => MeterBody::Fork(MeterFork {
+                pid: r.u32()?,
+                pc: r.u32()?,
+                new_pid: r.u32()?,
+            }),
             trace_type::ACCEPT => {
-                need(24 + 2 * NAME_LEN)?;
-                let sock_len = read_u32(buf, 16);
-                let peer_len = read_u32(buf, 20);
-                Ok(MeterBody::Accept(MeterAccept {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                    new_sock: read_u32(buf, 12),
-                    sock_name: decode_opt_name(&buf[24..], sock_len)?,
-                    peer_name: decode_opt_name(&buf[24 + NAME_LEN..], peer_len)?,
-                }))
+                let (pid, pc, sock, new_sock) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+                let (sock_len, peer_len) = (r.u32()?, r.u32()?);
+                MeterBody::Accept(MeterAccept {
+                    pid,
+                    pc,
+                    sock,
+                    new_sock,
+                    sock_name: read_name(r, sock_len)?,
+                    peer_name: read_name(r, peer_len)?,
+                })
             }
             trace_type::CONNECT => {
-                need(20 + 2 * NAME_LEN)?;
-                let sock_len = read_u32(buf, 12);
-                let peer_len = read_u32(buf, 16);
-                Ok(MeterBody::Connect(MeterConnect {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    sock: read_u32(buf, 8),
-                    sock_name: decode_opt_name(&buf[20..], sock_len)?,
-                    peer_name: decode_opt_name(&buf[20 + NAME_LEN..], peer_len)?,
-                }))
+                let (pid, pc, sock) = (r.u32()?, r.u32()?, r.u32()?);
+                let (sock_len, peer_len) = (r.u32()?, r.u32()?);
+                MeterBody::Connect(MeterConnect {
+                    pid,
+                    pc,
+                    sock,
+                    sock_name: read_name(r, sock_len)?,
+                    peer_name: read_name(r, peer_len)?,
+                })
             }
-            trace_type::TERMPROC => {
-                need(12)?;
-                Ok(MeterBody::TermProc(MeterTermProc {
-                    pid: read_u32(buf, 0),
-                    pc: read_u32(buf, 4),
-                    reason: match read_u32(buf, 8) {
-                        0 => TermReason::Normal,
-                        _ => TermReason::Killed,
-                    },
-                }))
-            }
-            other => Err(DecodeError::UnknownTraceType { trace_type: other }),
-        }
+            trace_type::TERMPROC => MeterBody::TermProc(MeterTermProc {
+                pid: r.u32()?,
+                pc: r.u32()?,
+                reason: match r.u32()? {
+                    0 => TermReason::Normal,
+                    _ => TermReason::Killed,
+                },
+            }),
+            other => return Err(DecodeError::UnknownTraceType { trace_type: other }),
+        })
     }
 }
 
@@ -638,20 +557,22 @@ impl MeterMsg {
     /// the body, so the caller need not keep them in sync.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 56);
-        let mut header = self.header;
-        header.trace_type = self.body.trace_type();
-        header.encode_into(&mut out);
-        self.body.encode_into(&mut out);
-        let size = out.len() as u32;
-        out[0..4].copy_from_slice(&size.to_le_bytes());
+        self.encode_into(&mut out);
         out
     }
 
     /// Appends the encoding to `out` and returns the encoded length.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let bytes = self.encode();
-        out.extend_from_slice(&bytes);
-        bytes.len()
+        let start = out.len();
+        let mut w = Writer::new(out);
+        let h = &self.header;
+        w.u32(0).u16(h.machine).u16(0); // size placeholder, padding
+        w.u32(h.cpu_time).u32(h.seq).u32(h.proc_time);
+        w.u32(self.body.trace_type());
+        self.body.write(&mut w);
+        let size = w.len() - start;
+        w.patch_u32(start, size as u32);
+        size
     }
 
     /// Decodes one message from the front of `buf`, returning the
@@ -697,28 +618,37 @@ impl MeterMsg {
     }
 }
 
-/// One complete, framed meter message borrowed from a stream buffer.
+/// One meter message borrowed from a stream buffer — the monitor's one
+/// record view (`dpm_filter::RecordView` is this type) and the
+/// zero-copy currency of the filter pipeline.
 ///
-/// A `MeterRecord` has a validated header and a complete frame (the
-/// buffer holds all `size` bytes), but its body has *not* been
-/// decoded: field access ([`machine`](MeterRecord::machine),
-/// [`trace_type`](MeterRecord::trace_type), …) reads straight from the
-/// borrowed bytes, and [`to_msg`](MeterRecord::to_msg) materializes an
-/// owned [`MeterMsg`] on demand. This is the zero-copy currency of the
-/// filter pipeline: reassembly hands records to selection rules
-/// without allocating.
+/// Its body is *not* decoded: the accessors read the header's fields
+/// in place at their fixed offsets, [`to_msg`](MeterRecord::to_msg)
+/// materializes an owned [`MeterMsg`] on demand, and it derefs to
+/// `[u8]`, so whatever accepts a raw record slice accepts a record.
+/// [`parse`](MeterRecord::parse) yields a complete, size-checked frame;
+/// [`new`](MeterRecord::new) wraps bytes framed elsewhere (a stored
+/// frame's payload). Either way every accessor is total: a field the
+/// bytes are too short to hold reads as `0` (`None` for
+/// [`pid`](MeterRecord::pid)).
 #[derive(Debug, Clone, Copy)]
 pub struct MeterRecord<'a> {
     bytes: &'a [u8],
 }
 
 impl<'a> MeterRecord<'a> {
+    /// Wraps one complete record's bytes.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> MeterRecord<'a> {
+        MeterRecord { bytes }
+    }
+
     /// Parses one record from the front of `buf` without copying.
     ///
-    /// Validates the header and the frame bounds only: the size field
-    /// must lie in `HEADER_LEN..=MAX_METER_MSG` and the buffer must
-    /// hold the whole frame. Body-level problems (unknown trace type,
-    /// bad names) are reported by [`MeterRecord::to_msg`].
+    /// Validates the frame bounds only: the size field must lie in
+    /// `HEADER_LEN..=MAX_METER_MSG` and the buffer must hold the whole
+    /// frame ([`frame_step`]). Body-level problems (unknown trace
+    /// type, bad names) are reported by [`MeterRecord::to_msg`].
     ///
     /// # Errors
     ///
@@ -726,59 +656,68 @@ impl<'a> MeterRecord<'a> {
     /// record; [`DecodeError::BadSize`] when the size field is out of
     /// range (stream corruption).
     pub fn parse(buf: &'a [u8]) -> Result<MeterRecord<'a>, DecodeError> {
-        let header = MeterHeader::decode(buf)?;
-        let size = header.size as usize;
-        if !(HEADER_LEN..=MAX_METER_MSG).contains(&size) {
-            return Err(DecodeError::BadSize { size: header.size });
-        }
-        if buf.len() < size {
-            return Err(DecodeError::Truncated {
-                need: size,
+        match frame_step(buf) {
+            FrameStep::Record(size) => Ok(MeterRecord::new(&buf[..size])),
+            FrameStep::Garbage(size) => Err(DecodeError::BadSize { size }),
+            FrameStep::Partial(need) => Err(DecodeError::Truncated {
+                need,
                 have: buf.len(),
-            });
+            }),
         }
-        Ok(MeterRecord {
-            bytes: &buf[..size],
-        })
     }
 
     /// The record's complete wire bytes (header + body).
+    #[inline]
     pub fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
 
-    /// Total length of the record in bytes (the header's `size`).
-    #[allow(clippy::len_without_is_empty)] // never empty: >= HEADER_LEN
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// The body bytes following the header.
-    pub fn body_bytes(&self) -> &'a [u8] {
-        &self.bytes[HEADER_LEN..]
-    }
-
     /// The decoded header, with `size` normalized to the frame length.
     pub fn header(&self) -> MeterHeader {
-        let mut h = MeterHeader::decode(self.bytes).expect("frame was validated");
-        h.size = self.bytes.len() as u32;
-        h
+        MeterHeader {
+            size: self.bytes.len() as u32,
+            machine: self.machine(),
+            cpu_time: self.cpu_time(),
+            seq: self.seq(),
+            proc_time: u32_at(self.bytes, 16).unwrap_or(0),
+            trace_type: self.trace_type(),
+        }
     }
 
     /// The machine field, read in place.
+    #[inline]
     pub fn machine(&self) -> u16 {
-        u16::from_le_bytes([self.bytes[4], self.bytes[5]])
+        u16_at(self.bytes, 4).unwrap_or(0)
     }
 
-    /// The trace-type field, read in place.
-    pub fn trace_type(&self) -> u32 {
-        read_u32(self.bytes, 20)
+    /// The `cpu_time` stamp (emitting machine's local clock,
+    /// milliseconds), read in place. The ingest side subtracts this
+    /// from its own machine clock for the emit→ingest staleness
+    /// readout — honest only up to the skew between the two clocks,
+    /// which is the paper's own caveat about distributed timestamps.
+    #[inline]
+    pub fn cpu_time(&self) -> u32 {
+        u32_at(self.bytes, 8).unwrap_or(0)
     }
 
     /// The per-process sequence number, read in place (`0` means
     /// unsequenced; see [`MeterHeader::seq`]).
+    #[inline]
     pub fn seq(&self) -> u32 {
-        read_u32(self.bytes, 12)
+        u32_at(self.bytes, 12).unwrap_or(0)
+    }
+
+    /// The trace-type field, read in place.
+    #[inline]
+    pub fn trace_type(&self) -> u32 {
+        u32_at(self.bytes, 20).unwrap_or(0)
+    }
+
+    /// The emitting process id, read in place. Every meter body puts
+    /// `pid` at body offset 0; `None` for a header-only record.
+    #[inline]
+    pub fn pid(&self) -> Option<u32> {
+        u32_at(self.bytes, HEADER_LEN)
     }
 
     /// Decodes the full message, allocating owned bodies.
@@ -790,8 +729,19 @@ impl<'a> MeterRecord<'a> {
     /// [`DecodeError::BadName`].
     pub fn to_msg(&self) -> Result<MeterMsg, DecodeError> {
         let header = self.header();
-        let body = MeterBody::decode(header.trace_type, self.body_bytes())?;
+        let mut r = Reader::new(self.bytes);
+        r.take(HEADER_LEN)?;
+        let body = MeterBody::read(header.trace_type, &mut r)?;
         Ok(MeterMsg { header, body })
+    }
+}
+
+impl Deref for MeterRecord<'_> {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.bytes
     }
 }
 
@@ -851,19 +801,17 @@ impl<'a> Iterator for MeterDecoder<'a> {
     type Item = Result<MeterRecord<'a>, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.fused || self.pos >= self.buf.len() {
+        if self.fused {
             return None;
         }
-        match MeterRecord::parse(&self.buf[self.pos..]) {
+        match MeterRecord::parse(self.remainder()) {
             Ok(record) => {
                 self.pos += record.len();
                 Some(Ok(record))
             }
-            Err(DecodeError::Truncated { .. }) => {
-                // Clean partial tail: wait for more input.
-                self.fused = true;
-                None
-            }
+            // The end of the buffer or a clean partial tail: wait for
+            // more input.
+            Err(DecodeError::Truncated { .. }) => None,
             Err(e) => {
                 self.fused = true;
                 Some(Err(e))
@@ -923,6 +871,18 @@ impl std::error::Error for DecodeError {
 impl From<NameDecodeError> for DecodeError {
     fn from(e: NameDecodeError) -> DecodeError {
         DecodeError::BadName(e)
+    }
+}
+
+impl From<WireError> for DecodeError {
+    /// A meter message holds no length-prefixed field, so a reader
+    /// over one can only run out of bytes.
+    fn from(e: WireError) -> DecodeError {
+        match e {
+            WireError::Truncated { need, have } => DecodeError::Truncated { need, have },
+            WireError::TooLong { len, .. } => DecodeError::BadSize { size: len as u32 },
+            WireError::NotUtf8 => DecodeError::BadName(NameDecodeError::BadPath),
+        }
     }
 }
 
@@ -1054,15 +1014,19 @@ mod tests {
         };
         let b = msg.encode();
         let body = &b[HEADER_LEN..];
-        assert_eq!(read_u32(body, 0), 0x11111111, "pid at offset 0");
-        assert_eq!(read_u32(body, 4), 0x22222222, "pc at offset 4");
-        assert_eq!(read_u32(body, 8), 0x33333333, "sock at offset 8");
-        assert_eq!(read_u32(body, 12), 0x44444444, "msgLength at offset 12");
-        assert_eq!(read_u32(body, 16), 8, "destNameLen at offset 16");
+        assert_eq!(u32_at(body, 0).unwrap(), 0x11111111, "pid at offset 0");
+        assert_eq!(u32_at(body, 4).unwrap(), 0x22222222, "pc at offset 4");
+        assert_eq!(u32_at(body, 8).unwrap(), 0x33333333, "sock at offset 8");
+        assert_eq!(
+            u32_at(body, 12).unwrap(),
+            0x44444444,
+            "msgLength at offset 12"
+        );
+        assert_eq!(u32_at(body, 16).unwrap(), 8, "destNameLen at offset 16");
         assert_eq!(body.len(), 20 + NAME_LEN, "destName is the last 16 bytes");
         // Total message size: 24-byte header + 36-byte body.
         assert_eq!(b.len(), 60);
-        assert_eq!(read_u32(&b, 0), 60, "header size field");
+        assert_eq!(u32_at(&b, 0).unwrap(), 60, "header size field");
     }
 
     /// Golden test for Fig. 4.1: the accept message layout.
@@ -1081,18 +1045,22 @@ mod tests {
         };
         let b = msg.encode();
         // header: size, machine, cpuTime, procTime, traceType
-        assert_eq!(read_u32(&b, 0) as usize, b.len());
-        assert_eq!(u16::from_le_bytes([b[4], b[5]]), 5);
-        assert_eq!(read_u32(&b, 8), 9_999);
-        assert_eq!(read_u32(&b, 16), 40);
-        assert_eq!(read_u32(&b, 20), trace_type::ACCEPT);
+        assert_eq!(u32_at(&b, 0).unwrap() as usize, b.len());
+        assert_eq!(u16_at(&b, 4).unwrap(), 5);
+        assert_eq!(u32_at(&b, 8).unwrap(), 9_999);
+        assert_eq!(u32_at(&b, 16).unwrap(), 40);
+        assert_eq!(u32_at(&b, 20).unwrap(), trace_type::ACCEPT);
         let body = &b[HEADER_LEN..];
-        assert_eq!(read_u32(body, 0), 10, "pid");
-        assert_eq!(read_u32(body, 4), 20, "pc");
-        assert_eq!(read_u32(body, 8), 30, "socket accepting connection");
-        assert_eq!(read_u32(body, 12), 40, "new socket created for connection");
-        assert_eq!(read_u32(body, 16), 8, "sockNameLen");
-        assert_eq!(read_u32(body, 20), 8, "peerNameLen");
+        assert_eq!(u32_at(body, 0).unwrap(), 10, "pid");
+        assert_eq!(u32_at(body, 4).unwrap(), 20, "pc");
+        assert_eq!(u32_at(body, 8).unwrap(), 30, "socket accepting connection");
+        assert_eq!(
+            u32_at(body, 12).unwrap(),
+            40,
+            "new socket created for connection"
+        );
+        assert_eq!(u32_at(body, 16).unwrap(), 8, "sockNameLen");
+        assert_eq!(u32_at(body, 20).unwrap(), 8, "peerNameLen");
         assert_eq!(body.len(), 24 + 2 * NAME_LEN);
     }
 
@@ -1108,8 +1076,8 @@ mod tests {
         };
         let b = msg.encode();
         assert_eq!(b.len(), HEADER_LEN + 12);
-        // dummy field (offset 12) is always zero on the wire.
-        assert_eq!(read_u32(&b, 12), 0);
+        // The paper's dummy word (offset 12, our `seq`) is zero when unset.
+        assert_eq!(u32_at(&b, 12).unwrap(), 0);
     }
 
     #[test]

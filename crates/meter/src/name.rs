@@ -8,6 +8,7 @@
 //! names are important in matching the sockets in a connection and in
 //! identifying the recipient of datagrams."
 
+use crate::wire::{Reader, WireError, Writer};
 use std::fmt;
 
 /// The fixed on-wire size of a socket name: `sizeof(struct sockaddr)`
@@ -83,25 +84,28 @@ impl SockName {
 
     /// Encodes into the fixed 16-byte `NAME` field.
     pub fn encode(&self) -> [u8; NAME_LEN] {
-        let mut out = [0u8; NAME_LEN];
+        let mut out = Vec::with_capacity(NAME_LEN);
+        self.write(&mut Writer::new(&mut out));
+        out.try_into().expect("a NAME field is NAME_LEN bytes")
+    }
+
+    /// Appends the 16-byte `NAME` field: family tag, the form's own
+    /// bytes, zero padding.
+    pub(crate) fn write(&self, w: &mut Writer<'_>) {
+        let end = w.len() + NAME_LEN;
         match self {
             SockName::Inet { host, port } => {
-                out[0..2].copy_from_slice(&af::INET.to_le_bytes());
-                out[2..4].copy_from_slice(&port.to_le_bytes());
-                out[4..8].copy_from_slice(&host.to_le_bytes());
+                w.u16(af::INET).u16(*port).u32(*host);
             }
             SockName::UnixPath(path) => {
-                out[0..2].copy_from_slice(&af::UNIX.to_le_bytes());
                 let bytes = path.as_bytes();
-                let n = bytes.len().min(NAME_LEN - 2);
-                out[2..2 + n].copy_from_slice(&bytes[..n]);
+                w.u16(af::UNIX).raw(&bytes[..bytes.len().min(NAME_LEN - 2)]);
             }
             SockName::Internal(id) => {
-                out[0..2].copy_from_slice(&af::INTERNAL.to_le_bytes());
-                out[2..10].copy_from_slice(&id.to_le_bytes());
+                w.u16(af::INTERNAL).u64(*id);
             }
         }
-        out
+        w.raw(&[0u8; NAME_LEN][..end - w.len()]);
     }
 
     /// Decodes a 16-byte `NAME` field.
@@ -112,31 +116,22 @@ impl SockName {
     /// [`NAME_LEN`], carries an unknown address family, or (for the
     /// UNIX domain) contains a non-UTF-8 path.
     pub fn decode(buf: &[u8]) -> Result<SockName, NameDecodeError> {
-        if buf.len() < NAME_LEN {
-            return Err(NameDecodeError::Truncated { have: buf.len() });
-        }
-        let family = u16::from_le_bytes([buf[0], buf[1]]);
+        let mut r = Reader::new(Reader::new(buf).take(NAME_LEN)?);
+        let family = r.u16()?;
         match family {
             af::INET => {
-                let port = u16::from_le_bytes([buf[2], buf[3]]);
-                let host = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+                let (port, host) = (r.u16()?, r.u32()?);
                 Ok(SockName::Inet { host, port })
             }
             af::UNIX => {
-                let end = buf[2..NAME_LEN]
-                    .iter()
-                    .position(|&b| b == 0)
-                    .map_or(NAME_LEN, |p| p + 2);
-                let path = std::str::from_utf8(&buf[2..end])
+                let path = r.rest();
+                let end = path.iter().position(|&b| b == 0).unwrap_or(path.len());
+                let path = std::str::from_utf8(&path[..end])
                     .map_err(|_| NameDecodeError::BadPath)?
                     .to_owned();
                 Ok(SockName::UnixPath(path))
             }
-            af::INTERNAL => {
-                let mut id = [0u8; 8];
-                id.copy_from_slice(&buf[2..10]);
-                Ok(SockName::Internal(u64::from_le_bytes(id)))
-            }
+            af::INTERNAL => Ok(SockName::Internal(r.u64()?)),
             _ => Err(NameDecodeError::BadFamily { family }),
         }
     }
@@ -186,6 +181,17 @@ impl fmt::Display for NameDecodeError {
 }
 
 impl std::error::Error for NameDecodeError {}
+
+impl From<WireError> for NameDecodeError {
+    /// A `NAME` holds no length-prefixed field, so a reader over one
+    /// can only run out of bytes.
+    fn from(e: WireError) -> NameDecodeError {
+        match e {
+            WireError::Truncated { have, .. } => NameDecodeError::Truncated { have },
+            WireError::TooLong { .. } | WireError::NotUtf8 => NameDecodeError::BadPath,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -3,9 +3,9 @@
 //! arbitrary bytes.
 
 use dpm_meter::{
-    MeterAccept, MeterBody, MeterConnect, MeterDestSock, MeterDup, MeterFork, MeterHeader,
-    MeterMsg, MeterRecvCall, MeterRecvMsg, MeterSendMsg, MeterSockCrt, MeterTermProc, SockName,
-    TermReason,
+    MeterAccept, MeterBody, MeterConnect, MeterDecoder, MeterDestSock, MeterDup, MeterFork,
+    MeterHeader, MeterMsg, MeterRecord, MeterRecvCall, MeterRecvMsg, MeterSendMsg, MeterSockCrt,
+    MeterTermProc, SockName, TermReason,
 };
 use proptest::prelude::*;
 
@@ -134,8 +134,28 @@ proptest! {
     }
 
     #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = MeterMsg::decode(&bytes); // must not panic
+    fn decoder_never_panics_on_garbage(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        msg in arb_msg(),
+        at in any::<usize>(),
+        word in any::<u32>(),
+    ) {
+        // Arbitrary bytes, and a valid message with one word overwritten
+        // (a hostile size, name length, family or trace type): the
+        // message decoder, the streaming decoder, the record view and
+        // the name decoder must all answer, never panic.
+        let mut hostile = msg.encode();
+        let at = at % (hostile.len() - 3);
+        hostile[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        for wire in [&bytes, &hostile] {
+            let _ = MeterMsg::decode(wire);
+            for record in MeterDecoder::new(wire).flatten() {
+                let _ = record.to_msg();
+            }
+            let view = MeterRecord::new(wire);
+            let _ = (view.header(), view.pid(), view.to_msg());
+            let _ = SockName::decode(wire);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! one exception is process-termination reporting, where the daemon
 //! initiates the connection to the controller.
 
-use crate::proto::{frame_len, Reply, Request, RpcStatus};
+use crate::proto::{frame_len, Reply, Request, RpcStatus, MAX_RPC_FRAME};
 use dpm_filter::FilterRole;
 use dpm_meter::{MeterFlags, SockName, TermReason};
 use dpm_simos::{
@@ -57,7 +57,7 @@ pub fn read_frame(p: &Proc, fd: Fd) -> SysResult<Option<Vec<u8>>> {
         return Ok(None);
     };
     let total = frame_len(&prefix).ok_or(SysError::Einval)?;
-    if !(8..=16 * 1024 * 1024).contains(&total) {
+    if !(8..=MAX_RPC_FRAME).contains(&total) {
         return Err(SysError::Einval);
     }
     let Some(rest) = read_exact(p, fd, total - 4)? else {
@@ -119,7 +119,7 @@ fn read_frame_deadline(p: &Proc, fd: Fd, timeout_ms: u64) -> SysResult<Attempt> 
     loop {
         let want = match frame_len(&buf) {
             Some(total) => {
-                if !(8..=16 * 1024 * 1024).contains(&total) {
+                if !(8..=MAX_RPC_FRAME).contains(&total) {
                     return Ok(Attempt::Unreachable);
                 }
                 if buf.len() >= total {

@@ -26,4 +26,6 @@ pub use daemon::{
     METERD_PORT, METERD_PROGRAM, RPC_TIMEOUT_MS,
 };
 pub use dpm_filter::FilterArgs;
-pub use proto::{frame_len, msg_type, ProtoError, Reply, Request, RpcStatus, FILTER_SPEC_VERSION};
+pub use proto::{
+    frame_len, msg_type, ProtoError, Reply, Request, RpcStatus, FILTER_SPEC_VERSION, MAX_RPC_FRAME,
+};

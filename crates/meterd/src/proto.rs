@@ -19,6 +19,7 @@
 //! `u32 length + bytes`, all little-endian (VAX order).
 
 use dpm_filter::{FilterArgs, FilterRole};
+use dpm_meter::wire::{u32_at, Reader, WireError, Writer};
 use dpm_meter::MeterFlags;
 use dpm_simos::Pid;
 use std::fmt;
@@ -203,17 +204,12 @@ pub const FILTER_SPEC_VERSION: u32 = 1;
 /// Writes a [`FilterArgs`] as the `CreateFilter` body:
 /// `SPEC_TAG, version, filterfile, port, logfile, descriptions,
 /// templates, shards, sink mode (0 = text, 1 = store), role, upstream`.
-fn encode_filter_args(spec: &FilterArgs, w: &mut W) {
-    w.u32(SPEC_TAG);
-    w.u32(FILTER_SPEC_VERSION);
-    w.str(&spec.filterfile);
-    w.u32(spec.port as u32);
-    w.str(&spec.logfile);
-    w.str(&spec.descriptions);
-    w.str(&spec.templates);
-    w.u32(spec.shards);
-    w.u32(spec.store_log as u32);
-    w.u32(role_code(spec.role));
+fn encode_filter_args(spec: &FilterArgs, w: &mut Writer<'_>) {
+    w.u32(SPEC_TAG).u32(FILTER_SPEC_VERSION);
+    w.str(&spec.filterfile).u32(spec.port as u32);
+    w.str(&spec.logfile).str(&spec.descriptions);
+    w.str(&spec.templates).u32(spec.shards);
+    w.u32(spec.store_log as u32).u32(role_code(spec.role));
     w.str(&spec.upstream);
 }
 
@@ -221,7 +217,7 @@ fn encode_filter_args(spec: &FilterArgs, w: &mut W) {
 /// it, so a daemon never spawns (or registers an edge for) a filter
 /// that would die on its own argument check. Unknown versions, sink
 /// modes and roles are rejected outright.
-fn decode_filter_args(r: &mut R<'_>) -> Result<FilterArgs, ProtoError> {
+fn decode_filter_args(r: &mut Reader<'_>) -> Result<FilterArgs, ProtoError> {
     if r.u32()? != SPEC_TAG {
         return Err(ProtoError::new("filter spec: missing version tag"));
     }
@@ -232,11 +228,11 @@ fn decode_filter_args(r: &mut R<'_>) -> Result<FilterArgs, ProtoError> {
         )));
     }
     let spec = FilterArgs {
-        filterfile: r.str()?,
-        port: r.port()?,
-        logfile: r.str()?,
-        descriptions: r.str()?,
-        templates: r.str()?,
+        filterfile: string(r)?,
+        port: port(r)?,
+        logfile: string(r)?,
+        descriptions: string(r)?,
+        templates: string(r)?,
         shards: r.u32()?,
         store_log: match r.u32()? {
             0 => false,
@@ -244,7 +240,7 @@ fn decode_filter_args(r: &mut R<'_>) -> Result<FilterArgs, ProtoError> {
             other => return Err(ProtoError::new(format!("unknown log sink mode {other}"))),
         },
         role: role_from_code(r.u32()?)?,
-        upstream: r.str()?,
+        upstream: string(r)?,
     };
     spec.validate()
         .map_err(|e| ProtoError::new(format!("filter spec: {e}")))?;
@@ -496,81 +492,66 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+impl From<WireError> for ProtoError {
+    fn from(e: WireError) -> ProtoError {
+        ProtoError::new(e.to_string())
+    }
+}
+
 // --- wire helpers -----------------------------------------------------
 
-struct W(Vec<u8>);
+/// Largest total length a frame may claim (16 MiB: a fetched store
+/// segment fits, a corrupted prefix does not) — the one bound stream
+/// readers check [`frame_len`] against, and the cap on every string
+/// and byte field inside a frame.
+pub const MAX_RPC_FRAME: usize = 16 * 1024 * 1024;
 
-impl W {
-    fn new(ty: u32) -> W {
-        let mut v = Vec::with_capacity(64);
-        v.extend_from_slice(&0u32.to_le_bytes()); // length placeholder
-        v.extend_from_slice(&ty.to_le_bytes());
-        W(v)
-    }
-    fn u32(&mut self, v: u32) -> &mut W {
-        self.0.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-    fn u64(&mut self, v: u64) -> &mut W {
-        self.0.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-    fn str(&mut self, s: &str) -> &mut W {
-        self.bytes(s.as_bytes())
-    }
-    fn bytes(&mut self, b: &[u8]) -> &mut W {
-        self.u32(b.len() as u32);
-        self.0.extend_from_slice(b);
-        self
-    }
-    fn finish(mut self) -> Vec<u8> {
-        let len = self.0.len() as u32;
-        self.0[0..4].copy_from_slice(&len.to_le_bytes());
-        self.0
-    }
+/// Most program parameters a `Create` may carry.
+const MAX_PARAMS: usize = 4096;
+
+/// Most pids an `AcquireMany` (or its reply), and most names a
+/// `FileList`, may carry.
+const MAX_BATCH: usize = 65536;
+
+/// A complete frame of type `ty`: `u32 total-length, u32 type`, then
+/// whatever `body` writes.
+fn frame(ty: u32, body: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    let mut w = Writer::new(&mut out);
+    w.u32(0).u32(ty); // length placeholder
+    body(&mut w);
+    let len = w.len() as u32;
+    w.patch_u32(0, len);
+    out
 }
 
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A port number: carried as a `u32`, rejected beyond 65535 instead
+/// of narrowed to some other port.
+fn port(r: &mut Reader<'_>) -> Result<u16, ProtoError> {
+    let v = r.u32()?;
+    u16::try_from(v).map_err(|_| ProtoError::new(format!("port {v} out of range")))
 }
 
-impl<'a> R<'a> {
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| ProtoError::new("truncated u32"))?;
-        self.pos += 4;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    /// A port number: carried as a `u32`, rejected beyond 65535
-    /// instead of narrowed to some other port.
-    fn port(&mut self) -> Result<u16, ProtoError> {
-        let v = self.u32()?;
-        u16::try_from(v).map_err(|_| ProtoError::new(format!("port {v} out of range")))
-    }
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + 8)
-            .ok_or_else(|| ProtoError::new("truncated u64"))?;
-        self.pos += 8;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let len = self.u32()? as usize;
-        let b = self
-            .buf
-            .get(self.pos..self.pos + len)
-            .ok_or_else(|| ProtoError::new("truncated bytes"))?;
-        self.pos += len;
-        Ok(b.to_vec())
-    }
-    fn str(&mut self) -> Result<String, ProtoError> {
-        String::from_utf8(self.bytes()?).map_err(|_| ProtoError::new("non-utf8 string"))
+fn bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, ProtoError> {
+    Ok(r.bytes(MAX_RPC_FRAME)?.to_vec())
+}
+
+fn string(r: &mut Reader<'_>) -> Result<String, ProtoError> {
+    Ok(r.str(MAX_RPC_FRAME)?.to_owned())
+}
+
+/// An element count no larger than `cap` that the rest of the frame
+/// can hold at `min_elem_bytes` apiece.
+fn count(
+    r: &mut Reader<'_>,
+    min_elem_bytes: usize,
+    cap: usize,
+    what: &str,
+) -> Result<usize, ProtoError> {
+    match r.count(min_elem_bytes) {
+        Ok(n) if n <= cap => Ok(n),
+        Err(e @ WireError::Truncated { .. }) => Err(e.into()),
+        _ => Err(ProtoError::new(format!("absurd {what} count"))),
     }
 }
 
@@ -600,8 +581,7 @@ impl Request {
 
     /// Encodes to the wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = W::new(self.msg_type());
-        match self {
+        frame(self.msg_type(), |w| match self {
             Request::Create {
                 filename,
                 params,
@@ -613,25 +593,25 @@ impl Request {
                 redirect_io,
                 stdin_file,
             } => {
-                w.str(filename);
-                w.u32(params.len() as u32);
+                w.str(filename).u32(params.len() as u32);
                 for p in params {
                     w.str(p);
                 }
-                w.u32(*filter_port as u32);
-                w.str(filter_host);
+                w.u32(*filter_port as u32).str(filter_host);
                 w.u32(meter_flags.bits());
-                w.u32(*control_port as u32);
-                w.str(control_host);
+                w.u32(*control_port as u32).str(control_host);
                 w.u32(*redirect_io as u32);
                 w.str(stdin_file.as_deref().unwrap_or(""));
             }
-            Request::CreateFilter { spec } => encode_filter_args(spec, &mut w),
+            Request::CreateFilter { spec } => encode_filter_args(spec, w),
             Request::SetFlags { pid, flags } => {
-                w.u32(pid.0);
-                w.u32(flags.bits());
+                w.u32(pid.0).u32(flags.bits());
             }
-            Request::Start { pid } | Request::Stop { pid } | Request::Kill { pid } => {
+            Request::Start { pid }
+            | Request::Stop { pid }
+            | Request::Kill { pid }
+            | Request::ClearMeter { pid }
+            | Request::QueryProc { pid } => {
                 w.u32(pid.0);
             }
             Request::Acquire {
@@ -643,11 +623,9 @@ impl Request {
                 control_host,
             } => {
                 w.u32(pid.0);
-                w.u32(*filter_port as u32);
-                w.str(filter_host);
+                w.u32(*filter_port as u32).str(filter_host);
                 w.u32(meter_flags.bits());
-                w.u32(*control_port as u32);
-                w.str(control_host);
+                w.u32(*control_port as u32).str(control_host);
             }
             Request::AcquireMany {
                 pids,
@@ -662,47 +640,30 @@ impl Request {
                 for pid in pids {
                     w.u32(pid.0);
                 }
-                w.u32(*filter_port as u32);
-                w.str(filter_host);
+                w.u32(*filter_port as u32).str(filter_host);
                 w.u32(meter_flags.bits());
-                w.u32(*control_port as u32);
-                w.str(control_host);
+                w.u32(*control_port as u32).str(control_host);
                 w.u32(*rebind_only as u32);
             }
             Request::GetFile { path } => {
                 w.str(path);
             }
-            Request::ClearMeter { pid } => {
-                w.u32(pid.0);
-            }
             Request::WriteFile { path, data } => {
-                w.str(path);
-                w.bytes(data);
+                w.str(path).bytes(data);
             }
-            Request::SendInput { pid, data } => {
-                w.u32(pid.0);
-                w.bytes(data);
+            Request::SendInput { pid, data } | Request::IoData { pid, data } => {
+                w.u32(pid.0).bytes(data);
             }
             Request::StateChange { pid, state } => {
-                w.u32(pid.0);
-                w.u32(*state);
-            }
-            Request::IoData { pid, data } => {
-                w.u32(pid.0);
-                w.bytes(data);
+                w.u32(pid.0).u32(*state);
             }
             Request::Tagged { req_id, inner } => {
-                w.u64(*req_id);
-                w.bytes(&inner.encode());
-            }
-            Request::QueryProc { pid } => {
-                w.u32(pid.0);
+                w.u64(*req_id).bytes(&inner.encode());
             }
             Request::ListFiles { prefix } => {
                 w.str(prefix);
             }
-        }
-        w.finish()
+        })
     }
 
     /// Decodes a complete message (including its length prefix).
@@ -712,31 +673,28 @@ impl Request {
     /// [`ProtoError`] on truncation, an unknown type number, a port
     /// beyond 65535, or a filter description its validator rejects.
     pub fn decode(buf: &[u8]) -> Result<Request, ProtoError> {
-        let mut r = R { buf, pos: 0 };
-        let _len = r.u32()?;
-        let ty = r.u32()?;
+        let r = &mut Reader::new(buf);
+        let (_len, ty) = (r.u32()?, r.u32()?);
         Ok(match ty {
             msg_type::CREATE_REQUEST => {
-                let filename = r.str()?;
-                let n = r.u32()? as usize;
-                if n > 4096 {
-                    return Err(ProtoError::new("absurd parameter count"));
-                }
+                let filename = string(r)?;
+                // A parameter is at least its own length prefix.
+                let n = count(r, 4, MAX_PARAMS, "parameter")?;
                 let mut params = Vec::with_capacity(n);
                 for _ in 0..n {
-                    params.push(r.str()?);
+                    params.push(string(r)?);
                 }
                 Request::Create {
                     filename,
                     params,
-                    filter_port: r.port()?,
-                    filter_host: r.str()?,
+                    filter_port: port(r)?,
+                    filter_host: string(r)?,
                     meter_flags: MeterFlags::from_bits(r.u32()?),
-                    control_port: r.port()?,
-                    control_host: r.str()?,
+                    control_port: port(r)?,
+                    control_host: string(r)?,
                     redirect_io: r.u32()? != 0,
                     stdin_file: {
-                        let s = r.str()?;
+                        let s = string(r)?;
                         if s.is_empty() {
                             None
                         } else {
@@ -746,7 +704,7 @@ impl Request {
                 }
             }
             msg_type::CREATE_FILTER => Request::CreateFilter {
-                spec: decode_filter_args(&mut r)?,
+                spec: decode_filter_args(r)?,
             },
             msg_type::SET_FLAGS => Request::SetFlags {
                 pid: Pid(r.u32()?),
@@ -757,40 +715,37 @@ impl Request {
             msg_type::KILL => Request::Kill { pid: Pid(r.u32()?) },
             msg_type::ACQUIRE => Request::Acquire {
                 pid: Pid(r.u32()?),
-                filter_port: r.port()?,
-                filter_host: r.str()?,
+                filter_port: port(r)?,
+                filter_host: string(r)?,
                 meter_flags: MeterFlags::from_bits(r.u32()?),
-                control_port: r.port()?,
-                control_host: r.str()?,
+                control_port: port(r)?,
+                control_host: string(r)?,
             },
             msg_type::ACQUIRE_MANY => {
-                let n = r.u32()? as usize;
-                if n > 65536 {
-                    return Err(ProtoError::new("absurd pid count"));
-                }
+                let n = count(r, 4, MAX_BATCH, "pid")?;
                 let mut pids = Vec::with_capacity(n);
                 for _ in 0..n {
                     pids.push(Pid(r.u32()?));
                 }
                 Request::AcquireMany {
                     pids,
-                    filter_port: r.port()?,
-                    filter_host: r.str()?,
+                    filter_port: port(r)?,
+                    filter_host: string(r)?,
                     meter_flags: MeterFlags::from_bits(r.u32()?),
-                    control_port: r.port()?,
-                    control_host: r.str()?,
+                    control_port: port(r)?,
+                    control_host: string(r)?,
                     rebind_only: r.u32()? != 0,
                 }
             }
-            msg_type::GET_FILE => Request::GetFile { path: r.str()? },
+            msg_type::GET_FILE => Request::GetFile { path: string(r)? },
             msg_type::CLEAR_METER => Request::ClearMeter { pid: Pid(r.u32()?) },
             msg_type::WRITE_FILE => Request::WriteFile {
-                path: r.str()?,
-                data: r.bytes()?,
+                path: string(r)?,
+                data: bytes(r)?,
             },
             msg_type::SEND_INPUT => Request::SendInput {
                 pid: Pid(r.u32()?),
-                data: r.bytes()?,
+                data: bytes(r)?,
             },
             msg_type::STATE_CHANGE => Request::StateChange {
                 pid: Pid(r.u32()?),
@@ -798,11 +753,11 @@ impl Request {
             },
             msg_type::IO_DATA => Request::IoData {
                 pid: Pid(r.u32()?),
-                data: r.bytes()?,
+                data: bytes(r)?,
             },
             msg_type::TAGGED => {
                 let req_id = r.u64()?;
-                let inner = Request::decode(&r.bytes()?)?;
+                let inner = Request::decode(r.bytes(MAX_RPC_FRAME)?)?;
                 if matches!(inner, Request::Tagged { .. }) {
                     return Err(ProtoError::new("nested tagged request"));
                 }
@@ -812,7 +767,7 @@ impl Request {
                 }
             }
             msg_type::QUERY_PROC => Request::QueryProc { pid: Pid(r.u32()?) },
-            msg_type::LIST_FILES => Request::ListFiles { prefix: r.str()? },
+            msg_type::LIST_FILES => Request::ListFiles { prefix: string(r)? },
             other => return Err(ProtoError::new(format!("unknown request type {other}"))),
         })
     }
@@ -833,40 +788,32 @@ impl Reply {
 
     /// Encodes to the wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = W::new(self.msg_type());
-        match self {
+        frame(self.msg_type(), |w| match self {
             Reply::Create { pid, status } => {
-                w.u32(pid.0);
-                w.u32(status.code());
+                w.u32(pid.0).u32(status.code());
             }
             Reply::Ack { status } => {
                 w.u32(status.code());
             }
             Reply::File { status, data } => {
-                w.u32(status.code());
-                w.bytes(data);
+                w.u32(status.code()).bytes(data);
             }
             Reply::ProcStatus { status, state } => {
-                w.u32(status.code());
-                w.u32(*state);
+                w.u32(status.code()).u32(*state);
             }
             Reply::FileList { status, names } => {
-                w.u32(status.code());
-                w.u32(names.len() as u32);
+                w.u32(status.code()).u32(names.len() as u32);
                 for n in names {
                     w.str(n);
                 }
             }
             Reply::AcquireMany { status, results } => {
-                w.u32(status.code());
-                w.u32(results.len() as u32);
+                w.u32(status.code()).u32(results.len() as u32);
                 for (pid, st) in results {
-                    w.u32(pid.0);
-                    w.u32(st.code());
+                    w.u32(pid.0).u32(st.code());
                 }
             }
-        }
-        w.finish()
+        })
     }
 
     /// Decodes a complete message.
@@ -875,9 +822,8 @@ impl Reply {
     ///
     /// [`ProtoError`] on truncation or an unknown type number.
     pub fn decode(buf: &[u8]) -> Result<Reply, ProtoError> {
-        let mut r = R { buf, pos: 0 };
-        let _len = r.u32()?;
-        let ty = r.u32()?;
+        let r = &mut Reader::new(buf);
+        let (_len, ty) = (r.u32()?, r.u32()?);
         Ok(match ty {
             msg_type::CREATE_REPLY => Reply::Create {
                 pid: Pid(r.u32()?),
@@ -888,7 +834,7 @@ impl Reply {
             },
             msg_type::FILE_REPLY => Reply::File {
                 status: RpcStatus::from(r.u32()?),
-                data: r.bytes()?,
+                data: bytes(r)?,
             },
             msg_type::PROC_STATUS => Reply::ProcStatus {
                 status: RpcStatus::from(r.u32()?),
@@ -896,22 +842,16 @@ impl Reply {
             },
             msg_type::FILE_LIST => {
                 let status = RpcStatus::from(r.u32()?);
-                let n = r.u32()? as usize;
-                if n > 65536 {
-                    return Err(ProtoError::new("absurd file count"));
-                }
+                let n = count(r, 4, MAX_BATCH, "file")?;
                 let mut names = Vec::with_capacity(n);
                 for _ in 0..n {
-                    names.push(r.str()?);
+                    names.push(string(r)?);
                 }
                 Reply::FileList { status, names }
             }
             msg_type::ACQUIRE_MANY_REPLY => {
                 let status = RpcStatus::from(r.u32()?);
-                let n = r.u32()? as usize;
-                if n > 65536 {
-                    return Err(ProtoError::new("absurd pid count"));
-                }
+                let n = count(r, 8, MAX_BATCH, "pid")?;
                 let mut results = Vec::with_capacity(n);
                 for _ in 0..n {
                     results.push((Pid(r.u32()?), RpcStatus::from(r.u32()?)));
@@ -926,10 +866,7 @@ impl Reply {
 /// Reads the total length from a message's first four bytes, so stream
 /// readers know how much to collect.
 pub fn frame_len(prefix: &[u8]) -> Option<usize> {
-    if prefix.len() < 4 {
-        return None;
-    }
-    Some(u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize)
+    u32_at(prefix, 0).map(|len| len as usize)
 }
 
 #[cfg(test)]

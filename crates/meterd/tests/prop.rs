@@ -158,10 +158,25 @@ proptest! {
     }
 
     #[test]
-    fn decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let _ = Request::decode(&bytes);
-        let _ = Reply::decode(&bytes);
-        let _ = frame_len(&bytes);
+    fn decoders_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        req in arb_request(),
+        rep in arb_reply(),
+        at in any::<usize>(),
+        word in any::<u32>(),
+    ) {
+        // Arbitrary bytes, and valid messages with one word overwritten
+        // (a hostile length, count, port or type number).
+        let hostile = |mut wire: Vec<u8>| {
+            let at = at % (wire.len() - 3);
+            wire[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            wire
+        };
+        for wire in [bytes, hostile(req.encode()), hostile(rep.encode())] {
+            let _ = Request::decode(&wire);
+            let _ = Reply::decode(&wire);
+            let _ = frame_len(&wire);
+        }
     }
 
     #[test]

@@ -146,6 +146,7 @@ pub fn lamport_mutex_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let mut queue: BTreeSet<(u64, u32)> = BTreeSet::new();
     let mut max_stamp: BTreeMap<u32, u64> = peer_addr.keys().map(|&j| (j, 0)).collect();
     let mut releases_seen: BTreeMap<u32, u32> = peer_addr.keys().map(|&j| (j, 0)).collect();
+    let mut replies_seen: BTreeMap<u32, u32> = peer_addr.keys().map(|&j| (j, 0)).collect();
     let mut chans: BTreeMap<u32, Channel> =
         peer_addr.keys().map(|&j| (j, Channel::default())).collect();
     let mut own_req: Option<u64> = None;
@@ -226,9 +227,14 @@ pub fn lamport_mutex_main(p: Proc, args: Vec<String>) -> SysResult<()> {
             }
         }
 
-        // Done when our rounds are in and every peer has released its
-        // last round (nobody can still need our stamps after that).
-        if entered >= rounds && releases_seen.values().all(|&r| r >= rounds) {
+        // Done when our rounds are in, every peer has released its
+        // last round (nobody can still need our stamps after that) and
+        // every peer's REPLY to each of our requests has arrived: entry
+        // needs only *a* later stamp from a peer, so the REPLY to our
+        // last request can still be in flight when the rest holds —
+        // leaving then would strand it as a lost protocol message.
+        let all = |seen: &BTreeMap<u32, u32>| seen.values().all(|&n| n >= rounds);
+        if entered >= rounds && all(&releases_seen) && all(&replies_seen) {
             break;
         }
         if u64::from(p.time_ms()) >= deadline {
@@ -286,7 +292,10 @@ pub fn lamport_mutex_main(p: Proc, args: Vec<String>) -> SysResult<()> {
                             queue.remove(&(ts, id));
                             releases_seen.entry(j).and_modify(|r| *r += 1);
                         }
-                        _ => {} // REPLY carries only its stamp.
+                        KIND_REPLY => {
+                            replies_seen.entry(j).and_modify(|r| *r += 1);
+                        }
+                        _ => {}
                     }
                 }
             }

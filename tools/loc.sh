@@ -3,31 +3,19 @@
 # ROADMAP item 4's ">= 15 % fewer non-test lines".
 #
 # Counted: lines of crates/*/src/**/*.rs and src/*.rs (the root crate,
-# listed as "dpm"). Not counted: blank lines, comment-only lines
-# (first non-blank characters are `//`), and everything from a
-# top-level `#[cfg(test)]` + `mod … {` to its closing `}` in column 0
-# (the tree is rustfmt-formatted, so that is the module's end).
+# listed as "dpm") that tools/non-test.awk lets through — no blank
+# lines, no comment-only lines, no `#[cfg(test)]` modules.
 #
 # usage: tools/loc.sh [repo-root]     (default: the checkout it lives in)
 set -eu
+rule=$(cd "$(dirname "$0")" && pwd)/non-test.awk
 root=${1:-$(dirname "$0")/..}
 cd "$root"
 
 count() {
     # $@ = files; prints the counted lines
     [ $# -gt 0 ] || { echo 0; return; }
-    awk '
-        FNR == 1 { pending = 0; skipping = 0 }
-        skipping { if ($0 ~ /^}/) skipping = 0; next }
-        /^#\[cfg\(test\)\]/ { pending = 1; next }
-        pending && /^(pub )?mod [a-z_0-9]+ \{/ { pending = 0; skipping = 1; next }
-        pending && /^#\[/ { next }
-        { pending = 0 }
-        /^[[:space:]]*$/ { next }
-        /^[[:space:]]*\/\// { next }
-        { n++ }
-        END { print n + 0 }
-    ' "$@"
+    awk -f "$rule" "$@" | wc -l
 }
 
 total=0
