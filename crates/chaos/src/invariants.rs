@@ -308,11 +308,11 @@ mod tests {
             pid: 7,
             port: 4000,
             logfile: format!("/usr/tmp/log.{name}"),
-            mode: "store".to_owned(),
             shards: 1,
             role: "leaf".to_owned(),
             upstream: String::new(),
             desc_text: String::new(),
+            templates_text: String::new(),
         }
     }
 

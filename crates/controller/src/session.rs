@@ -16,7 +16,7 @@
 use crate::job::{Job, ManagedProc, ProcAction, ProcState};
 use dpm_analysis::{ByzReport, MutexReport, Trace};
 use dpm_controlplane::{ControlEvent, ControlLog, JobTable, DEFAULT_LEASE_MS};
-use dpm_filter::{ArgsError, Descriptions, FilterArgs, FilterRole, LogRecord, Rules};
+use dpm_filter::{ArgsError, Descriptions, FilterArgs, FilterRole, KeptRecord, Rules, Verdict};
 use dpm_live::{LiveWatch, WindowSnapshot};
 use dpm_logstore::{seals_name, seg_ids_of, Backend, OwnedFrame, StoreReader, StoreTail};
 use dpm_meter::MeterFlags;
@@ -24,6 +24,7 @@ use dpm_meterd::{read_frame, rpc_call_retry, Reply, Request, RpcStatus, RPC_TIME
 use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysError, SysResult, Uid};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -40,13 +41,34 @@ pub struct FilterInfo {
     /// Its pid.
     pub pid: Pid,
     /// The description it was created from: the port metered
-    /// processes' meter connections go to, its log path (for
-    /// `log=store`, the prefix its segment files live under), sink,
-    /// shard count, place in the filter tree and upstream `host:port`.
+    /// processes' meter connections go to, its log path (the prefix
+    /// its store's segment files live under), shard count, place in
+    /// the filter tree and upstream `host:port`.
     pub spec: FilterArgs,
     /// The descriptions it filters with — kept so `getlog` can render
     /// store frames as text without re-fetching the file.
     pub desc: Descriptions,
+    /// The templates it filters with — kept so that rendering applies
+    /// the same `#` reduction (Fig. 3.4) the filter selected with.
+    pub rules: Rules,
+}
+
+impl FilterInfo {
+    /// Appends `indent` and the §3.4 line of one stored record to
+    /// `out`: the one place the store is turned into text, so reduction
+    /// is applied identically wherever text is shown.
+    fn render_line(&self, indent: &str, raw: &[u8], out: &mut String) {
+        // The filter kept `raw` under these same rules, so `Reject`
+        // cannot occur; were it to, show the record unreduced rather
+        // than drop it.
+        let discard = match self.rules.verdict(&self.desc, raw) {
+            Verdict::Keep { discard_fields } => discard_fields,
+            Verdict::Reject => Vec::new(),
+        };
+        if let Some(rec) = KeptRecord::new(&self.desc, raw, &discard) {
+            writeln!(out, "{indent}{rec}").expect("write to String");
+        }
+    }
 }
 
 /// Live-streaming state the controller keeps per watched filter:
@@ -464,7 +486,7 @@ impl Controller {
         self.emit("Commands:");
         self.emit("  filter [<name> [<machine> [<filterfile> [<descriptions> [<templates>]]]] [key=value ...]]");
         self.emit("      keys: file=<filterfile> desc=<descriptions> templates=<templates>");
-        self.emit("            shards=<n> log=text|store role=leaf|edge|aggregate");
+        self.emit("            shards=<n> role=leaf|edge|aggregate");
         self.emit("            upstream=<filtername|host:port>   (required for role=edge)");
         self.emit("  newjob <jobname> [<filtername>]");
         self.emit("  addprocess <jobname> <machine> <processfile> [<parms ...>] [< <inputfile>]");
@@ -527,10 +549,11 @@ impl Controller {
             ));
             return;
         };
-        if Rules::parse(&String::from_utf8_lossy(&tmpl_data)).is_err() {
+        let templates_text = String::from_utf8_lossy(&tmpl_data).into_owned();
+        let Ok(rules) = Rules::parse(&templates_text) else {
             self.emit(&format!("templates file '{}' is malformed", spec.templates));
             return;
-        }
+        };
         for (path, data) in [
             (&spec.descriptions, desc_data),
             (&spec.templates, tmpl_data),
@@ -560,11 +583,11 @@ impl Controller {
                     pid: pid.0,
                     port: spec.port,
                     logfile: spec.logfile.clone(),
-                    mode: spec.mode_arg().to_owned(),
                     shards: spec.shards,
                     role: spec.role.to_string(),
                     upstream: spec.upstream.clone(),
                     desc_text,
+                    templates_text,
                 });
                 self.filters.push(FilterInfo {
                     name: (*name).to_owned(),
@@ -572,6 +595,7 @@ impl Controller {
                     pid,
                     spec,
                     desc,
+                    rules,
                 });
                 self.emit(&format!("filter '{name}' ... created: identifier= {pid}"));
             }
@@ -583,8 +607,9 @@ impl Controller {
     /// Turns what follows `filter <name>` into the machine and the
     /// validated [`FilterArgs`] to request there. The controller adds
     /// only what is its own: the listening port and the log path are
-    /// assigned, not typed, so `log=` names the sink (`text|store`)
-    /// here; and `upstream=` may name a filter of this session.
+    /// assigned, not typed, so `log=` is the controller's key here
+    /// (`store`, what every filter does, is its one value); and
+    /// `upstream=` may name a filter of this session.
     fn describe_filter(
         &self,
         name: &str,
@@ -603,7 +628,12 @@ impl Controller {
                 Some(("port", _)) => {
                     return Err(ArgsError::new("key 'port' is assigned by the controller"))
                 }
-                Some(("log", sink)) => spec.set("mode", sink)?,
+                Some(("log", "store")) => {}
+                Some(("log", other)) => {
+                    return Err(ArgsError::new(format!(
+                        "bad value '{other}' for key 'log' (records are kept in the store; getlog renders the text)"
+                    )))
+                }
                 Some(("upstream", parent)) if !parent.contains(':') => {
                     let Some(f) = self.filters.iter().find(|f| f.name == parent) else {
                         return Err(ArgsError::new(format!(
@@ -638,9 +668,6 @@ impl Controller {
                     "{}  pid {}  machine {}  port {}",
                     f.name, f.pid, f.machine, f.spec.port
                 );
-                if f.spec.store_log {
-                    line.push_str("  log=store");
-                }
                 if f.spec.role != FilterRole::Leaf {
                     line.push_str(&format!("  role={}", f.spec.role));
                 }
@@ -1115,14 +1142,14 @@ impl Controller {
 
     /// `getlog <filtername> <destination>` (§4.3).
     ///
-    /// For a `log=store` filter there is no single log file to fetch:
-    /// the controller asks the filter's daemon to *list* the files
-    /// under the store's directory prefix, pulls each `.seg` file it
-    /// names, decodes the frames locally, and writes the same
-    /// one-line-per-record text a text filter would have produced —
-    /// `getlog` output is sink-agnostic. (Listing replaced the old
-    /// dense-name probing, which silently stopped at the first gap a
-    /// skipped or faulted segment left in the numbering.)
+    /// The filter's log is its store, so there is no single file to
+    /// fetch: the controller asks the filter's daemon to *list* the
+    /// files under the store's directory prefix, pulls each `.seg`
+    /// file it names, decodes the frames locally, and writes the
+    /// paper's one-line-per-record text (§3.4) — `#` reduction
+    /// included. When the listing holds no segment — a user-written
+    /// filter keeps whatever it likes at its log path — the plain file
+    /// there is copied verbatim.
     fn cmd_getlog(&mut self, args: &[&str]) {
         let (Some(fname), Some(dest)) = (args.first(), args.get(1)) else {
             self.emit("usage: getlog <filtername> <destination filename>");
@@ -1131,31 +1158,31 @@ impl Controller {
         let Some(f) = self.logging_filter(fname, "getlog") else {
             return;
         };
-        if f.spec.store_log {
-            let Some(segments) = self.fetch_segments(&f) else {
-                self.emit(&format!("cannot list segments of filter '{fname}'"));
-                return;
-            };
-            let reader = StoreReader::from_named_segment_bytes(segments);
-            let mut text = String::new();
-            for frame in reader.scan() {
-                if let Some(rec) = LogRecord::from_raw(&f.desc, frame.raw, &[]) {
-                    text.push_str(&rec.to_string());
-                    text.push('\n');
+        let Some(segments) = self.fetch_segments(&f) else {
+            self.emit(&format!("cannot list segments of filter '{fname}'"));
+            return;
+        };
+        let data = if segments.is_empty() {
+            match self.get_file(&f.machine, &f.spec.logfile) {
+                Some(data) => data,
+                None => {
+                    self.emit(&format!("cannot retrieve log of filter '{fname}'"));
+                    return;
                 }
             }
-            self.proc.machine().fs().write(dest, text.into_bytes());
         } else {
-            match self.get_file(&f.machine, &f.spec.logfile) {
-                Some(data) => self.proc.machine().fs().write(dest, data),
-                None => self.emit(&format!("cannot retrieve log of filter '{fname}'")),
+            let mut text = String::new();
+            for frame in StoreReader::from_named_segment_bytes(segments).scan() {
+                f.render_line("", frame.raw, &mut text);
             }
-        }
+            text.into_bytes()
+        };
+        self.proc.machine().fs().write(dest, data);
     }
 
     /// `watch <filtername> [windows=<n>] [interval=<ms>] [anomalies]`
-    /// — stream live windowed analysis of a running `log=store`
-    /// filter: each window polls the filter's segment files through
+    /// — stream live windowed analysis of a running filter: each
+    /// window polls the filter's segment files through
     /// the tail cursors, feeds the new frames to the incremental trace
     /// engine, and prints one summary line (records, active processes,
     /// message-pairing lag). With `anomalies`, each window also prints
@@ -1191,7 +1218,7 @@ impl Controller {
                 return;
             }
         }
-        let Some(f) = self.watchable_filter(&fname) else {
+        let Some(f) = self.logging_filter(&fname, "watch") else {
             return;
         };
         for w in 0..windows {
@@ -1244,28 +1271,23 @@ impl Controller {
                 return;
             }
         }
-        let Some(f) = self.watchable_filter(&fname) else {
+        let Some(f) = self.logging_filter(&fname, "tail") else {
             return;
         };
         let mut st = self.take_watch_state(&f);
         let frames = self.poll_filter_frames(&f, &mut st);
         let new = frames.len();
-        let lines: Vec<String> = frames
-            .iter()
-            .skip(new.saturating_sub(show))
-            .filter_map(|fr| LogRecord::from_raw(&f.desc, &fr.raw, &[]))
-            .map(|rec| rec.to_string())
-            .collect();
-        st.watch.ingest_batch(frames);
-        self.emit(&format!("tail {fname}: {new} new record(s)"));
-        for l in lines {
-            self.emit(&format!("  {l}"));
+        let mut out = format!("tail {fname}: {new} new record(s)\n");
+        for fr in frames.iter().skip(new.saturating_sub(show)) {
+            f.render_line("  ", &fr.raw, &mut out);
         }
+        st.watch.ingest_batch(frames);
+        self.emit(out.trim_end_matches('\n'));
         self.watches.insert(fname, st);
     }
 
     /// Resolves the filter whose log `verb` (`getlog`, `check`,
-    /// `watch`) is to read: it must exist and keep a log, which an
+    /// `watch`, `tail`) is to read: it must exist and keep a log, which an
     /// edge does not.
     fn logging_filter(&mut self, fname: &str, verb: &str) -> Option<FilterInfo> {
         let Some(f) = self.filters.iter().find(|f| f.name == fname).cloned() else {
@@ -1275,19 +1297,6 @@ impl Controller {
         if f.spec.role == FilterRole::Edge {
             self.emit(&format!(
                 "filter '{fname}' is an edge pre-filter and keeps no log; {verb} its upstream aggregate instead"
-            ));
-            return None;
-        }
-        Some(f)
-    }
-
-    /// Resolves a filter name for `watch`/`tail`: a logging filter
-    /// that logs to a store.
-    fn watchable_filter(&mut self, fname: &str) -> Option<FilterInfo> {
-        let f = self.logging_filter(fname, "watch")?;
-        if !f.spec.store_log {
-            self.emit(&format!(
-                "filter '{fname}' logs text; watch/tail need log=store"
             ));
             return None;
         }
@@ -1311,7 +1320,7 @@ impl Controller {
         }
     }
 
-    /// Names of a store filter's segment files, as its daemon lists
+    /// Names of a filter's store segment files, as its daemon lists
     /// them; `None` if the listing fails.
     fn list_segments(&self, f: &FilterInfo) -> Option<Vec<String>> {
         match self.rpc(
@@ -1402,7 +1411,7 @@ impl Controller {
         self.watches.get_mut(filter).map(|st| &mut st.watch)
     }
 
-    /// Fetches every store segment of a `log=store` filter over RPC,
+    /// Fetches every store segment of a filter over RPC,
     /// in segment order, keeping the segment names so the reader can
     /// classify sealed vs in-progress segments — the same listing
     /// facts the live tail uses. `None` if the listing fails.
@@ -1418,16 +1427,11 @@ impl Controller {
         Some(segments)
     }
 
-    /// Rebuilds a filter's log as an analysis trace, whichever sink
-    /// mode it uses.
+    /// Rebuilds a filter's log as an analysis trace, from the raw
+    /// stored records.
     fn filter_trace(&mut self, f: &FilterInfo) -> Option<Trace> {
-        if f.spec.store_log {
-            let reader = StoreReader::from_named_segment_bytes(self.fetch_segments(f)?);
-            Some(Trace::from_store(&reader, &f.desc))
-        } else {
-            let data = self.get_file(&f.machine, &f.spec.logfile)?;
-            Some(Trace::parse(&String::from_utf8_lossy(&data)))
-        }
+        let reader = StoreReader::from_named_segment_bytes(self.fetch_segments(f)?);
+        Some(Trace::from_store(&reader, &f.desc))
     }
 
     /// `check <filtername> <mutex|byzantine>` — run a distributed-
@@ -1664,11 +1668,14 @@ impl Controller {
             if self.filters.iter().any(|f| f.name == fr.name) {
                 continue;
             }
-            let Ok(desc) = Descriptions::parse(&fr.desc_text) else {
+            let (Ok(desc), Ok(rules)) = (
+                Descriptions::parse(&fr.desc_text),
+                Rules::parse(&fr.templates_text),
+            ) else {
                 continue;
             };
-            // The journal keeps the sink and role as their keywords:
-            // back through the key table, then the validator.
+            // The journal keeps the role as its keyword: back through
+            // the key table, then the validator.
             let mut spec = FilterArgs {
                 port: fr.port,
                 logfile: fr.logfile.clone(),
@@ -1676,10 +1683,7 @@ impl Controller {
                 upstream: fr.upstream.clone(),
                 ..FilterArgs::default()
             };
-            if spec.set("mode", &fr.mode).is_err()
-                || spec.set("role", &fr.role).is_err()
-                || spec.validate().is_err()
-            {
+            if spec.set("role", &fr.role).is_err() || spec.validate().is_err() {
                 continue;
             }
             self.filters.push(FilterInfo {
@@ -1688,6 +1692,7 @@ impl Controller {
                 pid: Pid(fr.pid),
                 spec,
                 desc,
+                rules,
             });
             self.next_filter_port = self.next_filter_port.max(fr.port + 1);
         }

@@ -15,7 +15,7 @@ use std::fmt;
 pub const CONTROL_MAGIC: u32 = 0x314C_5443;
 
 /// Encoding version this build writes and understands.
-pub const CONTROL_EVENT_VERSION: u32 = 1;
+pub const CONTROL_EVENT_VERSION: u32 = 2;
 
 /// Longest string any event field may carry (the descriptions text is
 /// the big one); a decoder finding more is reading garbage.
@@ -33,8 +33,8 @@ pub enum ControlEvent {
     },
     /// `filter`: a filter process was created. Carries everything a
     /// successor controller needs to rebuild its `FilterInfo` —
-    /// including the descriptions text, so store frames render without
-    /// re-fetching any file.
+    /// including the descriptions and templates text, so store frames
+    /// render (reduction included) without re-fetching any file.
     FilterCreated {
         /// Controller-local filter name.
         name: String,
@@ -46,8 +46,6 @@ pub enum ControlEvent {
         port: u16,
         /// Log path (empty for edges).
         logfile: String,
-        /// Sink mode as its argument keyword (`text` / `store`).
-        mode: String,
         /// Shard count.
         shards: u32,
         /// Role keyword (`leaf` / `edge` / `aggregate`).
@@ -56,6 +54,8 @@ pub enum ControlEvent {
         upstream: String,
         /// The descriptions file text it filters with.
         desc_text: String,
+        /// The selection-templates file text it filters with.
+        templates_text: String,
     },
     /// `addprocess`/`acquire`: a process joined a job.
     ProcAdded {
@@ -216,15 +216,15 @@ impl ControlEvent {
                 pid,
                 port,
                 logfile,
-                mode,
                 shards,
                 role,
                 upstream,
                 desc_text,
+                templates_text,
             } => {
                 w.str(name).str(machine).u32(*pid).u16(*port);
-                w.str(logfile).str(mode).u32(*shards);
-                w.str(role).str(upstream).str(desc_text);
+                w.str(logfile).u32(*shards).str(role).str(upstream);
+                w.str(desc_text).str(templates_text);
             }
             ControlEvent::ProcAdded {
                 job,
@@ -296,11 +296,11 @@ impl ControlEvent {
                 pid: r.u32()?,
                 port: r.u16()?,
                 logfile: string(&mut r)?,
-                mode: string(&mut r)?,
                 shards: r.u32()?,
                 role: string(&mut r)?,
                 upstream: string(&mut r)?,
                 desc_text: string(&mut r)?,
+                templates_text: string(&mut r)?,
             },
             code::PROC_ADDED => ControlEvent::ProcAdded {
                 job: string(&mut r)?,
@@ -355,11 +355,11 @@ mod tests {
                 pid: 2120,
                 port: 4000,
                 logfile: "/usr/tmp/log.f1".into(),
-                mode: "store".into(),
                 shards: 2,
                 role: "leaf".into(),
                 upstream: String::new(),
                 desc_text: "send 1 ...\n".into(),
+                templates_text: "type=1, pc=#*\n".into(),
             },
             ControlEvent::ProcAdded {
                 job: "foo".into(),
@@ -416,6 +416,11 @@ mod tests {
         wire[4..8].copy_from_slice(&9u32.to_le_bytes());
         let err = ControlEvent::decode(&wire).unwrap_err();
         assert!(err.contains("version 9"), "{err}");
+        // The version whose `FilterCreated` carried a sink keyword is
+        // no more understood than a future one.
+        wire[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = ControlEvent::decode(&wire).unwrap_err();
+        assert!(err.contains("unknown control event version 1"), "{err}");
         // Unknown type code.
         let mut wire = samples()[0].encode();
         wire[8] = 99;

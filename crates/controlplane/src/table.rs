@@ -85,8 +85,6 @@ pub struct FilterRecord {
     pub port: u16,
     /// Log path (empty for edges).
     pub logfile: String,
-    /// Sink mode keyword (`text` / `store`).
-    pub mode: String,
     /// Shard count.
     pub shards: u32,
     /// Role keyword (`leaf` / `edge` / `aggregate`).
@@ -95,6 +93,8 @@ pub struct FilterRecord {
     pub upstream: String,
     /// The descriptions text it filters with.
     pub desc_text: String,
+    /// The selection-templates text it filters with.
+    pub templates_text: String,
 }
 
 /// The folded state of a control-event stream.
@@ -158,11 +158,11 @@ impl JobTable {
                 pid,
                 port,
                 logfile,
-                mode,
                 shards,
                 role,
                 upstream,
                 desc_text,
+                templates_text,
             } => {
                 let rec = FilterRecord {
                     name: name.clone(),
@@ -170,11 +170,11 @@ impl JobTable {
                     pid: *pid,
                     port: *port,
                     logfile: logfile.clone(),
-                    mode: mode.clone(),
                     shards: *shards,
                     role: role.clone(),
                     upstream: upstream.clone(),
                     desc_text: desc_text.clone(),
+                    templates_text: templates_text.clone(),
                 };
                 match self.filters.iter_mut().find(|f| f.name == *name) {
                     Some(existing) => *existing = rec,
@@ -464,11 +464,11 @@ mod tests {
                 pid: 44,
                 port: 4000,
                 logfile: "/usr/tmp/log.f1".into(),
-                mode: "store".into(),
                 shards: 2,
                 role: "leaf".into(),
                 upstream: String::new(),
                 desc_text: "send 1\n".into(),
+                templates_text: String::new(),
             },
             ev_proc("foo", "red", 10),
             ev_lease("foo", "red:5000", 0, 2_000_000),

@@ -33,11 +33,11 @@ fn arb_event() -> impl Strategy<Value = ControlEvent> {
                 pid,
                 port,
                 logfile: format!("/usr/tmp/log.f{f}"),
-                mode: "store".into(),
                 shards: 1 + (pid % 3),
                 role: "leaf".into(),
                 upstream: String::new(),
                 desc_text: "send 1\nreceive 2\n".into(),
+                templates_text: "type=1, pc=#*\n".into(),
             }
         ),
         (job.clone(), 0usize..MACHINES.len(), 10u32..14).prop_map(|(j, m, pid)| {

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! port=4000 log=/usr/tmp/log.f1 desc=descriptions templates=templates
-//! shards=4 mode=store role=aggregate upstream=blue:4001
+//! shards=4 role=aggregate upstream=blue:4001
 //! ```
 //!
 //! There is one key table ([`FilterArgs::set`]) and one validator
@@ -101,7 +101,6 @@ pub const FILTER_ARG_KEYS: &[&str] = &[
     "desc",
     "templates",
     "shards",
-    "mode",
     "role",
     "upstream",
 ];
@@ -137,8 +136,9 @@ pub struct FilterArgs {
     pub filterfile: String,
     /// Port the filter listens on for meter/record connections.
     pub port: u16,
-    /// Log file (text mode) or store directory prefix (store mode).
-    /// Empty for edges, which keep no log.
+    /// Directory prefix the binary log store's segment files live
+    /// under (a user-written filter may keep a plain file there
+    /// instead). Empty for edges, which keep no log.
     pub logfile: String,
     /// Path of the descriptions file on the filter's machine.
     pub descriptions: String,
@@ -147,8 +147,6 @@ pub struct FilterArgs {
     /// Number of shard workers (leaf filters; ≥ 1). One shard
     /// reproduces the classic single-engine filter.
     pub shards: u32,
-    /// `true` for the binary log store, `false` for the text log.
-    pub store_log: bool,
     /// Position in the filter tree.
     pub role: FilterRole,
     /// Upstream `host:port` for edges (and optional for aggregates
@@ -165,7 +163,6 @@ impl Default for FilterArgs {
             descriptions: "descriptions".to_owned(),
             templates: "templates".to_owned(),
             shards: 1,
-            store_log: false,
             role: FilterRole::Leaf,
             upstream: String::new(),
         }
@@ -203,13 +200,6 @@ impl FilterArgs {
                     .ok()
                     .filter(|&n| n > 0)
                     .ok_or_else(|| bad("a shard count >= 1"))?;
-            }
-            "mode" => {
-                self.store_log = match value {
-                    "text" => false,
-                    "store" => true,
-                    _ => return Err(bad("text|store")),
-                };
             }
             "role" => {
                 self.role =
@@ -297,16 +287,6 @@ impl FilterArgs {
         }
     }
 
-    /// The sink mode's keyword (`mode=<this>`).
-    #[must_use]
-    pub fn mode_arg(&self) -> &'static str {
-        if self.store_log {
-            "store"
-        } else {
-            "text"
-        }
-    }
-
     /// Renders the argument vector the meterdaemon passes when
     /// spawning `filterfile`; [`FilterArgs::parse`] reads it back.
     #[must_use]
@@ -318,7 +298,6 @@ impl FilterArgs {
         out.push(format!("desc={}", self.descriptions));
         out.push(format!("templates={}", self.templates));
         out.push(format!("shards={}", self.shards));
-        out.push(format!("mode={}", self.mode_arg()));
         if self.role != FilterRole::Leaf {
             out.push(format!("role={}", self.role));
         }
@@ -346,7 +325,6 @@ mod tests {
             "desc=d",
             "templates=t",
             "shards=4",
-            "mode=store",
             "role=aggregate",
             "upstream=blue:4001",
         ]))
@@ -357,7 +335,6 @@ mod tests {
         assert_eq!(a.descriptions, "d");
         assert_eq!(a.templates, "t");
         assert_eq!(a.shards, 4);
-        assert!(a.store_log);
         assert_eq!(a.role, FilterRole::Aggregate);
         assert_eq!(a.upstream_addr(), Some(("blue".to_owned(), 4001)));
     }
@@ -371,8 +348,9 @@ mod tests {
         let e = FilterArgs::parse(&v(&["port=zero", "log=x"])).unwrap_err();
         assert!(e.to_string().contains("key 'port'"), "{e}");
 
-        let e = FilterArgs::parse(&v(&["port=4000", "log=x", "mode=binary"])).unwrap_err();
-        assert!(e.to_string().contains("key 'mode'"), "{e}");
+        // The sink is not a key: every filter keeps its records in the store.
+        let e = FilterArgs::parse(&v(&["port=4000", "log=x", "mode=store"])).unwrap_err();
+        assert!(e.to_string().contains("unknown key 'mode'"), "{e}");
 
         let e = FilterArgs::parse(&v(&["port=4000", "log=x", "upstream=nocolon"])).unwrap_err();
         assert!(e.to_string().contains("key 'upstream'"), "{e}");
@@ -410,7 +388,7 @@ mod tests {
     #[test]
     fn canonical_args_round_trip() {
         for args in [
-            v(&["port=4000", "log=x", "mode=store", "shards=2"]),
+            v(&["port=4000", "log=x", "shards=2"]),
             v(&["port=4001", "role=edge", "upstream=blue:4000"]),
             v(&["port=4002", "log=y", "role=aggregate", "upstream=hub:9"]),
         ] {

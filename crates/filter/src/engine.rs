@@ -217,7 +217,7 @@ impl FilterEngine {
             return Some(data);
         }
         // Take the carry buffer so completed frames can be processed
-        // (`process_view` borrows `self` mutably) without aliasing.
+        // (`process_raw` borrows `self` mutably) without aliasing.
         let mut carry = mem::take(&mut self.pending);
         let mut pos = 0usize; // resync/consume cursor — no shifting
         let remainder = loop {
@@ -267,17 +267,9 @@ impl FilterEngine {
         out
     }
 
-    /// Runs one complete, borrowed record through selection and
-    /// reduction, delivering it to `sink` if kept.
-    pub fn process_view<F>(&mut self, record: RecordView<'_>, sink: &mut F)
-    where
-        F: FnMut(LogRecord),
-    {
-        self.process_raw(record, &mut |_view, rec| sink(rec.to_log_record()));
-    }
-
-    /// [`FilterEngine::process_view`] delivering the raw view
-    /// alongside the unrendered record.
+    /// Runs one complete, borrowed record through dedup, selection and
+    /// reduction, delivering its raw view and the unrendered record to
+    /// `sink` if kept.
     fn process_raw<F>(&mut self, record: RecordView<'_>, sink: &mut F)
     where
         F: FnMut(RecordView<'_>, KeptRecord<'_>),
@@ -314,17 +306,6 @@ impl FilterEngine {
                 }
             }
         }
-    }
-
-    /// Runs one complete record through selection and reduction.
-    ///
-    /// [`FilterEngine::process_view`] rendering the log line.
-    pub fn process_record(&mut self, record: &[u8]) -> Option<String> {
-        let mut out = None;
-        self.process_raw(RecordView::new(record), &mut |_view, rec| {
-            out = Some(rec.to_string());
-        });
-        out
     }
 }
 
@@ -530,9 +511,9 @@ mod tests {
         assert_eq!(msg.header.machine, 9);
         // One type under two names: what the meter crate parses is
         // what the engine processes.
-        let parsed: dpm_meter::MeterRecord<'_> = dpm_meter::MeterRecord::parse(&wire).unwrap();
+        let parsed: RecordView<'_> = dpm_meter::MeterRecord::parse(&wire).unwrap();
         let mut kept = 0;
-        FilterEngine::standard().process_view(parsed, &mut |_| kept += 1);
+        FilterEngine::standard().feed_records(parsed.bytes(), &mut |_, _| kept += 1);
         assert_eq!(kept, 1);
     }
 

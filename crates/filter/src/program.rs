@@ -13,19 +13,19 @@
 //! forks a reader per connection (each meter connection is an
 //! independent byte stream). The readers feed a [`ShardedFilter`]
 //! pipeline that fans the streams across worker threads; accepted
-//! records are appended to the filter's log file in batches.
+//! records are appended raw to the filter's binary log store.
 //!
 //! Program arguments are the [`FilterArgs`] key table —
-//! `port=… log=… mode=store shards=4 role=aggregate upstream=…`. The
+//! `port=… log=… shards=4 role=aggregate upstream=…`. The
 //! descriptions and templates are read from files on the filter's
 //! machine, defaulting to the standard descriptions and
 //! keep-everything rules when the files are absent (the controller
 //! installs real files; being lenient here keeps hand-rolled sessions
 //! pleasant). `shards` defaults to 1, which reproduces the classic
-//! single-engine filter exactly; `mode` is `text` (default — the
-//! paper's rendered-line log at the log path) or `store` (accepted
-//! records land raw in a `dpm-logstore` binary store whose segment
-//! files live under the log-path prefix).
+//! single-engine filter exactly. `log` is the prefix the store's
+//! segment files live under: the log *is* the store, and the paper's
+//! rendered-line text (§3.4) is a view the controller's `getlog`
+//! derives from it.
 //!
 //! The `role` key selects the filter's place in the tree: `leaf`
 //! (default — the classic standalone filter below), `edge` (see
@@ -35,10 +35,9 @@ use crate::args::{FilterArgs, FilterRole};
 use crate::desc::Descriptions;
 use crate::prefilter::run_edge;
 use crate::rules::Rules;
-use crate::shard::{IngestClock, ShardLog, ShardSink, ShardedFilter, DEFAULT_BATCH_BYTES};
-use crate::store::SimFsBackend;
+use crate::shard::{IngestClock, ShardLog, ShardedFilter, DEFAULT_BATCH_BYTES};
+use crate::store::open_filter_store;
 use crate::tree::run_aggregate;
-use dpm_logstore::{seal_manifest_hook, Backend, LogStore, StoreConfig};
 use dpm_simos::{BindTo, Cluster, Domain, Proc, SockType, SysError, SysResult};
 use std::sync::Arc;
 
@@ -84,10 +83,9 @@ pub fn filter_main(p: Proc, args: Vec<String>) -> SysResult<()> {
 }
 
 /// The classic standalone (`role=leaf`) filter: meter connections in,
-/// a sharded selection pipeline, a local log out.
+/// a sharded selection pipeline, a local log store out.
 fn run_leaf(p: &Proc, args: &FilterArgs, desc: Descriptions, rules: Rules) -> SysResult<()> {
     let shards = args.shards as usize;
-    let log_path = args.logfile.clone();
     // Shard workers are plain OS threads with no Proc of their own;
     // hand them this machine's clock so they can stamp the
     // emit→ingest staleness histogram in the meter header's own
@@ -97,45 +95,20 @@ fn run_leaf(p: &Proc, args: &FilterArgs, desc: Descriptions, rules: Rules) -> Sy
         Arc::new(move || m.clock().now_ms())
     };
 
-    // The shard workers are real threads; each log destination writes
-    // to the filter machine's file system. Text batches end on line
-    // boundaries and store flushes end on frame boundaries, and
-    // `SimFs::append` is atomic per call, so output from different
-    // shards never interleaves mid-line (or mid-frame).
-    let pipeline = if args.store_log {
-        // `log=store`: segments live under the `<logfile>` prefix on
-        // this machine's fs; every shard writer shares one store (one
-        // global seq space, one monotonic clock).
-        let backend: Arc<dyn Backend> = Arc::new(SimFsBackend::new(Arc::clone(p.machine())));
-        let mut store = LogStore::open(Arc::clone(&backend), &log_path, StoreConfig::default());
-        // Publish every segment seal into the store's SEALS manifest,
-        // so live consumers (controller `watch`) see rotations as they
-        // happen instead of probing for them.
-        store.set_seal_hook(seal_manifest_hook(backend, &log_path));
-        Arc::new(ShardedFilter::with_logs_clocked(
-            shards,
-            desc,
-            rules,
-            DEFAULT_BATCH_BYTES,
-            Some(ingest_clock),
-            |shard| ShardLog::Store(Box::new(store.writer(shard as u16))),
-        ))
-    } else {
-        Arc::new(ShardedFilter::with_logs_clocked(
-            shards,
-            desc,
-            rules,
-            DEFAULT_BATCH_BYTES,
-            Some(ingest_clock),
-            |_shard| -> ShardLog {
-                let writer = p.clone();
-                let path = log_path.clone();
-                ShardLog::Text(Box::new(move |batch: &[u8]| {
-                    writer.machine().fs().append(&path, batch)
-                }) as ShardSink)
-            },
-        ))
-    };
+    // Every shard writer shares one store (one global seq space, one
+    // monotonic clock). The shard workers are real threads; store
+    // flushes end on frame boundaries and `SimFs::append` is atomic
+    // per call, so output from different shards never interleaves
+    // mid-frame.
+    let store = open_filter_store(p.machine(), &args.logfile);
+    let pipeline = Arc::new(ShardedFilter::with_logs_clocked(
+        shards,
+        desc,
+        rules,
+        DEFAULT_BATCH_BYTES,
+        Some(ingest_clock),
+        |shard| ShardLog::Store(Box::new(store.writer(shard as u16))),
+    ));
 
     let listener = p.socket(Domain::Inet, SockType::Stream)?;
     p.bind(listener, BindTo::Port(args.port))?;

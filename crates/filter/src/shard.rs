@@ -18,13 +18,15 @@
 //!   shard-local set of atomics after every message;
 //!   [`ShardedFilter::snapshot`] merges them without stopping the
 //!   pipeline.
-//! * **Batched log writes.** A text shard formats kept records
-//!   straight into a shard-local buffer and hands it to the shard's
-//!   sink in batches (threshold [`DEFAULT_BATCH_BYTES`]) rather than
-//!   line by line; a store shard appends the raw bytes and renders
-//!   nothing. Batches always end on a line boundary. A shard flushes
-//!   when its queue goes idle, when a connection closes, and at
-//!   shutdown, so logs stay fresh for `getlog` without per-line write
+//! * **Batched log writes.** A store shard — what the standard filter
+//!   runs — appends the raw bytes to its [`SegmentWriter`] and renders
+//!   nothing. A text shard ([`ShardLog::Text`], the library's
+//!   render-to-a-closure sink; no filter process constructs one)
+//!   formats kept records straight into a shard-local buffer and
+//!   hands it over in batches (threshold [`DEFAULT_BATCH_BYTES`])
+//!   that always end on a line boundary. A shard flushes when its
+//!   queue goes idle, when a connection closes, and at shutdown, so
+//!   logs stay fresh for `getlog` without per-record write
 //!   amplification.
 //!
 //! Determinism: a shard serving one connection produces byte-identical
@@ -60,12 +62,14 @@ pub type ShardSink = Box<dyn FnMut(&[u8]) + Send>;
 
 /// Where one shard's kept records go.
 ///
-/// * [`ShardLog::Text`] — rendered log lines, batched in the worker
-///   and handed to the sink (the classic §3.4 text log).
 /// * [`ShardLog::Store`] — raw wire records appended to a binary
-///   log-store [`SegmentWriter`]; batching is the writer's own group
-///   commit, and the worker drives `flush()` on idle/close/shutdown
-///   so the two modes share one freshness discipline.
+///   log-store [`SegmentWriter`], the standard filter's log; batching
+///   is the writer's own group commit, and the worker drives
+///   `flush()` on idle/close/shutdown.
+/// * [`ShardLog::Text`] — rendered §3.4 lines, batched in the worker
+///   and handed to a closure under the same freshness discipline: the
+///   library's reference rendering of what `getlog` derives from the
+///   store.
 ///
 /// (The writer is boxed: a `SegmentWriter` carries its own batch and
 /// index state and would otherwise dwarf the text variant.)
@@ -77,7 +81,7 @@ pub enum ShardLog {
 }
 
 /// One shard's logging state: the destination plus the text batch
-/// buffer (unused in store mode — the store batches internally).
+/// buffer (unused by a store shard — the store batches internally).
 struct ShardLogger {
     log: ShardLog,
     batch: Vec<u8>,
@@ -200,15 +204,15 @@ impl ConnHandle {
 /// A pool of filter workers fanning meter connections across threads.
 ///
 /// ```
-/// use dpm_filter::{Descriptions, Rules, ShardedFilter};
+/// use dpm_filter::{Descriptions, Rules, ShardLog, ShardedFilter, DEFAULT_BATCH_BYTES};
 /// use std::sync::{Arc, Mutex};
 ///
 /// let logs: Vec<_> = (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
 /// let sinks = logs.clone();
-/// let filter = ShardedFilter::new(2, Descriptions::standard(), Rules::default(),
-///     move |shard| {
+/// let filter = ShardedFilter::with_logs(2, Descriptions::standard(), Rules::default(),
+///     DEFAULT_BATCH_BYTES, move |shard| {
 ///         let log = sinks[shard].clone();
-///         Box::new(move |batch: &[u8]| log.lock().unwrap().extend_from_slice(batch))
+///         ShardLog::Text(Box::new(move |batch: &[u8]| log.lock().unwrap().extend_from_slice(batch)))
 ///     });
 /// let conn = filter.open_conn();
 /// conn.feed(b"not a meter record".to_vec());
@@ -253,36 +257,12 @@ impl ShardTelemetry {
 }
 
 impl ShardedFilter {
-    /// Spawns `shards` worker threads. `make_sink` is called once per
-    /// shard (with the shard index) to build that shard's log writer.
-    pub fn new<F>(shards: usize, desc: Descriptions, rules: Rules, make_sink: F) -> ShardedFilter
-    where
-        F: FnMut(usize) -> ShardSink,
-    {
-        ShardedFilter::with_batch_bytes(shards, desc, rules, DEFAULT_BATCH_BYTES, make_sink)
-    }
-
-    /// [`ShardedFilter::new`] with an explicit batch threshold
-    /// (`batch_bytes = 0` writes every record immediately).
-    pub fn with_batch_bytes<F>(
-        shards: usize,
-        desc: Descriptions,
-        rules: Rules,
-        batch_bytes: usize,
-        mut make_sink: F,
-    ) -> ShardedFilter
-    where
-        F: FnMut(usize) -> ShardSink,
-    {
-        ShardedFilter::with_logs(shards, desc, rules, batch_bytes, |shard| {
-            ShardLog::Text(make_sink(shard))
-        })
-    }
-
-    /// The general constructor: `make_log` builds each shard's
-    /// destination, which may be a text sink or a binary log-store
-    /// writer (see [`ShardLog`]). `batch_bytes` governs text batching
-    /// only; store writers batch via their own group-commit config.
+    /// Spawns `shards` worker threads. `make_log` is called once per
+    /// shard (with the shard index) to build that shard's destination,
+    /// a binary log-store writer or a text sink (see [`ShardLog`]).
+    /// `batch_bytes` governs text batching only (`0` writes every
+    /// record immediately); store writers batch via their own
+    /// group-commit config.
     pub fn with_logs<F>(
         shards: usize,
         desc: Descriptions,
@@ -513,13 +493,15 @@ mod tests {
     }
 
     #[allow(clippy::type_complexity)]
-    fn capture_sinks(n: usize) -> (Vec<Arc<Mutex<Vec<u8>>>>, impl FnMut(usize) -> ShardSink) {
+    fn capture_sinks(n: usize) -> (Vec<Arc<Mutex<Vec<u8>>>>, impl FnMut(usize) -> ShardLog) {
         let logs: Vec<Arc<Mutex<Vec<u8>>>> =
             (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
         let for_factory = logs.clone();
-        let factory = move |shard: usize| -> ShardSink {
+        let factory = move |shard: usize| {
             let log = Arc::clone(&for_factory[shard]);
-            Box::new(move |batch: &[u8]| log.lock().unwrap().extend_from_slice(batch))
+            ShardLog::Text(Box::new(move |batch: &[u8]| {
+                log.lock().unwrap().extend_from_slice(batch)
+            }))
         };
         (logs, factory)
     }
@@ -561,8 +543,13 @@ mod tests {
         }
 
         let (logs, factory) = capture_sinks(SHARDS);
-        let filter =
-            ShardedFilter::new(SHARDS, Descriptions::standard(), Rules::default(), factory);
+        let filter = ShardedFilter::with_logs(
+            SHARDS,
+            Descriptions::standard(),
+            Rules::default(),
+            DEFAULT_BATCH_BYTES,
+            factory,
+        );
         // Round robin: connection i lands on shard i.
         let conns: Vec<ConnHandle> = (0..SHARDS).map(|_| filter.open_conn()).collect();
         for (conn, stream) in conns.iter().zip(&streams) {
@@ -594,14 +581,16 @@ mod tests {
     fn batches_coalesce_but_never_split_lines() {
         let writes: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
         let w = Arc::clone(&writes);
-        let filter = ShardedFilter::with_batch_bytes(
+        let filter = ShardedFilter::with_logs(
             1,
             Descriptions::standard(),
             Rules::default(),
             256,
             move |_| {
                 let w = Arc::clone(&w);
-                Box::new(move |batch: &[u8]| w.lock().unwrap().push(batch.to_vec()))
+                ShardLog::Text(Box::new(move |batch: &[u8]| {
+                    w.lock().unwrap().push(batch.to_vec())
+                }))
             },
         );
         let conn = filter.open_conn();
@@ -629,7 +618,13 @@ mod tests {
     #[test]
     fn per_shard_stats_and_snapshot_merge() {
         let (_logs, factory) = capture_sinks(2);
-        let filter = ShardedFilter::new(2, Descriptions::standard(), Rules::default(), factory);
+        let filter = ShardedFilter::with_logs(
+            2,
+            Descriptions::standard(),
+            Rules::default(),
+            DEFAULT_BATCH_BYTES,
+            factory,
+        );
         let a = filter.open_conn(); // shard 0
         let b = filter.open_conn(); // shard 1
         assert_eq!((a.shard(), b.shard()), (0, 1));
@@ -650,7 +645,13 @@ mod tests {
     #[test]
     fn close_retires_engine_but_keeps_its_stats() {
         let (_logs, factory) = capture_sinks(1);
-        let filter = ShardedFilter::new(1, Descriptions::standard(), Rules::default(), factory);
+        let filter = ShardedFilter::with_logs(
+            1,
+            Descriptions::standard(),
+            Rules::default(),
+            DEFAULT_BATCH_BYTES,
+            factory,
+        );
         let a = filter.open_conn();
         a.feed(send(0, 1));
         a.close();
@@ -673,14 +674,16 @@ mod tests {
         // Text path: threshold too large to ever trip on its own.
         let writes: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
         let w = Arc::clone(&writes);
-        let filter = ShardedFilter::with_batch_bytes(
+        let filter = ShardedFilter::with_logs(
             2,
             Descriptions::standard(),
             Rules::default(),
             usize::MAX,
             move |_| {
                 let w = Arc::clone(&w);
-                Box::new(move |batch: &[u8]| w.lock().unwrap().push(batch.to_vec()))
+                ShardLog::Text(Box::new(move |batch: &[u8]| {
+                    w.lock().unwrap().push(batch.to_vec())
+                }))
             },
         );
         let a = filter.open_conn();
@@ -749,7 +752,7 @@ mod tests {
     fn drop_flushes_remaining_output() {
         let (logs, factory) = capture_sinks(1);
         // Huge batch threshold: nothing flushes on size.
-        let filter = ShardedFilter::with_batch_bytes(
+        let filter = ShardedFilter::with_logs(
             1,
             Descriptions::standard(),
             Rules::default(),

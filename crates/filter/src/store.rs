@@ -4,12 +4,12 @@
 //! The log store (crate `dpm-logstore`) is substrate-agnostic: it
 //! talks to storage through the [`Backend`] trait. This module adapts
 //! a simulated machine's [`SimFs`](dpm_simos::SimFs) to that trait, so a filter process
-//! started with `log=store` keeps its segments in the same per-machine
-//! file system that holds text logs — visible to `ls`-style listing,
-//! fetchable over the control connection's `GetFile` RPC, and subject
-//! to the same crash semantics the simulation models.
+//! keeps its segments in the per-machine file system — visible to
+//! `ls`-style listing, fetchable over the control connection's
+//! `GetFile` RPC, and subject to the same crash semantics the
+//! simulation models.
 
-use dpm_logstore::Backend;
+use dpm_logstore::{seal_manifest_hook, Backend, LogStore, StoreConfig};
 use dpm_simos::Machine;
 use std::sync::Arc;
 
@@ -58,4 +58,16 @@ impl Backend for SimFsBackend {
 
     // `sync` keeps the default no-op: the simulated fs is always
     // "durable" — there is no page cache between it and the store.
+}
+
+/// Opens the store a leaf or aggregate filter keeps its records in:
+/// segments under the `prefix` directory of `machine`'s file system,
+/// every seal published into the store's SEALS manifest so live
+/// consumers (controller `watch`) see rotations as they happen
+/// instead of probing for them.
+pub(crate) fn open_filter_store(machine: &Arc<Machine>, prefix: &str) -> LogStore {
+    let backend: Arc<dyn Backend> = Arc::new(SimFsBackend::new(Arc::clone(machine)));
+    let mut store = LogStore::open(Arc::clone(&backend), prefix, StoreConfig::default());
+    store.set_seal_hook(seal_manifest_hook(backend, prefix));
+    store
 }

@@ -22,11 +22,8 @@ use crate::args::FilterArgs;
 use crate::desc::Descriptions;
 use crate::engine::FilterEngine;
 use crate::rules::Rules;
-use crate::store::SimFsBackend;
-use dpm_logstore::{seal_manifest_hook, Backend, LogStore, SegmentWriter, StoreConfig};
-use dpm_simos::{
-    connect_backoff, Backoff, BindTo, Domain, Machine, Proc, SockType, SysError, SysResult,
-};
+use crate::store::open_filter_store;
+use dpm_simos::{connect_backoff, Backoff, BindTo, Domain, Proc, SockType, SysError, SysResult};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,14 +39,13 @@ const QUIET_MS: u64 = 25;
 const MAX_PENDING_BYTES: usize = 8 * 1024 * 1024;
 
 /// One record held by the merge: its raw wire bytes (what the store
-/// sink appends and the upstream hop forwards) and its rendered line
-/// (what the text sink appends — reduction already applied).
+/// appends and the upstream hop forwards).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergedRecord {
     /// Raw wire bytes, header + body.
     pub raw: Vec<u8>,
-    /// The textual log line, without the trailing newline; left empty
-    /// by an aggregate whose log is the binary store.
+    /// Left empty by the aggregate: the §3.4 line is a view `getlog`
+    /// renders from `raw`.
     pub line: String,
 }
 
@@ -119,40 +115,6 @@ impl TreeMerge {
     }
 }
 
-/// Where a drained batch goes: the text log or the binary store, both
-/// on the aggregate's machine.
-enum AggSink {
-    Text { machine: Arc<Machine>, path: String },
-    Store { writer: Box<SegmentWriter> },
-}
-
-impl AggSink {
-    fn write_batch(&mut self, batch: &[MergedRecord]) {
-        match self {
-            AggSink::Text { machine, path } => {
-                let mut text = String::new();
-                for rec in batch {
-                    text.push_str(&rec.line);
-                    text.push('\n');
-                }
-                machine.fs().append(path, text.as_bytes());
-            }
-            AggSink::Store { writer } => {
-                for rec in batch {
-                    writer.append(&rec.raw);
-                }
-                writer.flush();
-            }
-        }
-    }
-
-    fn finish(&mut self) {
-        if let AggSink::Store { writer } = self {
-            writer.sync();
-        }
-    }
-}
-
 /// State shared between the connection readers and the flusher.
 struct AggShared {
     state: Mutex<AggState>,
@@ -172,7 +134,7 @@ impl AggShared {
 }
 
 /// Runs a `role=aggregate` filter: accept child record streams, merge
-/// by `(machine, pid, seq)`, write one canonical log.
+/// by `(machine, pid, seq)`, write one canonical log store.
 ///
 /// The flush policy favors determinism: records are held until every
 /// child connection has closed and the tree has been quiet for
@@ -198,20 +160,7 @@ pub fn run_aggregate(
     if args.logfile.is_empty() {
         return Err(SysError::Einval);
     }
-    let mut sink = if args.store_log {
-        let backend: Arc<dyn Backend> = Arc::new(SimFsBackend::new(Arc::clone(p.machine())));
-        let mut store = LogStore::open(Arc::clone(&backend), &args.logfile, StoreConfig::default());
-        // Seal notifications for live consumers, as in the leaf path.
-        store.set_seal_hook(seal_manifest_hook(backend, &args.logfile));
-        AggSink::Store {
-            writer: Box::new(store.writer(0)),
-        }
-    } else {
-        AggSink::Text {
-            machine: Arc::clone(p.machine()),
-            path: args.logfile.clone(),
-        }
-    };
+    let mut writer = open_filter_store(p.machine(), &args.logfile).writer(0);
 
     // Optional upstream hop: a forked child owns the connection and
     // writes whatever the flusher hands it over a channel, keeping
@@ -270,7 +219,10 @@ pub fn run_aggregate(
                     }
                 };
                 if !batch.is_empty() {
-                    sink.write_batch(&batch);
+                    for rec in &batch {
+                        writer.append(&rec.raw);
+                    }
+                    writer.flush();
                     if let Some(tx) = &forward {
                         let mut raw = Vec::new();
                         for rec in &batch {
@@ -285,7 +237,7 @@ pub fn run_aggregate(
                     break;
                 }
             }
-            sink.finish();
+            writer.sync();
             // Dropping `forward` closes the channel; the forwarder
             // child sees the disconnect and closes its connection.
         })
@@ -305,7 +257,6 @@ pub fn run_aggregate(
         let desc = desc.clone();
         let rules = rules.clone();
         let child_shared = Arc::clone(&shared);
-        let text_log = !args.store_log;
         let fork = p.fork_with(move |c| {
             let mut engine = FilterEngine::new(desc, rules);
             let read_result = loop {
@@ -317,18 +268,14 @@ pub fn run_aggregate(
                     break Ok(());
                 }
                 let mut st = child_shared.state.lock();
-                engine.feed_records(&data, &mut |view, rec| {
+                engine.feed_records(&data, &mut |view, _rec| {
                     st.merge.insert(
                         view.machine(),
                         view.pid().unwrap_or(0),
                         view.seq(),
                         MergedRecord {
                             raw: view.bytes().to_vec(),
-                            line: if text_log {
-                                rec.to_string()
-                            } else {
-                                String::new()
-                            },
+                            line: String::new(),
                         },
                     );
                 });

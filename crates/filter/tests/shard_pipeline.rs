@@ -5,16 +5,27 @@
 //! connection protocol is just a byte stream) connect to the filter's
 //! meter port and dribble their streams out in small chunks, garbage
 //! included. The filter fans the connections across worker shards and
-//! appends accepted records to its log file in batches. The log must
-//! contain exactly the lines a lone [`FilterEngine`] produces for the
-//! same per-connection streams: shard interleaving may reorder whole
-//! lines, but must never split or drop one.
+//! appends accepted records to its log store in batches. Rendered, the
+//! store must hold exactly the lines a lone [`FilterEngine`] produces
+//! for the same per-connection streams: shard interleaving may reorder
+//! whole records, but must never split or drop one.
+//!
+//! The last test is the library identity behind "the §3.4 text is a
+//! view": the same stream into [`ShardLog::Text`] and into
+//! [`ShardLog::Store`] gives text bytes equal to the [`KeptRecord`]
+//! render of the stored frames, `#` reduction included.
 
-use dpm_filter::{filter_main, FilterEngine};
+use dpm_filter::{
+    filter_main, Descriptions, FilterEngine, KeptRecord, Rules, ShardLog, ShardedFilter,
+    SimFsBackend, Verdict, DEFAULT_BATCH_BYTES,
+};
+use dpm_logstore::{Backend, LogStore, MemBackend, StoreConfig, StoreReader};
 use dpm_meter::{trace_type, MeterBody, MeterHeader, MeterMsg, MeterSendMsg, SockName};
 use dpm_simnet::NetConfig;
-use dpm_simos::{Cluster, Domain, Proc, SockType, SysError, SysResult, Uid};
+use dpm_simos::{Cluster, Domain, Machine, Proc, SockType, SysError, SysResult, Uid};
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 const FILTER_PORT: u16 = 4300;
 const LOGFILE: &str = "/usr/tmp/log.sharded";
@@ -71,6 +82,40 @@ fn connect_with_retry(p: &Proc, host: &str, port: u16) -> SysResult<dpm_simos::F
                 return Err(e);
             }
         }
+    }
+}
+
+/// The §3.4 text of stored frames, the way `getlog` derives it: each
+/// raw record through the rules' verdict for its discard list, then
+/// [`KeptRecord`]'s `Display`.
+fn render(reader: &StoreReader, desc: &Descriptions, rules: &Rules) -> String {
+    let mut out = String::new();
+    for f in reader.scan() {
+        let Verdict::Keep { discard_fields } = rules.verdict(desc, f.raw) else {
+            panic!("a stored record is one the rules kept");
+        };
+        let rec = KeptRecord::new(desc, f.raw, &discard_fields).expect("known type");
+        writeln!(out, "{rec}").unwrap();
+    }
+    out
+}
+
+/// Polls the store a filter process keeps under `dir` on `m` until it
+/// holds `want` records (the filter's readers flush after each EOF;
+/// the real threads need a moment to drain), and renders it.
+fn rendered_log(m: &Arc<Machine>, dir: &str, want: usize) -> String {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let reader = StoreReader::load(&SimFsBackend::new(Arc::clone(m)), dir);
+        if reader.n_records() == want as u64 {
+            return render(&reader, &Descriptions::standard(), &Rules::default());
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "filter store never reached {want} records; got {}",
+            reader.n_records()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
 }
 
@@ -135,30 +180,15 @@ fn sharded_filter_log_matches_single_engine_reference() {
     }
     assert!(expected_lines > 0, "the reference pipeline kept something");
 
-    // The filter's readers flush after each EOF; give the real threads
-    // a moment to drain, polling the log until it stabilizes.
     let blue = c.machine("blue").expect("blue exists");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let log = loop {
-        let text = blue.fs().read_string(LOGFILE).unwrap_or_default();
-        if text.lines().count() == expected_lines {
-            break text;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "filter log never reached {expected_lines} lines; got:\n{text}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    };
+    let log = rendered_log(&blue, LOGFILE, expected_lines);
 
-    // Whole lines only, and exactly the expected multiset.
+    // Whole records only, and exactly the expected multiset.
     let mut got: HashMap<String, usize> = HashMap::new();
     for line in log.lines() {
-        assert!(!line.is_empty(), "no blank lines from batch seams");
         *got.entry(line.to_owned()).or_insert(0) += 1;
     }
     assert_eq!(got, expected, "sharded log is the single-engine multiset");
-    assert!(log.ends_with('\n'), "batches end on line boundaries");
 
     c.shutdown();
 }
@@ -194,22 +224,9 @@ fn default_single_shard_filter_still_logs() {
         .expect("spawn meter source");
     solo.wait_exit(pid);
 
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        if let Some(text) = solo.fs().read_string("/usr/tmp/log.solo") {
-            if text.lines().count() == 1 {
-                let mut reference = FilterEngine::standard();
-                let lines = reference.feed(&send_record(1, 42, 77));
-                assert_eq!(text.lines().next(), lines.first().map(String::as_str));
-                break;
-            }
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "single-shard filter never logged the record"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+    let text = rendered_log(&solo, "/usr/tmp/log.solo", 1);
+    let lines = FilterEngine::standard().feed(&send_record(1, 42, 77));
+    assert_eq!(text.lines().next(), lines.first().map(String::as_str));
 
     c.shutdown();
 }
@@ -256,22 +273,59 @@ fn more_connections_than_shards_round_robin() {
         wrap.wait_exit(pid);
     }
 
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let text = wrap
-            .fs()
-            .read_string("/usr/tmp/log.wrap")
-            .unwrap_or_default();
-        if text.lines().count() == expected_lines {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "expected {expected_lines} lines, got {}",
-            text.lines().count()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+    rendered_log(&wrap, "/usr/tmp/log.wrap", expected_lines);
 
     c.shutdown();
+}
+
+/// One text: the same stream into the library's text sink and into a
+/// store gives text bytes equal to the render of the stored frames —
+/// with keep-everything rules and with a `#` template, whose reduction
+/// the view must apply exactly as the sink does.
+#[test]
+fn text_sink_bytes_equal_the_render_of_the_stored_frames() {
+    let desc = Descriptions::standard();
+    for templates in ["", "type=1, pc=#*, machine<=1\n"] {
+        let rules = Rules::parse(templates).expect("templates parse");
+
+        let text = Arc::new(Mutex::new(Vec::new()));
+        let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
+        let store = LogStore::open(Arc::clone(&backend), "log", StoreConfig::default());
+        let sinks = [
+            ShardLog::Text(Box::new({
+                let text = Arc::clone(&text);
+                move |batch: &[u8]| text.lock().unwrap().extend_from_slice(batch)
+            })),
+            ShardLog::Store(Box::new(store.writer(0))),
+        ];
+        for log in sinks {
+            let mut log = Some(log);
+            let filter = ShardedFilter::with_logs(
+                1,
+                desc.clone(),
+                rules.clone(),
+                DEFAULT_BATCH_BYTES,
+                |_| log.take().expect("one shard"),
+            );
+            // Connections in sequence, so both sinks see one order.
+            for conn in 0..3u32 {
+                let handle = filter.open_conn();
+                for chunk in stream_for(conn).chunks(13) {
+                    handle.feed(chunk.to_vec());
+                }
+                handle.close();
+                filter.flush();
+            }
+        }
+
+        let text = String::from_utf8(text.lock().unwrap().clone()).expect("utf-8 log");
+        let reader = StoreReader::load(backend.as_ref(), "log");
+        assert!(reader.n_records() > 0, "{templates:?}: something was kept");
+        assert_eq!(text, render(&reader, &desc, &rules), "{templates:?}");
+        assert_eq!(
+            text.contains(" pc="),
+            templates.is_empty(),
+            "{templates:?}: `#` strips pc from every line"
+        );
+    }
 }

@@ -199,24 +199,23 @@ fn role_from_code(code: u32) -> Result<FilterRole, ProtoError> {
 const SPEC_TAG: u32 = 0xFFFF_FFFF;
 
 /// The `CreateFilter` body's wire version.
-pub const FILTER_SPEC_VERSION: u32 = 1;
+pub const FILTER_SPEC_VERSION: u32 = 2;
 
 /// Writes a [`FilterArgs`] as the `CreateFilter` body:
 /// `SPEC_TAG, version, filterfile, port, logfile, descriptions,
-/// templates, shards, sink mode (0 = text, 1 = store), role, upstream`.
+/// templates, shards, role, upstream`.
 fn encode_filter_args(spec: &FilterArgs, w: &mut Writer<'_>) {
     w.u32(SPEC_TAG).u32(FILTER_SPEC_VERSION);
     w.str(&spec.filterfile).u32(spec.port as u32);
     w.str(&spec.logfile).str(&spec.descriptions);
     w.str(&spec.templates).u32(spec.shards);
-    w.u32(spec.store_log as u32).u32(role_code(spec.role));
-    w.str(&spec.upstream);
+    w.u32(role_code(spec.role)).str(&spec.upstream);
 }
 
 /// Reads a `CreateFilter` body and runs [`FilterArgs::validate`] on
 /// it, so a daemon never spawns (or registers an edge for) a filter
-/// that would die on its own argument check. Unknown versions, sink
-/// modes and roles are rejected outright.
+/// that would die on its own argument check. Unknown versions and
+/// roles are rejected outright.
 fn decode_filter_args(r: &mut Reader<'_>) -> Result<FilterArgs, ProtoError> {
     if r.u32()? != SPEC_TAG {
         return Err(ProtoError::new("filter spec: missing version tag"));
@@ -234,11 +233,6 @@ fn decode_filter_args(r: &mut Reader<'_>) -> Result<FilterArgs, ProtoError> {
         descriptions: string(r)?,
         templates: string(r)?,
         shards: r.u32()?,
-        store_log: match r.u32()? {
-            0 => false,
-            1 => true,
-            other => return Err(ProtoError::new(format!("unknown log sink mode {other}"))),
-        },
         role: role_from_code(r.u32()?)?,
         upstream: string(r)?,
     };
@@ -930,7 +924,6 @@ mod tests {
                     port: 4002,
                     logfile: "/usr/tmp/f2".into(),
                     shards: 2,
-                    store_log: true,
                     role: FilterRole::Aggregate,
                     ..FilterArgs::default()
                 },
@@ -1101,7 +1094,6 @@ mod tests {
             spec: FilterArgs {
                 port: 4001,
                 logfile: "/usr/tmp/f1".into(),
-                store_log: true,
                 ..FilterArgs::default()
             },
         };
@@ -1178,8 +1170,8 @@ mod tests {
         assert!(Reply::decode(&[0; 8]).is_err());
     }
 
-    /// A store-logging aggregate with an upstream: every field of the
-    /// body off its default.
+    /// An aggregate with an upstream: every field of the body off its
+    /// default.
     fn sample_spec() -> FilterArgs {
         FilterArgs {
             filterfile: "/bin/filter".into(),
@@ -1188,7 +1180,6 @@ mod tests {
             descriptions: "descriptions".into(),
             templates: "templates".into(),
             shards: 3,
-            store_log: true,
             role: FilterRole::Aggregate,
             upstream: "hub:4900".into(),
         }
@@ -1202,15 +1193,15 @@ mod tests {
         let wire = req.encode();
         assert_eq!(Request::decode(&wire).unwrap(), req);
 
-        // The bytes the v1 encoder has always produced for this spec:
-        // length 109, type 12, tag, version 1, then the fields
-        // (strings as u32 length + bytes, little-endian).
-        let pinned: &[u8] = b"\x6d\0\0\0\x0c\0\0\0\xff\xff\xff\xff\x01\0\0\0\
+        // The bytes the v2 encoder produces for this spec: length 105,
+        // type 12, tag, version 2, then the fields (strings as u32
+        // length + bytes, little-endian).
+        let pinned: &[u8] = b"\x69\0\0\0\x0c\0\0\0\xff\xff\xff\xff\x02\0\0\0\
             \x0b\0\0\0/bin/filter\x5c\x12\0\0\
             \x11\0\0\0/usr/tmp/log.root\
             \x0c\0\0\0descriptions\
             \x09\0\0\0templates\
-            \x03\0\0\0\x01\0\0\0\x02\0\0\0\
+            \x03\0\0\0\x02\0\0\0\
             \x08\0\0\0hub:4900";
         assert_eq!(wire, pinned);
     }
@@ -1228,17 +1219,19 @@ mod tests {
         let n = Request::CreateFilter { spec: spec.clone() }.encode().len();
         // Offsets in `sample_spec`'s body: tag 8, version 12, port
         // after the 11-byte filterfile; from the end: upstream (4 + 8),
-        // role, mode, shards.
+        // role, shards.
         let (tag, version, port) = (8, 12, 16 + 4 + 11);
-        let (role, mode, shards) = (n - 16, n - 20, n - 24);
+        let (role, shards) = (n - 16, n - 20);
         for (wire, want) in [
             (patched(&spec, tag, 11), "missing version tag"),
             (
                 patched(&spec, version, 99),
                 "unknown filter spec version 99",
             ),
+            // The version that carried a sink word is refused like any
+            // other the daemon does not speak.
+            (patched(&spec, version, 1), "unknown filter spec version 1"),
             (patched(&spec, role, 7), "unknown filter role 7"),
-            (patched(&spec, mode, 9), "unknown log sink mode 9"),
             (patched(&spec, shards, 0), "key 'shards'"),
             (patched(&spec, port, 0), "missing key 'port'"),
             // 65536 + 4000 must not be narrowed to port 4000.

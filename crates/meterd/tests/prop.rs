@@ -56,7 +56,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
             arb_string(),
             arb_string(),
             0u32..16,
-            any::<bool>(),
             0u32..3,
             prop_oneof![
                 Just(String::new()),
@@ -65,17 +64,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
             ],
         )
             .prop_map(
-                |(
-                    filterfile,
-                    port,
-                    logfile,
-                    descriptions,
-                    templates,
-                    shards,
-                    store,
-                    role,
-                    upstream,
-                )| {
+                |(filterfile, port, logfile, descriptions, templates, shards, role, upstream)| {
                     // Any field combination, valid or not: decode must
                     // return exactly the ones the validator allows.
                     Request::CreateFilter {
@@ -86,7 +75,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
                             descriptions,
                             templates,
                             shards,
-                            store_log: store,
                             role: match role {
                                 0 => dpm_filter::FilterRole::Leaf,
                                 1 => dpm_filter::FilterRole::Edge,

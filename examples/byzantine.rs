@@ -28,7 +28,7 @@ fn main() {
         .seed(19)
         .build();
     let mut control = sim.controller("yellow").expect("controller starts");
-    control.exec("filter f1 red log=store");
+    control.exec("filter f1 red");
 
     control.exec("newjob byz f1");
     for (i, m) in HOSTS.iter().enumerate() {

@@ -34,7 +34,7 @@ fn main() {
         .fault_injector(injector.clone())
         .build();
     let mut control = sim.controller("yellow").expect("controller starts");
-    control.exec("filter f1 blue log=store");
+    control.exec("filter f1 blue");
     control.exec("newjob foo");
 
     // Inside the partition window RPCs to red fail visibly (bounded

@@ -29,7 +29,7 @@ fn main() {
         .seed(7)
         .build();
     let mut control = sim.controller("yellow").expect("controller starts");
-    control.exec("filter f1 blue log=store");
+    control.exec("filter f1 blue");
 
     control.exec("newjob mx f1");
     for (i, m) in HOSTS.iter().enumerate() {

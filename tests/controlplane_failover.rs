@@ -52,16 +52,19 @@ const CONTROL_DIR: &str = "control";
 
 /// What one session run leaves behind for comparison.
 struct RunResult {
+    /// What `getlog f1` rendered for the surviving controller.
+    text: String,
     trace: Trace,
     transcript: String,
     backend: Arc<MemBackend>,
 }
 
-/// Runs one measured A/B session with the control log enabled. With
-/// `crash` set, the owning controller is SIGKILLed right after
-/// `startjob` and a standby on another terminal adopts the job from
-/// the log; otherwise the owner runs the job to completion itself.
-fn run_session(seed: u64, crash: bool) -> RunResult {
+/// Runs one measured A/B session with the control log enabled and
+/// `templates` as the filter's selection rules. With `crash` set, the
+/// owning controller is SIGKILLed right after `startjob` and a standby
+/// on another terminal adopts the job from the log; otherwise the
+/// owner runs the job to completion itself.
+fn run_session(seed: u64, crash: bool, templates: &str) -> RunResult {
     let backend = Arc::new(MemBackend::new());
     let sim = Simulation::builder()
         .machines(["term1", "term2", "red", "green"])
@@ -69,6 +72,8 @@ fn run_session(seed: u64, crash: bool) -> RunResult {
         .build();
     let mut a = sim.controller_as("term1", Uid(100)).expect("controller A");
     a.enable_control_log(backend.clone() as Arc<dyn Backend>, CONTROL_DIR);
+    let term1 = sim.cluster().machine("term1").expect("term1 exists");
+    term1.fs().write("templates", templates.as_bytes().to_vec());
     a.exec("filter f1 red");
     a.exec("newjob pair");
     a.exec("addprocess pair red /bin/A green 1810 3");
@@ -129,6 +134,7 @@ fn run_session(seed: u64, crash: bool) -> RunResult {
     });
 
     RunResult {
+        text,
         trace,
         transcript,
         backend,
@@ -220,8 +226,8 @@ fn canonical(trace: &Trace) -> Vec<(u32, Vec<String>)> {
 #[test]
 fn controller_crash_is_invisible_in_the_trace() {
     for seed in seeds() {
-        let clean = run_session(seed, false);
-        let crashed = run_session(seed, true);
+        let clean = run_session(seed, false, "");
+        let crashed = run_session(seed, true, "");
 
         assert!(
             crashed
@@ -257,6 +263,25 @@ fn controller_crash_is_invisible_in_the_trace() {
             "seed {seed}: owner's original lease is in the log"
         );
     }
+}
+
+/// The text view survives the takeover too: the standby, which never
+/// saw the templates file, renders `getlog` with the `#` reduction the
+/// journal carries — the same reduced trace as the crash-free run.
+#[test]
+fn adopted_filter_renders_the_reduced_view() {
+    let seed = seeds()[0];
+    let clean = run_session(seed, false, "pc=#*\n");
+    let crashed = run_session(seed, true, "pc=#*\n");
+    for (run, text) in [("clean", &clean.text), ("crashed", &crashed.text)] {
+        assert!(!text.is_empty(), "seed {seed}, {run}: getlog rendered");
+        assert!(!text.contains(" pc="), "seed {seed}, {run}: pc survived");
+    }
+    assert_eq!(
+        canonical(&crashed.trace),
+        canonical(&clean.trace),
+        "seed {seed}: reduced traces diverge after takeover"
+    );
 }
 
 /// Spawns `n` long-running unmetered processes on `machine` — the

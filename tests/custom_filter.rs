@@ -99,6 +99,16 @@ fn a_user_written_filter_runs_in_place_of_the_standard_one() {
         "census counts receives: {census:?}"
     );
 
+    // `getlog` finds no store segment under the log path, so what the
+    // custom filter wrote there comes back verbatim (fetched until two
+    // reads agree: each filter child rewrites the census at its EOF).
+    let fetched = sim.stable_log(&mut control, "census");
+    assert_eq!(
+        Some(fetched),
+        green.fs().read_string("/usr/tmp/log.census"),
+        "getlog copied the census verbatim"
+    );
+
     control.exec("die");
     sim.shutdown();
 }

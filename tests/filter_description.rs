@@ -22,53 +22,50 @@ fn a_description_is_the_same_struct_at_every_layer() {
 
     let mut n = 0;
     for role in [FilterRole::Leaf, FilterRole::Edge, FilterRole::Aggregate] {
-        for sink in ["text", "store"] {
-            for shards in [1u32, 4] {
-                n += 1;
-                let name = format!("f{n}");
-                let mut tokens = format!("role={role} log={sink} shards={shards}");
-                if role == FilterRole::Edge {
-                    tokens.push_str(" upstream=root");
-                }
-                let out = control.exec(&format!("filter {name} red {tokens}"));
-                assert!(out.contains("created: identifier="), "{tokens}: {out}");
-
-                // Controller tokens → struct.
-                let typed = control.filters().last().expect("listed").spec.clone();
-                let edge = role == FilterRole::Edge;
-                let expected = FilterArgs {
-                    port: root_port + n,
-                    logfile: if edge {
-                        String::new()
-                    } else {
-                        format!("/usr/tmp/log.{name}")
-                    },
-                    shards,
-                    store_log: sink == "store",
-                    role,
-                    upstream: if edge {
-                        format!("blue:{root_port}")
-                    } else {
-                        String::new()
-                    },
-                    ..FilterArgs::default()
-                };
-                assert_eq!(typed, expected, "{tokens}");
-
-                // Struct → wire → struct.
-                let wire = Request::CreateFilter {
-                    spec: typed.clone(),
-                }
-                .encode();
-                let Ok(Request::CreateFilter { spec: decoded }) = Request::decode(&wire) else {
-                    panic!("{tokens}: CreateFilter did not decode");
-                };
-                assert_eq!(decoded, typed, "{tokens}");
-
-                // Struct → argv → struct.
-                let parsed = FilterArgs::parse(&decoded.to_args()).expect("argv parses");
-                assert_eq!(parsed, typed, "{tokens}");
+        for shards in [1u32, 4] {
+            n += 1;
+            let name = format!("f{n}");
+            let mut tokens = format!("role={role} shards={shards}");
+            if role == FilterRole::Edge {
+                tokens.push_str(" upstream=root");
             }
+            let out = control.exec(&format!("filter {name} red {tokens}"));
+            assert!(out.contains("created: identifier="), "{tokens}: {out}");
+
+            // Controller tokens → struct.
+            let typed = control.filters().last().expect("listed").spec.clone();
+            let edge = role == FilterRole::Edge;
+            let expected = FilterArgs {
+                port: root_port + n,
+                logfile: if edge {
+                    String::new()
+                } else {
+                    format!("/usr/tmp/log.{name}")
+                },
+                shards,
+                role,
+                upstream: if edge {
+                    format!("blue:{root_port}")
+                } else {
+                    String::new()
+                },
+                ..FilterArgs::default()
+            };
+            assert_eq!(typed, expected, "{tokens}");
+
+            // Struct → wire → struct.
+            let wire = Request::CreateFilter {
+                spec: typed.clone(),
+            }
+            .encode();
+            let Ok(Request::CreateFilter { spec: decoded }) = Request::decode(&wire) else {
+                panic!("{tokens}: CreateFilter did not decode");
+            };
+            assert_eq!(decoded, typed, "{tokens}");
+
+            // Struct → argv → struct.
+            let parsed = FilterArgs::parse(&decoded.to_args()).expect("argv parses");
+            assert_eq!(parsed, typed, "{tokens}");
         }
     }
 
@@ -86,6 +83,22 @@ fn a_description_is_the_same_struct_at_every_layer() {
         },
         key.spec
     );
+
+    // `log=store` is a redundant spelling of what every filter does:
+    // the same description, the same argv.
+    control.exec("filter plain red");
+    control.exec("filter spelled red log=store");
+    let [.., plain, spelled] = control.filters() else {
+        panic!("two more filters");
+    };
+    let respelled = FilterArgs {
+        port: spelled.spec.port,
+        logfile: spelled.spec.logfile.clone(),
+        ..plain.spec.clone()
+    };
+    assert_eq!(respelled, spelled.spec);
+    assert_eq!(respelled.to_args(), spelled.spec.to_args());
+    assert!(!spelled.spec.to_args().iter().any(|a| a.contains("store")));
 
     control.exec("die");
     sim.shutdown();
@@ -120,6 +133,21 @@ fn error_texts_are_the_same_at_the_controller_and_the_program() {
     assert!(out.contains("key 'port' is assigned"), "{out}");
     let out = control.exec("filter bogus role=edge upstream=nosuch");
     assert!(out.contains("no such filter"), "{out}");
+    // `log` is the controller's key, and the error says what was typed.
+    for sink in ["text", "binary"] {
+        let out = control.exec(&format!("filter bogus log={sink}"));
+        assert_eq!(
+            out.trim_end(),
+            format!(
+                "bad value '{sink}' for key 'log' (records are kept in the store; getlog renders the text)"
+            )
+        );
+    }
+    // The program has no sink key at all.
+    let argv = ["port=4000", "log=/usr/tmp/l", "mode=store"].map(str::to_owned);
+    let err = FilterArgs::parse(&argv).unwrap_err().to_string();
+    assert!(err.contains("unknown key 'mode'"), "{err}");
+    assert!(control.filters().is_empty(), "nothing was created");
 
     control.exec("die");
     sim.shutdown();

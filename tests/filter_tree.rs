@@ -217,7 +217,6 @@ fn tree_cuts_cross_network_bytes_and_preserves_the_trace() {
             vec![
                 format!("port={FLAT_PORT}"),
                 format!("log={FLAT_LOG}"),
-                "mode=store".to_owned(),
                 "templates=templates.sel".to_owned(),
             ],
         )
@@ -240,7 +239,6 @@ fn tree_cuts_cross_network_bytes_and_preserves_the_trace() {
             vec![
                 format!("port={AGG_PORT}"),
                 format!("log={TREE_LOG}"),
-                "mode=store".to_owned(),
                 "role=aggregate".to_owned(),
             ],
         )

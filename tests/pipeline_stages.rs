@@ -3,9 +3,11 @@
 //! workload.
 
 use dpm::crates::analysis::{Analysis, EventKind};
-use dpm::Simulation;
+use dpm::{Controller, Simulation};
 
-fn run(templates: &str) -> Analysis {
+/// Runs the staged pipeline under `templates` to completion; the
+/// session is left open for the caller to read the log `f1` kept.
+fn run_session(templates: &str) -> (Simulation, Controller) {
     let sim = Simulation::builder()
         .machines(["yellow", "a", "b", "c"])
         .seed(9)
@@ -33,6 +35,11 @@ fn run(templates: &str) -> Analysis {
     control.exec("startjob pipe");
     assert!(control.wait_job("pipe", 60_000), "pipeline completed");
     control.exec("removejob pipe");
+    (sim, control)
+}
+
+fn run(templates: &str) -> Analysis {
+    let (sim, mut control) = run_session(templates);
     let a = sim.analyze_log(&mut control, "f1");
     control.exec("die");
     sim.shutdown();
@@ -81,6 +88,44 @@ fn selection_rules_reduce_the_trace() {
             .all(|e| matches!(e.kind, EventKind::Send { .. })),
         "only send records survive the template"
     );
+}
+
+/// Fig. 3.4's `#` reduction belongs to the text view, wherever it is
+/// shown: `getlog` and `tail` print the same reduced lines for a filter
+/// created with no `log=` key, while `watch` and `check` read the raw
+/// records the store keeps.
+#[test]
+fn reduction_is_applied_wherever_text_is_shown() {
+    let (sim, mut control) = run_session("type=1, pc=#*\n");
+    let text = sim.stable_log(&mut control, "f1");
+    assert!(!text.is_empty(), "the template keeps the sends");
+    for line in text.lines() {
+        assert!(line.starts_with("event=send "), "{line}");
+        assert!(!line.contains(" pc="), "pc was discarded: {line}");
+    }
+
+    // `tail`, first use: everything stored is new, and every line of
+    // it is the line `getlog` wrote.
+    let out = control.exec("tail f1 n=1000000");
+    let (head, lines) = out.split_once('\n').expect("tail prints records");
+    let n = text.lines().count();
+    assert_eq!(head, format!("tail f1: {n} new record(s)"));
+    let tailed: String = lines
+        .lines()
+        .map(|l| format!("{}\n", l.strip_prefix("  ").expect("indented")))
+        .collect();
+    assert_eq!(tailed, text, "tail and getlog render one text");
+
+    // `watch` counts the raw records `tail` fed the live trace, and
+    // `check` folds over them rather than refusing the filter.
+    let out = control.exec("watch f1");
+    assert!(out.contains(&format!("records={n} ")), "{out}");
+    let out = control.exec("check f1 mutex");
+    assert!(!out.contains("cannot retrieve"), "{out}");
+    assert!(!out.is_empty(), "check reported: {out}");
+
+    control.exec("die");
+    sim.shutdown();
 }
 
 #[test]

@@ -1,5 +1,8 @@
 //! One instance of every message on the monitor's four wire surfaces,
-//! each beside the bytes the encoders produced for it at `ad34487`.
+//! each beside the bytes the encoders produced for it at `ad34487` —
+//! but for the `CreateFilter` body (version 2: no sink word) and the
+//! control events (version 2: `FilterCreated` carries the templates
+//! text where it carried a sink keyword).
 //! `tests/wire_bytes.rs` holds encoders and decoders to these bytes;
 //! `tests/wire_mutation.rs` mutates them.
 
@@ -120,11 +123,11 @@ pub fn requests() -> Vec<Sample<Request>> {
     let (filter_port, control_port) = (4000, 5000);
     let (blue, yellow) = (|| "blue".to_owned(), || "yellow".to_owned());
     let meter_flags = MeterFlags::SEND | MeterFlags::RECEIVE;
-    // A store-logging aggregate with an upstream: every field off its default.
+    // An aggregate with an upstream: every field off its default.
     let spec = FilterArgs {
         filterfile: "/bin/filter".into(), port: 4700, logfile: "/usr/tmp/log.root".into(),
         descriptions: "descriptions".into(), templates: "templates".into(), shards: 3,
-        store_log: true, role: FilterRole::Aggregate, upstream: "hub:4900".into(),
+        role: FilterRole::Aggregate, upstream: "hub:4900".into(),
     };
     vec![
         ("create", Create {
@@ -135,10 +138,10 @@ pub fn requests() -> Vec<Sample<Request>> {
              7aa00f00 00040000 00626c75 65140000 00881300 00060000 0079656c 6c6f7701
              00000007 0000002f 746d702f 696e"),
         ("create filter", CreateFilter { spec },
-            "6d000000 0c000000 ffffffff 01000000 0b000000 2f62696e 2f66696c 7465725c
+            "69000000 0c000000 ffffffff 02000000 0b000000 2f62696e 2f66696c 7465725c
              12000011 0000002f 7573722f 746d702f 6c6f672e 726f6f74 0c000000 64657363
-             72697074 696f6e73 09000000 74656d70 6c617465 73030000 00010000 00020000
-             00080000 00687562 3a343930 30"),
+             72697074 696f6e73 09000000 74656d70 6c617465 73030000 00020000 00080000
+             00687562 3a343930 30"),
         ("set flags", SetFlags { pid, flags: meter_flags },
             "10000000 0d000000 48080000 14000000"),
         ("start", Start { pid }, "0c000000 0e000000 48080000"),
@@ -202,33 +205,35 @@ pub fn control_events() -> Vec<Sample<ControlEvent>> {
     let (job, machine, owner) = (|| "foo".into(), || "red".into(), || "yellow:5000".into());
     vec![
         ("job created", JobCreated { job: job(), filter: "f1".into() },
-            "43544c31 01000000 01030000 00666f6f 02000000 6631"),
+            "43544c31 02000000 01030000 00666f6f 02000000 6631"),
         ("filter created", FilterCreated {
                 name: "f1".into(), machine: "green".into(), pid: 2120, port: 4000,
-                logfile: "/usr/tmp/log.f1".into(), mode: "store".into(), shards: 2,
-                role: "leaf".into(), upstream: String::new(), desc_text: "send 1 ...\n".into() },
-            "43544c31 01000000 02020000 00663105 00000067 7265656e 48080000 a00f0f00
-             00002f75 73722f74 6d702f6c 6f672e66 31050000 0073746f 72650200 00000400
-             00006c65 61660000 00000b00 00007365 6e642031 202e2e2e 0a"),
+                logfile: "/usr/tmp/log.f1".into(), shards: 2, role: "leaf".into(),
+                upstream: String::new(), desc_text: "send 1 ...\n".into(),
+                templates_text: "type=1, pc=#*\n".into() },
+            "43544c31 02000000 02020000 00663105 00000067 7265656e 48080000 a00f0f00
+             00002f75 73722f74 6d702f6c 6f672e66 31020000 00040000 006c6561 66000000
+             000b0000 0073656e 64203120 2e2e2e0a 0e000000 74797065 3d312c20 70633d23
+             2a0a"),
         ("proc added", ProcAdded {
                 job: job(), name: "A".into(), machine: machine(), pid: 2121, state: "new".into() },
-            "43544c31 01000000 03030000 00666f6f 01000000 41030000 00726564 49080000
+            "43544c31 02000000 03030000 00666f6f 01000000 41030000 00726564 49080000
              03000000 6e6577"),
         ("flags set", FlagsSet { job: job(), flags: 0b1011 },
-            "43544c31 01000000 04030000 00666f6f 0b000000"),
+            "43544c31 02000000 04030000 00666f6f 0b000000"),
         ("proc state changed", ProcStateChanged {
                 job: job(), machine: machine(), pid: 2121, state: "killed".into() },
-            "43544c31 01000000 05030000 00666f6f 03000000 72656449 08000006 0000006b
+            "43544c31 02000000 05030000 00666f6f 03000000 72656449 08000006 0000006b
              696c6c65 64"),
         ("job removed", JobRemoved { job: job() },
-            "43544c31 01000000 06030000 00666f6f"),
+            "43544c31 02000000 06030000 00666f6f"),
         ("lease acquired", LeaseAcquired {
                 job: job(), owner: owner(), at_us: 17, expires_us: 2_000_017 },
-            "43544c31 01000000 07030000 00666f6f 0b000000 79656c6c 6f773a35 30303011
+            "43544c31 02000000 07030000 00666f6f 0b000000 79656c6c 6f773a35 30303011
              00000000 00000091 841e0000 000000"),
         ("lease renewed", LeaseRenewed {
                 job: job(), owner: owner(), at_us: 1_000_017, expires_us: 3_000_017 },
-            "43544c31 01000000 08030000 00666f6f 0b000000 79656c6c 6f773a35 30303051
+            "43544c31 02000000 08030000 00666f6f 0b000000 79656c6c 6f773a35 30303051
              420f0000 000000d1 c62d0000 000000"),
     ]
 }
