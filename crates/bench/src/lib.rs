@@ -11,6 +11,8 @@
 //! `pipeline_bench/` — which calls [`run_metered`] for its
 //! metering-overhead layer.
 
+#![forbid(unsafe_code)]
+
 use dpm_meter::{MeterDecoder, MeterFlags, MeterMsg};
 use dpm_simnet::NetConfig;
 use dpm_simos::{BindTo, Cluster, Domain, Pid, Proc, Sig, SockName, SockType, SysResult, Uid};

@@ -10,7 +10,7 @@
 use std::io;
 use std::sync::Arc;
 
-use dpm_logstore::Backend;
+use dpm_logstore::{Backend, StoreSource};
 use parking_lot::Mutex;
 
 use crate::spec::DiskSpec;
@@ -104,16 +104,18 @@ impl Backend for FaultyBackend {
         self.inner.write(name, data);
     }
 
+    fn sync(&self, name: &str) {
+        self.inner.sync(name);
+    }
+}
+
+impl StoreSource for FaultyBackend {
     fn read(&self, name: &str) -> Option<Vec<u8>> {
         self.inner.read(name)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
         self.inner.list(prefix)
-    }
-
-    fn sync(&self, name: &str) {
-        self.inner.sync(name);
     }
 }
 

@@ -48,6 +48,7 @@
 //! # let _ = injector;
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod disk;

@@ -13,6 +13,7 @@
 //! and `die`, all implemented by [`Controller::exec`]. Process states
 //! follow the Fig. 4.2 machine in [`ProcState`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod job;

@@ -18,12 +18,12 @@ use dpm_analysis::{ByzReport, MutexReport, Trace};
 use dpm_controlplane::{ControlEvent, ControlLog, JobTable, DEFAULT_LEASE_MS};
 use dpm_filter::{ArgsError, Descriptions, FilterArgs, FilterRole, KeptRecord, Rules, Verdict};
 use dpm_live::{LiveWatch, WindowSnapshot};
-use dpm_logstore::{seals_name, seg_ids_of, Backend, OwnedFrame, StoreReader, StoreTail};
+use dpm_logstore::{seals_name, Backend, OwnedFrame, StoreReader, StoreSource, StoreTail};
 use dpm_meter::MeterFlags;
 use dpm_meterd::{read_frame, rpc_call_retry, Reply, Request, RpcStatus, RPC_TIMEOUT_MS};
 use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysError, SysResult, Uid};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -79,12 +79,35 @@ impl FilterInfo {
 struct WatchState {
     tail: StoreTail,
     watch: LiveWatch,
-    /// Sealed segments fully read — never fetched again.
-    consumed: HashSet<String>,
     /// Seal-manifest lines already echoed to the transcript.
     seal_lines: usize,
     /// The most recently closed window, for programmatic callers.
     last: Option<WindowSnapshot>,
+}
+
+/// The files of one machine (named by the second field) as its
+/// meterdaemon serves them: the [`StoreSource`] through which the
+/// controller reads a filter's store with the same `load`/`poll` a
+/// local reader uses. An unreachable daemon reads as an empty machine.
+struct RemoteFiles<'a>(&'a Controller, &'a str);
+
+impl StoreSource for RemoteFiles<'_> {
+    fn read(&self, name: &str) -> Option<Vec<u8>> {
+        self.0.get_file(self.1, name)
+    }
+
+    fn list(&self, prefix: &str) -> Vec<String> {
+        let req = Request::ListFiles {
+            prefix: prefix.to_owned(),
+        };
+        match self.0.rpc(self.1, &req) {
+            Ok(Reply::FileList {
+                status: RpcStatus::Ok,
+                names,
+            }) => names,
+            _ => Vec::new(),
+        }
+    }
 }
 
 /// The interactive measurement-session controller.
@@ -1143,13 +1166,13 @@ impl Controller {
     /// `getlog <filtername> <destination>` (§4.3).
     ///
     /// The filter's log is its store, so there is no single file to
-    /// fetch: the controller asks the filter's daemon to *list* the
-    /// files under the store's directory prefix, pulls each `.seg`
-    /// file it names, decodes the frames locally, and writes the
-    /// paper's one-line-per-record text (§3.4) — `#` reduction
-    /// included. When the listing holds no segment — a user-written
-    /// filter keeps whatever it likes at its log path — the plain file
-    /// there is copied verbatim.
+    /// fetch: the controller loads the store through the filter's
+    /// daemon ([`RemoteFiles`]) as any reader loads a local one, and
+    /// writes the paper's one-line-per-record text (§3.4) — `#`
+    /// reduction included. When the store holds no segment — a
+    /// user-written filter keeps whatever it likes at its log path, an
+    /// unreachable daemon lists nothing — the plain file there is
+    /// copied verbatim.
     fn cmd_getlog(&mut self, args: &[&str]) {
         let (Some(fname), Some(dest)) = (args.first(), args.get(1)) else {
             self.emit("usage: getlog <filtername> <destination filename>");
@@ -1158,11 +1181,8 @@ impl Controller {
         let Some(f) = self.logging_filter(fname, "getlog") else {
             return;
         };
-        let Some(segments) = self.fetch_segments(&f) else {
-            self.emit(&format!("cannot list segments of filter '{fname}'"));
-            return;
-        };
-        let data = if segments.is_empty() {
+        let reader = StoreReader::load(&RemoteFiles(self, &f.machine), &f.spec.logfile);
+        let data = if reader.n_segments() == 0 {
             match self.get_file(&f.machine, &f.spec.logfile) {
                 Some(data) => data,
                 None => {
@@ -1172,7 +1192,7 @@ impl Controller {
             }
         } else {
             let mut text = String::new();
-            for frame in StoreReader::from_named_segment_bytes(segments).scan() {
+            for frame in reader.scan() {
                 f.render_line("", frame.raw, &mut text);
             }
             text.into_bytes()
@@ -1320,42 +1340,20 @@ impl Controller {
         }
     }
 
-    /// Names of a filter's store segment files, as its daemon lists
-    /// them; `None` if the listing fails.
-    fn list_segments(&self, f: &FilterInfo) -> Option<Vec<String>> {
-        match self.rpc(
-            &f.machine,
-            &Request::ListFiles {
-                prefix: format!("{}/", f.spec.logfile),
-            },
-        ) {
-            Ok(Reply::FileList {
-                status: RpcStatus::Ok,
-                names,
-            }) => Some(names.into_iter().filter(|n| n.ends_with(".seg")).collect()),
-            _ => None,
-        }
-    }
-
     /// The watch state for a filter, creating it on first use. Taken
     /// out of the map for the duration of a poll (RPC needs `&self`).
     fn take_watch_state(&mut self, f: &FilterInfo) -> WatchState {
         self.watches.remove(&f.name).unwrap_or_else(|| WatchState {
             tail: StoreTail::default(),
             watch: LiveWatch::new(f.desc.clone()),
-            consumed: HashSet::new(),
             seal_lines: 0,
             last: None,
         })
     }
 
     /// One live poll of a filter's store: echo new seal-manifest
-    /// lines, list the segment files, advance the byte cursors over
-    /// every not-yet-consumed one, and return the new frames in seq
-    /// order. Sealed segments (a higher-numbered segment exists for
-    /// their shard) are fetched one last time and then dropped from
-    /// all future polls — only the in-progress segment per shard is
-    /// re-fetched each round.
+    /// lines, then one [`StoreTail::poll`] through the filter's daemon
+    /// — the new frames in seq order.
     fn poll_filter_frames(&mut self, f: &FilterInfo, st: &mut WatchState) -> Vec<OwnedFrame> {
         // Seal notifications, as appended by the filter's seal hook.
         if let Some(data) = self.get_file(&f.machine, &seals_name(&f.spec.logfile)) {
@@ -1366,36 +1364,8 @@ impl Controller {
             }
             st.seal_lines = st.seal_lines.max(lines.len());
         }
-
-        let Some(names) = self.list_segments(f) else {
-            return Vec::new();
-        };
-        let mut max_no: HashMap<u16, u32> = HashMap::new();
-        for n in &names {
-            if let Some((shard, no)) = seg_ids_of(n) {
-                let e = max_no.entry(shard).or_insert(no);
-                *e = (*e).max(no);
-            }
-        }
-        let mut frames = Vec::new();
-        for name in names {
-            if st.consumed.contains(&name) {
-                continue;
-            }
-            let Some(data) = self.get_file(&f.machine, &name) else {
-                continue;
-            };
-            frames.extend(st.tail.offer_segment(&name, &data));
-            let sealed = seg_ids_of(&name).is_some_and(|(shard, no)| no < max_no[&shard]);
-            if sealed {
-                // Fully read (a sealed segment's final flush preceded
-                // its successor's creation): never fetch again.
-                st.tail.consumed(&name);
-                st.consumed.insert(name);
-            }
-        }
-        frames.sort_by_key(|fr| fr.seq);
-        frames
+        st.tail
+            .poll(&RemoteFiles(self, &f.machine), &f.spec.logfile)
     }
 
     /// The most recently closed watch window of `filter`, if any —
@@ -1411,29 +1381,6 @@ impl Controller {
         self.watches.get_mut(filter).map(|st| &mut st.watch)
     }
 
-    /// Fetches every store segment of a filter over RPC,
-    /// in segment order, keeping the segment names so the reader can
-    /// classify sealed vs in-progress segments — the same listing
-    /// facts the live tail uses. `None` if the listing fails.
-    fn fetch_segments(&mut self, f: &FilterInfo) -> Option<Vec<(String, Vec<u8>)>> {
-        let mut names = self.list_segments(f)?;
-        names.sort();
-        let mut segments = Vec::new();
-        for path in names {
-            if let Some(data) = self.get_file(&f.machine, &path) {
-                segments.push((path, data));
-            }
-        }
-        Some(segments)
-    }
-
-    /// Rebuilds a filter's log as an analysis trace, from the raw
-    /// stored records.
-    fn filter_trace(&mut self, f: &FilterInfo) -> Option<Trace> {
-        let reader = StoreReader::from_named_segment_bytes(self.fetch_segments(f)?);
-        Some(Trace::from_store(&reader, &f.desc))
-    }
-
     /// `check <filtername> <mutex|byzantine>` — run a distributed-
     /// algorithm property checker over the filter's collected log.
     /// Everything it reports is computed from meter records alone.
@@ -1445,10 +1392,12 @@ impl Controller {
         let Some(f) = self.logging_filter(fname, "check") else {
             return;
         };
-        let Some(trace) = self.filter_trace(&f) else {
+        let reader = StoreReader::load(&RemoteFiles(self, &f.machine), &f.spec.logfile);
+        if reader.n_segments() == 0 {
             self.emit(&format!("cannot retrieve log of filter '{fname}'"));
             return;
-        };
+        }
+        let trace = Trace::from_store(&reader, &f.desc);
         let report = match *which {
             "mutex" => MutexReport::check(&trace).to_string(),
             "byzantine" | "byz" => ByzReport::check(&trace).to_string(),

@@ -50,6 +50,7 @@
 //! assert_eq!(table.jobs["foo"].lease.as_ref().unwrap().owner, "yellow:5000");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;

@@ -34,6 +34,7 @@
 //! # Ok::<(), dpm_core::SysError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dpm_analysis as analysis;

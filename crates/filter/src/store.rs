@@ -9,7 +9,7 @@
 //! `GetFile` RPC, and subject to the same crash semantics the
 //! simulation models.
 
-use dpm_logstore::{seal_manifest_hook, Backend, LogStore, StoreConfig};
+use dpm_logstore::{seal_manifest_hook, Backend, LogStore, StoreConfig, StoreSource};
 use dpm_simos::Machine;
 use std::sync::Arc;
 
@@ -48,6 +48,11 @@ impl Backend for SimFsBackend {
         self.machine.fs().write(name, data.to_vec());
     }
 
+    // `sync` keeps the default no-op: the simulated fs is always
+    // "durable" — there is no page cache between it and the store.
+}
+
+impl StoreSource for SimFsBackend {
     fn read(&self, name: &str) -> Option<Vec<u8>> {
         self.machine.fs().read(name)
     }
@@ -55,9 +60,6 @@ impl Backend for SimFsBackend {
     fn list(&self, prefix: &str) -> Vec<String> {
         self.machine.fs().list(prefix)
     }
-
-    // `sync` keeps the default no-op: the simulated fs is always
-    // "durable" — there is no page cache between it and the store.
 }
 
 /// Opens the store a leaf or aggregate filter keeps its records in:

@@ -14,13 +14,26 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
-/// Byte storage for segment and index files.
+/// A place segment files can be listed and read — the read half of
+/// storage, and all that [`crate::list_segments`],
+/// [`crate::StoreReader::load`] and [`crate::StoreTail::poll`] ask
+/// for, so one reader serves a local [`Backend`] and a remote
+/// machine's files fetched through its meterdaemon alike.
+pub trait StoreSource {
+    /// Reads a whole file; `None` if absent.
+    fn read(&self, name: &str) -> Option<Vec<u8>>;
+    /// Names of all files starting with `prefix`, sorted.
+    fn list(&self, prefix: &str) -> Vec<String>;
+}
+
+/// Byte storage for segment and index files: a [`StoreSource`] that
+/// can also be written.
 ///
 /// Implementations must make each `append`/`write` call atomic with
 /// respect to concurrent readers (the provided backends do; the
 /// group-commit writer never splits a frame across calls, so readers
 /// at worst miss the newest whole frames).
-pub trait Backend: Send + Sync {
+pub trait Backend: StoreSource + Send + Sync {
     /// Appends to a file, creating it if absent.
     fn append(&self, name: &str, data: &[u8]);
     /// Fallible append, for backends that can report I/O faults (a
@@ -42,10 +55,6 @@ pub trait Backend: Send + Sync {
     /// Writes (creates or replaces) a file — used to truncate a torn
     /// segment tail on recovery and to replace index sidecars.
     fn write(&self, name: &str, data: &[u8]);
-    /// Reads a whole file; `None` if absent.
-    fn read(&self, name: &str) -> Option<Vec<u8>>;
-    /// Names of all files starting with `prefix`, sorted.
-    fn list(&self, prefix: &str) -> Vec<String>;
     /// Forces the file durable (fsync where that means something).
     fn sync(&self, _name: &str) {}
 }
@@ -81,7 +90,9 @@ impl Backend for MemBackend {
             .expect("mem backend lock")
             .insert(name.to_owned(), data.to_vec());
     }
+}
 
+impl StoreSource for MemBackend {
     fn read(&self, name: &str) -> Option<Vec<u8>> {
         self.files
             .read()
@@ -141,6 +152,14 @@ impl Backend for DirBackend {
         let _ = fs::write(&path, data);
     }
 
+    fn sync(&self, name: &str) {
+        if let Ok(f) = fs::File::open(self.path_of(name)) {
+            let _ = f.sync_all();
+        }
+    }
+}
+
+impl StoreSource for DirBackend {
     fn read(&self, name: &str) -> Option<Vec<u8>> {
         fs::read(self.path_of(name)).ok()
     }
@@ -168,12 +187,6 @@ impl Backend for DirBackend {
         }
         out.sort();
         out
-    }
-
-    fn sync(&self, name: &str) {
-        if let Ok(f) = fs::File::open(self.path_of(name)) {
-            let _ = f.sync_all();
-        }
     }
 }
 

@@ -33,7 +33,10 @@
 //! Storage itself is abstracted behind [`Backend`] so the same store
 //! runs over the simulation's per-machine [`SimFs`]-style flat file
 //! system, over a real directory ([`DirBackend`]), or fully in memory
-//! ([`MemBackend`]) for tests and benchmarks.
+//! ([`MemBackend`]) for tests and benchmarks. Reading needs only its
+//! read half, [`StoreSource`], so [`StoreReader::load`] and
+//! [`StoreTail::poll`] serve a store on another machine as they serve
+//! a local one.
 //!
 //! [`SimFs`]: Backend
 
@@ -48,15 +51,15 @@ pub mod reader;
 pub mod tail;
 pub mod writer;
 
-pub use backend::{Backend, DirBackend, MemBackend};
+pub use backend::{Backend, DirBackend, MemBackend, StoreSource};
 /// The monitor's one byte codec, re-exported so crates that frame
 /// their records for this store reach it without a dependency edge of
 /// their own.
 pub use dpm_meter::wire;
 pub use format::{ProcId, ENVELOPE_LEN, FRAME_OVERHEAD, SEG_HEADER_LEN, SEG_MAGIC};
-pub use reader::{list_segments, Frame, Scan, SegmentInfo, StoreReader};
+pub use reader::{list_segments, Frame, Scan, StoreReader};
 pub use tail::{OwnedFrame, StoreTail};
 pub use writer::{
-    seal_manifest_hook, seals_name, seg_ids_of, segment_name, LogStore, SealHook, SealInfo,
-    SegmentWriter, StoreConfig,
+    seal_manifest_hook, seals_name, segment_name, LogStore, SealHook, SealInfo, SegmentWriter,
+    StoreConfig,
 };

@@ -1,9 +1,10 @@
 //! Read-side of the store: loading segments and querying frames.
 //!
-//! A [`StoreReader`] is a point-in-time snapshot: it loads every
-//! segment under a store directory (or is handed raw segment bytes by
-//! a remote fetcher) and answers three queries, all yielding borrowed
-//! [`Frame`]s zero-copy:
+//! A [`StoreReader`] is a point-in-time snapshot: [`StoreReader::load`]
+//! lists a store directory on any [`StoreSource`] — a local backend,
+//! or a remote machine's files behind its meterdaemon — reads every
+//! segment and its index sidecar, and answers three queries, all
+//! yielding borrowed [`Frame`]s zero-copy:
 //!
 //! * [`StoreReader::scan`] — every frame, merged across shards into
 //!   global arrival (sequence) order;
@@ -20,11 +21,10 @@
 //! taken mid-write therefore sees every whole flushed frame and
 //! nothing else.
 
-use crate::backend::Backend;
+use crate::backend::StoreSource;
 use crate::format::{decode_frame, decode_seg_header, ProcId, SEG_HEADER_LEN};
 use crate::index::SegmentIndex;
-use crate::writer::{index_name, seg_ids_of};
-use std::collections::HashMap;
+use crate::writer::index_name;
 
 /// Sparse period used when an index must be rebuilt by scanning
 /// (matches [`crate::writer::StoreConfig`]'s default).
@@ -32,11 +32,11 @@ const REBUILD_INDEX_EVERY: u32 = 64;
 
 /// Lists the segment file names under a store directory, sorted. This
 /// is the one discovery path — [`StoreReader::load`], the live tail
-/// ([`crate::tail::StoreTail::poll`]), and remote fetchers all
-/// enumerate a store through it, so none of them needs to probe dense
-/// segment names.
-pub fn list_segments(backend: &dyn Backend, dir: &str) -> Vec<String> {
-    let mut names: Vec<String> = backend
+/// ([`crate::tail::StoreTail::poll`]) and callers that fetch bytes
+/// themselves all enumerate a store through it, so none of them needs
+/// to probe dense segment names.
+pub fn list_segments(source: &dyn StoreSource, dir: &str) -> Vec<String> {
+    let mut names: Vec<String> = source
         .list(&format!("{}/", dir.trim_end_matches('/')))
         .into_iter()
         .filter(|n| n.ends_with(".seg"))
@@ -60,34 +60,9 @@ pub struct Frame<'a> {
     pub raw: &'a [u8],
 }
 
-/// Listing metadata for one loaded segment, as returned by
-/// [`StoreReader::segments_info`] / [`StoreReader::sealed_segments`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentInfo {
-    /// Segment file name (absent when loaded from raw bytes).
-    pub name: Option<String>,
-    /// Shard id from the segment header.
-    pub shard: u16,
-    /// Segment number parsed from the name, when available.
-    pub seg_no: Option<u32>,
-    /// Valid frames in the segment.
-    pub n_records: u64,
-    /// Valid data bytes (header + whole frames; excludes a torn tail).
-    pub data_len: u64,
-    /// Seq of the segment's last valid frame (`None` when empty).
-    pub last_seq: Option<u64>,
-    /// Whether the segment is sealed (rotated away from, immutable).
-    pub sealed: bool,
-}
-
 /// One loaded segment: its bytes and a trusted index over them.
 #[derive(Debug)]
 struct Segment {
-    /// The segment file name, when loaded from a backend (absent for
-    /// raw bytes handed to [`StoreReader::from_segment_bytes`]).
-    name: Option<String>,
-    /// Shard id from the segment header.
-    shard: u16,
     bytes: Vec<u8>,
     index: SegmentIndex,
 }
@@ -95,39 +70,13 @@ struct Segment {
 impl Segment {
     /// Wraps segment bytes, adopting `sidecar` when it is coherent
     /// with the bytes and rebuilding the index by scan otherwise.
-    fn new(
-        name: Option<String>,
-        bytes: Vec<u8>,
-        sidecar: Option<Vec<u8>>,
-        index_every: u32,
-    ) -> Option<Segment> {
-        let header = decode_seg_header(&bytes)?;
+    fn new(bytes: Vec<u8>, sidecar: Option<Vec<u8>>, index_every: u32) -> Option<Segment> {
+        decode_seg_header(&bytes)?;
         let index = sidecar
             .and_then(|raw| SegmentIndex::decode(&raw))
             .filter(|idx| idx.data_len == bytes.len() as u64)
             .unwrap_or_else(|| SegmentIndex::rebuild(&bytes, index_every));
-        Some(Segment {
-            name,
-            shard: header.shard,
-            bytes,
-            index,
-        })
-    }
-
-    /// The `(seq, ts_us)` of the segment's last valid frame, scanning
-    /// forward from the last sparse index entry rather than the head.
-    fn last_frame(&self) -> Option<(u64, u64)> {
-        let mut off = self
-            .index
-            .sparse
-            .last()
-            .map_or(SEG_HEADER_LEN, |e| e.off as usize);
-        let mut last = None;
-        while let Some((frame, next)) = self.frame_at(off) {
-            last = Some((frame.seq, frame.ts_us));
-            off = next;
-        }
-        last
+        Some(Segment { bytes, index })
     }
 
     /// Decodes the frame at `off`; `None` at (or past) the torn tail.
@@ -154,49 +103,21 @@ pub struct StoreReader {
 }
 
 impl StoreReader {
-    /// Loads every segment under `dir` on `backend`. Sidecar indexes
+    /// Loads every segment under `dir` on `source`. Sidecar indexes
     /// are adopted when coherent and rebuilt when missing, corrupt,
     /// or stale; segments without a valid header are skipped.
-    pub fn load(backend: &dyn Backend, dir: &str) -> StoreReader {
+    pub fn load(source: &dyn StoreSource, dir: &str) -> StoreReader {
         let mut segments = Vec::new();
-        for name in list_segments(backend, dir) {
-            let Some(bytes) = backend.read(&name) else {
+        for name in list_segments(source, dir) {
+            let Some(bytes) = source.read(&name) else {
                 continue;
             };
-            let sidecar = backend.read(&index_name(&name));
-            if let Some(seg) = Segment::new(Some(name), bytes, sidecar, REBUILD_INDEX_EVERY) {
+            let sidecar = source.read(&index_name(&name));
+            if let Some(seg) = Segment::new(bytes, sidecar, REBUILD_INDEX_EVERY) {
                 segments.push(seg);
             }
         }
         StoreReader { segments }
-    }
-
-    /// Builds a reader straight from segment bytes — the path a remote
-    /// fetcher (the controller's `getlog`) uses after pulling segment
-    /// files over RPC. Indexes are rebuilt by scan; byte vectors that
-    /// are not segments are ignored.
-    pub fn from_segment_bytes(segments: Vec<Vec<u8>>) -> StoreReader {
-        StoreReader {
-            segments: segments
-                .into_iter()
-                .filter_map(|bytes| Segment::new(None, bytes, None, REBUILD_INDEX_EVERY))
-                .collect(),
-        }
-    }
-
-    /// Builds a reader from named segment bytes, as fetched remotely.
-    /// Like [`StoreReader::from_segment_bytes`] but the names make
-    /// sealed-segment classification ([`StoreReader::segments_info`])
-    /// possible.
-    pub fn from_named_segment_bytes(segments: Vec<(String, Vec<u8>)>) -> StoreReader {
-        StoreReader {
-            segments: segments
-                .into_iter()
-                .filter_map(|(name, bytes)| {
-                    Segment::new(Some(name), bytes, None, REBUILD_INDEX_EVERY)
-                })
-                .collect(),
-        }
     }
 
     /// Number of segments loaded.
@@ -207,59 +128,6 @@ impl StoreReader {
     /// Total frames across all loaded segments.
     pub fn n_records(&self) -> u64 {
         self.segments.iter().map(|s| s.index.n_records).sum()
-    }
-
-    /// Describes every loaded segment: name, shard, record count, and
-    /// whether it is *sealed*. The writer rotates by size and never
-    /// touches a segment again after opening its successor, so within
-    /// one shard every segment except the highest-numbered one is
-    /// sealed (immutable); the highest-numbered segment is the one
-    /// still being appended to. Segments loaded without names (raw
-    /// bytes) cannot be classified and report `sealed = false`.
-    pub fn segments_info(&self) -> Vec<SegmentInfo> {
-        let mut max_no: HashMap<u16, u32> = HashMap::new();
-        for seg in &self.segments {
-            if let Some((shard, no)) = seg.name.as_deref().and_then(seg_ids_of) {
-                let e = max_no.entry(shard).or_insert(no);
-                *e = (*e).max(no);
-            }
-        }
-        self.segments
-            .iter()
-            .map(|seg| {
-                let ids = seg.name.as_deref().and_then(seg_ids_of);
-                let sealed = ids.is_some_and(|(shard, no)| no < max_no[&shard]);
-                let last = seg.last_frame();
-                SegmentInfo {
-                    name: seg.name.clone(),
-                    shard: seg.shard,
-                    seg_no: ids.map(|(_, no)| no),
-                    n_records: seg.index.n_records,
-                    data_len: seg.index.data_len,
-                    last_seq: last.map(|(seq, _)| seq),
-                    sealed,
-                }
-            })
-            .collect()
-    }
-
-    /// The sealed (immutable) segments — see
-    /// [`StoreReader::segments_info`] for the classification rule.
-    pub fn sealed_segments(&self) -> Vec<SegmentInfo> {
-        self.segments_info()
-            .into_iter()
-            .filter(|s| s.sealed)
-            .collect()
-    }
-
-    /// The `(seq, ts_us)` of the newest valid frame in the whole
-    /// snapshot — the high-water mark a live consumer has to catch up
-    /// to. `None` for an empty store.
-    pub fn last_valid_frame(&self) -> Option<(u64, u64)> {
-        self.segments
-            .iter()
-            .filter_map(|s| s.last_frame())
-            .max_by_key(|&(seq, _)| seq)
     }
 
     /// Every frame, merged across segments (and so across shards)
@@ -352,7 +220,18 @@ impl<'a> Iterator for Scan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, MemBackend};
     use crate::format::{encode_frame, encode_seg_header, Envelope};
+
+    /// A reader loaded over `segments`, each written as one file of a
+    /// fresh in-memory store.
+    fn reader_of(segments: &[Vec<u8>]) -> StoreReader {
+        let backend = MemBackend::new();
+        for (i, seg) in segments.iter().enumerate() {
+            backend.write(&format!("d/s{i:04}-00000000.seg"), seg);
+        }
+        StoreReader::load(&backend, "d")
+    }
 
     /// Builds a segment holding `frames` as `(seq, ts, machine, pid)`.
     fn segment(shard: u16, frames: &[(u64, u64, u16, u32)]) -> Vec<u8> {
@@ -377,7 +256,7 @@ mod tests {
     fn scan_merges_segments_by_seq() {
         let a = segment(0, &[(0, 10, 1, 5), (2, 30, 1, 5), (4, 50, 1, 6)]);
         let b = segment(1, &[(1, 20, 2, 9), (3, 40, 2, 9)]);
-        let r = StoreReader::from_segment_bytes(vec![b, a]);
+        let r = reader_of(&[b, a]);
         assert_eq!(r.n_segments(), 2);
         assert_eq!(r.n_records(), 5);
         let seqs: Vec<u64> = r.scan().map(|f| f.seq).collect();
@@ -390,7 +269,7 @@ mod tests {
     fn range_by_time_is_inclusive_and_seq_ordered() {
         let a = segment(0, &[(0, 10, 1, 5), (2, 30, 1, 5), (4, 50, 1, 6)]);
         let b = segment(1, &[(1, 20, 2, 9), (3, 40, 2, 9)]);
-        let r = StoreReader::from_segment_bytes(vec![a, b]);
+        let r = reader_of(&[a, b]);
         let got: Vec<(u64, u64)> = r
             .range_by_time(20, 40)
             .into_iter()
@@ -416,7 +295,7 @@ mod tests {
                 (i, if in_run { tie } else { 10 * i }, 1, 5)
             })
             .collect();
-        let r = StoreReader::from_segment_bytes(vec![segment(0, &frames)]);
+        let r = reader_of(&[segment(0, &frames)]);
         for (lo, hi) in [(tie, tie), (tie, tie + 100), (tie - 10, tie), (0, tie)] {
             let want: Vec<u64> = r
                 .scan()
@@ -433,7 +312,7 @@ mod tests {
     fn by_proc_returns_only_that_process() {
         let a = segment(0, &[(0, 10, 1, 5), (2, 30, 1, 5), (4, 50, 1, 6)]);
         let b = segment(1, &[(1, 20, 2, 9), (3, 40, 2, 9)]);
-        let r = StoreReader::from_segment_bytes(vec![a, b]);
+        let r = reader_of(&[a, b]);
         let got: Vec<u64> = r
             .by_proc(ProcId { machine: 1, pid: 5 })
             .into_iter()
@@ -447,57 +326,14 @@ mod tests {
     fn torn_tail_and_junk_segments_are_tolerated() {
         let a = segment(0, &[(0, 10, 1, 5), (1, 20, 1, 5)]);
         let torn = a[..a.len() - 3].to_vec();
-        let r = StoreReader::from_segment_bytes(vec![torn, b"not a segment".to_vec(), Vec::new()]);
+        let r = reader_of(&[torn, b"not a segment".to_vec(), Vec::new()]);
         assert_eq!(r.n_segments(), 1);
         let seqs: Vec<u64> = r.scan().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![0]);
     }
 
     #[test]
-    fn listing_classifies_sealed_and_in_progress_segments() {
-        use crate::backend::MemBackend;
-        use crate::writer::{LogStore, StoreConfig};
-        use std::sync::Arc;
-        let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let store = LogStore::open(
-            Arc::clone(&backend),
-            "d",
-            StoreConfig {
-                segment_bytes: 512,
-                batch_bytes: 64,
-                index_every: 4,
-            },
-        );
-        let mut w = store.writer(0);
-        let mut raw = vec![0u8; 60];
-        raw[0..4].copy_from_slice(&60u32.to_le_bytes());
-        raw[20..24].copy_from_slice(&7u32.to_le_bytes());
-        let mut last = 0;
-        for _ in 0..40 {
-            last = w.append(&raw);
-        }
-        w.flush();
-        let r = store.reader();
-        let infos = r.segments_info();
-        assert!(infos.len() >= 2, "rotation produced several segments");
-        // Exactly one in-progress segment, and it is the last one.
-        let sealed: Vec<_> = infos.iter().filter(|s| s.sealed).collect();
-        assert_eq!(sealed.len(), infos.len() - 1);
-        assert!(!infos.last().unwrap().sealed);
-        // Counts are consistent with the full reader view.
-        assert_eq!(infos.iter().map(|s| s.n_records).sum::<u64>(), 40);
-        assert_eq!(r.sealed_segments().len(), sealed.len());
-        assert_eq!(r.last_valid_frame().map(|(seq, _)| seq), Some(last));
-        // Nameless segments cannot be classified.
-        let bytes = backend.read(infos[0].name.as_deref().unwrap()).unwrap();
-        let anon = StoreReader::from_segment_bytes(vec![bytes]);
-        assert!(!anon.segments_info()[0].sealed);
-        assert!(anon.segments_info()[0].seg_no.is_none());
-    }
-
-    #[test]
     fn stale_sidecar_is_rebuilt() {
-        use crate::backend::MemBackend;
         let seg = segment(0, &[(0, 10, 1, 5), (1, 20, 1, 6)]);
         let backend = MemBackend::new();
         backend.write("d/s0000-00000000.seg", &seg);

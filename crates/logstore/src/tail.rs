@@ -11,21 +11,31 @@
 //! retry re-appends the same batch bytes), consumed offsets stay valid
 //! across every failure the writer itself can heal.
 //!
-//! The intended polling protocol, used by the controller's `watch`:
+//! [`StoreTail::poll`] is the polling protocol, the same over a local
+//! backend and over a remote machine's files:
 //!
 //! 1. list segment files (one `list` — no dense name probing);
 //! 2. classify: per shard, every segment but the highest-numbered one
-//!    is **sealed** (the writer never touches it again), so fetch it
-//!    once and drop it from future polls; the in-progress segment is
-//!    re-fetched each poll;
-//! 3. offer each fetched segment's bytes to the tail and ingest the
-//!    returned [`OwnedFrame`]s.
+//!    is **sealed** — the writer flushed it for the last time before
+//!    it created the successor, and never touches it again;
+//! 3. read every segment not yet retired and decode what is new past
+//!    its cursor ([`StoreTail::offer_segment`]);
+//! 4. retire a segment once a read taken *after* the listing that
+//!    showed it sealed has been consumed to its last byte: that read
+//!    holds everything the segment will ever hold, so it is never read
+//!    again. A sealed segment the cursor cannot finish (damaged bytes)
+//!    is not retired and keeps being read, as the in-progress segment
+//!    of each shard is.
+//!
+//! A caller that fetches bytes itself offers them through
+//! [`StoreTail::offer_segment`] directly.
 
-use crate::backend::Backend;
+use crate::backend::StoreSource;
 use crate::format::{decode_frame, decode_seg_header, ProcId, SEG_HEADER_LEN};
 use crate::reader::{list_segments, Frame};
+use crate::writer::seg_ids_of;
 use dpm_telemetry::Counter;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// Bytes offered again that the tail had already consumed — the
@@ -70,6 +80,9 @@ impl OwnedFrame {
 pub struct StoreTail {
     /// Consumed byte offset per segment file name.
     offsets: HashMap<String, usize>,
+    /// Sealed segments consumed to their last byte: [`StoreTail::poll`]
+    /// never reads them again.
+    retired: HashSet<String>,
 }
 
 impl StoreTail {
@@ -107,16 +120,28 @@ impl StoreTail {
         out
     }
 
-    /// Lists the store at `dir` and offers every segment's current
-    /// bytes, returning all newly appeared frames sorted by seq — the
-    /// local-backend convenience form of the polling protocol (a
-    /// remote consumer fetches bytes itself and calls
-    /// [`StoreTail::offer_segment`]).
-    pub fn poll(&mut self, backend: &dyn Backend, dir: &str) -> Vec<OwnedFrame> {
+    /// One round of the polling protocol (see the module docs) over
+    /// the store at `dir`: lists it, reads every segment not yet
+    /// retired, and returns all newly appeared frames sorted by seq.
+    pub fn poll(&mut self, source: &dyn StoreSource, dir: &str) -> Vec<OwnedFrame> {
+        let names = list_segments(source, dir);
+        let mut newest: HashMap<u16, u32> = HashMap::new();
+        for (shard, no) in names.iter().filter_map(|n| seg_ids_of(n)) {
+            let e = newest.entry(shard).or_insert(no);
+            *e = (*e).max(no);
+        }
         let mut out = Vec::new();
-        for name in list_segments(backend, dir) {
-            if let Some(bytes) = backend.read(&name) {
-                out.extend(self.offer_segment(&name, &bytes));
+        for name in names {
+            if self.retired.contains(&name) {
+                continue;
+            }
+            let Some(bytes) = source.read(&name) else {
+                continue;
+            };
+            out.extend(self.offer_segment(&name, &bytes));
+            let sealed = seg_ids_of(&name).is_some_and(|(shard, no)| no < newest[&shard]);
+            if sealed && self.consumed(&name) == bytes.len() {
+                self.retired.insert(name);
             }
         }
         out.sort_by_key(|f| f.seq);
@@ -126,110 +151,5 @@ impl StoreTail {
     /// Bytes consumed so far of segment `name` (0 if never offered).
     pub fn consumed(&self, name: &str) -> usize {
         self.offsets.get(name).copied().unwrap_or(0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::backend::MemBackend;
-    use crate::writer::{LogStore, StoreConfig};
-    use dpm_meter::HEADER_LEN;
-    use std::sync::Arc;
-
-    fn raw(machine: u16, pid: u32, fill: usize) -> Vec<u8> {
-        let mut r = vec![0u8; HEADER_LEN + 4 + fill];
-        let size = r.len() as u32;
-        r[0..4].copy_from_slice(&size.to_le_bytes());
-        r[4..6].copy_from_slice(&machine.to_le_bytes());
-        r[20..24].copy_from_slice(&7u32.to_le_bytes());
-        r[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&pid.to_le_bytes());
-        r
-    }
-
-    #[test]
-    fn poll_sees_only_new_frames() {
-        let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let store = LogStore::open(Arc::clone(&backend), "d", StoreConfig::default());
-        let mut w = store.writer(0);
-        let mut tail = StoreTail::new();
-
-        w.append(&raw(1, 100, 0));
-        w.flush();
-        let first = tail.poll(backend.as_ref(), "d");
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].seq, 0);
-        assert_eq!(first[0].proc.pid, 100);
-
-        // Nothing new → nothing returned.
-        assert!(tail.poll(backend.as_ref(), "d").is_empty());
-
-        w.append(&raw(1, 101, 0));
-        w.append(&raw(1, 102, 0));
-        w.flush();
-        let more = tail.poll(backend.as_ref(), "d");
-        assert_eq!(
-            more.iter().map(|f| f.seq).collect::<Vec<_>>(),
-            vec![1, 2],
-            "only the newly flushed frames appear"
-        );
-    }
-
-    #[test]
-    fn torn_tail_is_deferred_not_lost() {
-        let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let store = LogStore::open(Arc::clone(&backend), "d", StoreConfig::default());
-        let mut w = store.writer(0);
-        w.append(&raw(1, 100, 0));
-        w.append(&raw(1, 101, 0));
-        w.flush();
-        let name = crate::writer::segment_name("d", 0, 0);
-        let full = backend.read(&name).expect("segment");
-
-        let mut tail = StoreTail::new();
-        // Offer the bytes with the last frame torn mid-way.
-        let torn = &full[..full.len() - 5];
-        let got = tail.offer_segment(&name, torn);
-        assert_eq!(got.len(), 1, "whole frame consumed, torn one deferred");
-        // Offer the completed bytes: only the deferred frame appears.
-        let got = tail.offer_segment(&name, &full);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].seq, 1);
-        assert_eq!(tail.consumed(&name), full.len());
-    }
-
-    #[test]
-    fn tail_crosses_segment_rotation() {
-        let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let cfg = StoreConfig {
-            segment_bytes: 512,
-            batch_bytes: 64,
-            index_every: 4,
-        };
-        let store = LogStore::open(Arc::clone(&backend), "d", cfg);
-        let mut w = store.writer(0);
-        let mut tail = StoreTail::new();
-        let mut seen = Vec::new();
-        for i in 0..40 {
-            w.append(&raw(2, i, 16));
-            if i % 7 == 0 {
-                w.flush();
-                seen.extend(tail.poll(backend.as_ref(), "d").into_iter().map(|f| f.seq));
-            }
-        }
-        w.flush();
-        seen.extend(tail.poll(backend.as_ref(), "d").into_iter().map(|f| f.seq));
-        assert_eq!(
-            seen,
-            (0..40).collect::<Vec<u64>>(),
-            "every frame exactly once across rotations"
-        );
-    }
-
-    #[test]
-    fn header_in_flight_is_tolerated() {
-        let mut tail = StoreTail::new();
-        assert!(tail.offer_segment("d/x.seg", b"DP").is_empty());
-        assert_eq!(tail.consumed("d/x.seg"), 0, "cursor did not advance");
     }
 }

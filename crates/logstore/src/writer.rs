@@ -62,8 +62,8 @@ impl Default for StoreConfig {
 ///
 /// Segment numbering is per shard and dense from zero. Discovery goes
 /// through a directory listing ([`crate::reader::list_segments`]);
-/// the dense numbering is what lets listings be classified into
-/// sealed and in-progress segments (see [`seg_ids_of`]).
+/// the dense numbering is what lets [`crate::StoreTail::poll`]
+/// classify a listing into sealed and in-progress segments.
 pub fn segment_name(dir: &str, shard: u16, no: u32) -> String {
     format!("{dir}/s{shard:04}-{no:08}.seg")
 }
@@ -348,7 +348,9 @@ impl SegmentWriter {
             .collect();
         segs.sort();
         let Some(last) = segs.last() else { return };
-        let Some(no) = seg_no_of(last) else { return };
+        let Some((_, no)) = seg_ids_of(last) else {
+            return;
+        };
         let bytes = self.backend.read(last).unwrap_or_default();
         if decode_seg_header(&bytes).is_none() {
             // The header itself was torn: reuse the file from scratch.
@@ -507,9 +509,15 @@ impl SegmentWriter {
 
     /// Seals the current segment and opens the next one, notifying
     /// the store's seal hook (if any) with the sealed segment's
-    /// listing facts.
+    /// listing facts. A segment whose last flush failed is not sealed:
+    /// the kept batch belongs to it (its frames are indexed at this
+    /// segment's offsets), so it stays open — past `segment_bytes` if
+    /// need be — until the backend takes the batch.
     fn roll(&mut self) {
         self.flush();
+        if !self.batch.is_empty() {
+            return;
+        }
         self.tm.seals.inc();
         if let Some(first_ts) = self.seg_first_ts {
             // Seal latency on the shared store-timestamp axis: how old
@@ -553,25 +561,19 @@ impl Drop for SegmentWriter {
 }
 
 /// Parses the `(shard, segment number)` out of a segment file name of
-/// the form produced by [`segment_name`]. Remote consumers use this to
-/// classify which fetched segments are sealed (all but the
-/// highest-numbered per shard).
-pub fn seg_ids_of(name: &str) -> Option<(u16, u32)> {
+/// the form produced by [`segment_name`].
+pub(crate) fn seg_ids_of(name: &str) -> Option<(u16, u32)> {
     let stem = name.rsplit('/').next()?.strip_suffix(".seg")?;
     let (shard, no) = stem.rsplit_once('-')?;
     Some((shard.strip_prefix('s')?.parse().ok()?, no.parse().ok()?))
 }
 
-/// Parses the segment number out of a segment file name.
-fn seg_no_of(name: &str) -> Option<u32> {
-    seg_ids_of(name).map(|(_, no)| no)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemBackend;
+    use crate::backend::{MemBackend, StoreSource};
     use crate::format::ProcId;
+    use crate::tail::StoreTail;
     use dpm_meter::HEADER_LEN;
 
     /// A minimal well-formed "record": header with machine, trace
@@ -723,18 +725,21 @@ mod tests {
         fail_next: std::sync::Mutex<u32>,
     }
 
+    impl StoreSource for TornBackend {
+        fn read(&self, name: &str) -> Option<Vec<u8>> {
+            self.inner.read(name)
+        }
+        fn list(&self, prefix: &str) -> Vec<String> {
+            self.inner.list(prefix)
+        }
+    }
+
     impl Backend for TornBackend {
         fn append(&self, name: &str, data: &[u8]) {
             self.inner.append(name, data);
         }
         fn write(&self, name: &str, data: &[u8]) {
             self.inner.write(name, data);
-        }
-        fn read(&self, name: &str) -> Option<Vec<u8>> {
-            self.inner.read(name)
-        }
-        fn list(&self, prefix: &str) -> Vec<String> {
-            self.inner.list(prefix)
         }
         fn try_append(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
             let mut left = self.fail_next.lock().unwrap();
@@ -791,6 +796,46 @@ mod tests {
         assert_eq!(store.reader().scan().count(), 1);
     }
 
+    /// Regression: `roll` used to move to the next segment even when
+    /// the sealing flush had failed and kept its batch, so the batch
+    /// later landed — headerless, at offset 0 — in the *next* segment
+    /// file and that whole segment was undecodable.
+    #[test]
+    fn roll_waits_for_a_failed_flush() {
+        let backend = Arc::new(TornBackend {
+            inner: MemBackend::new(),
+            fail_next: std::sync::Mutex::new(0),
+        });
+        let cfg = StoreConfig {
+            segment_bytes: 512,
+            batch_bytes: 64,
+            index_every: 4,
+        };
+        let store = LogStore::open(Arc::clone(&backend) as Arc<dyn Backend>, "d", cfg);
+        let mut w = store.writer(0);
+        let mut tail = StoreTail::new();
+        let mut polled = Vec::new();
+        for i in 0..60 {
+            // ~68-byte frames roll a 512-byte segment every 7th append:
+            // the outage (8 failed tries per flush, every flush) spans
+            // the first roll boundary and then ends.
+            match i {
+                5 => *backend.fail_next.lock().unwrap() = u32::MAX,
+                12 => *backend.fail_next.lock().unwrap() = 0,
+                _ => {}
+            }
+            w.append(&raw(2, i, 16));
+            polled.extend(tail.poll(backend.as_ref(), "d").into_iter().map(|f| f.seq));
+        }
+        w.flush();
+        polled.extend(tail.poll(backend.as_ref(), "d").into_iter().map(|f| f.seq));
+        let reader = store.reader();
+        assert!(reader.n_segments() > 2, "rotation resumed after the outage");
+        let loaded: Vec<u64> = reader.scan().map(|f| f.seq).collect();
+        assert_eq!(loaded, (0..60).collect::<Vec<u64>>(), "load: exactly once");
+        assert_eq!(polled, (0..60).collect::<Vec<u64>>(), "tail: exactly once");
+    }
+
     #[test]
     fn segment_names_are_probeable() {
         assert_eq!(segment_name("d", 0, 0), "d/s0000-00000000.seg");
@@ -799,9 +844,8 @@ mod tests {
             "/usr/tmp/l/s0003-00000012.seg"
         );
         assert_eq!(index_name("d/s0000-00000000.seg"), "d/s0000-00000000.idx");
-        assert_eq!(seg_no_of("d/s0003-00000012.seg"), Some(12));
-        assert_eq!(seg_no_of("d/other.txt"), None);
         assert_eq!(seg_ids_of("d/s0003-00000012.seg"), Some((3, 12)));
+        assert_eq!(seg_ids_of("d/other.txt"), None);
         assert_eq!(seg_ids_of("d/x0003-00000012.seg"), None);
     }
 
@@ -875,7 +919,6 @@ mod tests {
         );
         // One line per sealed segment: the in-progress segment (the
         // highest-numbered one) has no line.
-        let reader = store.reader();
-        assert_eq!(lines.len(), reader.sealed_segments().len());
+        assert_eq!(lines.len(), store.reader().n_segments() - 1);
     }
 }

@@ -2,9 +2,7 @@
 //! writes, query correctness over multi-segment stores, and the
 //! directory-backed backend end to end.
 
-use dpm_logstore::{
-    segment_name, Backend, DirBackend, LogStore, MemBackend, ProcId, StoreConfig, StoreReader,
-};
+use dpm_logstore::{segment_name, Backend, DirBackend, LogStore, MemBackend, ProcId, StoreConfig};
 use dpm_meter::HEADER_LEN;
 use std::sync::Arc;
 
@@ -183,31 +181,4 @@ fn dir_backend_store_round_trip() {
     let pids: Vec<u32> = reader.scan().map(|f| f.proc.pid).collect();
     assert_eq!(pids, vec![200, 201, 202, 203]);
     let _ = std::fs::remove_dir_all(&tmp);
-}
-
-/// `from_segment_bytes` (the remote-fetch path) sees the same records
-/// as a local reader.
-#[test]
-fn segment_bytes_reader_matches_local() {
-    let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-    let store = LogStore::open(Arc::clone(&backend), "log", StoreConfig::default());
-    let mut w = store.writer(0);
-    for i in 0..7 {
-        w.append(&raw(1, 300 + i, 2));
-    }
-    w.flush();
-    // Probe segment names densely, as the controller's getlog does.
-    let mut fetched = Vec::new();
-    for no in 0.. {
-        match backend.read(&segment_name("log", 0, no)) {
-            Some(bytes) => fetched.push(bytes),
-            None => break,
-        }
-    }
-    let remote = StoreReader::from_segment_bytes(fetched);
-    let local = store.reader();
-    let a: Vec<(u64, u32)> = remote.scan().map(|f| (f.seq, f.proc.pid)).collect();
-    let b: Vec<(u64, u32)> = local.scan().map(|f| (f.seq, f.proc.pid)).collect();
-    assert_eq!(a, b);
-    assert_eq!(a.len(), 7);
 }

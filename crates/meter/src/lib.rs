@@ -45,6 +45,7 @@
 //! # Ok::<(), dpm_meter::DecodeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flags;

@@ -16,6 +16,7 @@
 //!   the connection itself — the one exception to the RPC pattern;
 //! * writes and fetches files, standing in for `rcp` (§3.5.3).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod daemon;

@@ -39,6 +39,7 @@
 //! # let _ = time;
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -56,6 +56,7 @@
 //! # Ok::<(), dpm_simos::SysError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backoff;

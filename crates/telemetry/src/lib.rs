@@ -39,6 +39,8 @@
 //! feature compiles recording bodies out entirely for a
 //! belt-and-braces floor.
 
+#![forbid(unsafe_code)]
+
 mod flight;
 mod metrics;
 mod registry;

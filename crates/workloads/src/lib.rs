@@ -26,6 +26,7 @@
 //! [`register_all`] registers every program with a cluster and
 //! installs the corresponding `/bin` files on every machine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ab;

@@ -25,6 +25,8 @@
 //! # Ok::<(), dpm::SysError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dpm_core::*;
 
 /// The individual subsystem crates, for direct access.

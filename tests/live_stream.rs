@@ -3,13 +3,16 @@
 //! `log=store` filter. The watch must stream non-empty windows *while
 //! the job is still running* (live, not post-hoc), and at quiescence
 //! the incrementally-built live trace must equal — field for field —
-//! the batch analyses over the same store segments.
+//! the batch analyses over the same store segments. Everything the
+//! controller reads of that store it reads through blue's meterdaemon;
+//! every such read (`watch`, `tail`, `getlog`, `check`) is compared
+//! with a `StoreReader` loaded straight off blue's file system.
 
-use dpm::crates::analysis::{CommStats, HappensBefore, Pairing, Trace};
+use dpm::crates::analysis::{CommStats, HappensBefore, MutexReport, Pairing, Trace};
 use dpm::crates::filter::SimFsBackend;
 use dpm::crates::live::LiveTrace;
 use dpm::crates::logstore::{OwnedFrame, StoreReader};
-use dpm::{Controller, Descriptions, NetConfig, ProcState, Simulation};
+use dpm::{Controller, Descriptions, LogRecord, NetConfig, ProcState, Simulation};
 use std::sync::Arc;
 
 const HOSTS: [&str; 4] = ["yellow", "red", "green", "blue"];
@@ -17,6 +20,16 @@ const HOSTS: [&str; 4] = ["yellow", "red", "green", "blue"];
 /// simulated sleeps are virtual (instant), so only protocol volume
 /// stretches the run.
 const ROUNDS: usize = 12;
+
+/// The §3.4 line of every frame of `reader`, in seq order — what
+/// `getlog` and `tail` show of a filter that has no templates.
+fn render_store(reader: &StoreReader, desc: &Descriptions) -> Vec<String> {
+    reader
+        .scan()
+        .filter_map(|f| LogRecord::from_raw(desc, f.raw, &[]))
+        .map(|rec| rec.to_string())
+        .collect()
+}
 
 /// Whether every process of `job` reached a terminal state.
 fn job_done(control: &Controller, job: &str) -> bool {
@@ -76,6 +89,9 @@ fn watch_streams_live_windows_and_equals_batch_at_quiescence() {
             std::time::Instant::now() < deadline,
             "job never converged while watching"
         );
+        // `tail` shares the watch cursors: what it shows mid-job it
+        // also feeds the live trace, once.
+        control.exec("tail f1 n=1");
     }
     assert!(control.wait_job("mx", 120_000), "mutex job completed");
     assert!(
@@ -112,7 +128,18 @@ fn watch_streams_live_windows_and_equals_batch_at_quiescence() {
     let batch_pairing = Pairing::analyze(&batch_trace);
     let batch_hb = HappensBefore::build(&batch_trace, &batch_pairing);
     let batch_stats = CommStats::analyze(&batch_trace, &batch_pairing);
-    assert_eq!(batch_trace, Trace::parse(&text), "store and text agree");
+    // Remote == local: `getlog` and `check` loaded the store through
+    // blue's daemon, `reader` straight off blue's file system.
+    assert_eq!(
+        text.lines().collect::<Vec<_>>(),
+        render_store(&reader, &desc),
+        "getlog renders the local reader's frames, one for one"
+    );
+    assert_eq!(
+        control.exec("check f1 mutex").trim_end(),
+        MutexReport::check(&batch_trace).to_string().trim_end(),
+        "check reads the same trace"
+    );
 
     // The tentpole invariant: at quiescence, the incrementally-grown
     // live state equals the batch analyses, field for field.
@@ -163,10 +190,19 @@ fn tail_renders_new_records_and_shares_watch_cursors() {
     let text = sim.stable_log(&mut control, "f1");
     assert!(!text.is_empty());
 
-    control.exec("tail f1 n=5");
-    let t = control.transcript();
-    assert!(t.contains("new record(s)"), "{t}");
-    assert!(t.contains("event=send"), "tail rendered records: {t}");
+    let shown = control.exec("tail f1 n=5");
+    assert!(
+        shown.contains("event=send"),
+        "tail rendered records: {shown}"
+    );
+    let mut shown = shown.lines();
+    let new: usize = shown
+        .next()
+        .and_then(|l| l.strip_prefix("tail f1: "))
+        .and_then(|l| l.strip_suffix(" new record(s)"))
+        .and_then(|n| n.parse().ok())
+        .expect("tail's count line");
+    let shown: Vec<&str> = shown.map(str::trim_start).collect();
 
     // Follow-up watch windows share the tail's cursors: polls converge
     // on exactly the store's record count, with no frame replayed or
@@ -180,6 +216,14 @@ fn tail_renders_new_records_and_shares_watch_cursors() {
         if live.len() as u64 == reader.n_records() && live.reorder_pending() == 0 {
             assert_eq!(live.replays(), 0, "no frame offered twice past a cursor");
             assert_eq!(live.duplicates(), 0, "no (machine,pid,seq) double-count");
+            // Remote == local: the frames `tail` and `watch` polled
+            // through red's daemon are the local reader's, and the
+            // records `tail` showed are the last of the `new` it read
+            // (one shard: a poll's frames are a prefix of the store).
+            let desc = Descriptions::standard();
+            assert_eq!(live.trace(), &Trace::from_store(&reader, &desc));
+            let local = render_store(&reader, &desc);
+            assert_eq!(shown, local[new - shown.len()..new]);
             break;
         }
         assert!(

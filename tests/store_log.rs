@@ -6,9 +6,10 @@
 //! logged is a library identity: `crates/filter/tests/shard_pipeline.rs`.)
 //!
 //! Part 2 drives the whole control plane: a session with
-//! `filter f1 blue`, a metered job, `getlog` (which fetches segments
-//! and renders locally), and the analysis built straight from the
-//! store.
+//! `filter f1 blue`, a metered job, `getlog` (which loads the store
+//! through blue's meterdaemon and renders locally), and the analysis
+//! built straight from the store — then grows that store to many
+//! segments and asserts `getlog` is still the render of the segments.
 
 use dpm::crates::analysis::{Analysis, Trace};
 use dpm::crates::logstore::StoreReader;
@@ -123,6 +124,10 @@ fn multi_segment_store_reassembles_identically_by_every_path() {
 
 #[test]
 fn controller_session_with_store_filter() {
+    use dpm::crates::filter::SimFsBackend;
+    use dpm::crates::logstore::{LogStore, StoreConfig};
+    use std::sync::Arc;
+
     let sim = Simulation::builder()
         .machines(["yellow", "red", "green", "blue"])
         .seed(42)
@@ -179,6 +184,36 @@ fn controller_session_with_store_filter() {
         analysis.stats.matched >= 10,
         "request/reply traffic matched"
     );
+
+    // Many segments: with the filter idle, rotate more records through
+    // tiny segments of a second shard straight onto blue's disk. What
+    // `getlog` loads through the daemon — listing, segments, sidecars —
+    // must still be what a local reader loads.
+    let on_blue = Arc::new(SimFsBackend::new(Arc::clone(&blue)));
+    let tiny = StoreConfig {
+        segment_bytes: 512,
+        batch_bytes: 64,
+        index_every: 8,
+    };
+    let store = LogStore::open(on_blue, "/usr/tmp/log.f1", tiny);
+    let mut w = store.writer(1);
+    for i in 0..120u32 {
+        let body = MeterBody::Send(MeterSendMsg {
+            pid: 777,
+            pc: 7,
+            sock: 3,
+            msg_length: 32 + i,
+            dest_name: Some(SockName::inet(2, 99)),
+        });
+        w.append(&msg(9, 1_000 + i, body));
+    }
+    drop(w);
+    let grown = load_store(&blue, "/usr/tmp/log.f1");
+    assert!(grown.n_segments() > 10, "{} segments", grown.n_segments());
+    assert_eq!(grown.n_records(), reader.n_records() + 120);
+    control.exec("getlog f1 /tmp/many");
+    let many = sim.local_file(&control, "/tmp/many").expect("getlog wrote");
+    assert_eq!(String::from_utf8_lossy(&many), render_store(&grown, &desc));
 
     control.exec("bye");
     assert!(control.is_done());
