@@ -15,7 +15,6 @@
 //! heaviest *work* chain, a lower bound on elapsed time.
 
 use crate::hb::HappensBefore;
-use crate::pairing::Pairing;
 use crate::trace::{ProcKey, Trace};
 use std::collections::HashMap;
 use std::fmt;
@@ -46,7 +45,7 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// Computes the heaviest work chain through the happens-before
     /// graph.
-    pub fn analyze(trace: &Trace, pairing: &Pairing, hb: &HappensBefore) -> CriticalPath {
+    pub fn analyze(trace: &Trace, hb: &HappensBefore) -> CriticalPath {
         let n = trace.events.len();
         if n == 0 {
             return CriticalPath::default();
@@ -60,31 +59,18 @@ impl CriticalPath {
             in_work[i] = e.proc_time.saturating_sub(prev);
             prev_proc_time.insert(e.proc, e.proc_time.max(prev));
         }
-        let _ = pairing; // edges already folded into `hb`
 
-        // Longest path over the DAG: process in a topological order.
-        // Trace order is topological for program edges; message edges
-        // may point backwards in trace order, so do a Kahn pass using
-        // hb's successor lists.
-        let mut indeg = vec![0usize; n];
-        for i in 0..n {
-            for &s in hb.successors(i) {
-                indeg[s] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        // Longest path over the DAG, in the topological order the
+        // happens-before build already took (trace order is not one:
+        // message edges may point backwards in it).
         let mut dist = vec![0u64; n];
         let mut pred: Vec<Option<usize>> = vec![None; n];
-        while let Some(i) = queue.pop() {
+        for i in hb.topological_order() {
             for &s in hb.successors(i) {
                 let cand = dist[i] + in_work[s] as u64;
                 if cand > dist[s] || (cand == dist[s] && pred[s].is_none()) {
                     dist[s] = cand;
                     pred[s] = Some(i);
-                }
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    queue.push(s);
                 }
             }
         }
@@ -161,6 +147,7 @@ impl fmt::Display for CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairing::Pairing;
     use crate::trace::Trace;
 
     /// p1 does 30 ms then sends; p2 receives then does 50 ms. The
@@ -185,7 +172,7 @@ event=termproc machine=1 cpuTime=50 procTime=50 traceType=10 pid=2 pc=2 reason=0
         let t = Trace::parse(log);
         let p = Pairing::analyze(&t);
         let hb = HappensBefore::build(&t, &p);
-        let cp = CriticalPath::analyze(&t, &p, &hb);
+        let cp = CriticalPath::analyze(&t, &hb);
         (t, cp)
     }
 

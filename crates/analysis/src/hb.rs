@@ -17,23 +17,44 @@ use crate::pairing::Pairing;
 use crate::trace::{ProcKey, Trace};
 use std::collections::HashMap;
 
+/// "No event": the program successor of a process's last event, and
+/// the row of an event that will get one of its own.
+const NONE: u32 = u32::MAX;
+
 /// The happens-before relation over a trace.
+///
+/// Sized by the edges, not by events × processes: the successor lists
+/// are one CSR pair (compressed sparse rows — `succ_off` offsets into
+/// one flat `succ`), and a vector-clock row is stored only where the
+/// clock learns something from another process, at an event with an
+/// incoming message edge. Every other event shares its program
+/// predecessor's row and adds only its own component.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HappensBefore {
-    /// Successor lists: `succs[i]` are events directly after event `i`
-    /// (same-process successor and message edges).
-    succs: Vec<Vec<usize>>,
+    /// `succ[succ_off[i]..succ_off[i + 1]]` are the events directly
+    /// after event `i`: its same-process successor first, then its
+    /// message edges in pairing order.
+    succ_off: Vec<usize>,
+    succ: Vec<usize>,
     /// Lamport clock per event.
     lamport: Vec<u64>,
     /// Vector-clock index per process.
     proc_index: HashMap<ProcKey, usize>,
-    /// Vector clock per event: one row-major arena, row `i` (one
-    /// component per process of `proc_index`) is event `i`'s clock.
-    vclock: Vec<u64>,
-    /// Whether the edge set contained a cycle — evidence of a wrong
-    /// message matching (a receive paired with a send that it could
-    /// not have been caused by), never of a real execution.
-    has_cycle: bool,
+    /// Each event's process, as its `proc_index` value.
+    proc: Vec<u32>,
+    /// Each event's own clock component: its 1-based position in its
+    /// process, or 0 if the topological pass never reached it.
+    local: Vec<u32>,
+    /// Each event's clock row in `rows`; row 0 is all zeros.
+    row: Vec<u32>,
+    /// The row arena, one component per process of `proc_index` in
+    /// each row. A row's component at the process of a reached event
+    /// using it is stale: the event's `local` overrides it. An event
+    /// the pass never reached reads its whole clock from its row.
+    rows: Vec<u64>,
+    /// The events the topological pass reached, in the order it took
+    /// them. It misses some exactly when the edges contain a cycle.
+    topo: Vec<u32>,
 }
 
 impl HappensBefore {
@@ -44,97 +65,200 @@ impl HappensBefore {
     /// ordered stream and records carry monotone local stamps).
     pub fn build(trace: &Trace, pairing: &Pairing) -> HappensBefore {
         let n = trace.events.len();
-        let mut succs = vec![Vec::new(); n];
-        // Program order.
-        let mut last_of: HashMap<ProcKey, usize> = HashMap::new();
+        // Processes in first-appearance order (as `Trace::processes`),
+        // each event's process and position in it, and program order.
+        let mut proc_index: HashMap<ProcKey, usize> = HashMap::new();
+        let mut proc = Vec::with_capacity(n);
+        let mut local = Vec::with_capacity(n);
+        let mut last: Vec<(u32, u32)> = Vec::new();
+        let mut next = vec![NONE; n];
         for (i, e) in trace.events.iter().enumerate() {
-            if let Some(&prev) = last_of.get(&e.proc) {
-                succs[prev].push(i);
+            let fresh = proc_index.len();
+            let p = *proc_index.entry(e.proc).or_insert(fresh);
+            if p == fresh {
+                last.push((NONE, 0));
             }
-            last_of.insert(e.proc, i);
+            let (prev, count) = &mut last[p];
+            if *prev != NONE {
+                next[*prev as usize] = i as u32;
+            }
+            *prev = i as u32;
+            *count += 1;
+            proc.push(p as u32);
+            local.push(*count);
         }
-        // Message order.
-        for m in &pairing.messages {
-            if m.send_idx < n && m.recv_idx < n {
-                succs[m.send_idx].push(m.recv_idx);
+        let width = proc_index.len();
+        let messages = || {
+            pairing
+                .messages
+                .iter()
+                .filter(|m| m.send_idx < n && m.recv_idx < n)
+        };
+        // Out-degrees, summed so `succ_off[i]` is the end of event
+        // `i`'s range; filling backwards then leaves it at the start.
+        let mut succ_off = vec![0usize; n + 1];
+        let mut indeg = vec![0u32; n];
+        for (i, &s) in next.iter().enumerate() {
+            if s != NONE {
+                succ_off[i] += 1;
+                indeg[s as usize] += 1;
             }
         }
+        for m in messages() {
+            succ_off[m.send_idx] += 1;
+            indeg[m.recv_idx] += 1;
+        }
+        for i in 1..=n {
+            succ_off[i] += succ_off[i - 1];
+        }
+        let mut succ = vec![0usize; succ_off[n]];
+        for m in messages().rev() {
+            succ_off[m.send_idx] -= 1;
+            succ[succ_off[m.send_idx]] = m.recv_idx;
+        }
+        for (i, &s) in next.iter().enumerate() {
+            if s != NONE {
+                succ_off[i] -= 1;
+                succ[succ_off[i]] = s as usize;
+            }
+        }
+        // An event with an incoming message edge will own a row (NONE
+        // until its first predecessor is taken); any other event keeps
+        // row 0 until its program predecessor hands over its own.
+        let mut row = vec![0u32; n];
+        let mut receives = 0;
+        for i in 0..n {
+            if indeg[i] > u32::from(local[i] > 1) {
+                row[i] = NONE;
+                receives += 1;
+            }
+        }
+        let mut rows = Vec::with_capacity((receives + 1) * width);
+        rows.resize(width, 0);
+
         // Lamport clocks and vector clocks in one forward pass over a
         // topological order. Trace order is already topological for
         // program edges; message edges can point backwards in trace
         // order (clock skew!), so do a proper Kahn pass.
-        let procs = trace.processes();
-        let proc_index: HashMap<ProcKey, usize> =
-            procs.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let mut indeg = vec![0usize; n];
-        for ss in &succs {
-            for &s in ss {
-                indeg[s] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut lamport = vec![0u64; n];
-        let width = procs.len();
-        let mut vclock = vec![0u64; n * width];
-        let mut seen = 0;
+        let mut topo = Vec::with_capacity(n);
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
         while let Some(i) = queue.pop() {
-            seen += 1;
-            let pi = proc_index[&trace.events[i].proc];
-            vclock[i * width + pi] += 1;
-            for &s in &succs[i] {
+            topo.push(i);
+            let i = i as usize;
+            let (ri, pi) = (row[i] as usize, proc[i] as usize);
+            for &s in &succ[succ_off[i]..succ_off[i + 1]] {
                 lamport[s] = lamport[s].max(lamport[i] + 1);
-                let (a, b) = if i < s {
-                    let (lo, hi) = vclock.split_at_mut(s * width);
-                    (&lo[i * width..][..width], &mut hi[..width])
-                } else {
-                    let (lo, hi) = vclock.split_at_mut(i * width);
-                    (&hi[..width], &mut lo[s * width..][..width])
+                let rs = match row[s] {
+                    0 => {
+                        row[s] = ri as u32;
+                        None
+                    }
+                    NONE => {
+                        row[s] = (rows.len() / width) as u32;
+                        rows.extend_from_within(ri * width..(ri + 1) * width);
+                        Some(row[s] as usize)
+                    }
+                    rs => {
+                        let rs = rs as usize;
+                        let (src, dst) = if ri < rs {
+                            let (lo, hi) = rows.split_at_mut(rs * width);
+                            (&lo[ri * width..][..width], &mut hi[..width])
+                        } else {
+                            let (lo, hi) = rows.split_at_mut(ri * width);
+                            (&hi[..width], &mut lo[rs * width..][..width])
+                        };
+                        for (d, v) in dst.iter_mut().zip(src) {
+                            *d = (*d).max(*v);
+                        }
+                        Some(rs)
+                    }
                 };
-                for (bv, av) in b.iter_mut().zip(a.iter()) {
-                    *bv = (*bv).max(*av);
+                if let Some(rs) = rs {
+                    let own = &mut rows[rs * width + pi];
+                    *own = (*own).max(u64::from(local[i]));
                 }
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    queue.push(s);
+                    queue.push(s as u32);
                 }
             }
         }
         // A cycle cannot arise from a real execution (messages flow
         // forward in real time); it means the pairing heuristics
         // matched a receive to a send it was not caused by. Degrade
-        // gracefully: events on the cycle keep zeroed clocks (they
-        // never left Kahn's queue) and the flag tells callers the
-        // deduced order is incomplete.
-        let has_cycle = seen != n;
+        // gracefully: events on or after the cycle never left Kahn's
+        // queue, so their clocks hold only what reached predecessors
+        // merged into them, without a tick of their own, and
+        // `has_cycle` tells callers the deduced order is incomplete.
+        if topo.len() != n {
+            for i in (0..n).filter(|&i| indeg[i] != 0) {
+                local[i] = 0;
+                if row[i] == NONE {
+                    row[i] = 0;
+                }
+            }
+        }
         HappensBefore {
-            succs,
+            succ_off,
+            succ,
             lamport,
             proc_index,
-            vclock,
-            has_cycle,
+            proc,
+            local,
+            row,
+            rows,
+            topo,
         }
     }
 
-    /// Whether the graph contained a cycle (see [`HappensBefore`]
-    /// field docs); when true, clock-based queries are incomplete for
-    /// the events on the cycle.
+    /// Whether the graph contained a cycle — evidence of a wrong
+    /// message matching (a receive paired with a send that it could
+    /// not have been caused by), never of a real execution. When true,
+    /// clock-based queries are incomplete for the events the cycle
+    /// blocks.
     pub fn has_cycle(&self) -> bool {
-        self.has_cycle
+        self.topo.len() != self.lamport.len()
+    }
+
+    /// The events in the topological order the build took them, each
+    /// before all its successors; the events a cycle blocks are
+    /// missing.
+    pub(crate) fn topological_order(&self) -> impl Iterator<Item = usize> + '_ {
+        self.topo.iter().map(|&i| i as usize)
+    }
+
+    /// Component `q` of event `b`'s vector clock.
+    fn component(&self, b: usize, q: usize) -> u64 {
+        if q == self.proc[b] as usize && self.local[b] != 0 {
+            u64::from(self.local[b])
+        } else {
+            self.rows[self.row[b] as usize * self.proc_index.len() + q]
+        }
     }
 
     /// Whether event `a` happens before event `b` (strictly).
     pub fn precedes(&self, a: usize, b: usize) -> bool {
-        if a == b {
+        let n = self.lamport.len();
+        if a == b || a >= n || b >= n {
             return false;
         }
-        // Vector-clock comparison: a → b iff Va ≤ Vb and Va ≠ Vb …
-        // but our per-event vector clocks count events per process, so
-        // a → b iff Va ≤ Vb componentwise (a's knowledge is contained
-        // in b's) and they differ.
-        let (Some(va), Some(vb)) = (self.vector(a), self.vector(b)) else {
-            return false;
-        };
-        va.iter().zip(vb).all(|(x, y)| x <= y) && va != vb
+        if self.local[a] != 0 && self.local[b] != 0 {
+            // a → b iff b's clock counts a: its component at a's
+            // process reaches a's position there.
+            return u64::from(self.local[a]) <= self.component(b, self.proc[a] as usize);
+        }
+        // A cycle blocked one of them, so its clock lacks its own tick
+        // and only the whole clocks compare: Va ≤ Vb and Va ≠ Vb.
+        let mut differ = false;
+        for q in 0..self.proc_index.len() {
+            let (x, y) = (self.component(a, q), self.component(b, q));
+            if x > y {
+                return false;
+            }
+            differ |= x != y;
+        }
+        differ
     }
 
     /// Whether two events are concurrent (neither precedes the other).
@@ -149,9 +273,12 @@ impl HappensBefore {
 
     /// The vector clock of an event (indexed per
     /// [`HappensBefore::process_index`]).
-    pub fn vector(&self, idx: usize) -> Option<&[u64]> {
-        let width = self.proc_index.len();
-        (idx < self.lamport.len()).then(|| &self.vclock[idx * width..][..width])
+    pub fn vector(&self, idx: usize) -> Option<Vec<u64>> {
+        (idx < self.lamport.len()).then(|| {
+            (0..self.proc_index.len())
+                .map(|q| self.component(idx, q))
+                .collect()
+        })
     }
 
     /// The vector-clock component index of a process.
@@ -161,7 +288,10 @@ impl HappensBefore {
 
     /// Direct successors of an event.
     pub fn successors(&self, idx: usize) -> &[usize] {
-        self.succs.get(idx).map(Vec::as_slice).unwrap_or(&[])
+        if idx >= self.lamport.len() {
+            return &[];
+        }
+        &self.succ[self.succ_off[idx]..self.succ_off[idx + 1]]
     }
 
     /// The fraction of event pairs that are ordered by the relation,
@@ -331,10 +461,76 @@ event=send machine=1 cpuTime=1 procTime=0 traceType=1 pid=2 pc=1 sock=1 msgLengt
                 let vi = hb.vector(i).unwrap();
                 let vs = hb.vector(s).unwrap();
                 assert!(
-                    vi.iter().zip(vs).all(|(a, b)| a <= b),
+                    vi.iter().zip(&vs).all(|(a, b)| a <= b),
                     "edge {i}->{s} not monotone"
                 );
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_indices_answer_nothing() {
+        let (t, _p, hb) = build(SKEWED);
+        for idx in [t.len(), t.len() + 1, usize::MAX] {
+            assert!(!hb.precedes(idx, 0) && !hb.precedes(0, idx));
+            assert_eq!(hb.lamport(idx), 0);
+            assert_eq!(hb.vector(idx), None);
+            assert_eq!(hb.successors(idx), &[] as &[usize]);
+        }
+    }
+
+    #[test]
+    fn empty_trace_has_no_events_and_no_cycle() {
+        let (_t, _p, hb) = build("");
+        assert!(!hb.has_cycle());
+        assert_eq!(hb.ordered_fraction(), 1.0);
+        assert_eq!(hb.vector(0), None);
+        assert_eq!(hb.successors(0), &[] as &[usize]);
+        assert_eq!(hb.topological_order().count(), 0);
+    }
+
+    #[test]
+    fn one_process_clocks_count_its_events() {
+        let log = "\
+event=socket machine=0 cpuTime=1 procTime=0 traceType=4 pid=1 pc=1 sock=1 domain=2 type=1 protocol=0
+event=send machine=0 cpuTime=2 procTime=0 traceType=1 pid=1 pc=2 sock=1 msgLength=1 destName=inet:0:9
+event=termproc machine=0 cpuTime=3 procTime=0 traceType=10 pid=1 pc=3 reason=0
+";
+        let (_t, _p, hb) = build(log);
+        for i in 0..3 {
+            assert_eq!(hb.vector(i), Some(vec![i as u64 + 1]));
+            for j in 0..3 {
+                assert_eq!(hb.precedes(i, j), i < j, "{i} {j}");
+            }
+        }
+        assert_eq!(hb.successors(0), &[1]);
+        assert_eq!(hb.successors(2), &[] as &[usize]);
+    }
+
+    #[test]
+    fn a_receive_merges_every_incoming_message() {
+        // Two 5-byte writes on one connection, read as one 10-byte
+        // receive: two message edges into one event.
+        let log = "\
+event=connect machine=0 cpuTime=1 procTime=0 traceType=9 pid=1 pc=0 sock=5 sockName=inet:0:2000 peerName=inet:1:80
+event=accept machine=1 cpuTime=1 procTime=0 traceType=8 pid=2 pc=0 sock=4 newSock=9 sockName=inet:1:80 peerName=inet:0:2000
+event=send machine=0 cpuTime=2 procTime=0 traceType=1 pid=1 pc=0 sock=5 msgLength=5 destName=-
+event=send machine=0 cpuTime=3 procTime=0 traceType=1 pid=1 pc=0 sock=5 msgLength=5 destName=-
+event=receive machine=1 cpuTime=2 procTime=0 traceType=3 pid=2 pc=0 sock=9 msgLength=10 sourceName=-
+";
+        let (_t, p, hb) = build(log);
+        let edges: Vec<(usize, usize)> = p
+            .messages
+            .iter()
+            .map(|m| (m.send_idx, m.recv_idx))
+            .collect();
+        assert_eq!(edges, [(2, 4), (3, 4)]);
+        assert_eq!(hb.successors(2), &[3, 4], "program successor first");
+        assert_eq!(hb.successors(3), &[4]);
+        assert_eq!(hb.vector(4), Some(vec![3, 2]));
+        assert_eq!(hb.vector(1), Some(vec![0, 1]));
+        assert_eq!(hb.lamport(4), 3);
+        assert!(hb.precedes(2, 4) && hb.precedes(3, 4) && hb.precedes(0, 4));
+        assert!(hb.concurrent(1, 3));
     }
 }

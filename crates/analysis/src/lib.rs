@@ -99,7 +99,7 @@ impl Analysis {
         let parallelism = ParallelismReport::analyze(&trace);
         let structure = StructureReport::analyze(&trace, &pairing);
         let debug = DebugReport::analyze(&trace, &pairing);
-        let critical = CriticalPath::analyze(&trace, &pairing, &hb);
+        let critical = CriticalPath::analyze(&trace, &hb);
         Analysis {
             trace,
             pairing,

@@ -1,11 +1,12 @@
 //! The answer path's allocations, counted rather than timed: typing a
 //! stored frame allocates nothing unless the event carries a socket
-//! name, and then once per name; the happens-before clocks are one
-//! arena, not a row per event. Counted with a `#[global_allocator]`
+//! name, and then once per name; happens-before allocates a fixed
+//! handful of flat arrays, not a successor list or a clock row per
+//! event. Counted with a `#[global_allocator]`
 //! that tallies the calls the measuring thread makes inside
 //! `allocations_in`, as `dpm-filter`'s `ingest_allocs` test does.
 
-use dpm_analysis::{Event, EventKind, HappensBefore, Pairing, ProcKey, Trace};
+use dpm_analysis::{Event, EventKind, HappensBefore, MatchedMessage, Pairing, ProcKey, Trace};
 use dpm_filter::Descriptions;
 use dpm_logstore::{Frame, ProcId};
 use dpm_meter::{
@@ -108,7 +109,7 @@ const GROWTH: u64 = 16;
 /// One `#[test]` on purpose: the count is per thread, but one test per
 /// binary keeps even the harness quiet while it runs.
 #[test]
-fn decode_allocates_per_name_and_the_clocks_are_one_arena() {
+fn decode_allocates_per_name_and_happens_before_per_trace() {
     // The counter does count: a `Vec` with room for one byte is one call.
     let one = allocations_in(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(1))));
     assert_eq!(one, 1);
@@ -182,31 +183,78 @@ fn decode_allocates_per_name_and_the_clocks_are_one_arena() {
         "{per_name} allocations for {N} two-name frames"
     );
 
-    // Happens-before over events that share no process and no message:
-    // no successor lists, so what is left is the clocks (n rows of n
-    // components) and the per-process maps. Four times the events must
-    // not cost four times the allocations — only the maps' and the
-    // work queue's few doublings.
-    let lone_events = |n: u32| Trace {
-        events: (0..n)
-            .map(|i| Event {
-                idx: i as usize,
-                proc: ProcKey { machine: i, pid: 1 },
-                cpu_time: 0,
-                proc_time: 0,
-                sock: None,
-                kind: EventKind::RecvCall,
-            })
-            .collect(),
+    // Happens-before over events that share no process and no message,
+    // then over ping-pong traffic — a matched message every other
+    // event, among 2 and among 64 processes, so a per-event successor
+    // list or clock row would show. Four times the
+    // events must not cost four times the allocations: only the
+    // process map's and the process list's few doublings.
+    let lone_events = |n: u32| {
+        let trace = Trace {
+            events: (0..n)
+                .map(|i| event(i, ProcKey { machine: i, pid: 1 }, EventKind::RecvCall))
+                .collect(),
+        };
+        (trace, Pairing::default())
     };
-    let build_counted = |n: u32| {
-        let trace = lone_events(n);
-        let pairing = Pairing::default();
+    let ping_pong = |procs: u32| {
+        move |n: u32| {
+            let proc = |k: u32| ProcKey {
+                machine: k % procs,
+                pid: 1,
+            };
+            let mut pairing = Pairing::default();
+            let events = (0..n)
+                .map(|i| {
+                    let hop = i / 2;
+                    if i % 2 == 0 {
+                        let (len, dest) = (8, None);
+                        event(i, proc(hop), EventKind::Send { len, dest })
+                    } else {
+                        pairing.messages.push(MatchedMessage {
+                            send_idx: i as usize - 1,
+                            recv_idx: i as usize,
+                            from: proc(hop),
+                            to: proc(hop + 1),
+                            bytes: 8,
+                        });
+                        let (len, source) = (8, None);
+                        event(i, proc(hop + 1), EventKind::Recv { len, source })
+                    }
+                })
+                .collect();
+            (Trace { events }, pairing)
+        }
+    };
+    let build_counted = |make: Shape, n: u32| {
+        let (trace, pairing) = make(n);
         allocations_in(|| drop(std::hint::black_box(HappensBefore::build(&trace, &pairing))))
     };
-    let (small, large) = (build_counted(64), build_counted(256));
-    assert!(
-        large <= small + 24,
-        "{small} allocations for 64 events, {large} for 256"
-    );
+    let shapes: [(&str, Shape); 3] = [
+        ("edge-free", &lone_events),
+        ("2-process ping-pong", &ping_pong(2)),
+        ("64-process ping-pong", &ping_pong(64)),
+    ];
+    for (shape, make) in shapes {
+        let (small, large) = (build_counted(make, 64), build_counted(make, 256));
+        assert!(
+            large <= small + 24,
+            "{shape}: {small} allocations for 64 events, {large} for 256"
+        );
+    }
+}
+
+/// Makes a happens-before input of `n` events.
+type Shape<'a> = &'a dyn Fn(u32) -> (Trace, Pairing);
+
+/// Event `i` of `proc`, stamped zero.
+fn event(i: u32, proc: ProcKey, kind: EventKind) -> Event {
+    Event {
+        idx: i as usize,
+        proc,
+        cpu_time: 0,
+        proc_time: 0,
+        sock: None,
+        kind,
+    }
 }

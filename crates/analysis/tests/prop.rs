@@ -1,7 +1,8 @@
 //! Property-based tests for the analyses: happens-before is a strict
 //! partial order, vector clocks agree with reachability, pairing never
-//! invents bytes, the indexed message matcher agrees with the scan it
-//! replaced, and everything survives arbitrary log text.
+//! invents bytes, the indexed message matcher and the compact
+//! happens-before agree with the dense versions they replaced, and
+//! everything survives arbitrary log text.
 
 use dpm_analysis::{
     host_of, Analysis, Connection, EventKind, HappensBefore, MatchedMessage, Pairing, ProcKey,
@@ -474,6 +475,147 @@ fn indexed_matcher_agrees_with_the_reference_on_the_hard_cases() {
     assert_eq!(p.unmatched_recvs, [6, 8]);
 }
 
+/// Happens-before as it stood before clock rows were stored only at
+/// receives: a successor `Vec` and a full vector-clock row per event,
+/// `precedes` a componentwise comparison of two rows. Quadratic in
+/// memory by design — it is the oracle, not the product.
+struct RefHb {
+    succs: Vec<Vec<usize>>,
+    lamport: Vec<u64>,
+    vclock: Vec<Vec<u64>>,
+    has_cycle: bool,
+}
+
+fn reference_hb(trace: &Trace, pairing: &Pairing) -> RefHb {
+    let n = trace.events.len();
+    let mut succs = vec![Vec::new(); n];
+    let mut last_of: HashMap<ProcKey, usize> = HashMap::new();
+    for (i, e) in trace.events.iter().enumerate() {
+        if let Some(&prev) = last_of.get(&e.proc) {
+            succs[prev].push(i);
+        }
+        last_of.insert(e.proc, i);
+    }
+    for m in &pairing.messages {
+        if m.send_idx < n && m.recv_idx < n {
+            succs[m.send_idx].push(m.recv_idx);
+        }
+    }
+    let procs = trace.processes();
+    let proc_index: HashMap<ProcKey, usize> =
+        procs.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+    let mut indeg = vec![0usize; n];
+    for ss in &succs {
+        for &s in ss {
+            indeg[s] += 1;
+        }
+    }
+    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut lamport = vec![0u64; n];
+    let mut vclock = vec![vec![0u64; procs.len()]; n];
+    let mut seen = 0;
+    while let Some(i) = queue.pop() {
+        seen += 1;
+        vclock[i][proc_index[&trace.events[i].proc]] += 1;
+        for &s in &succs[i] {
+            lamport[s] = lamport[s].max(lamport[i] + 1);
+            let vi = vclock[i].clone();
+            for (bv, av) in vclock[s].iter_mut().zip(vi) {
+                *bv = (*bv).max(av);
+            }
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                queue.push(s);
+            }
+        }
+    }
+    // Events a cycle blocks never leave the queue: their clocks keep
+    // what reached predecessors merged into them, without a tick of
+    // their own.
+    RefHb {
+        succs,
+        lamport,
+        vclock,
+        has_cycle: seen != n,
+    }
+}
+
+impl RefHb {
+    fn precedes(&self, a: usize, b: usize) -> bool {
+        let (Some(va), Some(vb)) = (self.vclock.get(a), self.vclock.get(b)) else {
+            return false;
+        };
+        a != b && va.iter().zip(vb).all(|(x, y)| x <= y) && va != vb
+    }
+}
+
+/// `HappensBefore::build` against [`reference_hb`] over the same trace
+/// and pairing: every clock, successor list and ordered pair, and one
+/// index past the end. Returns whether the edges had a cycle.
+fn assert_hb_matches_reference(trace: &Trace, pairing: &Pairing) -> bool {
+    let got = HappensBefore::build(trace, pairing);
+    let want = reference_hb(trace, pairing);
+    let n = trace.len();
+    assert_eq!(got.has_cycle(), want.has_cycle);
+    for i in 0..=n {
+        assert_eq!(got.vector(i).as_ref(), want.vclock.get(i), "vector {i}");
+        assert_eq!(got.lamport(i), want.lamport.get(i).copied().unwrap_or(0));
+        let succs = want.succs.get(i).map(Vec::as_slice).unwrap_or(&[]);
+        assert_eq!(got.successors(i), succs, "successors {i}");
+        for b in 0..=n {
+            assert_eq!(got.precedes(i, b), want.precedes(i, b), "precedes {i} {b}");
+        }
+    }
+    want.has_cycle
+}
+
+/// Wrong matchings, made by hand: the clocks of the events a cycle
+/// blocks, and of everything after them, must agree with the oracle.
+#[test]
+fn happens_before_agrees_with_the_reference_on_cycles() {
+    let pk = |machine, pid| ProcKey { machine, pid };
+    let msg = |send_idx, recv_idx, from, to| MatchedMessage {
+        send_idx,
+        recv_idx,
+        from,
+        to,
+        bytes: 9,
+    };
+    let (a, b, c, d) = (pk(0, 10), pk(1, 11), pk(2, 12), pk(0, 20));
+    // Two sends that each "receive" the other: nothing is reached.
+    let log = [send_line(0, 1, 9, 1), send_line(1, 0, 9, 1)].concat();
+    let trace = Trace::parse(&log);
+    let pairing = Pairing {
+        messages: vec![msg(0, 1, a, b), msg(1, 0, b, a)],
+        ..Pairing::default()
+    };
+    assert!(assert_hb_matches_reference(&trace, &pairing));
+
+    // a0 → b0 is sound; b1 ⇄ c0 is not, so b1, c0 and c1 are blocked
+    // while b1 has a reached predecessor; d's events stay reached.
+    // b1's clock is b0's: a0 precedes it, b0 does not, and the zeroed
+    // c0 and c1 precede every nonzero clock.
+    let log = [
+        send_line(0, 1, 9, 1), // 0: a0
+        recv_line(0, 1, 9, 2), // 1: b0
+        send_line(1, 2, 8, 3), // 2: b1
+        send_line(2, 1, 7, 4), // 3: c0
+        send_line(2, 1, 6, 5), // 4: c1
+        "event=socket machine=0 cpuTime=6 procTime=0 traceType=4 pid=20 pc=0 sock=1 domain=2 type=2 protocol=0\n".to_string(), // 5: d0
+    ]
+    .concat();
+    let trace = Trace::parse(&log);
+    assert_eq!(trace.events[5].proc, d);
+    let pairing = Pairing {
+        messages: vec![msg(0, 1, a, b), msg(2, 3, b, c), msg(3, 2, c, b)],
+        ..Pairing::default()
+    };
+    assert!(assert_hb_matches_reference(&trace, &pairing));
+    let hb = HappensBefore::build(&trace, &pairing);
+    assert!(hb.precedes(0, 2) && !hb.precedes(1, 2) && !hb.precedes(2, 0));
+    assert!(hb.precedes(3, 2) && hb.precedes(4, 5) && !hb.precedes(2, 3));
+}
+
 /// Two events with no message path between them must stay unordered,
 /// and one exchange must order everything across it — the concurrency
 /// regression pinned by hand.
@@ -506,6 +648,26 @@ proptest! {
     #[test]
     fn indexed_matcher_equals_the_reference_scan(log in arb_mixed_trace()) {
         assert_matches_reference(&log);
+    }
+
+    #[test]
+    fn happens_before_equals_the_reference_on_mixed_traces(log in arb_mixed_trace()) {
+        let trace = Trace::parse(&log);
+        assert_hb_matches_reference(&trace, &Pairing::analyze(&trace));
+    }
+
+    #[test]
+    fn happens_before_equals_the_reference_on_conversations(log in arb_conversation()) {
+        let trace = Trace::parse(&log);
+        assert_hb_matches_reference(&trace, &Pairing::analyze(&trace));
+    }
+
+    #[test]
+    fn happens_before_equals_the_reference_on_paired_traces(
+        (log, _, _) in arb_paired_trace()
+    ) {
+        let trace = Trace::parse(&log);
+        assert_hb_matches_reference(&trace, &Pairing::analyze(&trace));
     }
 
     #[test]
