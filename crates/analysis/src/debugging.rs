@@ -11,7 +11,7 @@
 
 use crate::pairing::Pairing;
 use crate::trace::{Event, EventKind, ProcKey, Trace};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 /// A receive call that never completed.
@@ -56,20 +56,18 @@ impl DebugReport {
     pub fn analyze(trace: &Trace, pairing: &Pairing) -> DebugReport {
         // A receivecall completes when a *later* receive event of the
         // same process on the same socket appears.
-        let mut pending: HashMap<(ProcKey, u32), Vec<usize>> = HashMap::new();
+        let mut pending: HashMap<(ProcKey, u32), VecDeque<usize>> = HashMap::new();
         for (i, e) in trace.events.iter().enumerate() {
             match (&e.kind, e.sock) {
                 (EventKind::RecvCall, Some(sock)) => {
-                    pending.entry((e.proc, sock)).or_default().push(i);
+                    pending.entry((e.proc, sock)).or_default().push_back(i);
                 }
                 (EventKind::Recv { .. }, Some(sock)) => {
                     // Completes the oldest outstanding call. A receive
                     // without a recorded call (receivecall unflagged)
                     // is simply ignored here.
                     if let Some(q) = pending.get_mut(&(e.proc, sock)) {
-                        if !q.is_empty() {
-                            q.remove(0);
-                        }
+                        q.pop_front();
                     }
                 }
                 _ => {}
@@ -89,13 +87,13 @@ impl DebugReport {
 
         // Termination tracking.
         let mut last_event: HashMap<ProcKey, &Event> = HashMap::new();
-        let mut terminated: Vec<ProcKey> = Vec::new();
+        let mut terminated: HashSet<ProcKey> = HashSet::new();
         let mut saw_term_records = false;
         for e in &trace.events {
             last_event.insert(e.proc, e);
             if matches!(e.kind, EventKind::Term { .. }) {
                 saw_term_records = true;
-                terminated.push(e.proc);
+                terminated.insert(e.proc);
             }
         }
         let mut unterminated: Vec<Unterminated> = if saw_term_records {

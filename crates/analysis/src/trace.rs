@@ -5,7 +5,8 @@
 //! summarizing and operating on the event records collected." (§3.3)
 //!
 //! This module turns the filter's log records back into typed
-//! [`Event`]s — text records through [`Trace::parse`], stored raw
+//! [`Event`]s — text lines through [`Trace::parse`], which tokenizes
+//! each line once and types it from the borrowed tokens, stored raw
 //! records through a [`FrameDecoder`], which reads the few fields
 //! typing needs straight off the record bytes. Both feed one typing
 //! function, so the two routes cannot drift. A process is identified
@@ -13,6 +14,7 @@
 
 use dpm_filter::{Descriptions, FieldRef, FieldSlot, LogRecord};
 use dpm_logstore::{Frame, StoreReader};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt::{self, Write as _};
 
@@ -140,29 +142,20 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Parses a trace from the filter's log text. Records that lack
-    /// the fields needed to type them (heavily `#`-reduced logs) are
-    /// skipped; analyses degrade gracefully rather than failing.
+    /// Parses a trace from the filter's log text, one line at a time:
+    /// each line is tokenized once and typed from its borrowed tokens,
+    /// with no intermediate record. Lines that are no record, and
+    /// records that lack the fields needed to type them (heavily
+    /// `#`-reduced logs), are skipped; analyses degrade gracefully
+    /// rather than failing.
     pub fn parse(log_text: &str) -> Trace {
-        let records = LogRecord::parse_log(log_text);
-        Trace::from_records(&records)
-    }
-
-    /// Builds a trace from already-parsed log records.
-    pub fn from_records(records: &[LogRecord]) -> Trace {
         let mut t = Trace::default();
-        for r in records {
-            t.push_record(r);
+        for line in log_text.lines() {
+            if let Some(fields) = TextFields::of(line) {
+                t.push(&fields);
+            }
         }
         t
-    }
-
-    /// Appends one decoded log record to the trace, typing it exactly
-    /// as [`Trace::from_records`] would. Returns whether the record
-    /// produced an event (records that lack the fields needed to type
-    /// them are skipped).
-    pub fn push_record(&mut self, r: &LogRecord) -> bool {
-        self.push(r)
     }
 
     /// Appends one stored raw record to the trace, typing it exactly
@@ -266,6 +259,15 @@ macro_rules! fields {
         enum Field { $($variant),* }
         /// Log name of each [`Field`], indexed by discriminant.
         const FIELD_NAMES: [&str; [$($name),*].len()] = [$($name),*];
+        impl Field {
+            /// The field a log name names, if typing reads it.
+            fn named(name: &str) -> Option<Field> {
+                match name {
+                    $($name => Some(Field::$variant),)*
+                    _ => None,
+                }
+            }
+        }
     };
 }
 
@@ -276,8 +278,8 @@ fields! {
     TraceType = "traceType", Reason = "reason", SockName = "sockName", PeerName = "peerName",
 }
 
-/// Where [`typed_event`] gets a record's fields from: a parsed text
-/// record, or raw bytes under compiled offsets.
+/// Where [`typed_event`] gets a record's fields from: a tokenized text
+/// line, or raw bytes under compiled offsets.
 trait Fields {
     /// The event name (`send`, `accept`, …).
     fn event(&self) -> &str;
@@ -287,17 +289,48 @@ trait Fields {
     fn name(&self, field: Field) -> Option<String>;
 }
 
-impl Fields for LogRecord {
+/// One §3.4 line, tokenized once: the event name and, per [`Field`],
+/// the value typing reads — borrowed from the line unless escaped.
+#[derive(Default)]
+struct TextFields<'a> {
+    /// The last `event=` token's value.
+    event: Cow<'a, str>,
+    /// The first token of each field's name; later duplicates and
+    /// fields typing does not read are dropped.
+    values: [Option<Cow<'a, str>>; FIELD_NAMES.len()],
+}
+
+impl<'a> TextFields<'a> {
+    /// `None` when the line is no record (see [`LogRecord::tokens`]).
+    fn of(line: &'a str) -> Option<TextFields<'a>> {
+        let mut fields = TextFields::default();
+        for token in LogRecord::tokens(line) {
+            let (name, value) = token?;
+            if name == "event" {
+                fields.event = value;
+            } else if let Some(field) = Field::named(&name) {
+                fields.values[field as usize].get_or_insert(value);
+            }
+        }
+        Some(fields)
+    }
+
+    fn get(&self, field: Field) -> Option<&str> {
+        self.values[field as usize].as_deref()
+    }
+}
+
+impl Fields for TextFields<'_> {
     fn event(&self) -> &str {
         &self.event
     }
 
     fn int(&self, field: Field) -> Option<u64> {
-        self.get_int(FIELD_NAMES[field as usize])
+        self.get(field)?.parse().ok()
     }
 
     fn name(&self, field: Field) -> Option<String> {
-        match self.get(FIELD_NAMES[field as usize]) {
+        match self.get(field) {
             None | Some("-") => None,
             Some(v) => Some(v.to_owned()),
         }

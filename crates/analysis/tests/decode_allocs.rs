@@ -1,13 +1,13 @@
 //! The answer path's allocations, counted rather than timed: typing a
-//! stored frame allocates nothing unless the event carries a socket
-//! name, and then once per name; happens-before allocates a fixed
-//! handful of flat arrays, not a successor list or a clock row per
-//! event. Counted with a `#[global_allocator]`
+//! stored frame or a §3.4 text line allocates nothing unless the event
+//! carries a socket name, and then once per name; happens-before
+//! allocates a fixed handful of flat arrays, not a successor list or a
+//! clock row per event. Counted with a `#[global_allocator]`
 //! that tallies the calls the measuring thread makes inside
 //! `allocations_in`, as `dpm-filter`'s `ingest_allocs` test does.
 
 use dpm_analysis::{Event, EventKind, HappensBefore, MatchedMessage, Pairing, ProcKey, Trace};
-use dpm_filter::Descriptions;
+use dpm_filter::{Descriptions, KeptRecord};
 use dpm_logstore::{Frame, ProcId};
 use dpm_meter::{
     MeterAccept, MeterBody, MeterHeader, MeterMsg, MeterRecvCall, MeterRecvMsg, MeterSendMsg,
@@ -101,7 +101,25 @@ fn decode_counted(raws: &[Vec<u8>]) -> (u64, usize) {
     (allocs, events)
 }
 
+/// Allocations `Trace::parse` makes over the §3.4 text of `raws`, and
+/// the events it typed.
+fn parse_counted(raws: &[Vec<u8>]) -> (u64, usize) {
+    let desc = Descriptions::standard();
+    let text: String = raws
+        .iter()
+        .map(|raw| format!("{}\n", KeptRecord::new(&desc, raw, &[]).expect("described")))
+        .collect();
+    let mut events = 0;
+    let allocs = allocations_in(|| {
+        let trace = std::hint::black_box(Trace::parse(&text));
+        events = trace.len();
+    });
+    (allocs, events)
+}
+
 const N: u32 = 4096;
+/// Lines of the text cases.
+const LINES: usize = 256;
 /// `Vec` growth from empty to `N` events: at most one call per
 /// doubling.
 const GROWTH: u64 = 16;
@@ -182,6 +200,23 @@ fn decode_allocates_per_name_and_happens_before_per_trace() {
         (2 * u64::from(N)..=2 * u64::from(N) + GROWTH).contains(&per_name),
         "{per_name} allocations for {N} two-name frames"
     );
+
+    // The text route types each line from its borrowed tokens: nameless
+    // lines (`destName=-`) cost only the event list's growth, and each
+    // name one allocation.
+    for (shape, raws, names) in [
+        ("nameless", &stream, 0),
+        ("one-name", &dgram, 1),
+        ("two-name", &accepts, 2),
+    ] {
+        let (allocs, events) = parse_counted(&raws[..LINES]);
+        assert_eq!(events, LINES, "{shape}");
+        let per_name = (names * LINES) as u64;
+        assert!(
+            (per_name..=per_name + GROWTH).contains(&allocs),
+            "{allocs} allocations for {LINES} {shape} lines"
+        );
+    }
 
     // Happens-before over events that share no process and no message,
     // then over ping-pong traffic — a matched message every other

@@ -1,15 +1,327 @@
 //! Property-based tests for the analyses: happens-before is a strict
 //! partial order, vector clocks agree with reachability, pairing never
-//! invents bytes, the indexed message matcher and the compact
-//! happens-before agree with the dense versions they replaced, and
-//! everything survives arbitrary log text.
+//! invents bytes, the one-pass text parser, the indexed message matcher
+//! and the compact happens-before agree with the versions they
+//! replaced, and everything survives arbitrary log text.
 
 use dpm_analysis::{
-    host_of, Analysis, Connection, EventKind, HappensBefore, MatchedMessage, Pairing, ProcKey,
-    Trace,
+    host_of, Analysis, Connection, Event, EventKind, HappensBefore, MatchedMessage, Pairing,
+    ProcKey, Trace,
 };
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+
+/// One record of the reference parser: owned strings, fields in line
+/// order.
+#[derive(Debug, Default)]
+struct RefRecord {
+    event: String,
+    fields: Vec<(String, String)>,
+}
+
+/// The escape reversal of the text format, verbatim.
+fn ref_unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('\\') {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('\\') => out.push('\\'),
+            Some('s') => out.push(' '),
+            Some('t') => out.push('\t'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('e') => out.push('='),
+            Some(other) => {
+                out.push('\\');
+                out.push(other);
+            }
+            None => out.push('\\'),
+        }
+    }
+    Cow::Owned(out)
+}
+
+impl RefRecord {
+    /// Looks up a field's display value: the first of that name.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.fields
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn get_int(&self, name: &str) -> Option<u64> {
+        self.get(name)?.parse().ok()
+    }
+
+    fn name(&self, name: &str) -> Option<String> {
+        match self.get(name) {
+            None | Some("-") => None,
+            Some(v) => Some(v.to_owned()),
+        }
+    }
+
+    /// Parses one log line; `None` for lines that are not records.
+    fn parse(line: &str) -> Option<RefRecord> {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
+        }
+        let mut event = String::new();
+        let mut fields = Vec::new();
+        for token in line.split_whitespace() {
+            let (name, value) = token.split_once('=')?;
+            if name == "event" {
+                event = ref_unescape(value).into_owned();
+            } else {
+                fields.push((
+                    ref_unescape(name).into_owned(),
+                    ref_unescape(value).into_owned(),
+                ));
+            }
+        }
+        if event.is_empty() {
+            return None;
+        }
+        Some(RefRecord { event, fields })
+    }
+}
+
+/// Text parsing as it stood before `Trace::parse` typed each line from
+/// borrowed tokens: the whole log parsed into owned records first, then
+/// each record typed by looking its fields up by name. Allocates some
+/// twenty strings a line by design — it is the oracle, not the product.
+fn reference_parse(log_text: &str) -> Trace {
+    let records: Vec<RefRecord> = log_text.lines().filter_map(RefRecord::parse).collect();
+    let mut t = Trace::default();
+    for r in &records {
+        let ev = ref_typed_event(t.events.len(), r);
+        t.events.extend(ev);
+    }
+    t
+}
+
+fn ref_typed_event(idx: usize, r: &RefRecord) -> Option<Event> {
+    let machine = r.get_int("machine")? as u32;
+    let pid = r.get_int("pid")? as u32;
+    let cpu_time = r.get_int("cpuTime").unwrap_or(0) as u32;
+    let proc_time = r.get_int("procTime").unwrap_or(0) as u32;
+    let sock = r.get_int("sock").map(|v| v as u32);
+    let kind = match r.event.as_str() {
+        "send" => EventKind::Send {
+            len: r.get_int("msgLength")? as u32,
+            dest: r.name("destName"),
+        },
+        "receivecall" => EventKind::RecvCall,
+        "receive" => EventKind::Recv {
+            len: r.get_int("msgLength")? as u32,
+            source: r.name("sourceName"),
+        },
+        "socket" => EventKind::Socket {
+            domain: r.get_int("domain")? as u32,
+            sock_type: r.get_int("type").or_else(|| r.get_int("traceType"))? as u32,
+        },
+        "dup" => EventKind::Dup {
+            new_sock: r.get_int("newSock")? as u32,
+        },
+        "destsocket" => EventKind::DestSocket,
+        "fork" => EventKind::Fork {
+            child: r.get_int("newPid")? as u32,
+        },
+        "accept" => EventKind::Accept {
+            new_sock: r.get_int("newSock")? as u32,
+            sock_name: r.name("sockName"),
+            peer_name: r.name("peerName"),
+        },
+        "connect" => EventKind::Connect {
+            sock_name: r.name("sockName"),
+            peer_name: r.name("peerName"),
+        },
+        "termproc" => EventKind::Term {
+            reason: r.get_int("reason").unwrap_or(0) as u32,
+        },
+        _ => return None,
+    };
+    Some(Event {
+        idx,
+        proc: ProcKey { machine, pid },
+        cpu_time,
+        proc_time,
+        sock,
+        kind,
+    })
+}
+
+/// Names the generated lines use: every field typing reads, two it
+/// does not, and escaped spellings — one of them of `event`.
+const NAMES: [&str; 22] = [
+    "machine",
+    "pid",
+    "cpuTime",
+    "procTime",
+    "sock",
+    "msgLength",
+    "destName",
+    "sourceName",
+    "newSock",
+    "newPid",
+    "domain",
+    "type",
+    "traceType",
+    "reason",
+    "sockName",
+    "peerName",
+    "pc",
+    "protocol",
+    "pi\\sd",
+    "ev\\ent",
+    "\\\\pid",
+    "pid\\",
+];
+/// Values: numbers, names, `-`, escapes, and integers that are not.
+const VALUES: [&str; 20] = [
+    "0",
+    "1",
+    "7",
+    "64",
+    "2125",
+    "4294967297",
+    "99999999999999999999",
+    "+5",
+    "12a",
+    "x",
+    "",
+    "\u{663}",
+    "-",
+    "inet:1:53",
+    "inet:0:1024",
+    "unix:/tmp/a\\sb\\ec",
+    "\\q",
+    "trailing\\",
+    "a\\\\b",
+    "\\e",
+];
+/// `event=` values: every known event, unknown ones, escaped ones.
+const EVENTS: [&str; 14] = [
+    "send",
+    "receive",
+    "receivecall",
+    "socket",
+    "dup",
+    "destsocket",
+    "fork",
+    "accept",
+    "connect",
+    "termproc",
+    "bogus",
+    "",
+    "se\\nd",
+    "s\\end",
+];
+/// What goes before a line, between its tokens and after it.
+const LEADS: [&str; 6] = ["", " ", "\u{3000}", "#", "# ", "\t#"];
+const SEPS: [&str; 8] = [
+    " ", "  ", "\t", "\u{b}", "\u{c}", "\u{85}", "\u{2003}", "\u{a0}",
+];
+const ENDS: [&str; 3] = ["\n", "\r\n", " \n"];
+
+fn pick(pool: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..pool.len()).prop_map(move |i| pool[i])
+}
+
+fn arb_token() -> impl Strategy<Value = String> {
+    prop_oneof![
+        6 => (pick(&NAMES), pick(&VALUES)).prop_map(|(n, v)| format!("{n}={v}")),
+        2 => pick(&EVENTS).prop_map(|e| format!("event={e}")),
+        1 => pick(&NAMES).prop_map(str::to_owned), // no `=`: drops the line
+    ]
+}
+
+/// Generates hostile §3.4 logs: escaped names and values, duplicate
+/// fields and repeated `event=`, tokens without `=`, `#` lines, CRLF
+/// and Unicode whitespace, integers that do not parse, `-` names and
+/// unknown events. Three lines in four carry a well-formed core —
+/// a known event, machine and pid — somewhere among their tokens, so
+/// many lines type and the duplicates race against real values.
+fn arb_hostile_log() -> impl Strategy<Value = String> {
+    let core = (
+        0usize..10,
+        0u32..3,
+        1u32..4,
+        0usize..10,
+        0u32..4,
+        pick(&VALUES),
+    );
+    let line = (
+        (0usize..12).prop_map(|i| LEADS.get(i).copied().unwrap_or("")),
+        proptest::collection::vec(arb_token(), 0..8),
+        core,
+        pick(&SEPS),
+        pick(&ENDS),
+    );
+    proptest::collection::vec(line, 0..30).prop_map(|lines| {
+        let mut log = String::new();
+        for (lead, mut tokens, (event, machine, pid, at, shape, name), sep, end) in lines {
+            if shape > 0 {
+                let core = format!(
+                    "event={} machine={machine} pid={pid} msgLength=9 domain=2 newSock=4 \
+                     newPid=8 destName={name} sourceName={name} sockName=- peerName={name}",
+                    EVENTS[event]
+                );
+                tokens.insert(at.min(tokens.len()), core.replace(' ', sep));
+            }
+            log.push_str(lead);
+            log.push_str(&tokens.join(sep));
+            log.push_str(end);
+        }
+        log
+    })
+}
+
+/// Hand-written lines the generated property must also get right, one
+/// per rule of the text grammar.
+#[test]
+fn one_pass_parse_agrees_with_the_reference_on_the_rules() {
+    let log = "\
+event=send machine=1 pid=2 msgLength=3 destName=unix:/tmp/a\\sb\\ec
+event=send machine=1 machine=2 pid=2 pid=3 msgLength=x msgLength=4
+event=send machine=1 machine=2 pid=2 pid=3 msgLength=4 msgLength=x destName=inet:1:53 destName=-
+event=receive event=send machine=1 pid=2 msgLength=5 destName=-
+event=send machine=1 pid=2 msgLength=6 stray
+event=fork machine=1 pid=2 newPid=7 ev\\ent=dup event=
+event=fork machine=1 pid=2 newPid=7 pi\\sd=8\r
+\u{3000}event=socket\u{2003}machine=1 pid=2 domain=2 traceType=4\u{a0}
+ # event=termproc machine=1 pid=2
+event=termproc machine=1 pid=2 reason=\\q
+event=se\\nd machine=1 pid=2 msgLength=1
+";
+    let got = Trace::parse(log);
+    assert_eq!(got, reference_parse(log));
+    let kinds: Vec<&str> = got.events.iter().map(|e| e.kind.name()).collect();
+    assert_eq!(
+        kinds,
+        ["send", "send", "send", "fork", "socket", "termproc"]
+    );
+    // First of each field wins, even when it does not parse; the last
+    // `event=` wins.
+    assert_eq!(got.events[1].proc, ProcKey { machine: 1, pid: 2 });
+    assert_eq!(got.events[2].kind, EventKind::Send { len: 5, dest: None });
+    assert_eq!(
+        got.events[1].kind,
+        EventKind::Send {
+            len: 4,
+            dest: Some("inet:1:53".into())
+        }
+    );
+}
 
 /// Generates a plausible two-machine datagram conversation: machine 0
 /// sends, machine 1 receives a prefix of them (models loss).
@@ -645,6 +957,11 @@ fn concurrent_events_stay_unordered_across_one_exchange() {
 }
 
 proptest! {
+    #[test]
+    fn one_pass_parse_equals_the_reference_parse(log in arb_hostile_log()) {
+        prop_assert_eq!(Trace::parse(&log), reference_parse(&log));
+    }
+
     #[test]
     fn indexed_matcher_equals_the_reference_scan(log in arb_mixed_trace()) {
         assert_matches_reference(&log);

@@ -27,11 +27,21 @@
 
 use crate::desc::{Descriptions, EventDesc, FieldRef};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
-/// The characters a token may not contain bare.
-const SPECIAL: [char; 6] = ['\\', ' ', '\t', '\n', '\r', '='];
+/// The two-character escape of a byte a token may not contain bare —
+/// backslash, whitespace, `=` — or `None` for any other byte.
+fn escape_of(byte: u8) -> Option<&'static str> {
+    Some(match byte {
+        b'\\' => "\\\\",
+        b' ' => "\\s",
+        b'\t' => "\\t",
+        b'\n' => "\\n",
+        b'\r' => "\\r",
+        b'=' => "\\e",
+        _ => return None,
+    })
+}
 
 /// A writer that escapes what passes through it, so a token contains
 /// no whitespace, `=`, or bare backslash. Text that needs no escaping
@@ -39,35 +49,27 @@ const SPECIAL: [char; 6] = ['\\', ' ', '\t', '\n', '\r', '='];
 struct Escaped<'a, 'b>(&'a mut fmt::Formatter<'b>);
 
 impl fmt::Write for Escaped<'_, '_> {
-    fn write_str(&mut self, mut s: &str) -> fmt::Result {
-        while let Some(i) = s.find(SPECIAL) {
-            self.0.write_str(&s[..i])?;
-            self.0.write_str(match s.as_bytes()[i] {
-                b'\\' => "\\\\",
-                b' ' => "\\s",
-                b'\t' => "\\t",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                _ => "\\e",
-            })?;
-            s = &s[i + 1..]; // every special character is one byte
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // Every special character is one byte, so `clean..i` always
+        // falls on character boundaries.
+        let mut clean = 0;
+        for (i, &byte) in s.as_bytes().iter().enumerate() {
+            if let Some(escape) = escape_of(byte) {
+                self.0.write_str(&s[clean..i])?;
+                self.0.write_str(escape)?;
+                clean = i + 1;
+            }
         }
-        self.0.write_str(s)
+        self.0.write_str(&s[clean..])
     }
 }
 
-/// Writes one `name=value` token after `lead` (the separator: empty
-/// for a line's first token), both sides escaped.
-fn write_token(
-    f: &mut fmt::Formatter<'_>,
-    lead: &str,
-    name: &str,
-    value: impl fmt::Display,
-) -> fmt::Result {
+/// Writes `lead` (the separator: empty for a line's first token) and
+/// `name=`, the name escaped; the value follows, escaped by the caller.
+fn write_key(f: &mut fmt::Formatter<'_>, lead: &str, name: &str) -> fmt::Result {
     f.write_str(lead)?;
     Escaped(f).write_str(name)?;
-    f.write_str("=")?;
-    write!(Escaped(f), "{value}")
+    f.write_str("=")
 }
 
 /// Reverses [`Escaped`]. Unknown escape pairs (and a trailing lone
@@ -130,41 +132,50 @@ impl LogRecord {
         self.get(name)?.parse().ok()
     }
 
-    /// Parses one log line.
+    /// The one §3.4 line tokenizer: each whitespace-separated
+    /// `name=value` token of `line`, split at its first `=` and both
+    /// sides unescaped — borrowed from `line` unless a side held an
+    /// escape. A blank line or a `#` comment has no tokens. A token
+    /// without `=` comes out as `None`, and the line it is on is no
+    /// record.
     ///
-    /// Returns `None` for lines that are not records (blank, comments).
-    pub fn parse(line: &str) -> Option<LogRecord> {
+    /// A name unescapes to `event` only if it is spelled `event`, since
+    /// every escape yields a backslash, whitespace or `=`.
+    pub fn tokens(line: &str) -> impl Iterator<Item = Option<(Cow<'_, str>, Cow<'_, str>)>> {
         let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return None;
-        }
-        let mut event = String::new();
-        let mut fields = Vec::new();
-        for token in line.split_whitespace() {
+        let body = if line.starts_with('#') { "" } else { line };
+        body.split_whitespace().map(|token| {
             let (name, value) = token.split_once('=')?;
-            if name == "event" {
-                event = unescape(value).into_owned();
-            } else {
-                fields.push((unescape(name).into_owned(), unescape(value).into_owned()));
-            }
-        }
-        if event.is_empty() {
-            return None;
-        }
-        Some(LogRecord { event, fields })
+            Some((unescape(name), unescape(value)))
+        })
     }
 
-    /// Parses a whole log file.
-    pub fn parse_log(text: &str) -> Vec<LogRecord> {
-        text.lines().filter_map(LogRecord::parse).collect()
+    /// Parses one log line: its last `event=` token names the event,
+    /// every other token is a field in line order.
+    ///
+    /// Returns `None` for lines that are not records (blank, comments,
+    /// a token without `=`, no event).
+    pub fn parse(line: &str) -> Option<LogRecord> {
+        let mut rec = LogRecord::default();
+        for token in LogRecord::tokens(line) {
+            let (name, value) = token?;
+            if name == "event" {
+                rec.event = value.into_owned();
+            } else {
+                rec.fields.push((name.into_owned(), value.into_owned()));
+            }
+        }
+        (!rec.event.is_empty()).then_some(rec)
     }
 }
 
 impl fmt::Display for LogRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_token(f, "", "event", &self.event)?;
-        for (n, v) in &self.fields {
-            write_token(f, " ", n, v)?;
+        write_key(f, "", "event")?;
+        Escaped(f).write_str(&self.event)?;
+        for (name, value) in &self.fields {
+            write_key(f, " ", name)?;
+            Escaped(f).write_str(value)?;
         }
         Ok(())
     }
@@ -228,45 +239,15 @@ impl<'a> KeptRecord<'a> {
 
 impl fmt::Display for KeptRecord<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_token(f, "", "event", &self.event.name)?;
+        write_key(f, "", "event")?;
+        Escaped(f).write_str(&self.event.name)?;
         for (name, value) in self.fields() {
-            write_token(f, " ", name, value)?;
-        }
-        Ok(())
-    }
-}
-
-/// Summary statistics over a trace log, handy for quick looks and for
-/// the example programs' output.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LogSummary {
-    /// Record count per event name.
-    pub by_event: HashMap<String, usize>,
-    /// Total records.
-    pub total: usize,
-}
-
-impl LogSummary {
-    /// Tallies a set of records.
-    pub fn of(records: &[LogRecord]) -> LogSummary {
-        let mut by_event = HashMap::new();
-        for r in records {
-            *by_event.entry(r.event.clone()).or_insert(0) += 1;
-        }
-        LogSummary {
-            total: records.len(),
-            by_event,
-        }
-    }
-}
-
-impl fmt::Display for LogSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} event records", self.total)?;
-        let mut names: Vec<&String> = self.by_event.keys().collect();
-        names.sort();
-        for n in names {
-            writeln!(f, "  {:<12} {}", n, self.by_event[n])?;
+            write_key(f, " ", name)?;
+            match value {
+                // Digits never need escaping.
+                FieldRef::Int(v) => write!(f, "{v}")?,
+                bytes => write!(Escaped(f), "{bytes}")?,
+            }
         }
         Ok(())
     }
@@ -359,7 +340,7 @@ mod tests {
         assert_eq!(back, rec);
         // Multiple hostile records in one log stay one-per-line.
         let log = format!("{rec}\n{rec}\n");
-        let all = LogRecord::parse_log(&log);
+        let all: Vec<LogRecord> = log.lines().filter_map(LogRecord::parse).collect();
         assert_eq!(all, vec![rec.clone(), rec]);
     }
 
@@ -380,22 +361,23 @@ mod tests {
     }
 
     #[test]
-    fn parse_log_skips_junk() {
-        let text = "\n# comment\nevent=fork pid=1 newPid=2\nnot-a-record\n";
-        let recs = LogRecord::parse_log(text);
+    fn junk_lines_are_no_records() {
+        let text = "\n# comment event=fork\nevent=fork pid=1 newPid=2\nnot-a-record\nevent=fork pid=1 stray\nevent=\n";
+        let recs: Vec<LogRecord> = text.lines().filter_map(LogRecord::parse).collect();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].event, "fork");
     }
 
     #[test]
-    fn summary_counts() {
-        let recs = LogRecord::parse_log("event=send pid=1\nevent=send pid=2\nevent=fork pid=1\n");
-        let s = LogSummary::of(&recs);
-        assert_eq!(s.total, 3);
-        assert_eq!(s.by_event["send"], 2);
-        assert_eq!(s.by_event["fork"], 1);
-        let shown = s.to_string();
-        assert!(shown.contains("3 event records"));
-        assert!(shown.contains("send"));
+    fn tokens_borrow_unless_escaped() {
+        let tokens: Vec<_> = LogRecord::tokens("  event=send a\\sb=x\\ey ").collect();
+        let [Some((event, send)), Some((name, value))] = &tokens[..] else {
+            panic!("two tokens: {tokens:?}");
+        };
+        assert!(matches!(event, Cow::Borrowed("event")));
+        assert!(matches!(send, Cow::Borrowed("send")));
+        assert_eq!((&**name, &**value), ("a b", "x=y"));
+        assert_eq!(LogRecord::tokens("# event=send").count(), 0);
+        assert_eq!(LogRecord::tokens("event=send x").last(), Some(None));
     }
 }
