@@ -36,6 +36,7 @@ use crate::desc::Descriptions;
 use crate::log::{KeptRecord, LogRecord};
 use crate::rules::{Rules, Verdict};
 use dpm_meter::wire::{frame_step, FrameStep};
+use dpm_meter::SeqWindow;
 use std::mem;
 
 /// One complete event record borrowed from a stream buffer — the
@@ -53,8 +54,8 @@ pub struct FilterStats {
     pub kept: u64,
     /// Records rejected by the selection rules.
     pub rejected: u64,
-    /// Records dropped as duplicates by sequence-number dedup
-    /// (at-least-once retransmission of a meter flush).
+    /// Records the [`SeqWindow`] refused: replays of a retransmitted
+    /// meter flush, and arrivals older than the window.
     pub duplicates: u64,
     /// Bytes of malformed input dropped while resynchronizing.
     pub garbage_bytes: u64,
@@ -115,11 +116,9 @@ pub struct FilterEngine {
     /// Carry buffer holding only a partial tail between chunks.
     pending: Vec<u8>,
     stats: FilterStats,
-    /// Highest sequence number seen per `(machine, pid)`, for
-    /// duplicate suppression. A meter connection is an ordered stream
-    /// and a retransmitted flush replays records already delivered, so
-    /// `seq <= last` identifies the duplicates exactly.
-    last_seq: std::collections::HashMap<(u16, u32), u32>,
+    /// Duplicate suppression: a retransmitted flush replays records
+    /// already delivered on this ordered stream.
+    window: SeqWindow,
 }
 
 impl FilterEngine {
@@ -130,7 +129,7 @@ impl FilterEngine {
             rules,
             pending: Vec::new(),
             stats: FilterStats::default(),
-            last_seq: std::collections::HashMap::new(),
+            window: SeqWindow::default(),
         }
     }
 
@@ -275,19 +274,10 @@ impl FilterEngine {
         F: FnMut(RecordView<'_>, KeptRecord<'_>),
     {
         self.stats.seen += 1;
-        // Sequence dedup: a record whose per-process sequence does not
-        // advance is a retransmitted copy. Sequence 0 marks legacy
-        // unsequenced producers and is never deduplicated.
-        let seq = record.seq();
-        if seq != 0 {
-            if let Some(pid) = record.pid() {
-                let last = self.last_seq.entry((record.machine(), pid)).or_insert(0);
-                if seq <= *last {
-                    self.stats.duplicates += 1;
-                    return;
-                }
-                *last = seq;
-            }
+        let pid = record.pid().unwrap_or(0);
+        if !self.window.admit(record.machine(), pid, record.seq()) {
+            self.stats.duplicates += 1;
+            return;
         }
         match self.rules.verdict(&self.desc, record.bytes()) {
             Verdict::Reject => {

@@ -53,6 +53,7 @@ pub use args::{parse_host_port, ArgsError, FilterArgs, FilterRole, FILTER_ARG_KE
 pub use desc::{
     DescParseError, Descriptions, EventDesc, FieldDesc, FieldRef, FieldSlot, FieldValue,
 };
+pub use dpm_meter::SeqWindow;
 pub use engine::{FilterEngine, FilterStats, RecordView};
 pub use log::{KeptRecord, LogRecord};
 pub use prefilter::run_edge;

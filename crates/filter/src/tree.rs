@@ -11,21 +11,25 @@
 //! work unchanged at the root, and two trees fed the same records
 //! produce byte-identical logs regardless of network arrival order.
 //!
-//! Duplicate suppression happens at two levels. Each child stream gets
-//! its own [`FilterEngine`], whose per-connection sequence dedup
-//! absorbs at-least-once retransmission of meter flushes; the merge
-//! itself then drops any sequenced record it has already accepted —
-//! that is what catches a child reconnecting after a partition and
-//! replaying records the root already holds.
+//! Duplicate suppression is one rule, [`SeqWindow`], asked twice. Each
+//! child stream gets its own [`FilterEngine`], whose window absorbs
+//! at-least-once retransmission of meter flushes on that connection;
+//! the merge keeps one more window across all children and all drains,
+//! which catches a child reconnecting after a partition and replaying
+//! records the root already holds. Both are bounded per process. A
+//! record the merge refuses for falling behind its window is counted
+//! apart, as `agg/dedup_stale`: on every stream the repo produces that
+//! count is 0, which is the evidence the window is wide enough.
 
 use crate::args::FilterArgs;
 use crate::desc::Descriptions;
 use crate::engine::FilterEngine;
 use crate::rules::Rules;
 use crate::store::open_filter_store;
+use dpm_meter::SeqWindow;
 use dpm_simos::{connect_backoff, Backoff, BindTo, Domain, Proc, SockType, SysError, SysResult};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -51,13 +55,12 @@ pub struct MergedRecord {
 
 /// The deterministic merge at the heart of an aggregate filter:
 /// accepted records go in keyed by `(machine, pid, seq)`, batches come
-/// out in canonical key order, and sequenced records are accepted at
-/// most once across the aggregate's whole lifetime.
+/// out in canonical key order, and sequenced records pass one
+/// [`SeqWindow`] that outlives drains, so a child replaying after
+/// reconnect cannot re-insert.
 #[derive(Debug, Default)]
 pub struct TreeMerge {
-    /// Sequenced records ever accepted — survives drains, so a child
-    /// replaying after reconnect cannot re-insert.
-    seen: HashSet<(u16, u32, u32)>,
+    window: SeqWindow,
     /// Records awaiting the next canonical flush. The arrival counter
     /// in the key orders unsequenced (`seq == 0`) records, which may
     /// legitimately repeat, without ever colliding.
@@ -75,11 +78,12 @@ impl TreeMerge {
     }
 
     /// Offers one accepted record. Returns `false` (and keeps the
-    /// record out) when a record with the same `(machine, pid, seq)`
-    /// was already accepted; unsequenced records (`seq == 0`) are
-    /// always taken, in arrival order.
+    /// record out) when the window refuses it: a record with the same
+    /// `(machine, pid, seq)` was already accepted, or it is stale.
+    /// Unsequenced records (`seq == 0`) are always taken, in arrival
+    /// order.
     pub fn insert(&mut self, machine: u16, pid: u32, seq: u32, rec: MergedRecord) -> bool {
-        if seq != 0 && !self.seen.insert((machine, pid, seq)) {
+        if !self.window.admit(machine, pid, seq) {
             self.duplicates += 1;
             return false;
         }
@@ -108,10 +112,16 @@ impl TreeMerge {
         self.pending_bytes
     }
 
-    /// Sequenced records dropped as already-accepted.
+    /// Sequenced records dropped, stale ones included.
     #[must_use]
     pub fn duplicates(&self) -> u64 {
         self.duplicates
+    }
+
+    /// Records dropped for falling behind the window.
+    #[must_use]
+    pub fn stale(&self) -> u64 {
+        self.window.stale()
     }
 }
 
@@ -125,12 +135,6 @@ struct AggState {
     merge: TreeMerge,
     open_conns: usize,
     last_touch: std::time::Instant,
-}
-
-impl AggShared {
-    fn touch(&self) {
-        self.state.lock().last_touch = std::time::Instant::now();
-    }
 }
 
 /// Runs a `role=aggregate` filter: accept child record streams, merge
@@ -190,16 +194,16 @@ pub fn run_aggregate(
         done: AtomicBool::new(false),
     });
 
+    let r = dpm_telemetry::registry();
+    let dedup_hits = r.counter("agg", "dedup_hits", p.machine().name());
+    let dedup_stale = r.counter("agg", "dedup_stale", p.machine().name());
+
     // The flusher is a plain thread: it only touches the merge (behind
     // the mutex), the machine's file system, and the forward channel.
     let flusher = {
         let shared = Arc::clone(&shared);
-        let r = dpm_telemetry::registry();
-        let dedup_hits = r.counter("agg", "dedup_hits", p.machine().name());
         let pending_gauge = r.gauge("agg", "pending_bytes", p.machine().name());
         std::thread::spawn(move || {
-            // Duplicates already credited to the dedup counter.
-            let mut last_dups = 0u64;
             loop {
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 let done = shared.done.load(Ordering::Acquire);
@@ -209,8 +213,6 @@ pub fn run_aggregate(
                         st.last_touch.elapsed() >= std::time::Duration::from_millis(QUIET_MS);
                     let idle = st.open_conns == 0 && quiet;
                     let oversized = st.merge.pending_bytes() > MAX_PENDING_BYTES;
-                    dedup_hits.add(st.merge.duplicates().saturating_sub(last_dups));
-                    last_dups = last_dups.max(st.merge.duplicates());
                     pending_gauge.set(st.merge.pending_bytes() as i64);
                     if st.merge.pending_len() > 0 && (idle || oversized || done) {
                         st.merge.drain()
@@ -252,11 +254,15 @@ pub fn run_aggregate(
             Ok(pair) => pair,
             Err(e) => break Err(e), // killed (or machine down): wind down
         };
-        shared.state.lock().open_conns += 1;
-        shared.touch();
+        {
+            let mut st = shared.state.lock();
+            st.open_conns += 1;
+            st.last_touch = std::time::Instant::now();
+        }
         let desc = desc.clone();
         let rules = rules.clone();
         let child_shared = Arc::clone(&shared);
+        let (dedup_hits, dedup_stale) = (Arc::clone(&dedup_hits), Arc::clone(&dedup_stale));
         let fork = p.fork_with(move |c| {
             let mut engine = FilterEngine::new(desc, rules);
             let read_result = loop {
@@ -269,15 +275,16 @@ pub fn run_aggregate(
                 }
                 let mut st = child_shared.state.lock();
                 engine.feed_records(&data, &mut |view, _rec| {
-                    st.merge.insert(
-                        view.machine(),
-                        view.pid().unwrap_or(0),
-                        view.seq(),
-                        MergedRecord {
-                            raw: view.bytes().to_vec(),
-                            line: String::new(),
-                        },
-                    );
+                    let stale = st.merge.stale();
+                    let rec = MergedRecord {
+                        raw: view.bytes().to_vec(),
+                        line: String::new(),
+                    };
+                    let pid = view.pid().unwrap_or(0);
+                    if !st.merge.insert(view.machine(), pid, view.seq(), rec) {
+                        dedup_hits.inc();
+                        dedup_stale.add(st.merge.stale() - stale);
+                    }
                 });
                 st.last_touch = std::time::Instant::now();
                 drop(st);

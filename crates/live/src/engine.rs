@@ -33,11 +33,11 @@
 //!   the gap fills; a seq seen twice (a segment re-offered after a
 //!   fetch hiccup) is dropped as a replay.
 //! * **Meter-seq dedup.** Before decoding, each frame passes the same
-//!   `(machine, pid, meter seq)` check the filter tree's aggregate
-//!   merge applies, so a `LiveTrace` can consume any level of a filter
-//!   tree — records duplicated across children are accepted exactly
-//!   once. (Meter seq 0 — records predating the seq layer — is always
-//!   accepted, as in the tree merge.)
+//!   per-process [`SeqWindow`] the filter engine and the tree's
+//!   aggregate merge ask, so a `LiveTrace` can consume any level of a
+//!   filter tree — records duplicated across children are accepted
+//!   exactly once, in bounded memory. (Meter seq 0 — records predating
+//!   the seq layer — is always accepted, as in the tree merge.)
 //!
 //! Why matching is re-derived rather than maintained per event: exact
 //! datagram matching is *non-monotone* under growth. Receive groups
@@ -50,10 +50,10 @@
 
 use dpm_analysis::{CommStats, HappensBefore, PairQueues, Pairing, ProcKey, ProcStats, Trace};
 use dpm_analysis::{EventKind, FrameDecoder, SizeHistogram};
-use dpm_filter::{Descriptions, RecordView};
+use dpm_filter::{Descriptions, RecordView, SeqWindow};
 use dpm_logstore::OwnedFrame;
 use dpm_telemetry::{Gauge, Histogram};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Memoized derived analyses, valid for one trace version.
@@ -69,7 +69,7 @@ struct Cached {
 pub struct LiveTrace {
     decoder: FrameDecoder,
     /// The filter-tree dedup discipline: `(machine, pid, meter seq)`.
-    seen: HashSet<(u16, u32, u32)>,
+    window: SeqWindow,
     trace: Trace,
     queues: PairQueues,
     per_proc: HashMap<ProcKey, ProcStats>,
@@ -77,7 +77,7 @@ pub struct LiveTrace {
     /// Next store seq to apply; frames ahead of it wait in `reorder`.
     next_seq: u64,
     reorder: BTreeMap<u64, OwnedFrame>,
-    /// Frames dropped by the meter-seq dedup.
+    /// Frames the meter-seq window refused.
     duplicates: u64,
     /// Frames dropped because their store seq was already applied.
     replays: u64,
@@ -110,7 +110,7 @@ impl LiveTrace {
     pub fn new(desc: Descriptions) -> LiveTrace {
         LiveTrace {
             decoder: FrameDecoder::new(&desc),
-            seen: HashSet::new(),
+            window: SeqWindow::default(),
             trace: Trace::default(),
             queues: PairQueues::default(),
             per_proc: HashMap::new(),
@@ -172,8 +172,8 @@ impl LiveTrace {
             return;
         }
         let view = RecordView::new(&frame.raw);
-        let key = (view.machine(), view.pid().unwrap_or(0), view.seq());
-        if key.2 != 0 && !self.seen.insert(key) {
+        let pid = view.pid().unwrap_or(0);
+        if !self.window.admit(view.machine(), pid, view.seq()) {
             self.duplicates += 1;
             return;
         }
@@ -223,7 +223,8 @@ impl LiveTrace {
         self.last_ts_us
     }
 
-    /// Frames dropped by the `(machine, pid, meter seq)` dedup.
+    /// Frames the `(machine, pid, meter seq)` window refused, stale
+    /// ones included.
     pub fn duplicates(&self) -> u64 {
         self.duplicates
     }

@@ -17,12 +17,13 @@
 //! `long` is 4 bytes, `short` 2 bytes, `SOCKET` (a file-table-entry
 //! address) 4 bytes, and `NAME` (`struct sockaddr`) 16 bytes.
 //!
-//! Two things here serve the whole monitor, not only this crate:
+//! Three things here serve the whole monitor, not only this crate:
 //! [`wire`] is the one byte codec every wire surface (these messages,
 //! the daemon RPC, control events, the log store's files) is read and
-//! written through, and [`MeterRecord`] is the one borrowed record
-//! view — `dpm_filter::RecordView` *is* `MeterRecord`, re-exported
-//! under the filter's name for it.
+//! written through, [`MeterRecord`] is the one borrowed record view —
+//! `dpm_filter::RecordView` *is* `MeterRecord`, re-exported under the
+//! filter's name for it — and [`SeqWindow`] is the one deduplicator
+//! every stage that must not count a record twice asks.
 //!
 //! # Example
 //!
@@ -51,6 +52,7 @@
 pub mod flags;
 pub mod msg;
 pub mod name;
+pub mod window;
 pub mod wire;
 
 pub use flags::MeterFlags;
@@ -60,3 +62,4 @@ pub use msg::{
     MeterSendMsg, MeterSockCrt, MeterTermProc, TermReason, HEADER_LEN, MAX_METER_MSG,
 };
 pub use name::{NameDecodeError, SockName, NAME_LEN};
+pub use window::SeqWindow;

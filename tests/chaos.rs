@@ -583,6 +583,15 @@ fn run_tree_partition_dup(seed: u64) -> u64 {
     if let Err(why) = chaos::invariants::check_exactly_once(&reader) {
         panic!("{why} [{}]", plan.describe());
     }
+    // The root's sequence window refused nothing for its age, so no
+    // record was lost to the window's width.
+    let stale = dpm::crates::telemetry::registry().counter("agg", "dedup_stale", "blue");
+    assert_eq!(
+        stale.get(),
+        0,
+        "stale records at the root [{}]",
+        plan.describe()
+    );
     // And the trace is analyzable end to end from the root.
     let trace = Trace::parse(&text);
     assert!(!trace.is_empty(), "untypable trace [{}]", plan.describe());

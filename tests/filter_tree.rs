@@ -288,6 +288,10 @@ fn tree_cuts_cross_network_bytes_and_preserves_the_trace() {
         Trace::from_store_canonical(&flat_reader, &desc),
         Trace::from_store_canonical(&tree_reader, &desc),
     );
+    // No record fell behind the merge's sequence window: width 64 lost
+    // nothing the old seen-set would have kept.
+    let stale = dpm::crates::telemetry::registry().counter("agg", "dedup_stale", "hub");
+    assert_eq!(stale.get(), 0, "records refused as stale at the root");
 
     c.shutdown();
 }
