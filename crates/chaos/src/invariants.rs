@@ -386,6 +386,31 @@ mod tests {
     }
 
     #[test]
+    fn removed_process_needs_no_terminal_state() {
+        let reader = control_store(&[
+            filter_created("f1"),
+            ControlEvent::JobCreated {
+                job: "j".to_owned(),
+                filter: "f1".to_owned(),
+            },
+            ControlEvent::ProcAdded {
+                job: "j".to_owned(),
+                name: "worker".to_owned(),
+                machine: "red".to_owned(),
+                pid: 9,
+                state: "stopped".to_owned(),
+            },
+            ControlEvent::ProcRemoved {
+                job: "j".to_owned(),
+                machine: "red".to_owned(),
+                pid: 9,
+            },
+        ]);
+        let c = check_control_plane(&reader).expect("removed process left the job");
+        assert_eq!(c.jobs_live, 1);
+    }
+
+    #[test]
     fn overlapping_lease_owners_are_reported() {
         let reader = control_store(&[
             filter_created("f1"),

@@ -1118,6 +1118,11 @@ impl Controller {
         if let Some(pos) = job.procs.iter().position(|p| p.name == proc_name) {
             job.procs.remove(pos);
         }
+        self.record(ControlEvent::ProcRemoved {
+            job: job_name,
+            machine,
+            pid: pid.0,
+        });
         self.emit(&format!("'{proc_name}' removed"));
     }
 

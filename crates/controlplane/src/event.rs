@@ -88,6 +88,15 @@ pub enum ControlEvent {
         /// New state keyword (`running` / `stopped` / `killed`).
         state: String,
     },
+    /// `removeprocess`: a process left its job.
+    ProcRemoved {
+        /// The job.
+        job: String,
+        /// Machine of the process.
+        machine: String,
+        /// Its pid.
+        pid: u32,
+    },
     /// `removejob`: the job reached its terminal state.
     JobRemoved {
         /// The job.
@@ -155,6 +164,9 @@ impl fmt::Display for ControlEvent {
                 f,
                 "proc-state {job} machine={machine} pid={pid} state={state}"
             ),
+            ControlEvent::ProcRemoved { job, machine, pid } => {
+                write!(f, "proc-removed {job} machine={machine} pid={pid}")
+            }
             ControlEvent::JobRemoved { job } => write!(f, "job-removed {job}"),
             ControlEvent::LeaseAcquired {
                 job,
@@ -188,6 +200,7 @@ mod code {
     pub const JOB_REMOVED: u8 = 6;
     pub const LEASE_ACQUIRED: u8 = 7;
     pub const LEASE_RENEWED: u8 = 8;
+    pub const PROC_REMOVED: u8 = 9;
 }
 
 impl ControlEvent {
@@ -202,6 +215,7 @@ impl ControlEvent {
             ControlEvent::ProcAdded { .. } => code::PROC_ADDED,
             ControlEvent::FlagsSet { .. } => code::FLAGS_SET,
             ControlEvent::ProcStateChanged { .. } => code::PROC_STATE_CHANGED,
+            ControlEvent::ProcRemoved { .. } => code::PROC_REMOVED,
             ControlEvent::JobRemoved { .. } => code::JOB_REMOVED,
             ControlEvent::LeaseAcquired { .. } => code::LEASE_ACQUIRED,
             ControlEvent::LeaseRenewed { .. } => code::LEASE_RENEWED,
@@ -245,6 +259,9 @@ impl ControlEvent {
                 state,
             } => {
                 w.str(job).str(machine).u32(*pid).str(state);
+            }
+            ControlEvent::ProcRemoved { job, machine, pid } => {
+                w.str(job).str(machine).u32(*pid);
             }
             ControlEvent::JobRemoved { job } => {
                 w.str(job);
@@ -319,6 +336,11 @@ impl ControlEvent {
                 pid: r.u32()?,
                 state: string(&mut r)?,
             },
+            code::PROC_REMOVED => ControlEvent::ProcRemoved {
+                job: string(&mut r)?,
+                machine: string(&mut r)?,
+                pid: r.u32()?,
+            },
             code::JOB_REMOVED => ControlEvent::JobRemoved {
                 job: string(&mut r)?,
             },
@@ -390,6 +412,11 @@ mod tests {
                 owner: "yellow:5000".into(),
                 at_us: 1_000_017,
                 expires_us: 3_000_017,
+            },
+            ControlEvent::ProcRemoved {
+                job: "foo".into(),
+                machine: "red".into(),
+                pid: 2121,
             },
         ]
     }

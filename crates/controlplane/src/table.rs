@@ -216,6 +216,12 @@ impl JobTable {
                     }
                 }
             }
+            ControlEvent::ProcRemoved { job, machine, pid } => {
+                if let Some(j) = self.jobs.get_mut(job) {
+                    j.procs
+                        .retain(|p| !(p.machine == *machine && p.pid == *pid));
+                }
+            }
             ControlEvent::JobRemoved { job } => {
                 if let Some(j) = self.jobs.get_mut(job) {
                     j.removed = true;

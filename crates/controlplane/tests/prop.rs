@@ -65,6 +65,13 @@ fn arb_event() -> impl Strategy<Value = ControlEvent> {
                 pid,
                 state: STATES[s].into(),
             }),
+        (job.clone(), 0usize..MACHINES.len(), 10u32..14).prop_map(|(j, m, pid)| {
+            ControlEvent::ProcRemoved {
+                job: JOBS[j].into(),
+                machine: MACHINES[m].into(),
+                pid,
+            }
+        }),
         job.clone().prop_map(|j| ControlEvent::JobRemoved {
             job: JOBS[j].into()
         }),

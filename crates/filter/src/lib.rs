@@ -33,7 +33,7 @@
 //! * [`run_edge`] / [`run_aggregate`] — the tree stages: edge
 //!   pre-filters that select records *before* they cross the network,
 //!   and aggregate filters that merge child streams into one
-//!   deterministic log.
+//!   deduplicated log, appended as records arrive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -284,6 +284,47 @@ fn adopted_filter_renders_the_reduced_view() {
     );
 }
 
+/// `removeprocess` is a recorded mutation like any other: a standby
+/// adopting the job after the owner crashes does not bring the removed
+/// process back.
+#[test]
+fn removed_process_stays_removed_after_takeover() {
+    let backend = Arc::new(MemBackend::new());
+    let sim = Simulation::builder()
+        .machines(["term1", "term2", "red", "green"])
+        .seed(11)
+        .build();
+    let mut a = sim.controller_as("term1", Uid(100)).expect("controller A");
+    a.enable_control_log(backend.clone() as Arc<dyn Backend>, CONTROL_DIR);
+    a.exec("filter f1 red");
+    a.exec("newjob pair");
+    a.exec("addprocess pair red /bin/A green 1810 3");
+    a.exec("addprocess pair green /bin/B 1810");
+    a.exec("setflags pair send receive");
+    a.exec("startjob pair");
+    assert!(a.wait_job("pair", 60_000), "job converged");
+    let out = a.exec("removeprocess pair A");
+    assert!(out.contains("'A' removed"), "{out}");
+
+    assert!(!crash_controller(sim.cluster(), "term1").is_empty());
+    let mut b = sim.controller_as("term2", Uid(100)).expect("controller B");
+    let adopted = b.adopt_from(backend.clone() as Arc<dyn Backend>, CONTROL_DIR);
+    assert_eq!(adopted, vec!["pair".to_owned()]);
+    let names: Vec<&str> = b
+        .job("pair")
+        .expect("adopted job")
+        .procs
+        .iter()
+        .map(|p| p.name.as_str())
+        .collect();
+    assert_eq!(names, ["B"], "the standby's job lists only B");
+    let reader = StoreReader::load(backend.as_ref(), CONTROL_DIR);
+    invariants::check_control_plane(&reader).expect("control log passes the invariants");
+
+    b.exec("die");
+    sim.shutdown();
+}
+
 /// Spawns `n` long-running unmetered processes on `machine` — the
 /// "already running distributed computation" an operator would adopt.
 /// Each idles in real time (a tight virtual-sleep loop across a

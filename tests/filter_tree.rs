@@ -12,14 +12,19 @@
 //! Part 2 drives the same shape through the control plane: a session
 //! with `filter root … role=aggregate`, two `role=edge` filters naming
 //! it as `upstream=`, a metered job whose machines carry edges, and
-//! the analysis built from the root store.
+//! the analysis built from the root store. The root appends records as
+//! they arrive, so `watch` on it streams while the job runs, and an
+//! aggregate may itself name an `upstream=` aggregate (a three-level
+//! tree).
 
 use dpm::crates::analysis::{Analysis, Trace};
+use dpm::crates::chaos;
 use dpm::crates::filter::{filter_main, FilterEngine};
 use dpm::crates::logstore::StoreReader;
 use dpm::crates::meter::{MeterBody, MeterFork, MeterHeader, MeterMsg, MeterSendMsg, SockName};
 use dpm::{
-    Cluster, Descriptions, LogRecord, NetConfig, Proc, Rules, Simulation, SysError, SysResult, Uid,
+    Cluster, Controller, Descriptions, LogRecord, NetConfig, Proc, ProcState, Rules, Simulation,
+    SysError, SysResult, Uid,
 };
 
 const N_WORKERS: usize = 8;
@@ -352,6 +357,136 @@ fn controller_session_with_filter_tree() {
         analysis.stats.matched >= 10,
         "request/reply traffic matched"
     );
+
+    control.exec("bye");
+    sim.shutdown();
+}
+
+/// Whether every process of `job` reached a terminal state.
+fn job_done(control: &Controller, job: &str) -> bool {
+    match control.job(job) {
+        None => true,
+        Some(j) => j
+            .procs
+            .iter()
+            .all(|p| matches!(p.state, ProcState::Killed | ProcState::Acquired)),
+    }
+}
+
+/// The root of a tree is live: `live_stream.rs`'s mutex job, metered
+/// through edges on red and green into an aggregate on blue, and
+/// `watch root` sees records while the job still runs.
+#[test]
+fn tree_root_streams_live_windows_mid_job() {
+    const HOSTS: [&str; 4] = ["yellow", "red", "green", "blue"];
+    const ROUNDS: usize = 12;
+    let sim = Simulation::builder()
+        .machines(HOSTS)
+        .net(NetConfig::ideal())
+        .seed(93)
+        .build();
+    let mut control = sim.controller("yellow").expect("controller");
+    control.exec("filter root blue role=aggregate log=store");
+    control.exec("filter e1 red role=edge upstream=root");
+    control.exec("filter e2 green role=edge upstream=root");
+    control.exec("newjob mx root");
+    for (i, m) in HOSTS.iter().enumerate() {
+        control.exec(&format!(
+            "addprocess mx {m} /bin/lmutex {i} {} {ROUNDS} {}",
+            HOSTS.len(),
+            HOSTS.join(" ")
+        ));
+    }
+    control.exec("setflags mx send receive");
+    control.exec("startjob mx");
+
+    // A window counts as live only if the job was still running after
+    // it closed.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(110);
+    let mut live_windows = 0u32;
+    let mut live_nonempty = 0u32;
+    while !job_done(&control, "mx") {
+        control.exec("watch root");
+        if job_done(&control, "mx") {
+            break;
+        }
+        live_windows += 1;
+        let snap = control.last_window("root").expect("watch closed a window");
+        if snap.new_records > 0 {
+            live_nonempty += 1;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job never converged while watching"
+        );
+    }
+    assert!(control.wait_job("mx", 120_000), "mutex job completed");
+    assert!(
+        live_nonempty >= 2,
+        "the tree root must stream during the run: {live_nonempty} non-empty of {live_windows} live windows"
+    );
+
+    control.exec("bye");
+    sim.shutdown();
+}
+
+/// The raw frames of a store, sorted: the record set, whatever the
+/// arrival order.
+fn sorted_raw(reader: &StoreReader) -> Vec<Vec<u8>> {
+    let mut raw: Vec<Vec<u8>> = reader.scan().map(|f| f.raw.to_vec()).collect();
+    raw.sort();
+    raw
+}
+
+/// A three-level tree: edges on red and yellow forward to an
+/// aggregate `mid` on green, which forwards everything it admits to
+/// the aggregate `root` on blue. The root ends up holding exactly
+/// mid's records, each once.
+#[test]
+fn three_level_tree_forwards_every_record_to_the_root() {
+    let sim = Simulation::builder()
+        .machines(["yellow", "red", "green", "blue"])
+        .seed(43)
+        .build();
+    let mut control = sim.controller("yellow").expect("controller");
+    for cmd in [
+        "filter root blue role=aggregate log=store",
+        "filter mid green role=aggregate upstream=root",
+        "filter e1 red role=edge upstream=mid",
+        "filter e2 yellow role=edge upstream=mid",
+    ] {
+        let out = control.exec(cmd);
+        assert!(out.contains("created"), "{cmd}: {out}");
+    }
+    control.exec("newjob foo root");
+    control.exec("addprocess foo red /bin/A yellow");
+    control.exec("addprocess foo yellow /bin/B");
+    control.exec("setflags foo send receive fork accept connect");
+    control.exec("startjob foo");
+    assert!(control.wait_job("foo", 60_000), "job foo completed");
+    control.exec("removejob foo");
+
+    let mid_text = sim.stable_log(&mut control, "mid");
+    assert!(!mid_text.is_empty(), "mid getlog produced a trace");
+    let root_text = sim.stable_log(&mut control, "root");
+    assert!(!root_text.is_empty(), "root getlog produced a trace");
+
+    let load = |machine: &str, filter: &str| {
+        let m = sim.cluster().machine(machine).expect("machine exists");
+        read_store(&m, &format!("/usr/tmp/log.{filter}"))
+    };
+    let mid = load("green", "mid");
+    let root = load("blue", "root");
+    let mid_raw = sorted_raw(&mid);
+    assert!(!mid_raw.is_empty(), "mid stored records");
+    assert_eq!(
+        sorted_raw(&root),
+        mid_raw,
+        "root holds exactly mid's records"
+    );
+    if let Err(why) = chaos::invariants::check_exactly_once(&root) {
+        panic!("root store: {why}");
+    }
 
     control.exec("bye");
     sim.shutdown();

@@ -235,6 +235,8 @@ pub fn control_events() -> Vec<Sample<ControlEvent>> {
                 job: job(), owner: owner(), at_us: 1_000_017, expires_us: 3_000_017 },
             "43544c31 02000000 08030000 00666f6f 0b000000 79656c6c 6f773a35 30303051
              420f0000 000000d1 c62d0000 000000"),
+        ("proc removed", ProcRemoved { job: job(), machine: machine(), pid: 2121 },
+            "43544c31 02000000 09030000 00666f6f 03000000 72656449 080000"),
     ]
 }
 
