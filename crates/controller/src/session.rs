@@ -24,7 +24,6 @@ use dpm_meterd::{read_frame, rpc_call_retry, Reply, Request, RpcStatus, RPC_TIME
 use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysError, SysResult, Uid};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -66,7 +65,9 @@ impl FilterInfo {
             Verdict::Reject => Vec::new(),
         };
         if let Some(rec) = KeptRecord::new(&self.desc, raw, &discard) {
-            writeln!(out, "{indent}{rec}").expect("write to String");
+            out.push_str(indent);
+            rec.write_to(out).expect("write to String");
+            out.push('\n');
         }
     }
 }

@@ -21,6 +21,7 @@
 //! 10 fields are little-endian integers; base 16 fields are raw bytes
 //! (socket names).
 
+use crate::log::LogLine;
 use dpm_meter::{SockName, NAME_LEN};
 use std::collections::HashMap;
 use std::fmt;
@@ -53,7 +54,8 @@ pub struct EventDesc {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Descriptions {
     header_fields: Vec<String>,
-    by_type: HashMap<u32, EventDesc>,
+    /// Each event's description and its §3.4 line, compiled once.
+    by_type: HashMap<u32, (EventDesc, LogLine)>,
     by_name: HashMap<String, u32>,
 }
 
@@ -83,9 +85,9 @@ impl fmt::Display for FieldValue {
     }
 }
 
-/// A field value borrowed from its record: what the render walk and
-/// [`FieldSlot::read`] yield, so a value is looked at — or a text line
-/// written — without copying name bytes. Displays like [`FieldValue`].
+/// A field value borrowed from its record: what [`FieldSlot::read`]
+/// yields, so a value is looked at — or a text line written — without
+/// copying name bytes. Displays like [`FieldValue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldRef<'a> {
     /// An integer (base-10 field).
@@ -221,14 +223,13 @@ impl Descriptions {
                 return Err(err(lineno, &format!("duplicate trace type {trace_type}")));
             }
             out.by_name.insert(name.clone(), trace_type);
-            out.by_type.insert(
+            let event = EventDesc {
+                name,
                 trace_type,
-                EventDesc {
-                    name,
-                    trace_type,
-                    fields,
-                },
-            );
+                fields,
+            };
+            let line = LogLine::compile(&event);
+            out.by_type.insert(trace_type, (event, line));
         }
         if out.header_fields.is_empty() {
             return Err(err(0, "missing HEADER line"));
@@ -262,7 +263,12 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
 
     /// The event description for a trace type.
     pub fn event(&self, trace_type: u32) -> Option<&EventDesc> {
-        self.by_type.get(&trace_type)
+        self.by_type.get(&trace_type).map(|(event, _)| event)
+    }
+
+    /// The compiled §3.4 line for a trace type.
+    pub(crate) fn line(&self, trace_type: u32) -> Option<&LogLine> {
+        self.by_type.get(&trace_type).map(|(_, line)| line)
     }
 
     /// The trace type for an event name (lower-case).
@@ -272,7 +278,7 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
 
     /// All described events, ordered by trace type.
     pub fn events(&self) -> Vec<&EventDesc> {
-        let mut v: Vec<&EventDesc> = self.by_type.values().collect();
+        let mut v: Vec<&EventDesc> = self.by_type.values().map(|(event, _)| event).collect();
         v.sort_by_key(|e| e.trace_type);
         v
     }
@@ -291,78 +297,41 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
             return v.map(FieldValue::Int);
         }
         let event = self.event(Self::record_type(record)?)?;
-        let field = event.fields.iter().find(|f| f.name == name)?;
-        body_field(record, field).map(FieldRef::to_value)
-    }
-
-    /// All fields of a record (header then body), in layout order,
-    /// with the `size` and `*Len` bookkeeping fields skipped — the
-    /// shape written to the trace log.
-    pub fn all_fields(&self, record: &[u8]) -> Vec<(String, FieldValue)> {
-        let event = Self::record_type(record).and_then(|t| self.event(t));
-        logged_header(record)
-            .chain(event.into_iter().flat_map(|e| e.logged_body(record)))
-            .map(|(name, v)| (name.to_owned(), v.to_value()))
-            .collect()
+        let f = event.fields.iter().find(|f| f.name == name)?;
+        read_at(record, HEADER_LEN.saturating_add(f.offset), f.len, f.base).map(FieldRef::to_value)
     }
 }
 
 impl EventDesc {
-    /// The logged fields of `record` under this description — header
-    /// then body, in layout order, `size` and `*Len` skipped — read in
-    /// place, one pass by offset.
-    pub(crate) fn logged_fields<'a>(
-        &'a self,
-        record: &'a [u8],
-    ) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
-        logged_header(record).chain(self.logged_body(record))
+    /// The fields a §3.4 line of this event carries, in line order,
+    /// each with its `(offset from the record start, length, base)`:
+    /// the header's but `size`, then the body's in file order but the
+    /// `*Len` bookkeeping. Names resolve header-first (see
+    /// [`Descriptions::field`]), so a body field called like a header
+    /// field — SOCKET's `type` — carries the header's value.
+    pub(crate) fn line_layout(&self) -> impl Iterator<Item = (&str, (usize, usize, u32))> {
+        let header = HEADER_LAYOUT.iter().filter(|(name, ..)| *name != "size");
+        let body = self.fields.iter().filter(|f| !f.name.ends_with("Len"));
+        let body = body.map(|f| {
+            let at = (HEADER_LEN.saturating_add(f.offset), f.len, f.base);
+            let loc = header_loc(&f.name).map_or(at, |(off, len)| (off, len, 10));
+            (f.name.as_str(), loc)
+        });
+        header
+            .map(|&(name, off, len)| (name, (off, len, 10)))
+            .chain(body)
     }
 
     /// Resolves `name` as the log resolves it for this event's
-    /// records — the logged header fields first, then the body fields
-    /// in file order (`*Len` bookkeeping is not logged, and a body
-    /// field called like a header field carries the header's value).
+    /// records: every field of that name its §3.4 line carries, header
+    /// first (`*Len` bookkeeping is not logged, and a body field called
+    /// like a header field carries the header's value).
     pub fn slot(&self, name: &str) -> FieldSlot {
-        let header = header_loc(name).map(|(off, len)| (off, len, 10));
-        let logged_header = header.filter(|_| name != "size" && name != "type");
-        let body = self
-            .fields
-            .iter()
-            .filter(|f| f.name == name && !name.ends_with("Len"))
-            .map(|f| header.unwrap_or((HEADER_LEN.saturating_add(f.offset), f.len, f.base)));
+        let locs = self.line_layout().filter(|(field, _)| *field == name);
         FieldSlot {
-            locs: logged_header.into_iter().chain(body).collect(),
+            locs: locs.map(|(_, loc)| loc).collect(),
         }
     }
-
-    fn logged_body<'a>(
-        &'a self,
-        record: &'a [u8],
-    ) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
-        self.fields
-            .iter()
-            .filter(|f| !f.name.ends_with("Len"))
-            .filter_map(move |f| {
-                // Names resolve header-first (see `Descriptions::field`),
-                // so a body field called like a header field — SOCKET's
-                // `type` — logs the header's value.
-                let v = match header_field(record, &f.name) {
-                    Some(v) => v.map(FieldRef::Int),
-                    None => body_field(record, f),
-                };
-                Some((f.name.as_str(), v?))
-            })
-    }
-}
-
-/// The header fields written to the log: all but `size`.
-fn logged_header<'a>(record: &'a [u8]) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
-    HEADER_LAYOUT
-        .iter()
-        .filter(|(name, ..)| *name != "size")
-        .filter_map(move |&(name, off, len)| {
-            Some((name, FieldRef::Int(read_int(record, off, len)?)))
-        })
 }
 
 /// Where the header keeps `name` (`type` is `traceType`), as
@@ -381,16 +350,10 @@ fn header_field(record: &[u8], name: &str) -> Option<Option<u64>> {
     header_loc(name).map(|(off, len)| read_int(record, off, len))
 }
 
-/// Reads one described body field in place.
-fn body_field<'a>(record: &'a [u8], field: &FieldDesc) -> Option<FieldRef<'a>> {
-    let body = record.get(HEADER_LEN..)?;
-    read_at(body, field.offset, field.len, field.base)
-}
-
 /// Reads the `len` bytes at `off` as their base says: raw bytes for
 /// base 16, a little-endian integer otherwise. `None` when `buf` ends
 /// before the field does.
-fn read_at(buf: &[u8], off: usize, len: usize, base: u32) -> Option<FieldRef<'_>> {
+pub(crate) fn read_at(buf: &[u8], off: usize, len: usize, base: u32) -> Option<FieldRef<'_>> {
     let field = buf.get(off..off.checked_add(len)?)?;
     Some(if base == 16 {
         FieldRef::Bytes(field)
@@ -507,11 +470,20 @@ mod tests {
         assert_eq!(d.field(&r, "nonexistent"), None);
     }
 
+    /// The logged fields of `r`, as its §3.4 line carries them.
+    fn logged(d: &Descriptions, r: &[u8]) -> Vec<(String, String)> {
+        let line = crate::KeptRecord::new(d, r, &[]).unwrap().to_string();
+        crate::LogRecord::tokens(&line)
+            .skip(1)
+            .map(|t| t.map(|(n, v)| (n.into_owned(), v.into_owned())).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn all_fields_skips_bookkeeping() {
+    fn the_line_skips_bookkeeping() {
         let d = Descriptions::standard();
         let r = send_record();
-        let fields = d.all_fields(&r);
+        let fields = logged(&d, &r);
         let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
@@ -535,8 +507,8 @@ mod tests {
         let r = send_record();
         let send = d.event(1).unwrap();
         // Every logged field, resolved once, reads its logged value.
-        for (name, value) in d.all_fields(&r) {
-            let read = send.slot(&name).read(&r).map(FieldRef::to_value);
+        for (name, value) in logged(&d, &r) {
+            let read = send.slot(&name).read(&r).map(|v| v.to_string());
             assert_eq!(read, Some(value), "{name}");
         }
         // Not logged: bookkeeping, the header's `size`, unknown names.

@@ -15,25 +15,24 @@
 //! Meter connections are byte streams, so records arrive split and
 //! concatenated arbitrarily. The engine reassembles them with a cursor
 //! walk over the *caller's* buffer: a record that arrives whole inside
-//! one `feed_into` chunk is framed in place and handed to the
+//! one `feed_records` chunk is framed in place and handed to the
 //! selection rules as a borrowed [`RecordView`] — no copy, no
 //! allocation. Only a partial tail (a frame straddling a chunk
 //! boundary) is copied into the engine's small carry buffer, and
 //! resynchronization after stream corruption advances a cursor rather
 //! than shifting bytes (the old implementation's `remove(0)` made a
 //! corrupt stream cost O(n²)). The carry buffer is compacted at most
-//! once per `feed_into` call, so every input byte is moved O(1) times
+//! once per `feed_records` call, so every input byte is moved O(1) times
 //! in the worst case and 0 times in the steady state.
 //!
 //! A kept record reaches the sink as its borrowed bytes plus a
 //! [`KeptRecord`], the text rendering *not yet done*: whether a log
-//! line or a [`LogRecord`] is ever built is the sink's choice. The
-//! store sink and the edge pre-filter take the bytes and never render,
-//! so a kept record costs them framing, dedup and the rules — no
-//! allocation.
+//! line is ever written is the sink's choice. The store sink and the
+//! edge pre-filter take the bytes and never render, so a kept record
+//! costs them framing, dedup and the rules — no allocation.
 
 use crate::desc::Descriptions;
-use crate::log::{KeptRecord, LogRecord};
+use crate::log::KeptRecord;
 use crate::rules::{Rules, Verdict};
 use dpm_meter::wire::{frame_step, FrameStep};
 use dpm_meter::SeqWindow;
@@ -98,16 +97,16 @@ impl FilterStats {
 /// # Ok::<(), dpm_filter::RuleParseError>(())
 /// ```
 ///
-/// For streaming consumers, [`FilterEngine::feed_into`] delivers
-/// [`LogRecord`]s to a sink closure instead of materializing a
+/// For streaming consumers, [`FilterEngine::feed_records`] delivers
+/// each kept record to a sink closure instead of materializing a
 /// `Vec<String>` per chunk:
 ///
 /// ```
-/// # use dpm_filter::{FilterEngine, LogRecord};
+/// # use dpm_filter::FilterEngine;
 /// # let mut engine = FilterEngine::standard();
 /// # let data: &[u8] = &[];
 /// let mut kept = 0u32;
-/// engine.feed_into(data, &mut |_record: LogRecord| kept += 1);
+/// engine.feed_records(data, &mut |_view, _record| kept += 1);
 /// ```
 #[derive(Debug)]
 pub struct FilterEngine {
@@ -150,29 +149,16 @@ impl FilterEngine {
     }
 
     /// Feeds a chunk of meter-connection bytes, delivering each kept
-    /// record to `sink`.
+    /// record to `sink` as its borrowed raw wire bytes plus the
+    /// unrendered [`KeptRecord`].
     ///
     /// This is the streaming core of the filter pipeline. Records
     /// wholly contained in `data` are framed and processed in place;
     /// only a trailing partial frame is copied into the engine. In the
     /// steady state (no corruption, records completed by each chunk)
-    /// the per-record path performs no heap allocation of its own;
-    /// this wrapper renders each kept record into a [`LogRecord`].
-    pub fn feed_into<F>(&mut self, data: &[u8], sink: &mut F)
-    where
-        F: FnMut(LogRecord),
-    {
-        self.feed_records(data, &mut |_view, rec| sink(rec.to_log_record()));
-    }
-
-    /// Delivers each kept record as its borrowed raw wire bytes plus
-    /// the unrendered [`KeptRecord`].
-    ///
-    /// This is the streaming core, and the entry point for sinks that
-    /// store the record itself rather than (or in addition to) its
-    /// textual rendering — the binary log store appends `view.bytes()`
-    /// verbatim and ignores the second argument; a text sink formats
-    /// it. Both borrow either the caller's chunk or the engine's carry
+    /// the per-record path performs no heap allocation of its own.
+    /// The binary log store appends `view.bytes()` verbatim and
+    /// ignores the second argument; a text sink writes its line. Both borrow either the caller's chunk or the engine's carry
     /// buffer and are valid only for the duration of the callback.
     pub fn feed_records<F>(&mut self, data: &[u8], sink: &mut F)
     where
@@ -302,6 +288,7 @@ impl FilterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogRecord;
     use dpm_meter::{MeterBody, MeterFork, MeterHeader, MeterMsg, MeterSendMsg, SockName};
 
     fn msg(machine: u16, body: MeterBody) -> Vec<u8> {
@@ -401,14 +388,19 @@ mod tests {
     }
 
     #[test]
-    fn feed_into_delivers_structured_records() {
+    fn feed_delivers_readable_records() {
         let mut e = FilterEngine::standard();
-        let mut records = Vec::new();
-        e.feed_into(&send(3, 64), &mut |rec: LogRecord| records.push(rec));
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].event, "send");
-        assert_eq!(records[0].get_int("msgLength"), Some(64));
-        assert_eq!(records[0].get_int("machine"), Some(3));
+        let records: Vec<_> = e
+            .feed(&send(3, 64))
+            .iter()
+            .map(|l| LogRecord::parse(l))
+            .collect();
+        let [Some(record)] = &records[..] else {
+            panic!("one record: {records:?}");
+        };
+        assert!(record.to_string().starts_with("event=send "));
+        assert_eq!(record.get_int("msgLength"), Some(64));
+        assert_eq!(record.get_int("machine"), Some(3));
     }
 
     #[test]
@@ -435,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn feed_matches_feed_into_exactly() {
+    fn feed_matches_feed_records_exactly() {
         let mut wire = send(0, 1);
         wire.extend_from_slice(&[0xde, 0xad]); // mid-stream garbage
         wire.extend_from_slice(&send(0, 2));
@@ -443,7 +435,7 @@ mod tests {
         let mut b = FilterEngine::standard();
         let lines = a.feed(&wire);
         let mut sunk = Vec::new();
-        b.feed_into(&wire, &mut |rec: LogRecord| sunk.push(rec.to_string()));
+        b.feed_records(&wire, &mut |_, rec| sunk.push(rec.to_string()));
         assert_eq!(lines, sunk);
         assert_eq!(a.stats(), b.stats());
     }

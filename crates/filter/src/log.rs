@@ -3,11 +3,13 @@
 //! "A filter sends its output to a log file located in the `/usr/tmp`
 //! directory. Each filter has its own log file." (§3.4)
 //!
-//! The paper stored reduced binary records; this implementation writes
-//! one self-describing text line per accepted record so that analysis
-//! programs (and humans) can read logs without carrying the
-//! descriptions file around. Discarded (`#`) fields simply do not
-//! appear on the line.
+//! The paper stored reduced binary records, and so does this
+//! implementation: a filter's log is its binary store (`dpm-logstore`),
+//! which keeps each accepted record's raw bytes. The text here is a
+//! view of that store — `getlog` and `tail` show one self-describing
+//! line per record, so that analysis programs (and humans) can read a
+//! log without carrying the descriptions file around. Discarded (`#`)
+//! fields simply do not appear on the line.
 //!
 //! Line shape:
 //!
@@ -24,8 +26,12 @@
 //! containing a space, `=`, or newline can no longer corrupt the line
 //! structure. [`LogRecord::parse`] of [`fmt::Display`] output is the
 //! identity for *any* record.
+//!
+//! A line is written in one way: [`KeptRecord::write_to`] runs the
+//! event type's line, compiled once from its description by
+//! [`Descriptions::parse`].
 
-use crate::desc::{Descriptions, EventDesc, FieldRef};
+use crate::desc::{read_at, Descriptions, EventDesc, FieldRef};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
@@ -43,12 +49,13 @@ fn escape_of(byte: u8) -> Option<&'static str> {
     })
 }
 
-/// A writer that escapes what passes through it, so a token contains
-/// no whitespace, `=`, or bare backslash. Text that needs no escaping
-/// — the case for every standard field value — goes through whole.
-struct Escaped<'a, 'b>(&'a mut fmt::Formatter<'b>);
+/// The one escaper: a writer that escapes what passes through it, so a
+/// token contains no whitespace, `=`, or bare backslash. Text that
+/// needs no escaping — the case for every standard field value — goes
+/// through whole.
+struct Escaped<'a, W>(&'a mut W);
 
-impl fmt::Write for Escaped<'_, '_> {
+impl<W: fmt::Write> fmt::Write for Escaped<'_, W> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         // Every special character is one byte, so `clean..i` always
         // falls on character boundaries.
@@ -64,15 +71,23 @@ impl fmt::Write for Escaped<'_, '_> {
     }
 }
 
-/// Writes `lead` (the separator: empty for a line's first token) and
-/// `name=`, the name escaped; the value follows, escaped by the caller.
-fn write_key(f: &mut fmt::Formatter<'_>, lead: &str, name: &str) -> fmt::Result {
-    f.write_str(lead)?;
-    Escaped(f).write_str(name)?;
-    f.write_str("=")
+/// Appends `s` to `out` escaped.
+fn push_escaped(out: &mut String, s: &str) {
+    Escaped(out).write_str(s).expect("write to String");
 }
 
-/// Reverses [`Escaped`]. Unknown escape pairs (and a trailing lone
+/// Appends the token `name=value` to a line, both sides escaped, after
+/// a space unless it is the line's first.
+fn push_token(line: &mut String, name: &str, value: &str) {
+    if !line.is_empty() {
+        line.push(' ');
+    }
+    push_escaped(line, name);
+    line.push('=');
+    push_escaped(line, value);
+}
+
+/// Reverses the escaper. Unknown escape pairs (and a trailing lone
 /// backslash) are kept verbatim, so parsing stays total.
 fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('\\') {
@@ -102,29 +117,40 @@ fn unescape(s: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
-/// One record of a trace log.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// One record of a trace log: its §3.4 line, canonically escaped, read
+/// through [`LogRecord::tokens`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
-    /// The event name (`send`, `accept`, …).
-    pub event: String,
-    /// Field name/value pairs in layout order (values in display
-    /// form).
-    pub fields: Vec<(String, String)>,
+    line: String,
 }
 
 impl LogRecord {
-    /// Builds a record from a raw meter message, skipping the named
-    /// discard fields.
-    pub fn from_raw(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<LogRecord> {
-        KeptRecord::new(desc, record, discard).map(|kept| kept.to_log_record())
+    /// A record of `event` carrying `fields` in order — for records
+    /// built by hand; the monitor's own come from
+    /// [`LogRecord::from_raw`].
+    pub fn new<'a>(event: &str, fields: impl IntoIterator<Item = (&'a str, &'a str)>) -> LogRecord {
+        let mut line = String::new();
+        push_token(&mut line, "event", event);
+        for (name, value) in fields {
+            push_token(&mut line, name, value);
+        }
+        LogRecord { line }
     }
 
-    /// Looks up a field's display value.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+    /// Builds a record from a raw meter message, skipping the named
+    /// discard fields: the [`KeptRecord`] line, written into one
+    /// presized `String`.
+    pub fn from_raw(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<LogRecord> {
+        let kept = KeptRecord::new(desc, record, discard)?;
+        let mut line = String::with_capacity(kept.line.max_len);
+        kept.write_to(&mut line).expect("write to String");
+        Some(LogRecord { line })
+    }
+
+    /// Looks up a field's display value. The event name is no field.
+    pub fn get(&self, name: &str) -> Option<Cow<'_, str>> {
+        let mut fields = LogRecord::tokens(&self.line).flatten().skip(1);
+        fields.find_map(|(n, value)| (n == name).then_some(value))
     }
 
     /// Looks up a field as an integer.
@@ -156,43 +182,78 @@ impl LogRecord {
     /// Returns `None` for lines that are not records (blank, comments,
     /// a token without `=`, no event).
     pub fn parse(line: &str) -> Option<LogRecord> {
-        let mut rec = LogRecord::default();
-        for token in LogRecord::tokens(line) {
-            let (name, value) = token?;
-            if name == "event" {
-                rec.event = value.into_owned();
-            } else {
-                rec.fields.push((name.into_owned(), value.into_owned()));
-            }
-        }
-        (!rec.event.is_empty()).then_some(rec)
+        let tokens: Vec<_> = LogRecord::tokens(line).collect::<Option<_>>()?;
+        let (_, event) = tokens.iter().rfind(|(name, _)| name == "event")?;
+        let fields = tokens.iter().filter(|(name, _)| name != "event");
+        (!event.is_empty()).then(|| LogRecord::new(event, fields.map(|(n, v)| (&**n, &**v))))
     }
 }
 
 impl fmt::Display for LogRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_key(f, "", "event")?;
-        Escaped(f).write_str(&self.event)?;
-        for (name, value) in &self.fields {
-            write_key(f, " ", name)?;
-            Escaped(f).write_str(value)?;
-        }
-        Ok(())
+        f.write_str(&self.line)
     }
 }
 
-/// A kept record not yet rendered: the raw bytes, the description of
+/// The §3.4 line of one event type, compiled from its description once
+/// (by [`Descriptions::parse`]) into one string: the escaped
+/// `event=<name>` head, then for each logged field its escaped
+/// ` name=` key followed by its name as a discard list spells it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LogLine {
+    text: String,
+    /// Where the head ends in `text`.
+    head: usize,
+    /// Each logged field: where in `text` its key starts, its name
+    /// starts (the key's end) and its name ends, and its `(offset from
+    /// the record start, length, base)`.
+    fields: Vec<([usize; 3], (usize, usize, u32))>,
+    /// Room for the line of any record of this type whose byte fields
+    /// are at most socket-name long — a capacity hint.
+    max_len: usize,
+}
+
+impl LogLine {
+    /// Compiles `event`'s line, its fields in [`EventDesc::line_layout`]
+    /// order.
+    pub(crate) fn compile(event: &EventDesc) -> LogLine {
+        let mut text = String::new();
+        push_token(&mut text, "event", &event.name);
+        let (head, mut max_len) = (text.len(), text.len());
+        let mut fields = Vec::new();
+        for (name, loc) in event.line_layout() {
+            let key = text.len();
+            text.push(' ');
+            push_escaped(&mut text, name);
+            text.push('=');
+            let named = text.len();
+            text.push_str(name);
+            // A value is at most 20 digits, 32 hex digits, or a socket
+            // name: `unix:` and 14 path bytes, each escaped to two.
+            max_len += named - key + 33;
+            fields.push(([key, named, text.len()], loc));
+        }
+        LogLine {
+            text,
+            head,
+            fields,
+            max_len,
+        }
+    }
+}
+
+/// A kept record not yet rendered: the raw bytes, the compiled line of
 /// their event type and the verdict's discard list, all borrowed.
 ///
 /// This is what [`crate::FilterEngine::feed_records`] hands its sink.
 /// A sink that stores or forwards the raw bytes never touches it and
-/// pays nothing for it; a sink that wants text formats it
-/// ([`fmt::Display`] writes the §3.4 log line in place) or asks for
-/// the owned [`LogRecord`] — both exactly what
-/// [`LogRecord::from_raw`] gives for the same arguments.
+/// pays nothing for it; a sink that wants text has
+/// [`KeptRecord::write_to`] put the §3.4 line down — what
+/// [`fmt::Display`] and [`LogRecord::from_raw`] give for the same
+/// arguments.
 #[derive(Debug, Clone, Copy)]
 pub struct KeptRecord<'a> {
-    event: &'a EventDesc,
+    line: &'a LogLine,
     record: &'a [u8],
     discard: &'a [String],
 }
@@ -205,57 +266,60 @@ impl<'a> KeptRecord<'a> {
         record: &'a [u8],
         discard: &'a [String],
     ) -> Option<KeptRecord<'a>> {
-        let event = desc.event(Descriptions::record_type(record)?)?;
+        let line = desc.line(Descriptions::record_type(record)?)?;
         Some(KeptRecord {
-            event,
+            line,
             record,
             discard,
         })
     }
 
-    /// The fields that survive reduction, in layout order.
-    fn fields(&self) -> impl Iterator<Item = (&'a str, FieldRef<'a>)> {
-        let discard = self.discard;
-        self.event
-            .logged_fields(self.record)
-            .filter(move |(name, _)| {
-                !discard
-                    .iter()
-                    .any(|d| d == name || (d == "size" && *name == "msgLength"))
-            })
-    }
-
-    /// Renders the owned, structured form.
-    pub fn to_log_record(&self) -> LogRecord {
-        LogRecord {
-            event: self.event.name.clone(),
-            fields: self
-                .fields()
-                .map(|(name, value)| (name.to_owned(), value.to_string()))
-                .collect(),
-        }
-    }
-}
-
-impl fmt::Display for KeptRecord<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_key(f, "", "event")?;
-        Escaped(f).write_str(&self.event.name)?;
-        for (name, value) in self.fields() {
-            write_key(f, " ", name)?;
-            match value {
-                // Digits never need escaping.
-                FieldRef::Int(v) => write!(f, "{v}")?,
-                bytes => write!(Escaped(f), "{bytes}")?,
+    /// Writes the record's §3.4 line to `out`: the head, then each
+    /// logged field the discard list keeps and the record is long
+    /// enough to hold. Integers are written by a digit loop, not
+    /// `core::fmt`; a byte field through the escaper. The line does
+    /// not end in a newline.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let discards = |name: &str| {
+            // `size` discards `msgLength` too.
+            let names = |d: &String| d == name || (d == "size" && name == "msgLength");
+            self.discard.iter().any(names)
+        };
+        let text = &self.line.text;
+        out.write_str(&text[..self.line.head])?;
+        for &([key, name, end], (off, len, base)) in &self.line.fields {
+            if !self.discard.is_empty() && discards(&text[name..end]) {
+                continue;
+            }
+            if let Some(value) = read_at(self.record, off, len, base) {
+                out.write_str(&text[key..name])?;
+                match value {
+                    FieldRef::Int(v) => write_digits(out, v)?,
+                    bytes => write!(Escaped(out), "{bytes}")?,
+                }
             }
         }
         Ok(())
     }
 }
 
-/// Re-export of [`crate::desc::FieldValue`] for downstream crates
-/// that build records by hand in tests.
-pub use crate::desc::FieldValue as Value;
+impl fmt::Display for KeptRecord<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+/// Writes `v` in decimal.
+fn write_digits<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while at == digits.len() || v > 0 {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
 
 #[cfg(test)]
 mod tests {
@@ -295,7 +359,8 @@ mod tests {
         let back = LogRecord::parse(&line).unwrap();
         assert_eq!(back, rec);
         assert_eq!(back.get_int("msgLength"), Some(64));
-        assert_eq!(back.get("destName"), Some("inet:1:1701"));
+        assert_eq!(back.get("destName").as_deref(), Some("inet:1:1701"));
+        assert_eq!(back.get("event"), None, "the event name is no field");
     }
 
     #[test]
@@ -322,22 +387,26 @@ mod tests {
     /// identity for arbitrary records.
     #[test]
     fn hostile_values_round_trip_exactly() {
-        let rec = LogRecord {
-            event: "odd event".into(),
-            fields: vec![
-                ("plain".into(), "42".into()),
-                ("spaced".into(), "two words".into()),
-                ("eq".into(), "a=b=c".into()),
-                ("multi\nline".into(), "first\nsecond\r\n".into()),
-                ("tabs".into(), "a\tb".into()),
-                ("slashes".into(), "C:\\path\\n not a newline".into()),
-                ("empty".into(), String::new()),
+        let rec = LogRecord::new(
+            "odd event",
+            [
+                ("plain", "42"),
+                ("spaced", "two words"),
+                ("eq", "a=b=c"),
+                ("multi\nline", "first\nsecond\r\n"),
+                ("tabs", "a\tb"),
+                ("slashes", "C:\\path\\n not a newline"),
+                ("empty", ""),
             ],
-        };
+        );
         let line = rec.to_string();
         assert!(!line.contains('\n'), "one record, one line: {line:?}");
         let back = LogRecord::parse(&line).expect("line parses");
         assert_eq!(back, rec);
+        assert_eq!(
+            back.get("multi\nline").as_deref(),
+            Some("first\nsecond\r\n")
+        );
         // Multiple hostile records in one log stay one-per-line.
         let log = format!("{rec}\n{rec}\n");
         let all: Vec<LogRecord> = log.lines().filter_map(LogRecord::parse).collect();
@@ -356,8 +425,8 @@ mod tests {
     #[test]
     fn unknown_escapes_parse_leniently() {
         let rec = LogRecord::parse("event=x a=\\q b=trailing\\").unwrap();
-        assert_eq!(rec.get("a"), Some("\\q"));
-        assert_eq!(rec.get("b"), Some("trailing\\"));
+        assert_eq!(rec.get("a").as_deref(), Some("\\q"));
+        assert_eq!(rec.get("b").as_deref(), Some("trailing\\"));
     }
 
     #[test]
@@ -365,7 +434,7 @@ mod tests {
         let text = "\n# comment event=fork\nevent=fork pid=1 newPid=2\nnot-a-record\nevent=fork pid=1 stray\nevent=\n";
         let recs: Vec<LogRecord> = text.lines().filter_map(LogRecord::parse).collect();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].event, "fork");
+        assert_eq!(recs[0].to_string(), "event=fork pid=1 newPid=2");
     }
 
     #[test]

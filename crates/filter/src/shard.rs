@@ -41,7 +41,6 @@ use crate::rules::Rules;
 use dpm_logstore::SegmentWriter;
 use dpm_telemetry::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -84,7 +83,7 @@ pub enum ShardLog {
 /// buffer (unused by a store shard — the store batches internally).
 struct ShardLogger {
     log: ShardLog,
-    batch: Vec<u8>,
+    batch: String,
     batch_bytes: usize,
 }
 
@@ -93,7 +92,8 @@ impl ShardLogger {
     fn write(&mut self, view: RecordView<'_>, rec: KeptRecord<'_>) {
         match &mut self.log {
             ShardLog::Text(_) => {
-                writeln!(self.batch, "{rec}").expect("write to Vec");
+                rec.write_to(&mut self.batch).expect("write to String");
+                self.batch.push('\n');
                 if self.batch.len() >= self.batch_bytes {
                     self.flush();
                 }
@@ -109,7 +109,7 @@ impl ShardLogger {
         match &mut self.log {
             ShardLog::Text(sink) => {
                 if !self.batch.is_empty() {
-                    sink(&self.batch);
+                    sink(self.batch.as_bytes());
                     self.batch.clear();
                 }
             }
@@ -406,7 +406,7 @@ fn shard_worker(
     let mut engines: HashMap<u64, FilterEngine> = HashMap::new();
     let mut logger = ShardLogger {
         log,
-        batch: Vec::new(),
+        batch: String::new(),
         batch_bytes,
     };
     // Stats of connections already closed and retired.
@@ -467,8 +467,8 @@ fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::LogRecord;
     use dpm_meter::{MeterBody, MeterHeader, MeterMsg, MeterSendMsg, SockName};
+    use std::io::Write as _;
     use std::sync::Mutex;
 
     fn send(machine: u16, len: u32) -> Vec<u8> {
@@ -534,7 +534,7 @@ mod tests {
             let mut e = FilterEngine::standard();
             let mut log = Vec::new();
             for chunk in s.chunks(11) {
-                e.feed_into(chunk, &mut |rec: LogRecord| {
+                e.feed_records(chunk, &mut |_, rec| {
                     writeln!(log, "{rec}").unwrap();
                 });
             }

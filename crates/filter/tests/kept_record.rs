@@ -1,7 +1,8 @@
-//! The unrendered [`KeptRecord`] against the renderer it replaced: for
-//! every Appendix-A event type and every discard list, its `Display`
-//! and its `LogRecord` must be what resolving each field *by name*
-//! through [`Descriptions::field`] produced before the offset walk.
+//! The compiled §3.4 line against the renderer it replaced: for every
+//! Appendix-A event type, for generated descriptions files and for
+//! every discard list, [`KeptRecord`]'s `Display` and
+//! [`LogRecord::from_raw`] must be what resolving each field *by name*
+//! through [`Descriptions::field`] produced.
 
 use dpm_filter::{Descriptions, FilterEngine, KeptRecord, LogRecord, Rules};
 use dpm_meter::{
@@ -112,7 +113,10 @@ fn samples() -> Vec<Vec<u8>> {
     all
 }
 
-/// The renderer as it was: every logged field looked up by name.
+/// The renderer as it was: every logged field looked up by name, its
+/// value shown through `Display`, the line escaped by
+/// [`LogRecord::new`]. (Body field names must be unique for this to be
+/// the reference: `Descriptions::field` finds only the first.)
 fn by_name(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<LogRecord> {
     let event = desc.event(Descriptions::record_type(record)?)?;
     let fields = ["machine", "cpuTime", "procTime", "traceType"]
@@ -124,12 +128,29 @@ fn by_name(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<Log
                 .iter()
                 .any(|d| d == n || (d == "size" && *n == "msgLength"))
         })
-        .filter_map(|n| Some((n.to_owned(), desc.field(record, n)?.to_string())))
-        .collect();
-    Some(LogRecord {
-        event: event.name.clone(),
-        fields,
-    })
+        .filter_map(|n| Some((n, desc.field(record, n)?.to_string())))
+        .collect::<Vec<_>>();
+    Some(LogRecord::new(
+        &event.name,
+        fields.iter().map(|(n, v)| (*n, v.as_str())),
+    ))
+}
+
+/// Every way `desc` can render `record` under `discard` equals
+/// [`by_name`].
+fn assert_renders_by_name(desc: &Descriptions, record: &[u8], discard: &[String]) {
+    let want = by_name(desc, record, discard).expect("described type");
+    let kept = KeptRecord::new(desc, record, discard).expect("described type");
+    let line = kept.to_string();
+    assert_eq!(line, want.to_string(), "discard {discard:?}");
+    let mut written = String::from("kept: ");
+    kept.write_to(&mut written).unwrap();
+    assert_eq!(written, format!("kept: {line}"));
+    assert_eq!(
+        LogRecord::from_raw(desc, record, discard),
+        Some(want.clone())
+    );
+    assert_eq!(LogRecord::parse(&line), Some(want));
 }
 
 fn discard_lists() -> Vec<Vec<String>> {
@@ -153,15 +174,7 @@ fn display_and_log_record_equal_the_by_name_renderer() {
     for record in samples() {
         types_seen.insert(Descriptions::record_type(&record).unwrap());
         for discard in discard_lists() {
-            let want = by_name(&desc, &record, &discard).expect("described type");
-            let kept = KeptRecord::new(&desc, &record, &discard).expect("described type");
-            assert_eq!(kept.to_log_record(), want, "discard {discard:?}");
-            assert_eq!(kept.to_string(), want.to_string(), "discard {discard:?}");
-            assert_eq!(
-                LogRecord::from_raw(&desc, &record, &discard),
-                Some(want.clone())
-            );
-            assert_eq!(LogRecord::parse(&kept.to_string()), Some(want));
+            assert_renders_by_name(&desc, &record, &discard);
         }
     }
     assert_eq!(
@@ -227,10 +240,168 @@ fn engine_sink_sees_the_reduced_record() {
             _ => vec!["peerName".into()],
         };
         let want = by_name(&desc, view.bytes(), &discard).unwrap();
-        assert_eq!(rec.to_log_record(), want);
+        assert_eq!(rec.to_string(), want.to_string());
         lines.push(rec.to_string());
     });
     assert_eq!(lines.len(), 4, "three sends and the accept");
     assert_eq!(engine.stats().kept, 4);
     assert!(lines[0].starts_with("event=send ") && !lines[0].contains(" pc="));
+}
+
+/// A tiny deterministic generator (xorshift), so the generated files
+/// are the same on every run.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Field names that stress the line: ones that need escaping, body
+/// fields called like header fields, `*Len` bookkeeping, and the
+/// `size` alias's `msgLength`.
+const NAMES: &[&str] = &[
+    "a=b",
+    "x\\y",
+    "type",
+    "cpuTime",
+    "size",
+    "machine",
+    "nameLen",
+    "msgLength",
+    "pid",
+    "blob",
+    "short",
+    "wide",
+    "peer",
+];
+
+/// `(length, base)` of a field: integers narrower and wider than eight
+/// bytes, byte fields shorter and longer than a 16-byte name.
+const SHAPES: &[(usize, u32)] = &[
+    (1, 10),
+    (2, 10),
+    (4, 10),
+    (12, 10),
+    (4, 16),
+    (16, 16),
+    (20, 16),
+];
+
+/// A descriptions file of three events over a 64-byte body, each
+/// listing fields in an order unrelated to their offsets — so a record
+/// cut short loses a field in the middle of its line, not its tail.
+fn generated_text(g: &mut Gen) -> String {
+    let mut text = String::from("HEADER size machine cpuTime procTime traceType\n");
+    for (t, event) in [(1, "EV=1"), (2, "odd\\ev"), (3, "plain")] {
+        text.push_str(&format!("{event} {t},"));
+        let mut names = NAMES.to_vec();
+        for _ in 0..3 + g.below(names.len() - 3) {
+            let name = names.remove(g.below(names.len()));
+            let (len, base) = SHAPES[g.below(SHAPES.len())];
+            let off = g.below(64 - len + 1);
+            text.push_str(&format!(" {name},{off},{len},{base}"));
+        }
+        text.push('\n');
+    }
+    text
+}
+
+/// A record of `trace_type` with an 88-byte body of noise, 16-byte
+/// windows of which hold encoded socket names (and one all zeros).
+fn generated_record(g: &mut Gen, trace_type: u32) -> Vec<u8> {
+    let mut record: Vec<u8> = (0..dpm_meter::HEADER_LEN + 88)
+        .map(|_| g.next() as u8)
+        .collect();
+    record[20..24].copy_from_slice(&trace_type.to_le_bytes());
+    let names = [
+        SockName::inet(7, 1701).encode(),
+        SockName::unix("/tmp/a b=c\\d").encode(),
+        SockName::Internal(42).encode(),
+        [0; dpm_meter::NAME_LEN],
+    ];
+    for name in names {
+        let at = dpm_meter::HEADER_LEN + g.below(88 - 16 + 1);
+        if g.below(3) > 0 {
+            record[at..at + 16].copy_from_slice(&name);
+        }
+    }
+    record
+}
+
+#[test]
+fn generated_descriptions_render_by_name() {
+    let mut g = Gen(0x9e37_79b9_7f4a_7c15);
+    for _ in 0..32 {
+        let text = generated_text(&mut g);
+        let desc = Descriptions::parse(&text).expect("generated file parses");
+        for trace_type in 1..=3 {
+            let event = desc.event(trace_type).expect("described");
+            let first_body = event.fields[0].name.clone();
+            let discards: Vec<Vec<String>> = [
+                vec![],
+                vec!["machine".to_owned()],
+                vec!["size".to_owned()],
+                vec!["machine".to_owned(), "size".to_owned(), "a=b".to_owned()],
+                vec![first_body, "type".to_owned()],
+            ]
+            .into();
+            let record = generated_record(&mut g, trace_type);
+            // Every cut from a bare header to the whole record.
+            for cut in dpm_meter::HEADER_LEN..=record.len() {
+                for discard in &discards {
+                    assert_renders_by_name(&desc, &record[..cut], discard);
+                }
+            }
+        }
+    }
+}
+
+/// The escaped head and keys, a body `type` showing the header's value,
+/// and a field past the end of a cut record skipped, not ending the
+/// line.
+#[test]
+fn generated_golden_line() {
+    let desc = Descriptions::parse(
+        "HEADER size\nEV=1 1, blob,40,20,16 x\\y,0,2,10 type,2,1,10 nameLen,4,4,10 short,6,4,16\n",
+    )
+    .unwrap();
+    let mut record = vec![0u8; dpm_meter::HEADER_LEN + 10];
+    record[20] = 1;
+    record[24..26].copy_from_slice(&513u16.to_le_bytes());
+    record[30..34].copy_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+    let line = KeptRecord::new(&desc, &record, &[]).unwrap().to_string();
+    assert_eq!(
+        line,
+        "event=ev\\e1 machine=0 cpuTime=0 procTime=0 traceType=1 x\\\\y=513 type=1 short=deadbeef"
+    );
+    let line = KeptRecord::new(&desc, &record, &["machine".to_owned()])
+        .unwrap()
+        .to_string();
+    assert!(line.starts_with("event=ev\\e1 cpuTime=0 "), "{line}");
+}
+
+/// A UNIX path cut to fit the 14-byte field ends on a character
+/// boundary, so the log shows the name, not its hex.
+#[test]
+fn a_unix_name_cut_mid_character_renders_as_a_name() {
+    let desc = Descriptions::standard();
+    let record = encode(MeterBody::Send(MeterSendMsg {
+        pid: 1,
+        pc: 2,
+        sock: 3,
+        msg_length: 4,
+        dest_name: Some(SockName::unix("/tmp/ééééééé")),
+    }));
+    let line = KeptRecord::new(&desc, &record, &[]).unwrap().to_string();
+    assert!(line.ends_with(" destName=unix:/tmp/éééé"), "{line}");
+    assert_renders_by_name(&desc, &record, &[]);
 }

@@ -143,12 +143,12 @@ proptest! {
 
         let mut whole = FilterEngine::standard();
         let mut whole_lines = Vec::new();
-        whole.feed_into(&wire, &mut |rec| whole_lines.push(rec.to_string()));
+        whole.feed_records(&wire, &mut |_, rec| whole_lines.push(rec.to_string()));
 
         let mut trickle = FilterEngine::standard();
         let mut trickle_lines = Vec::new();
         for b in &wire {
-            trickle.feed_into(std::slice::from_ref(b), &mut |rec| {
+            trickle.feed_records(std::slice::from_ref(b), &mut |_, rec| {
                 trickle_lines.push(rec.to_string());
             });
         }
@@ -181,7 +181,7 @@ proptest! {
         let mut engine = FilterEngine::standard();
         let mut lines = Vec::new();
         for part in wire.chunks(chunk) {
-            engine.feed_into(part, &mut |rec| lines.push(rec.to_string()));
+            engine.feed_records(part, &mut |_, rec| lines.push(rec.to_string()));
         }
 
         let stats = engine.stats();

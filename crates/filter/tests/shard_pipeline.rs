@@ -172,7 +172,7 @@ fn sharded_filter_log_matches_single_engine_reference() {
     let mut expected_lines = 0usize;
     for conn in 0..4u32 {
         let mut engine = FilterEngine::standard();
-        engine.feed_into(&stream_for(conn), &mut |rec| {
+        engine.feed_records(&stream_for(conn), &mut |_, rec| {
             *expected.entry(rec.to_string()).or_insert(0) += 1;
             expected_lines += 1;
         });
@@ -260,7 +260,7 @@ fn more_connections_than_shards_round_robin() {
     let mut expected_lines = 0usize;
     for conn in 0..6u32 {
         let mut engine = FilterEngine::standard();
-        engine.feed_into(&stream_for(conn), &mut |_rec| expected_lines += 1);
+        engine.feed_records(&stream_for(conn), &mut |_, _| expected_lines += 1);
         // Connections run sequentially here; correctness under
         // concurrency is covered by the first test.
         let pid = c

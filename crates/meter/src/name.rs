@@ -54,7 +54,8 @@ pub enum SockName {
     ///
     /// The on-wire form holds at most 14 bytes of path, exactly as
     /// `sun_path` fits in a 16-byte `struct sockaddr`; longer paths are
-    /// truncated *consistently*, so matching still works.
+    /// truncated *consistently*, at the last character boundary that
+    /// fits, so the cut path still decodes and matching still works.
     UnixPath(String),
     /// An internally generated unique name, used for socketpairs.
     Internal(u64),
@@ -77,7 +78,7 @@ impl SockName {
     pub fn wire_len(&self) -> u32 {
         match self {
             SockName::Inet { .. } => 8,
-            SockName::UnixPath(p) => 2 + p.len().min(NAME_LEN - 2) as u32,
+            SockName::UnixPath(p) => 2 + p.floor_char_boundary(NAME_LEN - 2) as u32,
             SockName::Internal(_) => 10,
         }
     }
@@ -98,8 +99,8 @@ impl SockName {
                 w.u16(af::INET).u16(*port).u32(*host);
             }
             SockName::UnixPath(path) => {
-                let bytes = path.as_bytes();
-                w.u16(af::UNIX).raw(&bytes[..bytes.len().min(NAME_LEN - 2)]);
+                let end = path.floor_char_boundary(NAME_LEN - 2);
+                w.u16(af::UNIX).raw(&path.as_bytes()[..end]);
             }
             SockName::Internal(id) => {
                 w.u16(af::INTERNAL).u64(*id);
@@ -232,6 +233,18 @@ mod tests {
         assert_eq!(p14.len(), 14);
         let n14 = SockName::unix(p14);
         assert_eq!(SockName::decode(&n14.encode()).unwrap(), n14);
+    }
+
+    #[test]
+    fn unix_path_cut_mid_character_still_decodes() {
+        // "/tmp/" and four two-byte characters fill 13 bytes; the
+        // fifth would end at byte 15.
+        let n = SockName::unix("/tmp/ééééééé");
+        assert_eq!(n.wire_len(), 15);
+        assert_eq!(
+            SockName::decode(&n.encode()),
+            Ok(SockName::unix("/tmp/éééé"))
+        );
     }
 
     #[test]
