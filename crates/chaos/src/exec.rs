@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use dpm_meterd::{meterd_main, METERD_PROGRAM};
-use dpm_simos::{Cluster, Machine, Pid, RunState, Sig, Uid};
+use dpm_simos::{Cluster, Machine, Pid, Sig, Uid};
 
 /// The program name controllers spawn under (their notification
 /// listener forks as `control+`).
@@ -115,19 +115,4 @@ pub fn daemon_alive(cluster: &Arc<Cluster>, machine: &str) -> bool {
         .machine(machine)
         .unwrap_or_else(|| panic!("no machine named '{machine}'"));
     !live_daemons(&m).is_empty()
-}
-
-/// Blocks until the named machine's meterdaemon pid `pid` is a zombie
-/// or gone. [`crash_daemon`] delivers the signal; the victim thread
-/// still needs a beat to observe it.
-pub fn await_daemon_death(cluster: &Arc<Cluster>, machine: &str, pid: Pid) {
-    let m = cluster
-        .machine(machine)
-        .unwrap_or_else(|| panic!("no machine named '{machine}'"));
-    loop {
-        match m.proc_state(pid) {
-            Some(RunState::Zombie(_)) | None => return,
-            _ => std::thread::sleep(std::time::Duration::from_millis(1)),
-        }
-    }
 }

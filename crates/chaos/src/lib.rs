@@ -58,9 +58,6 @@ mod plan;
 mod spec;
 
 pub use disk::{DiskFaultStats, FaultyBackend};
-pub use exec::{
-    await_daemon_death, crash_controller, crash_daemon, daemon_alive, restart_daemon,
-    CONTROLLER_PROGRAM,
-};
+pub use exec::{crash_controller, crash_daemon, daemon_alive, restart_daemon, CONTROLLER_PROGRAM};
 pub use plan::{ChaosInjector, FaultPlan, FaultTally};
 pub use spec::{ChaosSpec, DiskSpec, Partition, Prob};

@@ -22,10 +22,11 @@ use dpm_logstore::{seals_name, Backend, OwnedFrame, StoreReader, StoreSource, St
 use dpm_meter::MeterFlags;
 use dpm_meterd::{read_frame, rpc_call_retry, Reply, Request, RpcStatus, RPC_TIMEOUT_MS};
 use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysError, SysResult, Uid};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Maximum nesting depth of `source` scripts (§4.3).
 const MAX_SOURCE_DEPTH: usize = 16;
@@ -123,7 +124,9 @@ pub struct Controller {
     /// Per-filter live streaming state, keyed by filter name.
     watches: HashMap<String, WatchState>,
     next_filter_port: u16,
-    notifications: Arc<Mutex<VecDeque<Request>>>,
+    /// Daemon notifications the listener has queued and `pump` has
+    /// not yet applied, and the condition `wait_job` sleeps on.
+    notifications: Arc<(Mutex<VecDeque<Request>>, Condvar)>,
     /// Stack of `sink` output files (top active); empty = terminal.
     sinks: Vec<String>,
     /// Full terminal transcript of the session.
@@ -186,7 +189,7 @@ impl Controller {
             }
         });
         let proc = proc_rx.recv().expect("controller proc");
-        let notifications: Arc<Mutex<VecDeque<Request>>> = Arc::new(Mutex::new(VecDeque::new()));
+        let notifications = Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
 
         // "A controller maintains an IPC socket for the purpose of
         // establishing connections for state change reports. It
@@ -200,7 +203,9 @@ impl Controller {
             let (conn, _) = lp.accept(ns)?;
             while let Some(frame) = read_frame(&lp, conn)? {
                 if let Ok(req) = Request::decode(&frame) {
-                    sink.lock().push_back(req);
+                    let (queue, arrived) = &*sink;
+                    queue.lock().push_back(req);
+                    arrived.notify_all();
                 }
             }
             lp.close(conn)?;
@@ -280,7 +285,7 @@ impl Controller {
     /// updating process states. Returns the lines produced.
     pub fn pump(&mut self) -> Vec<String> {
         let pending: Vec<Request> = {
-            let mut q = self.notifications.lock();
+            let mut q = self.notifications.0.lock();
             q.drain(..).collect()
         };
         let mut lines = Vec::new();
@@ -352,14 +357,18 @@ impl Controller {
     /// time passes. Returns `true` when the job completed.
     ///
     /// Termination normally arrives as a daemon-initiated state-change
-    /// message, but that message is lost if the daemon dies between a
-    /// process's exit and the report. While waiting, the controller
-    /// therefore periodically *resyncs*: it queries each non-terminal
-    /// process's daemon directly and applies any terminal state it
-    /// learns, so a job still converges after a daemon crash/restart.
+    /// message, and the wait wakes on its arrival. That message is
+    /// lost if the daemon dies between a process's exit and the
+    /// report. While waiting, the controller therefore periodically
+    /// *resyncs*: it queries each non-terminal process's daemon
+    /// directly and applies any terminal state it learns, so a job
+    /// still converges after a daemon crash/restart.
     pub fn wait_job(&mut self, job: &str, timeout_ms: u64) -> bool {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
-        let mut ticks = 0u32;
+        const LEASE_TICK: Duration = Duration::from_millis(2);
+        const RESYNC_EVERY: Duration = Duration::from_millis(100);
+        let start = Instant::now();
+        let deadline = start + Duration::from_millis(timeout_ms);
+        let mut resynced = start;
         loop {
             self.pump();
             self.renew_lease_if_due(job);
@@ -374,14 +383,21 @@ impl Controller {
                     }
                 }
             }
-            if std::time::Instant::now() > deadline {
+            let now = Instant::now();
+            if now > deadline {
                 return false;
             }
-            ticks += 1;
-            if ticks.is_multiple_of(50) {
+            if now - resynced >= RESYNC_EVERY {
                 self.resync_job(job);
+                resynced = now;
             }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            // Sleep until the listener queues a notification; the tick
+            // only keeps a held lease renewed.
+            let (queue, arrived) = &*self.notifications;
+            let mut q = queue.lock();
+            if q.is_empty() {
+                arrived.wait_for(&mut q, LEASE_TICK);
+            }
         }
     }
 

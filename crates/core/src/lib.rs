@@ -9,6 +9,12 @@
 //! ([`dpm_analysis`]), and the example computations
 //! ([`dpm_workloads`]).
 //!
+//! A finished job's trace is read with [`Simulation::getlog`] (or
+//! analyzed with [`Simulation::analyze_log`]): it waits until the
+//! filter, and every filter feeding it, has closed each meter
+//! connection whose process terminated — a filter closes one only
+//! after its records are durable — and then reads the log once.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -54,8 +60,10 @@ pub use dpm_meter::{MeterFlags, MeterMsg, SockName, TermReason};
 pub use dpm_simnet::{ClockSpec, NetConfig};
 pub use dpm_simos::{Cluster, ClusterConfig, CpuCosts, Pid, Proc, SysError, SysResult, Uid};
 
+use dpm_controller::FilterInfo;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Builder for a ready-to-measure [`Simulation`].
 #[derive(Default)]
@@ -234,36 +242,108 @@ impl Simulation {
             .and_then(|m| m.fs().read(path))
     }
 
-    /// Retrieves a filter's trace once it has *stabilized*: meter
-    /// buffers flush and filter processes append asynchronously, so
-    /// the log is fetched repeatedly until two reads a moment apart
-    /// agree (or a few seconds pass).
-    pub fn stable_log(&self, control: &mut Controller, filter: &str) -> String {
-        let dest = format!("/tmp/getlog.{filter}");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut last: Option<Vec<u8>> = None;
-        loop {
-            control.exec(&format!("getlog {filter} {dest}"));
-            let now = self.local_file(control, &dest).unwrap_or_default();
-            let stable = !now.is_empty() && last.as_deref() == Some(&now[..]);
-            if stable || std::time::Instant::now() > deadline {
-                return String::from_utf8_lossy(&now).into_owned();
+    /// Retrieves a filter's trace with one `getlog`, once it is
+    /// complete. First every filter of `control` whose `upstream=`
+    /// chain reaches `filter` is drained, farthest first, then
+    /// `filter` itself ([`Machine::wait_drained`] on its port): each
+    /// has closed every meter connection whose sender closed, so
+    /// every record sent to it is durable.
+    ///
+    /// Precondition: every process metered into the filter has
+    /// terminated — in practice, [`Controller::wait_job`] returned
+    /// `true`. A connection still open is not waited for.
+    ///
+    /// # Panics
+    ///
+    /// When a filter has not drained after 30 s of real time; the
+    /// message names the filter and the senders still undrained.
+    ///
+    /// [`Machine::wait_drained`]: dpm_simos::Machine::wait_drained
+    pub fn getlog(&self, control: &mut Controller, filter: &str) -> String {
+        for f in drain_order(control.filters(), filter) {
+            let m = self.cluster.machine(&f.machine).expect("filter machine");
+            if let Err(peers) = m.wait_drained(f.spec.port, DRAIN_BOUND) {
+                panic!(
+                    "filter '{}' never drained the meter connections of {peers:?}",
+                    f.name
+                );
             }
-            last = Some(now);
-            std::thread::sleep(std::time::Duration::from_millis(20));
         }
+        let dest = format!("/tmp/getlog.{filter}");
+        control.exec(&format!("getlog {filter} {dest}"));
+        String::from_utf8_lossy(&self.local_file(control, &dest).unwrap_or_default()).into_owned()
     }
 
     /// Retrieves and analyzes the trace of a filter in one step:
-    /// stabilized `getlog` through the controller, then every
-    /// analysis.
+    /// [`Simulation::getlog`], then every analysis.
     pub fn analyze_log(&self, control: &mut Controller, filter: &str) -> Analysis {
-        let text = self.stable_log(control, filter);
-        Analysis::of_log(&text)
+        Analysis::of_log(&self.getlog(control, filter))
     }
 
     /// Kills every process and joins all threads.
     pub fn shutdown(&self) {
         self.cluster.shutdown();
+    }
+}
+
+/// How long [`Simulation::getlog`] lets one filter take to drain
+/// before it reports the run hung.
+const DRAIN_BOUND: Duration = Duration::from_secs(30);
+
+/// `filter` and every filter whose `upstream=` chain reaches it,
+/// farthest first, `filter` last: the order in which records drain
+/// toward it. (`upstream=` names an existing filter, so there is no
+/// cycle.)
+fn drain_order<'a>(filters: &'a [FilterInfo], filter: &str) -> Vec<&'a FilterInfo> {
+    let mut order: Vec<&FilterInfo> = filters.iter().filter(|f| f.name == filter).collect();
+    let mut i = 0;
+    while let Some(into) = order.get(i).map(|f| Some((f.machine.clone(), f.spec.port))) {
+        order.extend(filters.iter().filter(|f| f.spec.upstream_addr() == into));
+        i += 1;
+    }
+    order.reverse();
+    order
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpm_filter::FilterArgs;
+
+    fn filter(name: &str, machine: &str, port: u16, upstream: &str) -> FilterInfo {
+        FilterInfo {
+            name: name.to_owned(),
+            machine: machine.to_owned(),
+            pid: Pid(1),
+            spec: FilterArgs {
+                port,
+                upstream: upstream.to_owned(),
+                ..FilterArgs::default()
+            },
+            desc: Descriptions::standard(),
+            rules: Rules::default(),
+        }
+    }
+
+    #[test]
+    fn drain_order_is_farthest_first_and_skips_other_trees() {
+        let filters = [
+            filter("root", "blue", 4000, ""),
+            filter("mid", "green", 4001, "blue:4000"),
+            filter("e1", "red", 4002, "green:4001"),
+            filter("e2", "yellow", 4003, "blue:4000"),
+            filter("other", "red", 4004, ""),
+            filter("e3", "yellow", 4005, "red:4004"),
+        ];
+        let names = |target| -> Vec<&str> {
+            drain_order(&filters, target)
+                .iter()
+                .map(|f| f.name.as_str())
+                .collect()
+        };
+        assert_eq!(names("root"), ["e1", "e2", "mid", "root"]);
+        assert_eq!(names("mid"), ["e1", "mid"]);
+        assert_eq!(names("e1"), ["e1"]);
+        assert!(names("nosuch").is_empty());
     }
 }

@@ -27,6 +27,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Mutable kernel state of one machine, guarded by the kernel mutex.
 #[derive(Debug, Default)]
@@ -91,54 +92,18 @@ impl KernState {
         }
     }
 
-    /// Drops one reference to a socket; when the last reference goes,
-    /// destroys the socket and returns the cross-machine cleanup
-    /// actions the caller must apply after releasing this lock.
-    pub fn release_sock(&mut self, id: SockId) -> Vec<CloseAction> {
-        let Some(sock) = self.socks.get_mut(&id) else {
-            return Vec::new();
-        };
-        sock.refs = sock.refs.saturating_sub(1);
-        if sock.refs > 0 {
-            return Vec::new();
-        }
-        let sock = self.socks.remove(&id).expect("socket present");
-        if let Some(name) = &sock.name {
-            match name {
-                SockName::Inet { port, .. } => {
-                    if self.inet_binds.get(port) == Some(&id) {
-                        self.inet_binds.remove(port);
-                    }
-                }
-                SockName::UnixPath(p) => {
-                    if self.unix_binds.get(p) == Some(&id) {
-                        self.unix_binds.remove(p);
-                    }
-                }
-                SockName::Internal(_) => {}
-            }
-        }
-        let mut actions = Vec::new();
-        if let SockKind::Stream { state, .. } = sock.kind {
-            match state {
-                StreamState::Connected { peer, .. } => {
-                    actions.push(CloseAction::PeerClosed { peer });
-                }
-                StreamState::Listening { pending, .. } => {
-                    for p in pending {
-                        actions.push(CloseAction::Refuse { conn: p.from });
-                    }
-                }
-                _ => {}
-            }
-        }
-        actions
+    /// Drops one reference to a socket; returns it when that was the
+    /// last, for [`Machine::destroy`].
+    pub fn release_sock(&mut self, id: SockId) -> Option<SockId> {
+        let sock = self.socks.get_mut(&id).filter(|s| s.refs > 0)?;
+        sock.refs -= 1;
+        (sock.refs == 0).then_some(id)
     }
 }
 
 /// Cross-machine cleanup produced by destroying a socket.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum CloseAction {
+enum CloseAction {
     /// Tell the connected peer its counterpart has gone.
     PeerClosed {
         /// The remote endpoint of the dead connection.
@@ -387,11 +352,10 @@ impl Machine {
             self.deliver_meter(&cluster, plan);
         }
 
-        // Phase 2: release descriptors, mark zombie, notify the
-        // parent. Termination notifications therefore can never
-        // overtake the process's final trace records.
-        let mut actions: Vec<CloseAction> = Vec::new();
-        {
+        // Phase 2: release descriptors. Their peers hear of the close
+        // (a filter's meter connection reads end-of-file) before the
+        // sockets leave the table.
+        let dead: Vec<SockId> = {
             let mut k = self.kern.lock();
             let Some(p) = k.procs.get_mut(&pid) else {
                 return;
@@ -399,24 +363,33 @@ impl Machine {
             let socks = p.socket_descs();
             p.descs.clear();
             let meter_sock = p.meter_sock.take();
+            socks
+                .into_iter()
+                .chain(meter_sock)
+                .filter_map(|s| k.release_sock(s))
+                .collect()
+        };
+        self.destroy(&cluster, &dead);
+
+        // Phase 3: mark zombie, notify the parent. Whoever observes the
+        // termination — `wait_exit`, the parent's `wait_child`, a
+        // daemon's SIGCHLD report — therefore finds the process's
+        // final records delivered and its meter connection's EOF
+        // already at the filter.
+        {
+            let mut k = self.kern.lock();
+            let Some(p) = k.procs.get_mut(&pid) else {
+                return;
+            };
             let parent = p.parent;
             p.state = RunState::Zombie(reason);
             p.meter_buf.clear();
             p.meter_buf_count = 0;
-            for s in socks {
-                actions.extend(k.release_sock(s));
-            }
-            if let Some(ms) = meter_sock {
-                actions.extend(k.release_sock(ms));
-            }
-            if let Some(parent) = parent {
-                if let Some(pp) = k.procs.get_mut(&parent) {
-                    pp.dead_children.push_back((pid, reason));
-                }
+            if let Some(pp) = parent.and_then(|parent| k.procs.get_mut(&parent)) {
+                pp.dead_children.push_back((pid, reason));
             }
         }
         self.cv.notify_all();
-        self.run_close_actions(&cluster, actions);
     }
 
     /// Sends a process-control signal, with 4.2BSD permissions: a
@@ -491,8 +464,9 @@ impl Machine {
         pids
     }
 
-    /// Blocks until the process terminates, returning how. `None` if
-    /// the pid is unknown.
+    /// Blocks until the process terminates, returning how; by then
+    /// every connection it was the last to hold reads end-of-file at
+    /// its peer. `None` if the pid is unknown.
     pub fn wait_exit(&self, pid: Pid) -> Option<TermReason> {
         let mut k = self.kern.lock();
         loop {
@@ -503,6 +477,46 @@ impl Machine {
                     _ => self.cv.wait(&mut k),
                 },
             }
+        }
+    }
+
+    /// Blocks until every stream connection on `port` of this machine
+    /// whose sender has closed has been closed by its reader too: no
+    /// socket named `port` here reads `PeerClosed`. A live connection
+    /// does not hold it up.
+    ///
+    /// This is the drain barrier of a filter. A sender's close reaches
+    /// its filter before the sender can be seen terminated, and a
+    /// filter closes a meter connection only once the records read
+    /// from it are durable (DESIGN §8). So once every process metered
+    /// into the filter at `port` has terminated, `Ok` means all their
+    /// records are stored.
+    ///
+    /// # Errors
+    ///
+    /// `bound` is a failure bound only: past it, the names of the
+    /// senders whose connections are still undrained.
+    pub fn wait_drained(&self, port: u16, bound: Duration) -> Result<(), Vec<SockName>> {
+        let deadline = Instant::now() + bound;
+        let mut k = self.kern.lock();
+        loop {
+            let undrained: Vec<SockName> = k
+                .socks
+                .values()
+                .filter(|s| matches!(s.name, Some(SockName::Inet { port: p, .. }) if p == port))
+                .filter_map(|s| match s.stream_state() {
+                    Some(StreamState::PeerClosed { peer_name }) => Some(peer_name.clone()),
+                    _ => None,
+                })
+                .collect();
+            if undrained.is_empty() {
+                return Ok(());
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(undrained);
+            }
+            self.cv.wait_for(&mut k, left);
         }
     }
 
@@ -764,16 +778,18 @@ impl Machine {
     }
 
     /// Marks a connected socket's peer as closed; buffered data stays
-    /// readable, then reads return end-of-file.
+    /// readable, then reads return end-of-file. A connection that
+    /// closes before it completed is refused.
     pub(crate) fn peer_closed(&self, sock: SockId) {
         let mut k = self.kern.lock();
         if let Some(s) = k.socks.get_mut(&sock) {
             if let SockKind::Stream { state, .. } = &mut s.kind {
-                if matches!(
-                    state,
-                    StreamState::Connected { .. } | StreamState::Connecting
-                ) {
-                    *state = StreamState::PeerClosed;
+                match std::mem::take(state) {
+                    StreamState::Connected { peer_name, .. } => {
+                        *state = StreamState::PeerClosed { peer_name };
+                    }
+                    StreamState::Connecting => *state = StreamState::Refused,
+                    other => *state = other,
                 }
             }
         }
@@ -781,9 +797,39 @@ impl Machine {
         self.cv.notify_all();
     }
 
-    /// Applies socket-close cleanup actions, routing each to the
-    /// machine holding the affected socket.
-    pub(crate) fn run_close_actions(&self, cluster: &Arc<Cluster>, actions: Vec<CloseAction>) {
+    /// Destroys sockets whose last reference went. First each is hung
+    /// up: its connection or listen queue is taken out of it, and the
+    /// peers hear of the close (the peer's `PeerClosed`, a parked
+    /// connector's refusal). Only then do the sockets and their
+    /// bindings leave this machine's table. In that order a close
+    /// reaches the peer before anyone can see it: once a socket is
+    /// gone, every peer it had reads end-of-file. A socket whose own
+    /// peer already closed keeps that state until it is gone, so
+    /// [`Machine::wait_drained`] counts it undrained until then.
+    pub(crate) fn destroy(&self, cluster: &Arc<Cluster>, dead: &[SockId]) {
+        if dead.is_empty() {
+            return;
+        }
+        let mut actions = Vec::new();
+        let mut k = self.kern.lock();
+        for id in dead {
+            let Some(SockKind::Stream { state, .. }) = k.socks.get_mut(id).map(|s| &mut s.kind)
+            else {
+                continue;
+            };
+            match std::mem::take(state) {
+                StreamState::Connected { peer, .. } => {
+                    actions.push(CloseAction::PeerClosed { peer })
+                }
+                StreamState::Listening { pending, .. } => actions.extend(
+                    pending
+                        .into_iter()
+                        .map(|p| CloseAction::Refuse { conn: p.from }),
+                ),
+                other => *state = other,
+            }
+        }
+        drop(k);
         for a in actions {
             match a {
                 CloseAction::PeerClosed { peer } => {
@@ -798,6 +844,23 @@ impl Machine {
                 }
             }
         }
+        let mut k = self.kern.lock();
+        for id in dead {
+            let Some(sock) = k.socks.remove(id) else {
+                continue;
+            };
+            match &sock.name {
+                Some(SockName::Inet { port, .. }) if k.inet_binds.get(port) == Some(id) => {
+                    k.inet_binds.remove(port);
+                }
+                Some(SockName::UnixPath(p)) if k.unix_binds.get(p) == Some(id) => {
+                    k.unix_binds.remove(p);
+                }
+                _ => {}
+            }
+        }
+        drop(k);
+        self.cv.notify_all();
     }
 
     /// Delivers flushed meter messages over the meter connection.

@@ -136,7 +136,11 @@ pub enum StreamState {
     },
     /// The peer closed; reads drain the buffer then return EOF, writes
     /// fail with `EPIPE`.
-    PeerClosed,
+    PeerClosed {
+        /// Name the peer socket had, so an undrained connection can
+        /// name its sender.
+        peer_name: SockName,
+    },
     /// `connect()` failed; the initiator should see `ECONNREFUSED`.
     Refused,
 }

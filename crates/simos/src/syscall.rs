@@ -489,7 +489,10 @@ impl Proc {
                     SockKind::Stream {
                         state, rx_floor_us, ..
                     } => match state {
-                        StreamState::Connected { .. } => *rx_floor_us,
+                        // A peer may accept and close before we run.
+                        StreamState::Connected { .. } | StreamState::PeerClosed { .. } => {
+                            *rx_floor_us
+                        }
                         StreamState::Refused => return Err(SysError::Econnrefused),
                         StreamState::Connecting => return Ok(Wait::Block),
                         _ => return Err(SysError::Einval),
@@ -824,7 +827,7 @@ impl Proc {
                             visible: t_send + latency + extra,
                         }
                     }
-                    StreamState::PeerClosed => return Err(SysError::Epipe),
+                    StreamState::PeerClosed { .. } => return Err(SysError::Epipe),
                     _ => return Err(SysError::Enotconn),
                 },
                 SockKind::Datagram { default_peer, .. } => match default_peer {
@@ -1095,7 +1098,7 @@ impl Proc {
                                 } else if *rx_eof
                                     || matches!(
                                         state,
-                                        StreamState::PeerClosed | StreamState::Refused
+                                        StreamState::PeerClosed { .. } | StreamState::Refused
                                     )
                                 {
                                     ready.push(fd); // EOF is readable
@@ -1202,7 +1205,7 @@ impl Proc {
                         }
                         return match state {
                             StreamState::Connected { .. } => Ok(Wait::Block),
-                            StreamState::PeerClosed | StreamState::Refused => {
+                            StreamState::PeerClosed { .. } | StreamState::Refused => {
                                 Ok(Wait::Ready((Vec::new(), None))) // EOF
                             }
                             _ => Err(SysError::Enotconn),
@@ -1348,7 +1351,7 @@ impl Proc {
                         *wr_closed = true;
                         Some(*peer)
                     }
-                    StreamState::PeerClosed => {
+                    StreamState::PeerClosed { .. } => {
                         *wr_closed = true;
                         None
                     }
@@ -1379,29 +1382,27 @@ impl Proc {
         let pc = self.enter()?;
         let cluster = self.cluster();
         let mut plans = Vec::new();
-        let actions = {
+        let mut dead = None;
+        {
             let mut k = self.machine.kern.lock();
             let desc = k.proc_mut(self.pid)?.clear_fd(fd).ok_or(SysError::Ebadf)?;
-            match desc {
-                Desc::Console => Vec::new(),
-                Desc::Sock(sid) => {
-                    plans.extend(metering::emit(
-                        &mut k,
-                        &self.machine,
-                        &cluster,
-                        self.pid,
-                        MeterBody::DestSock(MeterDestSock {
-                            pid: self.pid.0,
-                            pc,
-                            sock: sid.0,
-                        }),
-                    ));
-                    k.release_sock(sid)
-                }
+            if let Desc::Sock(sid) = desc {
+                plans.extend(metering::emit(
+                    &mut k,
+                    &self.machine,
+                    &cluster,
+                    self.pid,
+                    MeterBody::DestSock(MeterDestSock {
+                        pid: self.pid.0,
+                        pc,
+                        sock: sid.0,
+                    }),
+                ));
+                dead = k.release_sock(sid);
             }
-        };
+        }
         self.finish(plans);
-        self.machine.run_close_actions(&cluster, actions);
+        self.machine.destroy(&cluster, dead.as_slice());
         Ok(())
     }
 
@@ -1632,7 +1633,7 @@ impl Proc {
     pub fn setmeter(&self, proc: PidSel, flags: FlagSel, socket: SockSel) -> SysResult<()> {
         self.enter()?;
         let cluster = self.cluster();
-        let plans_and_actions = {
+        let plans_and_dead = {
             let mut k = self.machine.kern.lock();
             let caller_uid = k.proc_ref(self.pid)?.uid;
             let target = match proc {
@@ -1663,7 +1664,7 @@ impl Proc {
                     Some(Some(sid))
                 }
             };
-            let mut actions = Vec::new();
+            let mut dead = None;
             let mut plans = Vec::new();
             if let Some(new_sock) = new_sock {
                 // Buffered, unsent records would be lost with the old
@@ -1681,7 +1682,7 @@ impl Proc {
                     // "If setmeter() is called specifying a new meter
                     // socket for a process already having one, the old
                     // socket is closed." (§4.1)
-                    actions.extend(k.release_sock(old));
+                    dead = k.release_sock(old);
                 }
             }
             match flags {
@@ -1689,11 +1690,11 @@ impl Proc {
                 FlagSel::None => k.proc_mut(target)?.meter_flags = MeterFlags::NONE,
                 FlagSel::Set(f) => k.proc_mut(target)?.meter_flags = f,
             }
-            (plans, actions)
+            (plans, dead)
         };
-        let (plans, actions) = plans_and_actions;
+        let (plans, dead) = plans_and_dead;
         self.machine.run_plans(&cluster, plans);
-        self.machine.run_close_actions(&cluster, actions);
+        self.machine.destroy(&cluster, dead.as_slice());
         Ok(())
     }
 

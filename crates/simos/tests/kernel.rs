@@ -977,3 +977,142 @@ fn clock_skew_shows_up_in_cross_machine_stamps() {
     );
     cluster.shutdown();
 }
+
+/// Rounds of each close-ordering check: the window they guard is a few
+/// instructions wide, so one pass proves little.
+const CLOSE_ROUNDS: u16 = 500;
+
+/// What one `read_nb` returned; `Ok(Some(vec![]))` is end-of-file.
+type ReadNb = SysResult<Option<Vec<u8>>>;
+
+/// Spawns a process on green that accepts one connection on `port`,
+/// then answers one probe with one `read_nb` of it and exits. Returns
+/// once it listens.
+fn spawn_prober(
+    cluster: &Arc<Cluster>,
+    port: u16,
+) -> (
+    std::sync::mpsc::Sender<()>,
+    std::sync::mpsc::Receiver<ReadNb>,
+) {
+    let (probe_tx, probe_rx) = std::sync::mpsc::channel::<()>();
+    let (answer_tx, answer_rx) = std::sync::mpsc::channel();
+    let (bound_tx, bound) = ready();
+    cluster
+        .spawn_user("green", "prober", U, move |p| {
+            let l = p.socket(Domain::Inet, SockType::Stream)?;
+            p.bind(l, BindTo::Port(port))?;
+            p.listen(l, 1)?;
+            let _ = bound_tx.send(());
+            let (conn, _) = p.accept(l)?;
+            if probe_rx.recv().is_ok() {
+                let _ = answer_tx.send(p.read_nb(conn, 16));
+            }
+            Ok(())
+        })
+        .unwrap();
+    bound.recv().unwrap();
+    (probe_tx, answer_rx)
+}
+
+#[test]
+fn a_termination_is_seen_only_after_its_close_reached_the_peer() {
+    let cluster = two_machines();
+    let red = cluster.machine("red").unwrap();
+    let eof = Ok(Some(Vec::new()));
+    for round in 0..CLOSE_ROUNDS {
+        // Host side: `wait_exit` of a process that died connected.
+        let port = 3000 + 2 * round;
+        let (probe, answer) = spawn_prober(&cluster, port);
+        let sender = cluster
+            .spawn_user("red", "sender", U, move |p| {
+                connect_backoff(&p, "green", port, Backoff::standard())?;
+                Ok(())
+            })
+            .unwrap();
+        red.wait_exit(sender);
+        probe.send(()).unwrap();
+        assert_eq!(answer.recv().unwrap(), eof, "round {round}: wait_exit");
+
+        // Parent side: `wait_child` of a forked child that died
+        // connected.
+        let port = port + 1;
+        let (probe, answer) = spawn_prober(&cluster, port);
+        cluster
+            .spawn_user("red", "parent", U, move |p| {
+                p.fork_with(move |c| {
+                    connect_backoff(&c, "green", port, Backoff::standard())?;
+                    Ok(())
+                })?;
+                p.wait_child()?;
+                let _ = probe.send(());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(answer.recv().unwrap(), eof, "round {round}: wait_child");
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_socket_is_gone_only_after_its_close_reached_the_peer() {
+    let cluster = two_machines();
+    let (red, green) = (
+        cluster.machine("red").unwrap(),
+        cluster.machine("green").unwrap(),
+    );
+    for round in 0..CLOSE_ROUNDS {
+        let (port_a, port_b) = (3000 + 2 * round, 3001 + 2 * round);
+        // The reader takes A and B, reads B to its end, then closes A
+        // and then B.
+        let (bound_tx, bound) = ready();
+        cluster
+            .spawn_user("green", "reader", U, move |p| {
+                let la = p.socket(Domain::Inet, SockType::Stream)?;
+                p.bind(la, BindTo::Port(port_a))?;
+                p.listen(la, 1)?;
+                let lb = p.socket(Domain::Inet, SockType::Stream)?;
+                p.bind(lb, BindTo::Port(port_b))?;
+                p.listen(lb, 1)?;
+                let _ = bound_tx.send(());
+                let (a, _) = p.accept(la)?;
+                let (b, _) = p.accept(lb)?;
+                while !p.read(b, 16)?.is_empty() {}
+                p.close(a)?;
+                p.close(b)?;
+                Ok(())
+            })
+            .unwrap();
+        bound.recv().unwrap();
+        // A's sender stays connected and reads once when probed.
+        let (probe, probe_rx) = std::sync::mpsc::channel::<()>();
+        let (answer_tx, answer) = std::sync::mpsc::channel();
+        cluster
+            .spawn_user("red", "sender-a", U, move |p| {
+                let s = connect_backoff(&p, "green", port_a, Backoff::standard())?;
+                if probe_rx.recv().is_ok() {
+                    let _ = answer_tx.send(p.read_nb(s, 16));
+                }
+                Ok(())
+            })
+            .unwrap();
+        let sender_b = cluster
+            .spawn_user("red", "sender-b", U, move |p| {
+                connect_backoff(&p, "green", port_b, Backoff::standard())?;
+                Ok(())
+            })
+            .unwrap();
+        red.wait_exit(sender_b);
+        // B reads end-of-file at the reader until the reader closes it.
+        green
+            .wait_drained(port_b, std::time::Duration::from_secs(30))
+            .expect("reader closed B");
+        probe.send(()).unwrap();
+        assert_eq!(
+            answer.recv().unwrap(),
+            Ok(Some(Vec::new())),
+            "round {round}"
+        );
+    }
+    cluster.shutdown();
+}

@@ -42,7 +42,7 @@ fn main() {
     control.exec("startjob byz");
     assert!(control.wait_job("byz", 120_000), "job never converged");
 
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     let report = ByzReport::check(&Trace::parse(&text));
     println!("{report}");
     assert!(report.agreement_ok(), "loyal generals disagreed");

@@ -55,7 +55,7 @@ fn main() {
     control.exec("startjob foo");
     assert!(control.wait_job("foo", 120_000), "job never converged");
     control.exec("removejob foo");
-    let _ = sim.stable_log(&mut control, "f1");
+    let _ = sim.getlog(&mut control, "f1");
 
     // Read the store back off blue and check the chaos invariant:
     // duplicated flush delivery must never become a duplicated record.

@@ -45,7 +45,7 @@ fn main() {
 
     // Everything below comes from the log, not the processes: getlog
     // fetches the store segments and renders them to trace text.
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     let report = MutexReport::check(&Trace::parse(&text));
     println!("{report}");
     assert!(report.mutual_exclusion_ok(), "critical sections overlapped");

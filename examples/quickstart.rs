@@ -41,7 +41,8 @@ fn main() {
     print!("{}", control.transcript());
 
     // What the user would then do with the trace: analyze it. (The
-    // helper re-fetches until the asynchronously-written log settles.)
+    // helper first waits until f1 has closed every finished meter
+    // connection, so the log is complete, then fetches it once.)
     let analysis: Analysis = sim.analyze_log(&mut control, "f1");
 
     println!("=== trace analysis =============================================");

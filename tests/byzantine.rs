@@ -61,22 +61,16 @@ fn byzantine_agreement_and_the_traitor_are_verified_from_the_store_log() {
     control.exec("startjob byz");
     assert!(control.wait_job("byz", 120_000), "byzantine job completed");
 
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty(), "store filter logged records");
     let red = sim.cluster().machine("red").expect("red exists");
     let desc = Descriptions::standard();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let reader = loop {
-        let reader = load_store(&red, "/usr/tmp/log.f1");
-        if render_store(&reader, &desc) == text {
-            break reader;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "segment render never matched the stabilized getlog text"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    let reader = load_store(&red, "/usr/tmp/log.f1");
+    assert_eq!(
+        render_store(&reader, &desc),
+        text,
+        "segment render matches the getlog text"
+    );
     let trace = Trace::from_store(&reader, &desc);
     assert_eq!(trace, Trace::parse(&text), "store and text traces agree");
 

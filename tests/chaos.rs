@@ -131,8 +131,9 @@ fn run_client_server_meter_dup(seed: u64) -> u64 {
     );
     control.exec("removejob foo");
 
-    // Drain: getlog until stable, then read the segments off blue.
-    let text = sim.stable_log(&mut control, "f1");
+    // Drain: getlog once the filter has closed every finished meter
+    // connection, then read the segments off blue.
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty(), "empty trace [{}]", plan.describe());
     let blue = sim.cluster().machine("blue").expect("blue");
     let backend = SimFsBackend::new(blue);
@@ -199,8 +200,9 @@ fn controller_converges_after_daemon_crash_and_restart() {
     // gap is lost — only resync can finish the job.
     let killed = chaos::crash_daemon(sim.cluster(), "red");
     assert!(!killed.is_empty(), "no daemon found on red");
+    let red = sim.cluster().machine("red").expect("red exists");
     for pid in killed {
-        chaos::await_daemon_death(sim.cluster(), "red", pid);
+        red.wait_exit(pid);
     }
     assert!(!chaos::daemon_alive(sim.cluster(), "red"));
     chaos::restart_daemon(sim.cluster(), "red");
@@ -300,7 +302,7 @@ fn run_checked_job(
     control.exec(&format!("setflags {job} send receive"));
     control.exec(&format!("startjob {job}"));
     assert!(control.wait_job(job, 120_000), "{why}: job never converged");
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty(), "{why}: empty trace");
     control.exec("die");
     Trace::parse(&text)
@@ -564,9 +566,9 @@ fn run_tree_partition_dup(seed: u64) -> u64 {
     );
     control.exec("removejob foo");
 
-    // Drain the root: getlog until stable, then read the segments off
-    // blue directly.
-    let text = sim.stable_log(&mut control, "root");
+    // Drain the edges, then the root, and getlog once; then read the
+    // segments off blue directly.
+    let text = sim.getlog(&mut control, "root");
     assert!(!text.is_empty(), "empty root trace [{}]", plan.describe());
     let blue = sim.cluster().machine("blue").expect("blue");
     let backend = SimFsBackend::new(blue);

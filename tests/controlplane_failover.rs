@@ -121,7 +121,7 @@ fn run_session(seed: u64, crash: bool, templates: &str) -> RunResult {
     }
 
     survivor.exec("removejob pair");
-    let text = sim.stable_log(&mut survivor, "f1");
+    let text = sim.getlog(&mut survivor, "f1");
     let trace = Trace::parse(&text);
     let transcript = survivor.transcript().to_owned();
     survivor.exec("die");

@@ -137,12 +137,14 @@ fn render_canonical(reader: &StoreReader, desc: &Descriptions) -> String {
 }
 
 /// Runs one phase: spawn `sources` (one per worker) aiming at their
-/// phase's filter, wait for them, then wait until `store_on`'s store
-/// at `dir` holds `expected` records. Returns the phase's cross-
-/// machine byte delta.
+/// phase's filter, wait for them, drain every worker's filter and then
+/// the hub's at `hub_port`, and check `store_on`'s store at `dir`
+/// holds `expected` records. Returns the phase's cross-machine byte
+/// delta.
 fn run_sources(
     c: &std::sync::Arc<Cluster>,
     target: impl Fn(usize) -> (String, u16),
+    hub_port: u16,
     store_on: &std::sync::Arc<dpm::crates::simos::Machine>,
     dir: &str,
     expected: u64,
@@ -164,22 +166,16 @@ fn run_sources(
             .expect("spawn source");
         pids.push((i, pid));
     }
+    let bound = std::time::Duration::from_secs(10);
     for (i, pid) in pids {
         let m = c.machine(&worker_name(i)).expect("worker exists");
         m.wait_exit(pid);
+        m.wait_drained(EDGE_PORT, bound)
+            .expect("worker's edge drained");
     }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let n = read_store(store_on, dir).n_records();
-        if n == expected {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "store {dir} never reached {expected} records (has {n})"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    store_on.wait_drained(hub_port, bound).expect("hub drained");
+    let n = read_store(store_on, dir).n_records();
+    assert_eq!(n, expected, "store {dir} holds every kept record");
     c.wire_stats().snapshot().since(&before).cross_bytes
 }
 
@@ -230,6 +226,7 @@ fn tree_cuts_cross_network_bytes_and_preserves_the_trace() {
     let flat_cross = run_sources(
         &c,
         |_| ("hub".to_owned(), FLAT_PORT),
+        FLAT_PORT,
         &hub,
         FLAT_LOG,
         expected,
@@ -266,6 +263,7 @@ fn tree_cuts_cross_network_bytes_and_preserves_the_trace() {
     let tree_cross = run_sources(
         &c,
         |i| (worker_name(i), EDGE_PORT),
+        AGG_PORT,
         &hub,
         TREE_LOG,
         expected,
@@ -348,7 +346,7 @@ fn controller_session_with_filter_tree() {
 
     // The root store has the whole job's trace, and the analysis
     // pairs the A→B traffic exactly as a flat filter would have.
-    let text = sim.stable_log(&mut control, "root");
+    let text = sim.getlog(&mut control, "root");
     assert!(!text.is_empty(), "root getlog produced a trace");
     let analysis = Analysis::of_log(&text);
     assert!(!analysis.trace.is_empty(), "trace has events");
@@ -466,9 +464,9 @@ fn three_level_tree_forwards_every_record_to_the_root() {
     assert!(control.wait_job("foo", 60_000), "job foo completed");
     control.exec("removejob foo");
 
-    let mid_text = sim.stable_log(&mut control, "mid");
+    let mid_text = sim.getlog(&mut control, "mid");
     assert!(!mid_text.is_empty(), "mid getlog produced a trace");
-    let root_text = sim.stable_log(&mut control, "root");
+    let root_text = sim.getlog(&mut control, "root");
     assert!(!root_text.is_empty(), "root getlog produced a trace");
 
     let load = |machine: &str, filter: &str| {

@@ -102,28 +102,23 @@ fn watch_streams_live_windows_and_equals_batch_at_quiescence() {
     assert!(t.contains("watch f1 w0:"), "windows rendered: {t}");
     assert!(t.contains("anomaly:"), "anomaly lines rendered: {t}");
 
-    // Drain the pipeline, then poll the watch until the live state has
-    // consumed everything the store holds (shard flushes are async).
-    let text = sim.stable_log(&mut control, "f1");
+    // Drain the pipeline; one more watch then consumes everything the
+    // store holds.
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty(), "store filter logged records");
     let blue = sim.cluster().machine("blue").expect("blue exists");
     let desc = Descriptions::standard();
-    let drain = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let reader = loop {
-        control.exec("watch f1");
-        let reader = StoreReader::load(&SimFsBackend::new(Arc::clone(&blue)), "/usr/tmp/log.f1");
-        {
-            let live = control.watch_live_mut("f1").expect("state").live_mut();
-            if live.len() as u64 == reader.n_records() && live.reorder_pending() == 0 {
-                break reader;
-            }
-        }
-        assert!(
-            std::time::Instant::now() < drain,
-            "watch never caught up with the sealed store"
+    control.exec("watch f1");
+    let reader = StoreReader::load(&SimFsBackend::new(Arc::clone(&blue)), "/usr/tmp/log.f1");
+    {
+        let live = control.watch_live_mut("f1").expect("state").live_mut();
+        assert_eq!(
+            live.len() as u64,
+            reader.n_records(),
+            "watch caught up with the store"
         );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+        assert_eq!(live.reorder_pending(), 0, "no seq gaps after the drain");
+    }
     let batch_trace = Trace::from_store(&reader, &desc);
     let batch_pairing = Pairing::analyze(&batch_trace);
     let batch_hb = HappensBefore::build(&batch_trace, &batch_pairing);
@@ -187,7 +182,7 @@ fn tail_renders_new_records_and_shares_watch_cursors() {
     control.exec("startjob pp");
     assert!(control.wait_job("pp", 60_000), "mutex pair completed");
 
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty());
 
     let shown = control.exec("tail f1 n=5");
@@ -204,40 +199,29 @@ fn tail_renders_new_records_and_shares_watch_cursors() {
         .expect("tail's count line");
     let shown: Vec<&str> = shown.map(str::trim_start).collect();
 
-    // Follow-up watch windows share the tail's cursors: polls converge
-    // on exactly the store's record count, with no frame replayed or
-    // double-counted (shard flushes are async, so poll until caught up).
+    // A follow-up watch window shares the tail's cursors: it reaches
+    // exactly the store's record count, with no frame replayed or
+    // double-counted.
     let red = sim.cluster().machine("red").expect("red exists");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        control.exec("watch f1");
-        let reader = StoreReader::load(&SimFsBackend::new(Arc::clone(&red)), "/usr/tmp/log.f1");
-        let live = control.watch_live_mut("f1").expect("state").live_mut();
-        if live.len() as u64 == reader.n_records() && live.reorder_pending() == 0 {
-            assert_eq!(live.replays(), 0, "no frame offered twice past a cursor");
-            assert_eq!(live.duplicates(), 0, "no (machine,pid,seq) double-count");
-            // Remote == local: the frames `tail` and `watch` polled
-            // through red's daemon are the local reader's, and the
-            // records `tail` showed are the last of the `new` it read
-            // (one shard: a poll's frames are a prefix of the store).
-            let desc = Descriptions::standard();
-            assert_eq!(live.trace(), &Trace::from_store(&reader, &desc));
-            let local = render_store(&reader, &desc);
-            assert_eq!(shown, local[new - shown.len()..new]);
-            break;
-        }
-        assert!(
-            live.len() as u64 <= reader.n_records(),
-            "live overshot the store: {} > {}",
-            live.len(),
-            reader.n_records()
-        );
-        assert!(
-            std::time::Instant::now() < deadline,
-            "tail/watch cursors never converged on the store contents"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    control.exec("watch f1");
+    let reader = StoreReader::load(&SimFsBackend::new(Arc::clone(&red)), "/usr/tmp/log.f1");
+    let live = control.watch_live_mut("f1").expect("state").live_mut();
+    assert_eq!(
+        live.len() as u64,
+        reader.n_records(),
+        "tail/watch cursors reached the store contents"
+    );
+    assert_eq!(live.reorder_pending(), 0, "no seq gaps after the drain");
+    assert_eq!(live.replays(), 0, "no frame offered twice past a cursor");
+    assert_eq!(live.duplicates(), 0, "no (machine,pid,seq) double-count");
+    // Remote == local: the frames `tail` and `watch` polled through
+    // red's daemon are the local reader's, and the records `tail`
+    // showed are the last of the `new` it read (one shard: a poll's
+    // frames are a prefix of the store).
+    let desc = Descriptions::standard();
+    assert_eq!(live.trace(), &Trace::from_store(&reader, &desc));
+    let local = render_store(&reader, &desc);
+    assert_eq!(shown, local[new - shown.len()..new]);
 
     control.exec("bye");
     sim.shutdown();

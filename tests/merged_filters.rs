@@ -30,8 +30,8 @@ fn two_filters_logs_merge_into_one_coherent_trace() {
     control.exec("removejob one");
     control.exec("removejob two");
 
-    let log_a = sim.stable_log(&mut control, "fa");
-    let log_b = sim.stable_log(&mut control, "fb");
+    let log_a = sim.getlog(&mut control, "fa");
+    let log_b = sim.getlog(&mut control, "fb");
     let t_a = Trace::parse(&log_a);
     let t_b = Trace::parse(&log_b);
     assert!(!t_a.is_empty() && !t_b.is_empty());

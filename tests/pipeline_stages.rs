@@ -97,7 +97,7 @@ fn selection_rules_reduce_the_trace() {
 #[test]
 fn reduction_is_applied_wherever_text_is_shown() {
     let (sim, mut control) = run_session("type=1, pc=#*\n");
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty(), "the template keeps the sends");
     for line in text.lines() {
         assert!(line.starts_with("event=send "), "{line}");

@@ -153,25 +153,19 @@ fn controller_session_with_store_filter() {
     control.exec("removejob foo");
 
     // `getlog` fetches the segments and renders the §3.4 text.
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty(), "getlog produced a trace");
 
     // Reading the segments straight off blue and rendering locally
-    // must agree with what getlog produced (poll: flushes are async).
+    // must agree with what getlog produced.
     let blue = sim.cluster().machine("blue").expect("blue exists");
     let desc = Descriptions::standard();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let reader = loop {
-        let reader = load_store(&blue, "/usr/tmp/log.f1");
-        if render_store(&reader, &desc) == text {
-            break reader;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "direct segment render never matched getlog output"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    let reader = load_store(&blue, "/usr/tmp/log.f1");
+    assert_eq!(
+        render_store(&reader, &desc),
+        text,
+        "direct segment render matches getlog output"
+    );
 
     // The analysis built from the store equals the analysis of the
     // rendered text, and has the Appendix-B structure.

@@ -92,7 +92,7 @@ fn stats_shows_per_stage_counters_and_staleness_mid_job() {
     // leg of the staleness chain that this topology exercises must
     // hold samples. (Assertions go through the same global registry
     // the stats command renders.)
-    let text = sim.stable_log(&mut control, "f1");
+    let text = sim.getlog(&mut control, "f1");
     assert!(!text.is_empty(), "store filter logged records");
     control.exec("watch f1"); // one more window after quiescence
 
