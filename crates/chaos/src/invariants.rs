@@ -198,14 +198,10 @@ pub fn check_control_plane(reader: &StoreReader) -> Result<ControlCensus, String
                 jr.name, jr.filter
             ));
         }
-        if jr.removed {
+        if jr.removed || jr.finished() {
             continue;
         }
-        if let Some(p) = jr
-            .procs
-            .iter()
-            .find(|p| p.state != "killed" && p.state != "acquired")
-        {
+        if let Some(p) = jr.procs.iter().find(|p| !p.state.finished()) {
             return fail(format!(
                 "job '{}' ended the log with process '{}' (pid {} on {}) still {} — \
                  no terminal state reached",
@@ -227,6 +223,7 @@ pub fn check_control_plane(reader: &StoreReader) -> Result<ControlCensus, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpm_controlplane::ProcState;
     use dpm_logstore::{LogStore, MemBackend, StoreConfig};
     use dpm_meter::{MeterBody, MeterHeader, MeterMsg, MeterTermProc, TermReason};
     use std::sync::Arc;
@@ -335,7 +332,7 @@ mod tests {
                 name: "worker".to_owned(),
                 machine: "red".to_owned(),
                 pid: 9,
-                state: "new".to_owned(),
+                state: ProcState::New,
             },
             // A clean takeover: the next owner begins after expiry.
             ControlEvent::LeaseAcquired {
@@ -348,7 +345,7 @@ mod tests {
                 job: "j".to_owned(),
                 machine: "red".to_owned(),
                 pid: 9,
-                state: "killed".to_owned(),
+                state: ProcState::Killed,
             },
         ]);
         let c = check_control_plane(&reader).expect("clean control log");
@@ -371,7 +368,7 @@ mod tests {
                 name: "worker".to_owned(),
                 machine: "red".to_owned(),
                 pid: 9,
-                state: "running".to_owned(),
+                state: ProcState::Running,
             },
         ]);
         let err = check_control_plane(&stuck).unwrap_err();
@@ -398,7 +395,7 @@ mod tests {
                 name: "worker".to_owned(),
                 machine: "red".to_owned(),
                 pid: 9,
-                state: "stopped".to_owned(),
+                state: ProcState::Stopped,
             },
             ControlEvent::ProcRemoved {
                 job: "j".to_owned(),

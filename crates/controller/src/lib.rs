@@ -9,15 +9,18 @@
 //!
 //! The user's commands (§4.3) are `help`, `filter`, `newjob`,
 //! `addprocess`, `acquire`, `setflags`, `startjob`, `stopjob`,
-//! `removejob`, `removeprocess`, `jobs`, `getlog`, `source`, `sink`,
-//! and `die`, all implemented by [`Controller::exec`]. Process states
-//! follow the Fig. 4.2 machine in [`ProcState`].
+//! `removejob`, `removeprocess`, `jobs`, `getlog`, `watch`, `tail`,
+//! `check`, `stats`, `source`, `sink`, `input`, and `die`, all
+//! implemented by [`Controller::exec`]. The controller's state is a
+//! [`dpm_controlplane::JobTable`]: every command changes it by one
+//! control event, so the table is the fold of the events the
+//! controller applied. Process states follow the Fig. 4.2 machine in
+//! [`ProcState`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod job;
 pub mod session;
 
-pub use job::{Job, ManagedProc, ProcAction, ProcState};
+pub use dpm_controlplane::{JobRecord, ProcAction, ProcState};
 pub use session::{Controller, FilterInfo};

@@ -13,9 +13,11 @@
 //! as a process inside the simulation (so all its communication goes
 //! over simulated IPC through the meterdaemons), driven from the host.
 
-use crate::job::{Job, ManagedProc, ProcAction, ProcState};
 use dpm_analysis::{ByzReport, MutexReport, Trace};
-use dpm_controlplane::{ControlEvent, ControlLog, JobTable, DEFAULT_LEASE_MS};
+use dpm_controlplane::{
+    ControlEvent, ControlLog, FilterRecord, JobRecord, JobTable, ProcAction, ProcRecord, ProcState,
+    DEFAULT_LEASE_MS,
+};
 use dpm_filter::{ArgsError, Descriptions, FilterArgs, FilterRole, KeptRecord, Rules, Verdict};
 use dpm_live::{LiveWatch, WindowSnapshot};
 use dpm_logstore::{seals_name, Backend, OwnedFrame, StoreReader, StoreSource, StoreTail};
@@ -23,7 +25,7 @@ use dpm_meter::MeterFlags;
 use dpm_meterd::{read_frame, rpc_call_retry, Reply, Request, RpcStatus, RPC_TIMEOUT_MS};
 use dpm_simos::{Backoff, BindTo, Cluster, Domain, Pid, Proc, SockType, SysError, SysResult, Uid};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +33,8 @@ use std::time::{Duration, Instant};
 /// Maximum nesting depth of `source` scripts (§4.3).
 const MAX_SOURCE_DEPTH: usize = 16;
 
-/// A filter process the controller created.
+/// A filter process of the session, parsed from its [`FilterRecord`]
+/// for rendering and analysis.
 #[derive(Debug, Clone)]
 pub struct FilterInfo {
     /// Controller-local name (`f1`).
@@ -40,10 +43,11 @@ pub struct FilterInfo {
     pub machine: String,
     /// Its pid.
     pub pid: Pid,
-    /// The description it was created from: the port metered
+    /// Its description as the record keeps it: the port metered
     /// processes' meter connections go to, its log path (the prefix
     /// its store's segment files live under), shard count, place in
-    /// the filter tree and upstream `host:port`.
+    /// the filter tree and upstream `host:port`. The file paths are
+    /// not recorded and read as their defaults.
     pub spec: FilterArgs,
     /// The descriptions it filters with — kept so `getlog` can render
     /// store frames as text without re-fetching the file.
@@ -54,6 +58,29 @@ pub struct FilterInfo {
 }
 
 impl FilterInfo {
+    /// The parsed view of a recorded filter: its description back
+    /// through the key table and the validator, its descriptions and
+    /// templates texts parsed. `None` when any of them does not parse.
+    fn from_record(fr: &FilterRecord) -> Option<FilterInfo> {
+        let mut spec = FilterArgs {
+            port: fr.port,
+            logfile: fr.logfile.clone(),
+            shards: fr.shards,
+            upstream: fr.upstream.clone(),
+            ..FilterArgs::default()
+        };
+        spec.set("role", &fr.role).ok()?;
+        spec.validate().ok()?;
+        Some(FilterInfo {
+            name: fr.name.clone(),
+            machine: fr.machine.clone(),
+            pid: fr.pid,
+            spec,
+            desc: Descriptions::parse(&fr.desc_text).ok()?,
+            rules: Rules::parse(&fr.templates_text).ok()?,
+        })
+    }
+
     /// Appends `indent` and the §3.4 line of one stored record to
     /// `out`: the one place the store is turned into text, so reduction
     /// is applied identically wherever text is shown.
@@ -118,8 +145,10 @@ pub struct Controller {
     cluster: Arc<Cluster>,
     machine: String,
     control_port: u16,
-    jobs: HashMap<String, Job>,
-    job_order: Vec<String>,
+    /// The session's jobs and filters: the fold of every control event
+    /// this controller applied (see [`Controller::table`]).
+    table: JobTable,
+    /// The table's filters, parsed.
     filters: Vec<FilterInfo>,
     /// Per-filter live streaming state, keyed by filter name.
     watches: HashMap<String, WatchState>,
@@ -137,19 +166,18 @@ pub struct Controller {
     quit_tx: Option<mpsc::Sender<()>>,
     done: bool,
     /// The durable control log, when control-plane replication is
-    /// enabled: every state mutation this controller performs is
-    /// appended, so a standby can reconstruct and adopt the session.
+    /// enabled: every event this controller applies is appended, so a
+    /// standby can reconstruct and adopt the session.
     control_log: Option<ControlLog>,
-    /// Expiry (µs, simulated time) of the lease this controller holds
-    /// on each job it owns through the control log.
-    leases: HashMap<String, u64>,
+    /// Store seq of the first control-log event not yet in `table`.
+    next_seq: u64,
 }
 
 impl std::fmt::Debug for Controller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Controller")
             .field("machine", &self.machine)
-            .field("jobs", &self.job_order)
+            .field("jobs", &self.table.order)
             .field("filters", &self.filters.len())
             .finish_non_exhaustive()
     }
@@ -216,8 +244,7 @@ impl Controller {
             cluster: cluster.clone(),
             machine: machine.to_owned(),
             control_port,
-            jobs: HashMap::new(),
-            job_order: Vec::new(),
+            table: JobTable::new(),
             filters: Vec::new(),
             watches: HashMap::new(),
             next_filter_port: 4000,
@@ -228,7 +255,7 @@ impl Controller {
             quit_tx: Some(quit_tx),
             done: false,
             control_log: None,
-            leases: HashMap::new(),
+            next_seq: 0,
         })
     }
 
@@ -253,10 +280,23 @@ impl Controller {
         &self.filters
     }
 
-    /// The current state of a job's processes, for assertions in
-    /// tests and examples.
-    pub fn job(&self, name: &str) -> Option<&Job> {
-        self.jobs.get(name)
+    /// A live job: its processes in their Fig. 4.2 states, its flags
+    /// and its filter. `None` once the job is removed.
+    pub fn job(&self, name: &str) -> Option<&JobRecord> {
+        self.table.jobs.get(name).filter(|j| !j.removed)
+    }
+
+    /// The controller's state: the fold of every control event it
+    /// applied. With the control log enabled from the start it equals
+    /// [`JobTable::from_store`] over that log.
+    pub fn table(&self) -> &JobTable {
+        &self.table
+    }
+
+    /// The processes of live job `name`, copied out so commands can
+    /// issue RPCs while walking them.
+    fn procs_of(&self, name: &str) -> Vec<ProcRecord> {
+        self.job(name).map(|j| j.procs.clone()).unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -289,67 +329,55 @@ impl Controller {
             q.drain(..).collect()
         };
         let mut lines = Vec::new();
-        let mut events = Vec::new();
         for n in pending {
+            // The live process a notification names, by pid: the
+            // notification does not say which machine sent it.
+            let owner = |pid| {
+                self.table.live_jobs().into_iter().find_map(|j| {
+                    let p = j.procs.iter().find(|p| p.pid == pid)?;
+                    Some((j.name.clone(), p.clone()))
+                })
+            };
             match n {
                 Request::StateChange { pid, state } => {
-                    let mut hit = None;
-                    for jname in &self.job_order {
-                        if let Some(j) = self.jobs.get_mut(jname) {
-                            if let Some(p) = j.procs.iter_mut().find(|p| p.pid == pid) {
-                                if p.state == ProcState::Killed {
-                                    // Already learned (a resync beat
-                                    // the notification, or the daemon
-                                    // retransmitted); don't re-announce.
-                                    break;
-                                }
-                                if let Some(next) = p.state.next(ProcAction::Complete) {
-                                    p.state = next;
-                                } else {
-                                    p.state = ProcState::Killed;
-                                }
-                                hit = Some((jname.clone(), p.name.clone()));
-                                events.push(ControlEvent::ProcStateChanged {
-                                    job: jname.clone(),
-                                    machine: p.machine.clone(),
-                                    pid: pid.0,
-                                    state: p.state.to_string(),
-                                });
-                                break;
-                            }
-                        }
-                    }
-                    if let Some((job, name)) = hit {
-                        let reason = if state == 0 { "normal" } else { "killed" };
-                        lines.push(format!(
-                            "DONE: process {name} in job '{job}' terminated: reason: {reason}"
-                        ));
-                    }
+                    let Some((job, p)) = owner(pid) else { continue };
+                    let reason = if state == 0 { "normal" } else { "killed" };
+                    lines.extend(self.completed(&job, &p, reason, ""));
                 }
                 Request::IoData { pid, data } => {
-                    let name = self
-                        .job_order
-                        .iter()
-                        .filter_map(|j| self.jobs.get(j))
-                        .flat_map(|j| j.procs.iter())
-                        .find(|p| p.pid == pid)
-                        .map(|p| p.name.clone())
-                        .unwrap_or_else(|| pid.to_string());
-                    let text = String::from_utf8_lossy(&data);
-                    for l in text.lines() {
-                        lines.push(format!("{name}> {l}"));
+                    let name = owner(pid).map_or_else(|| pid.to_string(), |(_, p)| p.name);
+                    for l in String::from_utf8_lossy(&data).lines() {
+                        let line = format!("{name}> {l}");
+                        self.emit(&line);
+                        lines.push(line);
                     }
                 }
                 _ => {}
             }
         }
-        for ev in events {
-            self.record(ev);
-        }
-        for l in &lines {
-            self.emit(l);
-        }
         lines
+    }
+
+    /// Records that process `p` of `job` terminated and prints its
+    /// `DONE` line, `note` appended; returns the line. A process
+    /// already killed is not announced again (a resync beat the
+    /// notification, or the daemon retransmitted).
+    fn completed(&mut self, job: &str, p: &ProcRecord, reason: &str, note: &str) -> Option<String> {
+        if p.state == ProcState::Killed {
+            return None;
+        }
+        self.apply(ControlEvent::ProcStateChanged {
+            job: job.to_owned(),
+            machine: p.machine.clone(),
+            pid: p.pid.0,
+            state: ProcState::Killed,
+        });
+        let line = format!(
+            "DONE: process {} in job '{job}' terminated: reason: {reason}{note}",
+            p.name
+        );
+        self.emit(&line);
+        Some(line)
     }
 
     /// Pumps notifications until every process of `job` has
@@ -372,16 +400,10 @@ impl Controller {
         loop {
             self.pump();
             self.renew_lease_if_due(job);
-            match self.jobs.get(job) {
+            match self.job(job) {
                 None => return false,
-                Some(j) => {
-                    if j.procs
-                        .iter()
-                        .all(|p| matches!(p.state, ProcState::Killed | ProcState::Acquired))
-                    {
-                        return true;
-                    }
-                }
+                Some(j) if j.finished() => return true,
+                Some(_) => {}
             }
             let now = Instant::now();
             if now > deadline {
@@ -405,17 +427,11 @@ impl Controller {
     /// non-terminal processes and applies what it learns, recovering
     /// terminations whose notification never arrived.
     fn resync_job(&mut self, job: &str) {
-        let targets: Vec<(String, String, Pid)> = match self.jobs.get(job) {
-            Some(j) => j
-                .procs
-                .iter()
-                .filter(|p| !matches!(p.state, ProcState::Killed | ProcState::Acquired))
-                .map(|p| (p.name.clone(), p.machine.clone(), p.pid))
-                .collect(),
-            None => return,
-        };
-        for (name, machine, pid) in targets {
-            let reason = match self.rpc(&machine, &Request::QueryProc { pid }) {
+        for p in self.procs_of(job) {
+            if p.state.finished() {
+                continue;
+            }
+            let reason = match self.rpc(&p.machine, &Request::QueryProc { pid: p.pid }) {
                 Ok(Reply::ProcStatus {
                     status: RpcStatus::Ok,
                     state: 0,
@@ -432,30 +448,9 @@ impl Controller {
                 }) => Some("normal"),
                 _ => None,
             };
-            let Some(reason) = reason else { continue };
-            let mut changed = None;
-            if let Some(p) = self
-                .jobs
-                .get_mut(job)
-                .and_then(|j| j.procs.iter_mut().find(|p| p.pid == pid))
-            {
-                p.state = p
-                    .state
-                    .next(ProcAction::Complete)
-                    .unwrap_or(ProcState::Killed);
-                changed = Some(p.state.to_string());
+            if let Some(reason) = reason {
+                self.completed(job, &p, reason, " (resync)");
             }
-            if let Some(state) = changed {
-                self.record(ControlEvent::ProcStateChanged {
-                    job: job.to_owned(),
-                    machine: machine.clone(),
-                    pid: pid.0,
-                    state,
-                });
-            }
-            self.emit(&format!(
-                "DONE: process {name} in job '{job}' terminated: reason: {reason} (resync)"
-            ));
         }
     }
 
@@ -582,18 +577,18 @@ impl Controller {
             .unwrap_or_else(|| Descriptions::standard_text().as_bytes().to_vec());
         let tmpl_data = local_fs.read(&spec.templates).unwrap_or_default();
         let desc_text = String::from_utf8_lossy(&desc_data).into_owned();
-        let Ok(desc) = Descriptions::parse(&desc_text) else {
+        if Descriptions::parse(&desc_text).is_err() {
             self.emit(&format!(
                 "descriptions file '{}' is malformed",
                 spec.descriptions
             ));
             return;
-        };
+        }
         let templates_text = String::from_utf8_lossy(&tmpl_data).into_owned();
-        let Ok(rules) = Rules::parse(&templates_text) else {
+        if Rules::parse(&templates_text).is_err() {
             self.emit(&format!("templates file '{}' is malformed", spec.templates));
             return;
-        };
+        }
         for (path, data) in [
             (&spec.descriptions, desc_data),
             (&spec.templates, tmpl_data),
@@ -617,26 +612,19 @@ impl Controller {
                 pid,
                 status: RpcStatus::Ok,
             }) => {
-                self.record(ControlEvent::FilterCreated {
+                self.apply(ControlEvent::FilterCreated {
                     name: (*name).to_owned(),
-                    machine: machine.clone(),
+                    machine,
                     pid: pid.0,
                     port: spec.port,
-                    logfile: spec.logfile.clone(),
+                    logfile: spec.logfile,
                     shards: spec.shards,
                     role: spec.role.to_string(),
-                    upstream: spec.upstream.clone(),
+                    upstream: spec.upstream,
                     desc_text,
                     templates_text,
                 });
-                self.filters.push(FilterInfo {
-                    name: (*name).to_owned(),
-                    machine,
-                    pid,
-                    spec,
-                    desc,
-                    rules,
-                });
+                self.parse_filter(name);
                 self.emit(&format!("filter '{name}' ... created: identifier= {pid}"));
             }
             Ok(r) => self.emit(&format!("filter creation failed: {}", r.status())),
@@ -728,8 +716,12 @@ impl Controller {
             self.emit("usage: newjob <jobname> [<filtername>]");
             return;
         };
-        if self.jobs.contains_key(*name) {
-            self.emit(&format!("job '{name}' already exists"));
+        if let Some(j) = self.table.jobs.get(*name) {
+            self.emit(&if j.removed {
+                format!("job '{name}' was removed; a removed job's name is not reused")
+            } else {
+                format!("job '{name}' already exists")
+            });
             return;
         }
         // "A job cannot be created if a filter has not been created."
@@ -749,10 +741,7 @@ impl Controller {
                 }
             },
         };
-        self.jobs
-            .insert((*name).to_owned(), Job::new(*name, filter.clone()));
-        self.job_order.push((*name).to_owned());
-        self.record(ControlEvent::JobCreated {
+        self.apply(ControlEvent::JobCreated {
             job: (*name).to_owned(),
             filter,
         });
@@ -842,19 +831,12 @@ impl Controller {
                 status: RpcStatus::Ok,
             }) => {
                 let display = file.rsplit('/').next().unwrap_or(&file).to_owned();
-                let job = self.jobs.get_mut(&job_name).expect("job exists");
-                job.procs.push(ManagedProc {
-                    name: display.clone(),
-                    machine: machine.clone(),
-                    pid,
-                    state: ProcState::New,
-                });
-                self.record(ControlEvent::ProcAdded {
-                    job: job_name.clone(),
+                self.apply(ControlEvent::ProcAdded {
+                    job: job_name,
                     name: display.clone(),
                     machine,
                     pid: pid.0,
-                    state: ProcState::New.to_string(),
+                    state: ProcState::New,
                 });
                 self.emit(&format!(
                     "process '{display}' ... created: identifier= {pid}"
@@ -907,7 +889,7 @@ impl Controller {
     /// flags: its filter's machine and port, and the job's flag mask.
     /// Says so and returns `None` when there is no such job.
     fn job_meter_target(&mut self, job_name: &str) -> Option<(String, u16, MeterFlags)> {
-        let Some(job) = self.jobs.get(job_name) else {
+        let Some(job) = self.job(job_name) else {
             self.emit(&format!("no job named '{job_name}'"));
             return None;
         };
@@ -916,27 +898,22 @@ impl Controller {
             .iter()
             .find(|f| f.name == job.filter)
             .expect("job's filter exists");
-        Some((f.machine.clone(), f.spec.port, job.flags))
+        Some((
+            f.machine.clone(),
+            f.spec.port,
+            MeterFlags::from_bits(job.flags),
+        ))
     }
 
-    /// Adds processes a daemon reported acquired to the job table and
-    /// the control log.
+    /// Adds processes a daemon reported acquired to the job.
     fn register_acquired(&mut self, job_name: &str, machine: &str, pids: &[Pid]) {
         for &pid in pids {
-            let name = format!("pid{pid}");
-            let job = self.jobs.get_mut(job_name).expect("job exists");
-            job.procs.push(ManagedProc {
-                name: name.clone(),
-                machine: machine.to_owned(),
-                pid,
-                state: ProcState::Acquired,
-            });
-            self.record(ControlEvent::ProcAdded {
+            self.apply(ControlEvent::ProcAdded {
                 job: job_name.to_owned(),
-                name,
+                name: format!("pid{pid}"),
                 machine: machine.to_owned(),
                 pid: pid.0,
-                state: ProcState::Acquired.to_string(),
+                state: ProcState::Acquired,
             });
         }
     }
@@ -948,11 +925,12 @@ impl Controller {
             return;
         };
         let job_name = (*job_name).to_owned();
-        let Some(job) = self.jobs.get_mut(&job_name) else {
+        let Some(job) = self.job(&job_name) else {
             self.emit(&format!("no job named '{job_name}'"));
             return;
         };
-        let flags = match job.apply_flag_args(args[1..].iter().copied()) {
+        let flags = MeterFlags::from_bits(job.flags);
+        let flags = match apply_flag_args(flags, args[1..].iter().copied()) {
             Ok(f) => f,
             Err(tok) => {
                 self.emit(&format!("unknown flag '{tok}'"));
@@ -960,28 +938,20 @@ impl Controller {
             }
         };
         self.emit(&format!("new job flags = {flags}"));
-        self.record(ControlEvent::FlagsSet {
+        self.apply(ControlEvent::FlagsSet {
             job: job_name.clone(),
             flags: flags.bits(),
         });
-        let targets: Vec<(String, String, Pid, ProcState)> = self
-            .jobs
-            .get(&job_name)
-            .expect("job exists")
-            .procs
-            .iter()
-            .map(|p| (p.name.clone(), p.machine.clone(), p.pid, p.state))
-            .collect();
-        for (name, machine, pid, state) in targets {
-            if state == ProcState::Killed {
+        for p in self.procs_of(&job_name) {
+            if p.state == ProcState::Killed {
                 continue;
             }
-            let r = self.rpc(&machine, &Request::SetFlags { pid, flags });
+            let r = self.rpc(&p.machine, &Request::SetFlags { pid: p.pid, flags });
             match r {
                 Ok(r) if r.status().is_ok() => {
-                    self.emit(&format!("Process '{name}' : Flags set"));
+                    self.emit(&format!("Process '{}' : Flags set", p.name));
                 }
-                _ => self.emit(&format!("Process '{name}' : setflags failed")),
+                _ => self.emit(&format!("Process '{}' : setflags failed", p.name)),
             }
         }
     }
@@ -997,7 +967,7 @@ impl Controller {
             return;
         };
         let job_name = (*job_name).to_owned();
-        if !self.jobs.contains_key(&job_name) {
+        if self.job(&job_name).is_none() {
             self.emit(&format!("no job named '{job_name}'"));
             return;
         }
@@ -1006,12 +976,13 @@ impl Controller {
         } else {
             ProcAction::Stop
         };
-        let targets: Vec<(String, String, Pid, ProcState)> = self.jobs[&job_name]
-            .procs
-            .iter()
-            .map(|p| (p.name.clone(), p.machine.clone(), p.pid, p.state))
-            .collect();
-        for (name, machine, pid, state) in targets {
+        for ProcRecord {
+            name,
+            machine,
+            pid,
+            state,
+        } in self.procs_of(&job_name)
+        {
             match state.next(action) {
                 Some(next) => {
                     let req = if start {
@@ -1021,18 +992,11 @@ impl Controller {
                     };
                     let ok = self.rpc(&machine, &req).map(|r| r.status()) == Ok(RpcStatus::Ok);
                     if ok {
-                        if let Some(p) = self
-                            .jobs
-                            .get_mut(&job_name)
-                            .and_then(|j| j.proc_by_name(&name))
-                        {
-                            p.state = next;
-                        }
-                        self.record(ControlEvent::ProcStateChanged {
+                        self.apply(ControlEvent::ProcStateChanged {
                             job: job_name.clone(),
-                            machine: machine.clone(),
+                            machine,
                             pid: pid.0,
-                            state: next.to_string(),
+                            state: next,
                         });
                         self.emit(&format!(
                             "'{name}' {}.",
@@ -1061,42 +1025,32 @@ impl Controller {
             return;
         };
         let job_name = (*job_name).to_owned();
-        let Some(job) = self.jobs.get(&job_name) else {
+        let Some(job) = self.job(&job_name) else {
             self.emit(&format!("no job named '{job_name}'"));
             return;
         };
-        if !job.removable() {
+        if !job.procs.iter().all(|p| p.state.removable()) {
             self.emit(&format!(
                 "job '{job_name}' has running or new processes; not removed"
             ));
             return;
         }
-        let targets: Vec<(String, String, Pid, ProcState)> = job
-            .procs
-            .iter()
-            .map(|p| (p.name.clone(), p.machine.clone(), p.pid, p.state))
-            .collect();
-        for (name, machine, pid, state) in targets {
-            match state {
+        for p in self.procs_of(&job_name) {
+            match p.state {
                 ProcState::Stopped => {
-                    let _ = self.rpc(&machine, &Request::Kill { pid });
+                    let _ = self.rpc(&p.machine, &Request::Kill { pid: p.pid });
                 }
                 ProcState::Acquired => {
                     // "The control program insures that the filter
                     // connection of that process is taken down … but
                     // the process continues to execute."
-                    let _ = self.rpc(&machine, &Request::ClearMeter { pid });
+                    let _ = self.rpc(&p.machine, &Request::ClearMeter { pid: p.pid });
                 }
                 _ => {}
             }
-            self.emit(&format!("'{name}' removed"));
+            self.emit(&format!("'{}' removed", p.name));
         }
-        self.jobs.remove(&job_name);
-        self.job_order.retain(|j| *j != job_name);
-        self.record(ControlEvent::JobRemoved {
-            job: job_name.clone(),
-        });
-        self.leases.remove(&job_name);
+        self.apply(ControlEvent::JobRemoved { job: job_name });
     }
 
     /// `removeprocess <jobname> <process>`.
@@ -1105,17 +1059,20 @@ impl Controller {
             self.emit("usage: removeprocess <jobname> <process>");
             return;
         };
-        let job_name = (*job_name).to_owned();
-        let proc_name = (*proc_name).to_owned();
-        let Some(job) = self.jobs.get_mut(&job_name) else {
+        let Some(job) = self.job(job_name) else {
             self.emit(&format!("no job named '{job_name}'"));
             return;
         };
-        let Some(p) = job.proc_by_name(&proc_name) else {
+        let Some(ProcRecord {
+            machine,
+            pid,
+            state,
+            ..
+        }) = job.procs.iter().find(|p| p.name == *proc_name).cloned()
+        else {
             self.emit(&format!("no process '{proc_name}' in job '{job_name}'"));
             return;
         };
-        let (machine, pid, state) = (p.machine.clone(), p.pid, p.state);
         match state {
             ProcState::Killed => {}
             ProcState::Stopped => {
@@ -1131,12 +1088,8 @@ impl Controller {
                 return;
             }
         }
-        let job = self.jobs.get_mut(&job_name).expect("job exists");
-        if let Some(pos) = job.procs.iter().position(|p| p.name == proc_name) {
-            job.procs.remove(pos);
-        }
-        self.record(ControlEvent::ProcRemoved {
-            job: job_name,
+        self.apply(ControlEvent::ProcRemoved {
+            job: (*job_name).to_owned(),
             machine,
             pid: pid.0,
         });
@@ -1147,13 +1100,11 @@ impl Controller {
     fn cmd_jobs(&mut self, args: &[&str]) {
         if args.is_empty() {
             let lines: Vec<String> = self
-                .job_order
+                .table
+                .live_jobs()
                 .iter()
                 .enumerate()
-                .map(|(i, name)| {
-                    let j = &self.jobs[name];
-                    format!("{}  {}  filter={}", i + 1, name, j.filter)
-                })
+                .map(|(i, j)| format!("{}  {}  filter={}", i + 1, j.name, j.filter))
                 .collect();
             if lines.is_empty() {
                 self.emit("no jobs");
@@ -1164,17 +1115,18 @@ impl Controller {
             return;
         }
         for name in args {
-            let Some(j) = self.jobs.get(*name) else {
+            let Some(j) = self.job(name) else {
                 self.emit(&format!("no job named '{name}'"));
                 continue;
             };
+            let flags = MeterFlags::from_bits(j.flags);
             let lines: Vec<String> = j
                 .procs
                 .iter()
                 .map(|p| {
                     format!(
                         "  {}  {}  {}  {}  flags: {}",
-                        p.pid, p.state, p.name, p.machine, j.flags
+                        p.pid, p.state, p.name, p.machine, flags
                     )
                 })
                 .collect();
@@ -1488,9 +1440,8 @@ impl Controller {
         };
         let text = args[2..].join(" ") + "\n";
         let target = self
-            .jobs
-            .get_mut(*job_name)
-            .and_then(|j| j.proc_by_name(proc_name))
+            .job(job_name)
+            .and_then(|j| j.procs.iter().find(|p| p.name == *proc_name))
             .map(|p| (p.machine.clone(), p.pid));
         let Some((machine, pid)) = target else {
             self.emit("no such process");
@@ -1511,7 +1462,11 @@ impl Controller {
     /// `die` (§4.3): refuse once while processes are active, then exit
     /// on an immediately repeated `die`.
     fn cmd_die(&mut self) {
-        let active = self.jobs.values().any(Job::has_active);
+        let active = self
+            .table
+            .live_jobs()
+            .iter()
+            .any(|j| j.procs.iter().any(|p| p.state.active()));
         if active && !self.die_armed {
             self.die_armed = true;
             self.emit("there are still active processes; repeat die to exit anyway");
@@ -1550,10 +1505,45 @@ impl Controller {
         DEFAULT_LEASE_MS * 1_000
     }
 
-    /// Appends `ev` to the control log, when replication is enabled.
-    fn record(&mut self, ev: ControlEvent) {
+    /// The one way controller state changes: `ev` is folded into the
+    /// table and, when replication is enabled, appended to the control
+    /// log.
+    fn apply(&mut self, ev: ControlEvent) {
+        self.table.apply(&ev);
         if let Some(log) = self.control_log.as_mut() {
-            log.append(&ev);
+            self.next_seq = log.append(&ev) + 1;
+        }
+    }
+
+    /// Folds the control-log events past the last one applied into the
+    /// table — how a standby learns what the owner recorded.
+    fn catch_up(&mut self) {
+        let Some(log) = self.control_log.as_ref() else {
+            return;
+        };
+        for (seq, ev) in ControlLog::replay(&log.reader()) {
+            if seq < self.next_seq {
+                continue;
+            }
+            self.table.apply(&ev);
+            self.next_seq = seq + 1;
+            if let ControlEvent::FilterCreated { name, .. } = &ev {
+                self.parse_filter(name);
+            }
+        }
+    }
+
+    /// Parses the table's record of filter `name` into its
+    /// [`FilterInfo`]. A record that does not parse leaves the filter
+    /// unrendered.
+    fn parse_filter(&mut self, name: &str) {
+        let Some(info) = self.table.filter(name).and_then(FilterInfo::from_record) else {
+            return;
+        };
+        self.next_filter_port = self.next_filter_port.max(info.spec.port.saturating_add(1));
+        match self.filters.iter_mut().find(|f| f.name == name) {
+            Some(f) => *f = info,
+            None => self.filters.push(info),
         }
     }
 
@@ -1579,38 +1569,32 @@ impl Controller {
             return;
         }
         let now = self.now_us();
-        let expires = now + self.lease_period_us();
-        self.record(ControlEvent::LeaseAcquired {
+        self.apply(ControlEvent::LeaseAcquired {
             job: job.to_owned(),
             owner: self.owner_id(),
             at_us: now,
-            expires_us: expires,
+            expires_us: now + self.lease_period_us(),
         });
-        self.leases.insert(job.to_owned(), expires);
     }
 
     /// Renews this controller's lease on `job` once less than half a
     /// lease period remains — frequent enough that a live owner never
     /// lapses, rare enough that the log is not dominated by renewals.
     fn renew_lease_if_due(&mut self, job: &str) {
-        if self.control_log.is_none() {
-            return;
-        }
-        let Some(&expires) = self.leases.get(job) else {
+        let Some(lease) = self.job(job).and_then(|j| j.lease.as_ref()) else {
             return;
         };
+        let expires = lease.expires_us;
         let now = self.now_us();
-        if now + self.lease_period_us() / 2 < expires {
+        if lease.owner != self.owner_id() || now + self.lease_period_us() / 2 < expires {
             return;
         }
-        let new_expires = now + self.lease_period_us();
-        self.record(ControlEvent::LeaseRenewed {
+        self.apply(ControlEvent::LeaseRenewed {
             job: job.to_owned(),
             owner: self.owner_id(),
             at_us: now,
-            expires_us: new_expires,
+            expires_us: now + self.lease_period_us(),
         });
-        self.leases.insert(job.to_owned(), new_expires);
         dpm_telemetry::registry()
             .counter("controlplane", "lease_renewals", "")
             .inc();
@@ -1620,115 +1604,46 @@ impl Controller {
     /// `backend`: the lease-based takeover path a standby controller
     /// runs when the owning controller dies.
     ///
-    /// For each job whose lease is held by another controller, this
-    /// waits (in simulated time) until that lease lapses — a live
-    /// owner keeps renewing, so expiry only passes once the owner is
-    /// really gone — then appends its own `LeaseAcquired`, rebuilds
-    /// the job and filter tables from the log, and re-binds the
-    /// surviving daemons' metered processes to this controller with
-    /// one batched `AcquireMany` round-trip per machine. Processes the
-    /// daemons no longer know are marked killed. Returns the adopted
-    /// job names.
+    /// The log is folded into this controller's own table. For each
+    /// live job whose lease is held by another controller, this waits
+    /// (in simulated time, folding in what the log gains meanwhile)
+    /// until that lease lapses — a live owner keeps renewing, so
+    /// expiry only passes once the owner is really gone — then takes
+    /// the lease and re-binds the surviving daemons' metered processes
+    /// to this controller with one batched `AcquireMany` round-trip
+    /// per machine. Processes the daemons no longer know are marked
+    /// killed. Returns the adopted job names.
     pub fn adopt_from(&mut self, backend: Arc<dyn Backend>, dir: &str) -> Vec<String> {
         self.control_log = Some(ControlLog::open(backend, dir));
-        let table = self.replayed_table();
-
-        // Filters first: jobs reference them, and getlog/watch render
-        // through their descriptions.
-        for fr in &table.filters {
-            if self.filters.iter().any(|f| f.name == fr.name) {
-                continue;
-            }
-            let (Ok(desc), Ok(rules)) = (
-                Descriptions::parse(&fr.desc_text),
-                Rules::parse(&fr.templates_text),
-            ) else {
-                continue;
-            };
-            // The journal keeps the role as its keyword: back through
-            // the key table, then the validator.
-            let mut spec = FilterArgs {
-                port: fr.port,
-                logfile: fr.logfile.clone(),
-                shards: fr.shards,
-                upstream: fr.upstream.clone(),
-                ..FilterArgs::default()
-            };
-            if spec.set("role", &fr.role).is_err() || spec.validate().is_err() {
-                continue;
-            }
-            self.filters.push(FilterInfo {
-                name: fr.name.clone(),
-                machine: fr.machine.clone(),
-                pid: Pid(fr.pid),
-                spec,
-                desc,
-                rules,
-            });
-            self.next_filter_port = self.next_filter_port.max(fr.port + 1);
-        }
-
-        let mut adopted = Vec::new();
-        let live: Vec<String> = table
+        self.catch_up();
+        let live: Vec<String> = self
+            .table
             .live_jobs()
             .into_iter()
             .map(|j| j.name.clone())
             .collect();
+        let mut adopted = Vec::new();
         for job_name in live {
             let prev = self.wait_lease_lapse(&job_name);
-            // Re-read: process exits recorded by the old owner just
-            // before it died must not be lost.
-            let Some(jr) = self.replayed_table().jobs.get(&job_name).cloned() else {
-                continue;
-            };
-            if jr.removed {
+            if self.job(&job_name).is_none() {
                 continue;
             }
-
-            let now = self.now_us();
             if let Some(prev_expiry) = prev {
                 dpm_telemetry::registry()
                     .histogram("controlplane", "takeover_latency_us", &job_name)
-                    .record(now.saturating_sub(prev_expiry));
+                    .record(self.now_us().saturating_sub(prev_expiry));
             }
-            let expires = now + self.lease_period_us();
-            self.record(ControlEvent::LeaseAcquired {
-                job: job_name.clone(),
-                owner: self.owner_id(),
-                at_us: now,
-                expires_us: expires,
-            });
-            self.leases.insert(job_name.clone(), expires);
-
-            // Rebuild the in-memory job from the replayed record.
-            let mut job = Job::new(&jr.name, jr.filter.clone());
-            job.flags = MeterFlags::from_bits(jr.flags);
-            let mut by_machine: HashMap<String, Vec<Pid>> = HashMap::new();
-            for pr in &jr.procs {
-                let state = parse_proc_state(&pr.state);
-                job.procs.push(ManagedProc {
-                    name: pr.name.clone(),
-                    machine: pr.machine.clone(),
-                    pid: Pid(pr.pid),
-                    state,
-                });
-                if state != ProcState::Killed {
-                    by_machine
-                        .entry(pr.machine.clone())
-                        .or_default()
-                        .push(Pid(pr.pid));
-                }
-            }
-            self.jobs.insert(job_name.clone(), job);
-            if !self.job_order.contains(&job_name) {
-                self.job_order.push(job_name.clone());
-            }
+            self.acquire_lease(&job_name);
 
             // Re-bind surviving daemons' notifications to this
             // controller: one batched round-trip per machine.
-            let mut machines: Vec<(String, Vec<Pid>)> = by_machine.into_iter().collect();
-            machines.sort();
-            for (machine, pids) in machines {
+            let mut by_machine: BTreeMap<String, Vec<Pid>> = BTreeMap::new();
+            for p in self.procs_of(&job_name) {
+                if p.state != ProcState::Killed {
+                    by_machine.entry(p.machine).or_default().push(p.pid);
+                }
+            }
+            for (machine, pids) in by_machine {
                 self.rebind_machine(&job_name, &machine, &pids);
             }
             self.emit(&format!(
@@ -1740,27 +1655,17 @@ impl Controller {
         adopted
     }
 
-    /// Replays the control log into a fresh [`JobTable`].
-    fn replayed_table(&self) -> JobTable {
-        match self.control_log.as_ref() {
-            Some(log) => JobTable::from_store(&log.reader()),
-            None => JobTable::default(),
-        }
-    }
-
     /// Blocks (in simulated time) until `job`'s current lease has
-    /// lapsed or is ours, re-reading the log so renewals appended
-    /// while waiting are honored. Returns the expiry of the lease
-    /// waited out, if there was a foreign one.
+    /// lapsed or is ours, folding in the log as it grows so renewals
+    /// appended while waiting are honored and process exits the old
+    /// owner recorded just before it died are not lost. Returns the
+    /// expiry of the lease waited out, if there was a foreign one.
     fn wait_lease_lapse(&mut self, job: &str) -> Option<u64> {
         let me = self.owner_id();
         let mut waited: Option<u64> = None;
         loop {
-            let lease = match self.replayed_table().jobs.get(job) {
-                Some(jr) => jr.lease.clone(),
-                None => return waited,
-            };
-            match lease {
+            self.catch_up();
+            match self.table.jobs.get(job).and_then(|j| j.lease.clone()) {
                 None => return waited,
                 Some(l) if l.owner == me => return waited,
                 Some(l) if l.expired(self.now_us()) => return Some(l.expires_us),
@@ -1792,39 +1697,19 @@ impl Controller {
                 rebind_only: true,
             },
         );
-        let gone: Vec<Pid> = match reply {
-            Ok(Reply::AcquireMany { results, .. }) => results
-                .into_iter()
-                .filter(|(_, st)| *st != RpcStatus::Ok)
-                .map(|(pid, _)| pid)
-                .collect(),
-            _ => Vec::new(),
+        let Ok(Reply::AcquireMany { results, .. }) = reply else {
+            return;
         };
-        for pid in gone {
-            let mut hit = None;
-            if let Some(p) = self
-                .jobs
-                .get_mut(job_name)
-                .and_then(|j| j.procs.iter_mut().find(|p| p.pid == pid))
-            {
-                if p.state != ProcState::Killed {
-                    p.state = p
-                        .state
-                        .next(ProcAction::Complete)
-                        .unwrap_or(ProcState::Killed);
-                    hit = Some((p.name.clone(), p.state.to_string()));
-                }
+        for (pid, st) in results {
+            if st == RpcStatus::Ok {
+                continue;
             }
-            if let Some((name, state)) = hit {
-                self.record(ControlEvent::ProcStateChanged {
-                    job: job_name.to_owned(),
-                    machine: machine.to_owned(),
-                    pid: pid.0,
-                    state,
-                });
-                self.emit(&format!(
-                    "DONE: process {name} in job '{job_name}' terminated: reason: normal (resync)"
-                ));
+            let gone = self
+                .job(job_name)
+                .and_then(|j| j.proc(machine, pid))
+                .cloned();
+            if let Some(p) = gone {
+                self.completed(job_name, &p, "normal", " (resync)");
             }
         }
     }
@@ -1892,14 +1777,49 @@ impl Controller {
     }
 }
 
-/// Maps a control-log state keyword back to a [`ProcState`]. Unknown
-/// keywords (from a future controller) conservatively parse as `New`.
-fn parse_proc_state(s: &str) -> ProcState {
-    match s {
-        "acquired" => ProcState::Acquired,
-        "running" => ProcState::Running,
-        "stopped" => ProcState::Stopped,
-        "killed" => ProcState::Killed,
-        _ => ProcState::New,
+/// Applies a `setflags` argument list (`send`, `-send`, `all`,
+/// `-all`, …) to a job's accumulated `flags`, returning the new set.
+///
+/// # Errors
+///
+/// Returns the offending token when it is not a flag name.
+fn apply_flag_args<'a>(
+    mut flags: MeterFlags,
+    args: impl IntoIterator<Item = &'a str>,
+) -> Result<MeterFlags, String> {
+    for tok in args {
+        if let Some(reset) = tok.strip_prefix('-') {
+            let f: MeterFlags = reset.parse().map_err(|_| tok.to_owned())?;
+            flags = flags - f;
+        } else {
+            let f: MeterFlags = tok.parse().map_err(|_| tok.to_owned())?;
+            flags |= f;
+        }
+    }
+    Ok(flags)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flag_union_and_reset() {
+        let f = apply_flag_args(MeterFlags::NONE, ["send", "receive", "fork"]).unwrap();
+        assert!(f.contains(MeterFlags::SEND));
+        // Union with a second setflags.
+        let f = apply_flag_args(f, ["accept"]).unwrap();
+        assert!(f.contains(MeterFlags::SEND) && f.contains(MeterFlags::ACCEPT));
+        // Explicit reset.
+        let f = apply_flag_args(f, ["-send"]).unwrap();
+        assert!(!f.contains(MeterFlags::SEND));
+        assert!(f.contains(MeterFlags::RECEIVE));
+        // all / -all shorthands.
+        let f = apply_flag_args(f, ["all"]).unwrap();
+        assert_eq!(f, MeterFlags::ALL);
+        let f = apply_flag_args(f, ["-all"]).unwrap();
+        assert!(f.is_empty());
+        // Bad token reported.
+        assert_eq!(apply_flag_args(f, ["sned"]).unwrap_err(), "sned");
     }
 }

@@ -7,6 +7,7 @@
 //! that is not a control event (or is from a future format) instead of
 //! misparsing it.
 
+use crate::state::ProcState;
 use dpm_logstore::wire::{Reader, Writer};
 use std::fmt;
 
@@ -67,8 +68,8 @@ pub enum ControlEvent {
         machine: String,
         /// Its pid.
         pid: u32,
-        /// Initial state keyword (`new` / `acquired`).
-        state: String,
+        /// Initial state (`new` / `acquired`), carried as its keyword.
+        state: ProcState,
     },
     /// `setflags`: the job's accumulated flag set changed.
     FlagsSet {
@@ -85,8 +86,9 @@ pub enum ControlEvent {
         machine: String,
         /// Its pid.
         pid: u32,
-        /// New state keyword (`running` / `stopped` / `killed`).
-        state: String,
+        /// New state (`running` / `stopped` / `killed`), carried as its
+        /// keyword.
+        state: ProcState,
     },
     /// `removeprocess`: a process left its job.
     ProcRemoved {
@@ -247,7 +249,8 @@ impl ControlEvent {
                 pid,
                 state,
             } => {
-                w.str(job).str(name).str(machine).u32(*pid).str(state);
+                w.str(job).str(name).str(machine).u32(*pid);
+                w.str(state.keyword());
             }
             ControlEvent::FlagsSet { job, flags } => {
                 w.str(job).u32(*flags);
@@ -258,7 +261,7 @@ impl ControlEvent {
                 pid,
                 state,
             } => {
-                w.str(job).str(machine).u32(*pid).str(state);
+                w.str(job).str(machine).u32(*pid).str(state.keyword());
             }
             ControlEvent::ProcRemoved { job, machine, pid } => {
                 w.str(job).str(machine).u32(*pid);
@@ -293,6 +296,7 @@ impl ControlEvent {
     pub fn decode(buf: &[u8]) -> Result<ControlEvent, String> {
         let mut r = Reader::new(buf);
         let string = |r: &mut Reader<'_>| r.str(MAX_STR).map(str::to_owned);
+        let state = |r: &mut Reader<'_>| r.str(MAX_STR)?.parse::<ProcState>();
         let magic = r.u32()?;
         if magic != CONTROL_MAGIC {
             return Err(format!("not a control event (magic {magic:#x})"));
@@ -324,7 +328,7 @@ impl ControlEvent {
                 name: string(&mut r)?,
                 machine: string(&mut r)?,
                 pid: r.u32()?,
-                state: string(&mut r)?,
+                state: state(&mut r)?,
             },
             code::FLAGS_SET => ControlEvent::FlagsSet {
                 job: string(&mut r)?,
@@ -334,7 +338,7 @@ impl ControlEvent {
                 job: string(&mut r)?,
                 machine: string(&mut r)?,
                 pid: r.u32()?,
-                state: string(&mut r)?,
+                state: state(&mut r)?,
             },
             code::PROC_REMOVED => ControlEvent::ProcRemoved {
                 job: string(&mut r)?,
@@ -388,7 +392,7 @@ mod tests {
                 name: "A".into(),
                 machine: "red".into(),
                 pid: 2121,
-                state: "new".into(),
+                state: ProcState::New,
             },
             ControlEvent::FlagsSet {
                 job: "foo".into(),
@@ -398,7 +402,7 @@ mod tests {
                 job: "foo".into(),
                 machine: "red".into(),
                 pid: 2121,
-                state: "killed".into(),
+                state: ProcState::Killed,
             },
             ControlEvent::JobRemoved { job: "foo".into() },
             ControlEvent::LeaseAcquired {
@@ -456,6 +460,12 @@ mod tests {
         // Truncation.
         let wire = samples()[1].encode();
         assert!(ControlEvent::decode(&wire[..wire.len() - 3]).is_err());
+        // A state keyword that names no state.
+        let mut wire = samples()[4].encode();
+        let at = wire.len() - "killed".len();
+        wire[at..].copy_from_slice(b"zombie");
+        let err = ControlEvent::decode(&wire).unwrap_err();
+        assert!(err.contains("unknown process state 'zombie'"), "{err}");
         // Absurd string length.
         let mut wire = samples()[5].encode();
         wire[9..13].copy_from_slice(&u32::MAX.to_le_bytes());

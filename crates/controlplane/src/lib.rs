@@ -55,10 +55,12 @@
 
 mod event;
 mod log;
+mod state;
 mod table;
 
 pub use event::{ControlEvent, CONTROL_EVENT_VERSION, CONTROL_MAGIC};
 pub use log::{ControlLog, CONTROL_SHARD};
+pub use state::{ProcAction, ProcState};
 pub use table::{FilterRecord, JobRecord, JobTable, Lease, ProcRecord};
 
 /// Default lease period, in virtual milliseconds. Long next to RPC

@@ -3,10 +3,11 @@
 
 use std::collections::BTreeMap;
 
-use dpm_logstore::StoreReader;
+use dpm_logstore::{Pid, StoreReader};
 
 use crate::event::ControlEvent;
 use crate::log::ControlLog;
+use crate::state::ProcState;
 
 /// Ownership of one job: who holds it and until when (simulated
 /// time). Renewed through the control log; a lapsed lease is the
@@ -36,10 +37,9 @@ pub struct ProcRecord {
     /// Machine it runs on.
     pub machine: String,
     /// Its pid there.
-    pub pid: u32,
-    /// Last recorded state keyword (`new`, `acquired`, `running`,
-    /// `stopped`, `killed`).
-    pub state: String,
+    pub pid: Pid,
+    /// Last recorded state.
+    pub state: ProcState,
 }
 
 /// One job reconstructed from the control log.
@@ -63,10 +63,23 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
+    /// The process `pid` on `machine`, if it belongs to the job.
+    pub fn proc(&self, machine: &str, pid: Pid) -> Option<&ProcRecord> {
+        self.procs
+            .iter()
+            .find(|p| p.machine == machine && p.pid == pid)
+    }
+
     fn proc_mut(&mut self, machine: &str, pid: u32) -> Option<&mut ProcRecord> {
         self.procs
             .iter_mut()
-            .find(|p| p.machine == machine && p.pid == pid)
+            .find(|p| p.machine == machine && p.pid == Pid(pid))
+    }
+
+    /// Whether the job needs nothing more: every process is killed or
+    /// merely acquired.
+    pub fn finished(&self) -> bool {
+        self.procs.iter().all(|p| p.state.finished())
     }
 }
 
@@ -80,7 +93,7 @@ pub struct FilterRecord {
     /// Machine it runs on.
     pub machine: String,
     /// Its pid there.
-    pub pid: u32,
+    pub pid: Pid,
     /// Port metered processes connect to.
     pub port: u16,
     /// Log path (empty for edges).
@@ -100,9 +113,9 @@ pub struct FilterRecord {
 /// The folded state of a control-event stream.
 ///
 /// Built either incrementally ([`apply`](JobTable::apply), as the
-/// owning controller does alongside its own in-memory state) or in one
-/// shot from a store ([`from_store`](JobTable::from_store), as a
-/// standby does at takeover). The two constructions are equivalent by
+/// owning controller does: its state *is* this table) or in one shot
+/// from a store ([`from_store`](JobTable::from_store), as a standby
+/// does at takeover). The two constructions are equivalent by
 /// definition — both are folds of the same stream — and the property
 /// test in `tests/prop.rs` holds them to it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -167,7 +180,7 @@ impl JobTable {
                 let rec = FilterRecord {
                     name: name.clone(),
                     machine: machine.clone(),
-                    pid: *pid,
+                    pid: Pid(*pid),
                     port: *port,
                     logfile: logfile.clone(),
                     shards: *shards,
@@ -193,8 +206,8 @@ impl JobTable {
                         j.procs.push(ProcRecord {
                             name: name.clone(),
                             machine: machine.clone(),
-                            pid: *pid,
-                            state: state.clone(),
+                            pid: Pid(*pid),
+                            state: *state,
                         });
                     }
                 }
@@ -212,14 +225,14 @@ impl JobTable {
             } => {
                 if let Some(j) = self.jobs.get_mut(job) {
                     if let Some(p) = j.proc_mut(machine, *pid) {
-                        p.state = state.clone();
+                        p.state = *state;
                     }
                 }
             }
             ControlEvent::ProcRemoved { job, machine, pid } => {
                 if let Some(j) = self.jobs.get_mut(job) {
                     j.procs
-                        .retain(|p| !(p.machine == *machine && p.pid == *pid));
+                        .retain(|p| !(p.machine == *machine && p.pid == Pid(*pid)));
                 }
             }
             ControlEvent::JobRemoved { job } => {
@@ -340,7 +353,7 @@ mod tests {
             name: format!("p{pid}"),
             machine: machine.into(),
             pid,
-            state: "new".into(),
+            state: ProcState::New,
         }
     }
 
@@ -367,7 +380,7 @@ mod tests {
                 job: "foo".into(),
                 machine: "red".into(),
                 pid: 10,
-                state: "running".into(),
+                state: ProcState::Running,
             },
             ev_job("bar"),
             ControlEvent::JobRemoved { job: "bar".into() },
@@ -375,7 +388,7 @@ mod tests {
         assert_eq!(t.order, vec!["foo", "bar"]);
         let foo = &t.jobs["foo"];
         assert_eq!(foo.flags, 0b11);
-        assert_eq!(foo.procs[0].state, "running");
+        assert_eq!(foo.procs[0].state, ProcState::Running);
         assert!(t.jobs["bar"].removed);
         assert_eq!(t.live_jobs().len(), 1);
         assert_eq!(t.events, 6);
@@ -390,7 +403,7 @@ mod tests {
             job: "ghost".into(),
             machine: "red".into(),
             pid: 1,
-            state: "killed".into(),
+            state: ProcState::Killed,
         });
         assert!(t.jobs.is_empty());
         // Duplicate create keeps the first binding.
@@ -487,6 +500,6 @@ mod tests {
         }
         let replayed = JobTable::from_store(&log.reader());
         assert_eq!(replayed, incremental);
-        assert_eq!(replayed.filter("f1").unwrap().pid, 44);
+        assert_eq!(replayed.filter("f1").unwrap().pid, Pid(44));
     }
 }

@@ -4,7 +4,7 @@
 //! (the owner's path) — for *arbitrary* event interleavings, including
 //! stale, duplicate, and unknown-job events.
 
-use dpm_controlplane::{ControlEvent, ControlLog, JobTable};
+use dpm_controlplane::{ControlEvent, ControlLog, JobTable, ProcState};
 use dpm_logstore::MemBackend;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -14,7 +14,13 @@ const DIR: &str = "/usr/tmp/control.prop";
 const JOBS: [&str; 3] = ["alpha", "beta", "gamma"];
 const MACHINES: [&str; 3] = ["red", "green", "blue"];
 const OWNERS: [&str; 3] = ["red:5000", "green:5001", "blue:5002"];
-const STATES: [&str; 5] = ["new", "acquired", "running", "stopped", "killed"];
+const STATES: [ProcState; 5] = [
+    ProcState::New,
+    ProcState::Acquired,
+    ProcState::Running,
+    ProcState::Stopped,
+    ProcState::Killed,
+];
 
 /// One arbitrary control event drawn from small pools, so streams
 /// routinely hit the same job/proc from several angles (duplicates,
@@ -46,7 +52,7 @@ fn arb_event() -> impl Strategy<Value = ControlEvent> {
                 name: format!("p{pid}"),
                 machine: MACHINES[m].into(),
                 pid,
-                state: "new".into(),
+                state: ProcState::New,
             }
         }),
         (job.clone(), 0u32..16).prop_map(|(j, flags)| ControlEvent::FlagsSet {
@@ -63,7 +69,7 @@ fn arb_event() -> impl Strategy<Value = ControlEvent> {
                 job: JOBS[j].into(),
                 machine: MACHINES[m].into(),
                 pid,
-                state: STATES[s].into(),
+                state: STATES[s],
             }),
         (job.clone(), 0usize..MACHINES.len(), 10u32..14).prop_map(|(j, m, pid)| {
             ControlEvent::ProcRemoved {

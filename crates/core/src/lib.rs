@@ -54,7 +54,7 @@ pub use dpm_telemetry as telemetry;
 pub use dpm_workloads as workloads;
 
 pub use dpm_analysis::Analysis;
-pub use dpm_controller::{Controller, ProcState};
+pub use dpm_controller::{Controller, JobRecord, ProcState};
 pub use dpm_filter::{Descriptions, FilterEngine, LogRecord, Rules};
 pub use dpm_meter::{MeterFlags, MeterMsg, SockName, TermReason};
 pub use dpm_simnet::{ClockSpec, NetConfig};

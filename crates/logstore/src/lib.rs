@@ -52,10 +52,10 @@ pub mod tail;
 pub mod writer;
 
 pub use backend::{Backend, DirBackend, MemBackend, StoreSource};
-/// The monitor's one byte codec, re-exported so crates that frame
-/// their records for this store reach it without a dependency edge of
-/// their own.
-pub use dpm_meter::wire;
+/// The monitor's one byte codec and its process identifier,
+/// re-exported so crates that frame their records for this store reach
+/// them without a dependency edge of their own.
+pub use dpm_meter::{wire, Pid};
 pub use format::{ProcId, ENVELOPE_LEN, FRAME_OVERHEAD, SEG_HEADER_LEN, SEG_MAGIC};
 pub use reader::{list_segments, Frame, Scan, StoreReader};
 pub use tail::{OwnedFrame, StoreTail};

@@ -59,7 +59,7 @@ pub use flags::MeterFlags;
 pub use msg::{
     trace_type, DecodeError, MeterAccept, MeterBody, MeterConnect, MeterDecoder, MeterDestSock,
     MeterDup, MeterFork, MeterHeader, MeterMsg, MeterRecord, MeterRecvCall, MeterRecvMsg,
-    MeterSendMsg, MeterSockCrt, MeterTermProc, TermReason, HEADER_LEN, MAX_METER_MSG,
+    MeterSendMsg, MeterSockCrt, MeterTermProc, Pid, TermReason, HEADER_LEN, MAX_METER_MSG,
 };
 pub use name::{NameDecodeError, SockName, NAME_LEN};
 pub use window::SeqWindow;

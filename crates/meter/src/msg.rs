@@ -304,6 +304,21 @@ pub struct MeterDestSock {
     pub sock: u32,
 }
 
+/// A process identifier. Unique across the whole simulated cluster so
+/// transcripts read unambiguously, though every kernel operation still
+/// resolves pids against its own machine's process table, as 4.2BSD
+/// did ("the identifiers of a process only have meaning for the local
+/// operating system", §3.5.1). A record body carries the same number
+/// as its `pid` word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Pid(pub u32);
+
+impl fmt::Display for Pid {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
 /// Why a process terminated, carried in [`MeterTermProc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TermReason {

@@ -11,19 +11,7 @@ use crate::socket::SockId;
 use dpm_meter::{MeterFlags, TermReason};
 use std::collections::VecDeque;
 
-/// A process identifier. Unique across the whole simulated cluster so
-/// transcripts read unambiguously, though every kernel operation still
-/// resolves pids against its own machine's process table, as 4.2BSD
-/// did ("the identifiers of a process only have meaning for the local
-/// operating system", §3.5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Pid(pub u32);
-
-impl std::fmt::Display for Pid {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
+pub use dpm_meter::Pid;
 
 /// A user identifier. Uid 0 is the superuser; "a superuser process can
 /// set metering for any process" (§4.1).

@@ -18,7 +18,7 @@ use dpm::crates::chaos::{self, ChaosSpec, FaultPlan};
 use dpm::crates::filter::SimFsBackend;
 use dpm::crates::logstore::StoreReader;
 use dpm::crates::workloads::ring::ring_main;
-use dpm::{Cluster, Controller, NetConfig, ProcState, Simulation, Uid};
+use dpm::{Cluster, JobRecord, NetConfig, Simulation, Uid};
 
 /// The seed matrix: `DPM_CHAOS_SEEDS="1,2,3"` overrides; CI passes
 /// all eight fixed seeds, the local default is a fast subset.
@@ -614,19 +614,6 @@ fn filter_tree_survives_partition_and_meter_duplication() {
     );
 }
 
-/// Whether every process of `job` reached a terminal state — the
-/// non-blocking twin of `wait_job`, so a watch loop can poll between
-/// liveness checks.
-fn job_done(control: &Controller, job: &str) -> bool {
-    match control.job(job) {
-        None => true,
-        Some(j) => j
-            .procs
-            .iter()
-            .all(|p| matches!(p.state, ProcState::Killed | ProcState::Acquired)),
-    }
-}
-
 /// The live layer localizes a partition *while the job still runs*:
 /// the same green↔blue cut as the post-hoc localization test above,
 /// but the verdict must arrive from `watch` windows before quiescence
@@ -677,9 +664,9 @@ fn live_watch_localizes_partition_before_quiescence() {
         // and the top anomaly score names a process on the cut.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(110);
         let mut localized_live = false;
-        while !job_done(&control, "mx") {
+        while !control.job("mx").is_none_or(JobRecord::finished) {
             control.exec("watch f1 anomalies");
-            if job_done(&control, "mx") {
+            if control.job("mx").is_none_or(JobRecord::finished) {
                 break;
             }
             if let Some(snap) = control.last_window("f1") {

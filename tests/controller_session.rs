@@ -295,6 +295,44 @@ fn addprocess_redirects_standard_input_from_a_file() {
     sim.shutdown();
 }
 
+/// Processes are addressed by (machine, pid): two that share a display
+/// name each keep their own state.
+#[test]
+fn processes_sharing_a_name_keep_their_own_state() {
+    let sim = Simulation::builder()
+        .machines(["yellow", "red"])
+        .seed(7)
+        .build();
+    sim.cluster().register_program("spin2", |p, _| loop {
+        p.compute_ms(1)?;
+    });
+    sim.cluster()
+        .install_program_file("red", "/bin/spin2", "spin2");
+    let mut control = sim.controller("yellow").expect("controller");
+    control.exec("filter f1 red");
+    control.exec("newjob j");
+    control.exec("addprocess j red /bin/spin2");
+    control.exec("addprocess j red /bin/spin2");
+    control.exec("startjob j");
+    let states: Vec<ProcState> = control
+        .job("j")
+        .unwrap()
+        .procs
+        .iter()
+        .map(|p| p.state)
+        .collect();
+    assert_eq!(states, [ProcState::Running, ProcState::Running]);
+    let out = control.exec("jobs j");
+    assert_eq!(out.matches("  running  spin2  red").count(), 2, "{out}");
+
+    control.exec("stopjob j");
+    let out = control.exec("removejob j");
+    assert!(!out.contains("not removed"), "{out}");
+    assert!(control.job("j").is_none(), "{out}");
+    control.exec("die");
+    sim.shutdown();
+}
+
 #[test]
 fn removeprocess_removes_one_process_and_respects_states() {
     let sim = Simulation::builder()

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use dpm::crates::analysis::{EventKind, Trace};
 use dpm::crates::chaos::{crash_controller, invariants};
-use dpm::crates::controlplane::{ControlEvent, ControlLog, DEFAULT_LEASE_MS};
+use dpm::crates::controlplane::{ControlEvent, ControlLog, JobTable, DEFAULT_LEASE_MS};
 use dpm::crates::logstore::{Backend, MemBackend, StoreReader};
 use dpm::{Pid, Simulation, Uid};
 
@@ -80,6 +80,13 @@ fn run_session(seed: u64, crash: bool, templates: &str) -> RunResult {
     a.exec("addprocess pair green /bin/B 1810");
     a.exec("setflags pair send receive accept connect fork");
     a.exec("startjob pair");
+    // The owner's state is the fold of what it recorded.
+    let reader = StoreReader::load(backend.as_ref(), CONTROL_DIR);
+    assert_eq!(
+        JobTable::from_store(&reader),
+        *a.table(),
+        "seed {seed}: the owner's table is the log's fold"
+    );
 
     let mut survivor = if crash {
         let killed = crash_controller(sim.cluster(), "term1");
@@ -108,6 +115,11 @@ fn run_session(seed: u64, crash: bool, templates: &str) -> RunResult {
     // removed: the log alone must already show one terminal state per
     // process.
     let reader = StoreReader::load(backend.as_ref(), CONTROL_DIR);
+    assert_eq!(
+        JobTable::from_store(&reader),
+        *survivor.table(),
+        "seed {seed}: the survivor's table is the log's fold (crash={crash})"
+    );
     let census = invariants::check_control_plane(&reader).unwrap_or_else(|e| {
         panic!(
             "seed {seed}: control-plane invariant violated before removejob (crash={crash}): {e}"
@@ -322,6 +334,31 @@ fn removed_process_stays_removed_after_takeover() {
     invariants::check_control_plane(&reader).expect("control log passes the invariants");
 
     b.exec("die");
+    sim.shutdown();
+}
+
+/// A removed job's name is not created again: a second `JobCreated`
+/// would be dropped by every replay of the log and counted against it
+/// by the single-creation invariant.
+#[test]
+fn a_removed_jobs_name_is_not_created_again() {
+    let backend = Arc::new(MemBackend::new());
+    let sim = Simulation::builder()
+        .machines(["term1", "red"])
+        .seed(17)
+        .build();
+    let mut control = sim.controller("term1").expect("controller");
+    control.enable_control_log(backend.clone() as Arc<dyn Backend>, CONTROL_DIR);
+    control.exec("filter f1 red");
+    control.exec("newjob j");
+    control.exec("removejob j");
+    let out = control.exec("newjob j");
+    assert!(out.contains("job 'j' was removed"), "{out}");
+    assert!(control.job("j").is_none());
+    let reader = StoreReader::load(backend.as_ref(), CONTROL_DIR);
+    invariants::check_control_plane(&reader).expect("control log passes the invariants");
+    assert_eq!(JobTable::from_store(&reader), *control.table());
+    control.exec("die");
     sim.shutdown();
 }
 

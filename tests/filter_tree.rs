@@ -23,8 +23,8 @@ use dpm::crates::filter::{filter_main, FilterEngine};
 use dpm::crates::logstore::StoreReader;
 use dpm::crates::meter::{MeterBody, MeterFork, MeterHeader, MeterMsg, MeterSendMsg, SockName};
 use dpm::{
-    Cluster, Controller, Descriptions, LogRecord, NetConfig, Proc, ProcState, Rules, Simulation,
-    SysError, SysResult, Uid,
+    Cluster, Descriptions, JobRecord, LogRecord, NetConfig, Proc, Rules, Simulation, SysError,
+    SysResult, Uid,
 };
 
 const N_WORKERS: usize = 8;
@@ -360,17 +360,6 @@ fn controller_session_with_filter_tree() {
     sim.shutdown();
 }
 
-/// Whether every process of `job` reached a terminal state.
-fn job_done(control: &Controller, job: &str) -> bool {
-    match control.job(job) {
-        None => true,
-        Some(j) => j
-            .procs
-            .iter()
-            .all(|p| matches!(p.state, ProcState::Killed | ProcState::Acquired)),
-    }
-}
-
 /// The root of a tree is live: `live_stream.rs`'s mutex job, metered
 /// through edges on red and green into an aggregate on blue, and
 /// `watch root` sees records while the job still runs.
@@ -403,9 +392,9 @@ fn tree_root_streams_live_windows_mid_job() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(110);
     let mut live_windows = 0u32;
     let mut live_nonempty = 0u32;
-    while !job_done(&control, "mx") {
+    while !control.job("mx").is_none_or(JobRecord::finished) {
         control.exec("watch root");
-        if job_done(&control, "mx") {
+        if control.job("mx").is_none_or(JobRecord::finished) {
             break;
         }
         live_windows += 1;

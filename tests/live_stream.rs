@@ -12,7 +12,7 @@ use dpm::crates::analysis::{CommStats, HappensBefore, MutexReport, Pairing, Trac
 use dpm::crates::filter::SimFsBackend;
 use dpm::crates::live::LiveTrace;
 use dpm::crates::logstore::{OwnedFrame, StoreReader};
-use dpm::{Controller, Descriptions, LogRecord, NetConfig, ProcState, Simulation};
+use dpm::{Descriptions, JobRecord, LogRecord, NetConfig, Simulation};
 use std::sync::Arc;
 
 const HOSTS: [&str; 4] = ["yellow", "red", "green", "blue"];
@@ -29,17 +29,6 @@ fn render_store(reader: &StoreReader, desc: &Descriptions) -> Vec<String> {
         .filter_map(|f| LogRecord::from_raw(desc, f.raw, &[]))
         .map(|rec| rec.to_string())
         .collect()
-}
-
-/// Whether every process of `job` reached a terminal state.
-fn job_done(control: &Controller, job: &str) -> bool {
-    match control.job(job) {
-        None => true,
-        Some(j) => j
-            .procs
-            .iter()
-            .all(|p| matches!(p.state, ProcState::Killed | ProcState::Acquired)),
-    }
 }
 
 #[test]
@@ -75,9 +64,9 @@ fn watch_streams_live_windows_and_equals_batch_at_quiescence() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(110);
     let mut live_windows = 0u32;
     let mut live_nonempty = 0u32;
-    while !job_done(&control, "mx") {
+    while !control.job("mx").is_none_or(JobRecord::finished) {
         control.exec("watch f1 anomalies");
-        if job_done(&control, "mx") {
+        if control.job("mx").is_none_or(JobRecord::finished) {
             break;
         }
         live_windows += 1;

@@ -131,14 +131,15 @@ fn standby_takes_over_a_killed_controllers_job() {
         );
     }
 
-    // The replayed table is B's in-memory view: same job, same filter
+    // The replayed table is B's own table: same job, same filter
     // binding, same processes, every one terminal in the log too.
     let reader = StoreReader::load(backend.as_ref(), "control");
     let table = JobTable::from_store(&reader);
+    assert_eq!(table, *b.table(), "B's state is the fold of the log");
     let jr = &table.jobs["pair"];
     assert_eq!(jr.filter, "f1");
     assert_eq!(jr.procs.len(), 2);
-    assert!(jr.procs.iter().all(|p| p.state == "killed"));
+    assert!(jr.procs.iter().all(|p| p.state == ProcState::Killed));
     assert_eq!(
         jr.lease.as_ref().expect("leased").owner,
         b.owner_id(),

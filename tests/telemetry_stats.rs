@@ -9,21 +9,10 @@
 use dpm::crates::logstore::{LogStore, MemBackend, StoreConfig};
 use dpm::crates::meter::{MeterBody, MeterHeader, MeterMsg, MeterTermProc, TermReason};
 use dpm::crates::telemetry as tel;
-use dpm::{Controller, NetConfig, ProcState, Simulation};
+use dpm::{JobRecord, NetConfig, Simulation};
 use std::sync::Arc;
 
 const HOSTS: [&str; 4] = ["yellow", "red", "green", "blue"];
-
-/// Whether every process of `job` reached a terminal state.
-fn job_done(control: &Controller, job: &str) -> bool {
-    match control.job(job) {
-        None => true,
-        Some(j) => j
-            .procs
-            .iter()
-            .all(|p| matches!(p.state, ProcState::Killed | ProcState::Acquired)),
-    }
-}
 
 #[test]
 fn stats_shows_per_stage_counters_and_staleness_mid_job() {
@@ -54,10 +43,10 @@ fn stats_shows_per_stage_counters_and_staleness_mid_job() {
     // the pipeline mid-stream.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(110);
     let mut mid_job_stats = String::new();
-    while !job_done(&control, "mx") {
+    while !control.job("mx").is_none_or(JobRecord::finished) {
         control.exec("watch f1");
         let out = control.exec("stats");
-        if job_done(&control, "mx") {
+        if control.job("mx").is_none_or(JobRecord::finished) {
             break;
         }
         if out.contains("e2e/emit_to_ingest_ms") {

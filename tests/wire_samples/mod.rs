@@ -8,7 +8,7 @@
 
 #![allow(dead_code)] // each test binary uses its own half
 
-use dpm::crates::controlplane::ControlEvent;
+use dpm::crates::controlplane::{ControlEvent, ProcState};
 use dpm::crates::filter::{FilterArgs, FilterRole};
 use dpm::crates::logstore::format::Envelope;
 use dpm::crates::logstore::index::SegmentIndex;
@@ -216,13 +216,13 @@ pub fn control_events() -> Vec<Sample<ControlEvent>> {
              000b0000 0073656e 64203120 2e2e2e0a 0e000000 74797065 3d312c20 70633d23
              2a0a"),
         ("proc added", ProcAdded {
-                job: job(), name: "A".into(), machine: machine(), pid: 2121, state: "new".into() },
+                job: job(), name: "A".into(), machine: machine(), pid: 2121, state: ProcState::New },
             "43544c31 02000000 03030000 00666f6f 01000000 41030000 00726564 49080000
              03000000 6e6577"),
         ("flags set", FlagsSet { job: job(), flags: 0b1011 },
             "43544c31 02000000 04030000 00666f6f 0b000000"),
         ("proc state changed", ProcStateChanged {
-                job: job(), machine: machine(), pid: 2121, state: "killed".into() },
+                job: job(), machine: machine(), pid: 2121, state: ProcState::Killed },
             "43544c31 02000000 05030000 00666f6f 03000000 72656449 08000006 0000006b
              696c6c65 64"),
         ("job removed", JobRemoved { job: job() },
