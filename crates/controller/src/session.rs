@@ -46,8 +46,9 @@ pub struct FilterInfo {
     /// Its description as the record keeps it: the port metered
     /// processes' meter connections go to, its log path (the prefix
     /// its store's segment files live under), shard count, place in
-    /// the filter tree and upstream `host:port`. The file paths are
-    /// not recorded and read as their defaults.
+    /// the filter tree and upstream `host:port`, with the file paths
+    /// it was created from. The record keeps no paths, so a filter
+    /// adopted from the control log reads them as their defaults.
     pub spec: FilterArgs,
     /// The descriptions it filters with — kept so `getlog` can render
     /// store frames as text without re-fetching the file.
@@ -57,17 +58,31 @@ pub struct FilterInfo {
     pub rules: Rules,
 }
 
+/// A filter as `filter` described it and parsed its files.
+type Created = (FilterArgs, Descriptions, Rules);
+
 impl FilterInfo {
     /// The parsed view of a recorded filter: its description back
     /// through the key table and the validator, its descriptions and
-    /// templates texts parsed. `None` when any of them does not parse.
-    fn from_record(fr: &FilterRecord) -> Option<FilterInfo> {
+    /// templates. `created` is what `filter` described and parsed when
+    /// this controller created it, the file paths the record does not
+    /// keep among them; a filter caught up from the log parses the
+    /// recorded texts instead. `None` when anything does not parse.
+    fn from_record(fr: &FilterRecord, created: Option<Created>) -> Option<FilterInfo> {
+        let (files, desc, rules) = match created {
+            Some(created) => created,
+            None => (
+                FilterArgs::default(),
+                Descriptions::parse(&fr.desc_text).ok()?,
+                Rules::parse(&fr.templates_text).ok()?,
+            ),
+        };
         let mut spec = FilterArgs {
             port: fr.port,
             logfile: fr.logfile.clone(),
             shards: fr.shards,
             upstream: fr.upstream.clone(),
-            ..FilterArgs::default()
+            ..files
         };
         spec.set("role", &fr.role).ok()?;
         spec.validate().ok()?;
@@ -76,8 +91,8 @@ impl FilterInfo {
             machine: fr.machine.clone(),
             pid: fr.pid,
             spec,
-            desc: Descriptions::parse(&fr.desc_text).ok()?,
-            rules: Rules::parse(&fr.templates_text).ok()?,
+            desc,
+            rules,
         })
     }
 
@@ -577,18 +592,18 @@ impl Controller {
             .unwrap_or_else(|| Descriptions::standard_text().as_bytes().to_vec());
         let tmpl_data = local_fs.read(&spec.templates).unwrap_or_default();
         let desc_text = String::from_utf8_lossy(&desc_data).into_owned();
-        if Descriptions::parse(&desc_text).is_err() {
+        let Ok(desc) = Descriptions::parse(&desc_text) else {
             self.emit(&format!(
                 "descriptions file '{}' is malformed",
                 spec.descriptions
             ));
             return;
-        }
+        };
         let templates_text = String::from_utf8_lossy(&tmpl_data).into_owned();
-        if Rules::parse(&templates_text).is_err() {
+        let Ok(rules) = Rules::parse(&templates_text) else {
             self.emit(&format!("templates file '{}' is malformed", spec.templates));
             return;
-        }
+        };
         for (path, data) in [
             (&spec.descriptions, desc_data),
             (&spec.templates, tmpl_data),
@@ -617,14 +632,14 @@ impl Controller {
                     machine,
                     pid: pid.0,
                     port: spec.port,
-                    logfile: spec.logfile,
+                    logfile: spec.logfile.clone(),
                     shards: spec.shards,
                     role: spec.role.to_string(),
-                    upstream: spec.upstream,
+                    upstream: spec.upstream.clone(),
                     desc_text,
                     templates_text,
                 });
-                self.parse_filter(name);
+                self.parse_filter(name, Some((spec, desc, rules)));
                 self.emit(&format!("filter '{name}' ... created: identifier= {pid}"));
             }
             Ok(r) => self.emit(&format!("filter creation failed: {}", r.status())),
@@ -1511,7 +1526,7 @@ impl Controller {
     fn apply(&mut self, ev: ControlEvent) {
         self.table.apply(&ev);
         if let Some(log) = self.control_log.as_mut() {
-            self.next_seq = log.append(&ev) + 1;
+            self.next_seq = self.next_seq.max(log.append(&ev) + 1);
         }
     }
 
@@ -1528,16 +1543,17 @@ impl Controller {
             self.table.apply(&ev);
             self.next_seq = seq + 1;
             if let ControlEvent::FilterCreated { name, .. } = &ev {
-                self.parse_filter(name);
+                self.parse_filter(name, None);
             }
         }
     }
 
     /// Parses the table's record of filter `name` into its
-    /// [`FilterInfo`]. A record that does not parse leaves the filter
-    /// unrendered.
-    fn parse_filter(&mut self, name: &str) {
-        let Some(info) = self.table.filter(name).and_then(FilterInfo::from_record) else {
+    /// [`FilterInfo`], over what `filter` `created` when it is known.
+    /// A record that does not parse leaves the filter unrendered.
+    fn parse_filter(&mut self, name: &str, created: Option<Created>) {
+        let fr = self.table.filter(name);
+        let Some(info) = fr.and_then(|fr| FilterInfo::from_record(fr, created)) else {
             return;
         };
         self.next_filter_port = self.next_filter_port.max(info.spec.port.saturating_add(1));
@@ -1613,8 +1629,18 @@ impl Controller {
     /// to this controller with one batched `AcquireMany` round-trip
     /// per machine. Processes the daemons no longer know are marked
     /// killed. Returns the adopted job names.
+    ///
+    /// A controller already recording to another log adopts nothing:
+    /// its table is that log's fold and cannot be another's too.
     pub fn adopt_from(&mut self, backend: Arc<dyn Backend>, dir: &str) -> Vec<String> {
-        self.control_log = Some(ControlLog::open(backend, dir));
+        let elsewhere = self.control_log.as_ref().is_some_and(|l| l.dir() != dir);
+        if elsewhere {
+            self.emit(&format!(
+                "cannot adopt from '{dir}': recording to another log"
+            ));
+            return Vec::new();
+        }
+        self.control_log = Some(ControlLog::open(Arc::clone(&backend), dir));
         self.catch_up();
         let live: Vec<String> = self
             .table
@@ -1633,6 +1659,10 @@ impl Controller {
                     .histogram("controlplane", "takeover_latency_us", &job_name)
                     .record(self.now_us().saturating_sub(prev_expiry));
             }
+            // The old owner may have appended after the log was opened
+            // here, and this handle would stamp its own records with
+            // those records' sequence numbers: re-open it past them.
+            self.control_log = Some(ControlLog::open(Arc::clone(&backend), dir));
             self.acquire_lease(&job_name);
 
             // Re-bind surviving daemons' notifications to this

@@ -43,6 +43,11 @@ impl ControlLog {
         seq
     }
 
+    /// The store directory the log lives in.
+    pub fn dir(&self) -> &str {
+        self.store.dir()
+    }
+
     /// A reader over everything durable so far, including this
     /// handle's own appends.
     pub fn reader(&self) -> StoreReader {

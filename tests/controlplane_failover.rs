@@ -22,12 +22,13 @@
 //! one round-trip per machine.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dpm::crates::analysis::{EventKind, Trace};
 use dpm::crates::chaos::{crash_controller, invariants};
 use dpm::crates::controlplane::{ControlEvent, ControlLog, JobTable, DEFAULT_LEASE_MS};
-use dpm::crates::logstore::{Backend, MemBackend, StoreReader};
+use dpm::crates::logstore::{Backend, MemBackend, StoreReader, StoreSource};
+use dpm::crates::simos::Cluster;
 use dpm::{Pid, Simulation, Uid};
 
 /// The seed matrix: `DPM_CHAOS_SEEDS="1,2,3"` overrides; CI passes
@@ -359,6 +360,136 @@ fn a_removed_jobs_name_is_not_created_again() {
     invariants::check_control_plane(&reader).expect("control log passes the invariants");
     assert_eq!(JobTable::from_store(&reader), *control.table());
     control.exec("die");
+    sim.shutdown();
+}
+
+/// The shared log as an owner that is still alive sees it: every time
+/// anyone lists the log's files, the owner renews its leases on `jobs`
+/// once less than half a lease period remains, until `renewals` run
+/// out and it falls silent — a crash that comes after the standby
+/// opened the log.
+struct RenewingOwner {
+    inner: MemBackend,
+    cluster: Arc<Cluster>,
+    owner: String,
+    jobs: [&'static str; 2],
+    /// The owner's own append handle, the expiry of its leases and how
+    /// many renewals it has left.
+    state: Mutex<(ControlLog, u64, u32)>,
+}
+
+impl RenewingOwner {
+    fn renew_if_due(&self) {
+        let mut state = self.state.lock().expect("owner state");
+        let (log, expires, left) = &mut *state;
+        let now = self.cluster.global_time().now_us();
+        if *left == 0 || now + DEFAULT_LEASE_MS * 500 < *expires {
+            return;
+        }
+        *left -= 1;
+        *expires = now + DEFAULT_LEASE_MS * 1_000;
+        for job in self.jobs {
+            log.append(&ControlEvent::LeaseRenewed {
+                job: job.to_owned(),
+                owner: self.owner.clone(),
+                at_us: now,
+                expires_us: *expires,
+            });
+        }
+    }
+}
+
+impl StoreSource for RenewingOwner {
+    fn read(&self, name: &str) -> Option<Vec<u8>> {
+        self.inner.read(name)
+    }
+
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.renew_if_due();
+        self.inner.list(prefix)
+    }
+}
+
+impl Backend for RenewingOwner {
+    fn append(&self, name: &str, data: &[u8]) {
+        self.inner.append(name, data);
+    }
+
+    fn write(&self, name: &str, data: &[u8]) {
+        self.inner.write(name, data);
+    }
+}
+
+/// Renewals the owner appends after the standby opened the log are
+/// folded once, and the standby's own records are sequenced after
+/// them: with two jobs to adopt, the standby's table is still the
+/// log's fold.
+#[test]
+fn standby_folds_renewals_appended_after_it_opened_the_log() {
+    let inner = MemBackend::new();
+    let sim = Simulation::builder()
+        .machines(["term1", "term2", "red"])
+        .seed(11)
+        .build();
+    let mut a = sim.controller_as("term1", Uid(100)).expect("controller A");
+    a.enable_control_log(Arc::new(inner.clone()) as Arc<dyn Backend>, CONTROL_DIR);
+    a.exec("filter f1 red");
+    a.exec("newjob one");
+    a.exec("newjob two");
+    let expires = a.job("one").and_then(|j| j.lease.as_ref()).expect("leased");
+    let backend = Arc::new(RenewingOwner {
+        inner: inner.clone(),
+        cluster: Arc::clone(sim.cluster()),
+        owner: a.owner_id(),
+        jobs: ["one", "two"],
+        state: Mutex::new((
+            ControlLog::open(Arc::new(inner.clone()), CONTROL_DIR),
+            expires.expires_us,
+            3,
+        )),
+    });
+    assert!(!crash_controller(sim.cluster(), "term1").is_empty());
+
+    let mut b = sim.controller_as("term2", Uid(100)).expect("controller B");
+    let adopted = b.adopt_from(backend as Arc<dyn Backend>, CONTROL_DIR);
+    assert_eq!(adopted, ["one", "two"]);
+
+    let reader = StoreReader::load(&inner, CONTROL_DIR);
+    let seqs: Vec<u64> = ControlLog::replay(&reader)
+        .iter()
+        .map(|(seq, _)| *seq)
+        .collect();
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "the standby's records are sequenced after the owner's: {seqs:?}"
+    );
+    let table = JobTable::from_store(&reader);
+    assert_eq!(table, *b.table(), "the standby's table is the log's fold");
+    for job in ["one", "two"] {
+        let owners: Vec<&str> = table.jobs[job]
+            .lease_history
+            .iter()
+            .map(|l| l.owner.as_str())
+            .collect();
+        assert_eq!(owners.len(), 5, "{job}: grant, three renewals, takeover");
+        assert_eq!(owners[4], b.owner_id(), "{job}");
+    }
+    invariants::check_control_plane(&reader).expect("control log passes the invariants");
+
+    // A controller recording to one log does not adopt another's.
+    let mut c = sim.controller_as("term2", Uid(100)).expect("controller C");
+    c.enable_control_log(Arc::new(inner.clone()) as Arc<dyn Backend>, "elsewhere");
+    assert!(c
+        .adopt_from(Arc::new(inner.clone()) as Arc<dyn Backend>, CONTROL_DIR)
+        .is_empty());
+    assert!(
+        c.transcript().contains("cannot adopt from 'control'"),
+        "{}",
+        c.transcript()
+    );
+
+    b.exec("die");
+    c.exec("die");
     sim.shutdown();
 }
 
