@@ -112,7 +112,7 @@ impl CriticalPath {
 
     /// The process carrying the most critical-path work — the first
     /// place to optimize.
-    pub fn dominant_process(&self) -> Option<(ProcKey, u64)> {
+    pub(crate) fn dominant_process(&self) -> Option<(ProcKey, u64)> {
         self.work_per_proc
             .iter()
             .max_by_key(|(p, w)| (**w, std::cmp::Reverse(*p)))
@@ -120,7 +120,7 @@ impl CriticalPath {
     }
 
     /// Number of cross-process hops on the path.
-    pub fn hops(&self) -> usize {
+    pub(crate) fn hops(&self) -> usize {
         self.steps
             .windows(2)
             .filter(|w| w[0].proc != w[1].proc)

@@ -38,17 +38,17 @@ pub struct HappensBefore {
     succ: Vec<usize>,
     /// Lamport clock per event.
     lamport: Vec<u64>,
-    /// Vector-clock index per process.
-    proc_index: HashMap<ProcKey, usize>,
-    /// Each event's process, as its `proc_index` value.
+    /// Number of processes: the width of every vector clock.
+    width: usize,
+    /// Each event's process, as its index in first-appearance order.
     proc: Vec<u32>,
     /// Each event's own clock component: its 1-based position in its
     /// process, or 0 if the topological pass never reached it.
     local: Vec<u32>,
     /// Each event's clock row in `rows`; row 0 is all zeros.
     row: Vec<u32>,
-    /// The row arena, one component per process of `proc_index` in
-    /// each row. A row's component at the process of a reached event
+    /// The row arena, `width` components (one per process) in each
+    /// row. A row's component at the process of a reached event
     /// using it is stale: the event's `local` overrides it. An event
     /// the pass never reached reads its whole clock from its row.
     rows: Vec<u64>,
@@ -203,7 +203,7 @@ impl HappensBefore {
             succ_off,
             succ,
             lamport,
-            proc_index,
+            width,
             proc,
             local,
             row,
@@ -233,7 +233,7 @@ impl HappensBefore {
         if q == self.proc[b] as usize && self.local[b] != 0 {
             u64::from(self.local[b])
         } else {
-            self.rows[self.row[b] as usize * self.proc_index.len() + q]
+            self.rows[self.row[b] as usize * self.width + q]
         }
     }
 
@@ -251,7 +251,7 @@ impl HappensBefore {
         // A cycle blocked one of them, so its clock lacks its own tick
         // and only the whole clocks compare: Va ≤ Vb and Va ≠ Vb.
         let mut differ = false;
-        for q in 0..self.proc_index.len() {
+        for q in 0..self.width {
             let (x, y) = (self.component(a, q), self.component(b, q));
             if x > y {
                 return false;
@@ -261,29 +261,16 @@ impl HappensBefore {
         differ
     }
 
-    /// Whether two events are concurrent (neither precedes the other).
-    pub fn concurrent(&self, a: usize, b: usize) -> bool {
-        a != b && !self.precedes(a, b) && !self.precedes(b, a)
-    }
-
     /// The Lamport clock of an event.
     pub fn lamport(&self, idx: usize) -> u64 {
         self.lamport.get(idx).copied().unwrap_or(0)
     }
 
-    /// The vector clock of an event (indexed per
-    /// [`HappensBefore::process_index`]).
+    /// The vector clock of an event (one component per process of the
+    /// trace).
     pub fn vector(&self, idx: usize) -> Option<Vec<u64>> {
-        (idx < self.lamport.len()).then(|| {
-            (0..self.proc_index.len())
-                .map(|q| self.component(idx, q))
-                .collect()
-        })
-    }
-
-    /// The vector-clock component index of a process.
-    pub fn process_index(&self, p: ProcKey) -> Option<usize> {
-        self.proc_index.get(&p).copied()
+        (idx < self.lamport.len())
+            .then(|| (0..self.width).map(|q| self.component(idx, q)).collect())
     }
 
     /// Direct successors of an event.
@@ -397,8 +384,10 @@ event=send machine=0 cpuTime=1 procTime=0 traceType=1 pid=1 pc=1 sock=1 msgLengt
 event=send machine=1 cpuTime=1 procTime=0 traceType=1 pid=2 pc=1 sock=1 msgLength=1 destName=inet:9:8
 ";
         let (_t, _p, hb) = build(log);
-        assert!(hb.concurrent(0, 1));
-        assert!(!hb.concurrent(0, 0));
+        assert!(
+            !hb.precedes(0, 1) && !hb.precedes(1, 0),
+            "0 and 1 are concurrent"
+        );
         assert_eq!(hb.ordered_fraction(), 0.0);
     }
 
@@ -531,6 +520,9 @@ event=receive machine=1 cpuTime=2 procTime=0 traceType=3 pid=2 pc=0 sock=9 msgLe
         assert_eq!(hb.vector(1), Some(vec![0, 1]));
         assert_eq!(hb.lamport(4), 3);
         assert!(hb.precedes(2, 4) && hb.precedes(3, 4) && hb.precedes(0, 4));
-        assert!(hb.concurrent(1, 3));
+        assert!(
+            !hb.precedes(1, 3) && !hb.precedes(3, 1),
+            "1 and 3 are concurrent"
+        );
     }
 }

@@ -37,24 +37,25 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod critical;
-pub mod debugging;
-pub mod hb;
-pub mod merge;
-pub mod pairing;
-pub mod parallelism;
+mod critical;
+mod debugging;
+mod hb;
+mod merge;
+mod pairing;
+mod parallelism;
 pub mod properties;
-pub mod stats;
-pub mod structure;
-pub mod timeline;
-pub mod trace;
+mod stats;
+mod structure;
+mod timeline;
+mod trace;
 
 pub use critical::{CriticalPath, PathStep};
 pub use debugging::{BlockedReceive, DebugReport, Unterminated};
 pub use hb::HappensBefore;
-pub use merge::{merge_logs, merge_traces};
+pub use merge::merge_logs;
 pub use pairing::{host_of, Connection, MatchedMessage, PairQueues, Pairing};
 pub use parallelism::{BusySlice, ParallelismReport};
 pub use properties::{ByzReport, CsInterval, LinkFaults, MutexReport};

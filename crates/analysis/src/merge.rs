@@ -18,7 +18,7 @@ use crate::trace::{Event, Trace};
 /// different machines are arranged by their (incomparable but
 /// display-friendly) local stamps. The result's `idx` fields are
 /// renumbered.
-pub fn merge_traces(traces: Vec<Trace>) -> Trace {
+pub(crate) fn merge_traces(traces: Vec<Trace>) -> Trace {
     let mut events: Vec<(usize, Event)> = Vec::new();
     for t in traces {
         for e in t.events {

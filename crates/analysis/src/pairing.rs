@@ -250,11 +250,6 @@ impl PairQueues {
             _ => {}
         }
     }
-
-    /// Number of send events queued so far.
-    pub fn n_sends(&self) -> usize {
-        self.all_sends.len()
-    }
 }
 
 /// Matches sends to receives. Crucially this is **order-insensitive

@@ -42,8 +42,6 @@ pub struct ParallelismReport {
     pub slices: Vec<BusySlice>,
     /// Total CPU ms per process.
     pub busy_per_proc: HashMap<ProcKey, u32>,
-    /// Observed span per machine (max stamp − min stamp, ms).
-    pub span_per_machine: HashMap<u32, u32>,
     /// Total busy ms across all processes.
     pub total_busy_ms: u64,
     /// The longest machine span, ms.
@@ -80,14 +78,12 @@ impl ParallelismReport {
             last.insert(e.proc, (e.cpu_time, e.proc_time));
         }
 
-        let span_per_machine: HashMap<u32, u32> =
-            span.into_iter().map(|(m, (lo, hi))| (m, hi - lo)).collect();
         let total_busy_ms = busy_per_proc.values().map(|&v| v as u64).sum();
-        let max_span_ms = span_per_machine.values().copied().max().unwrap_or(0);
+        // A machine's span is its max stamp − min stamp.
+        let max_span_ms = span.values().map(|&(lo, hi)| hi - lo).max().unwrap_or(0);
         ParallelismReport {
             slices,
             busy_per_proc,
-            span_per_machine,
             total_busy_ms,
             max_span_ms,
         }
@@ -102,23 +98,6 @@ impl ParallelismReport {
         } else {
             self.total_busy_ms as f64 / self.max_span_ms as f64
         }
-    }
-
-    /// Average number of busy processes at a machine's instant,
-    /// computed by sweeping that machine's busy slices. Useful for the
-    /// per-machine parallelism profile.
-    pub fn machine_concurrency(&self, machine: u32) -> f64 {
-        let span = match self.span_per_machine.get(&machine) {
-            Some(&s) if s > 0 => s as f64,
-            _ => return 0.0,
-        };
-        let busy: u64 = self
-            .slices
-            .iter()
-            .filter(|s| s.proc.machine == machine)
-            .map(|s| s.busy_ms as u64)
-            .sum();
-        busy as f64 / span
     }
 }
 
@@ -190,13 +169,6 @@ event=termproc machine=0 cpuTime=200 procTime=50 traceType=10 pid=2 pc=2 reason=
         assert_eq!(r.slices[0].busy_ms, 100);
         assert_eq!(r.slices[0].start_ms, 0);
         assert_eq!(r.slices[0].end_ms, 100);
-    }
-
-    #[test]
-    fn machine_concurrency_per_machine() {
-        let r = ParallelismReport::analyze(&Trace::parse(SEQUENTIAL));
-        assert!((r.machine_concurrency(0) - 0.5).abs() < 1e-9);
-        assert_eq!(r.machine_concurrency(9), 0.0);
     }
 
     #[test]

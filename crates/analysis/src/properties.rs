@@ -28,8 +28,8 @@
 //!
 //! The convention is sound for order deduction because every payload
 //! concurrently in flight on one (sender, destination) channel has a
-//! distinct length — see the length-aware datagram matching notes in
-//! [`crate::pairing`].
+//! distinct length — see the length-aware datagram matching of
+//! [`Pairing`].
 
 use crate::hb::HappensBefore;
 use crate::pairing::Pairing;
@@ -40,7 +40,7 @@ use std::fmt;
 /// Lengths `kind * BEACON_SPAN + payload` encode `(kind, payload)`;
 /// the span keeps the largest beacon (`9 * 6000 + 5999`) under the
 /// 64 KiB datagram limit.
-pub const BEACON_SPAN: u32 = 6000;
+pub(crate) const BEACON_SPAN: u32 = 6000;
 
 /// Mutex: broadcast request for the critical section. Payload is the
 /// request key `ts * 16 + id`.
@@ -90,7 +90,7 @@ pub fn beacon_len(kind: u32, payload: u32) -> u32 {
 
 /// Decodes a datagram length back into `(kind, payload)`; `None` for
 /// ordinary (non-beacon) traffic.
-pub fn decode_beacon(len: u32) -> Option<(u32, u32)> {
+pub(crate) fn decode_beacon(len: u32) -> Option<(u32, u32)> {
     let kind = len / BEACON_SPAN;
     (KIND_REQ..=KIND_HELLO)
         .contains(&kind)
@@ -168,7 +168,7 @@ impl LinkFaults {
     /// Collects link faults from the pairing's unmatched sends and
     /// receives, counting only protocol beacons (markers are sent to
     /// the dead port and are *supposed* to go unreceived).
-    pub fn localize(trace: &Trace, pairing: &Pairing) -> LinkFaults {
+    pub(crate) fn localize(trace: &Trace, pairing: &Pairing) -> LinkFaults {
         let mut lost: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         for &i in &pairing.unmatched_sends {
             let EventKind::Send {
@@ -555,7 +555,7 @@ impl ByzReport {
 
     /// Lieutenant ids not suspected of treachery (the commander, id 0,
     /// does not decide and is excluded).
-    pub fn loyal_lieutenants(&self) -> Vec<u32> {
+    pub(crate) fn loyal_lieutenants(&self) -> Vec<u32> {
         self.decisions
             .keys()
             .copied()

@@ -24,7 +24,7 @@ pub struct SizeHistogram {
 
 impl SizeHistogram {
     /// Builds the histogram over all send events of a trace.
-    pub fn of_sends(trace: &Trace) -> SizeHistogram {
+    pub(crate) fn of_sends(trace: &Trace) -> SizeHistogram {
         let mut h = SizeHistogram::default();
         for e in &trace.events {
             if let EventKind::Send { len, .. } = e.kind {
@@ -49,7 +49,7 @@ impl SizeHistogram {
     }
 
     /// The bucket's inclusive byte range, for labelling.
-    pub fn range(i: usize) -> (u64, u64) {
+    pub(crate) fn range(i: usize) -> (u64, u64) {
         if i == 0 {
             (0, 1)
         } else {
@@ -207,7 +207,7 @@ impl CommStats {
     }
 
     /// Renders the classic per-process table.
-    pub fn table(&self) -> String {
+    pub(crate) fn table(&self) -> String {
         let mut procs: Vec<&ProcKey> = self.per_proc.keys().collect();
         procs.sort();
         let mut out = String::from(

@@ -7,7 +7,7 @@
 
 use crate::pairing::Pairing;
 use crate::trace::{EventKind, ProcKey, Trace};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A directed edge of the communication graph.
@@ -70,40 +70,6 @@ impl StructureReport {
             forks,
             edges,
         }
-    }
-
-    /// Out-degree (distinct communication partners written to) per
-    /// process.
-    pub fn out_degree(&self) -> HashMap<ProcKey, usize> {
-        let mut d: HashMap<ProcKey, usize> = HashMap::new();
-        for e in &self.edges {
-            *d.entry(e.from).or_default() += 1;
-        }
-        d
-    }
-
-    /// Identifies hub processes: those communicating with at least
-    /// `min_partners` distinct peers (in either direction). A
-    /// master/worker computation shows exactly one hub — the master.
-    pub fn hubs(&self, min_partners: usize) -> Vec<ProcKey> {
-        let mut partners: HashMap<ProcKey, Vec<ProcKey>> = HashMap::new();
-        for e in &self.edges {
-            let l = partners.entry(e.from).or_default();
-            if !l.contains(&e.to) {
-                l.push(e.to);
-            }
-            let l = partners.entry(e.to).or_default();
-            if !l.contains(&e.from) {
-                l.push(e.from);
-            }
-        }
-        let mut hubs: Vec<ProcKey> = partners
-            .into_iter()
-            .filter(|(_, l)| l.len() >= min_partners)
-            .map(|(p, _)| p)
-            .collect();
-        hubs.sort();
-        hubs
     }
 
     /// Renders a Graphviz DOT drawing: machines as clusters, fork
@@ -202,26 +168,6 @@ event=receive machine=2 cpuTime=9 procTime=0 traceType=3 pid=30 pc=1 sock=2 msgL
         assert_eq!(s.edges.len(), 2);
         assert!(s.edges.iter().all(|e| e.from.pid == 10));
         assert!(s.edges.iter().all(|e| e.messages == 1 && e.bytes == 8));
-    }
-
-    #[test]
-    fn master_is_the_hub() {
-        let s = build();
-        assert_eq!(
-            s.hubs(2),
-            vec![ProcKey {
-                machine: 0,
-                pid: 10
-            }]
-        );
-        assert!(s.hubs(3).is_empty());
-        assert_eq!(
-            s.out_degree()[&ProcKey {
-                machine: 0,
-                pid: 10
-            }],
-            2
-        );
     }
 
     #[test]

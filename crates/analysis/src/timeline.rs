@@ -59,35 +59,6 @@ impl Timeline {
             machines,
         }
     }
-
-    /// The busiest bucket (by event count) of a machine, if any.
-    pub fn peak(&self, machine: u32) -> Option<(u32, Bucket)> {
-        self.machines
-            .get(&machine)?
-            .iter()
-            .max_by_key(|(_, b)| b.events)
-            .map(|(t, b)| (*t, *b))
-    }
-
-    /// Buckets of a machine in which *nothing* happened between its
-    /// first and last active buckets — the stalls worth investigating.
-    pub fn gaps(&self, machine: u32) -> Vec<u32> {
-        let Some(tl) = self.machines.get(&machine) else {
-            return Vec::new();
-        };
-        let (Some(&first), Some(&last)) = (tl.keys().next(), tl.keys().last()) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut t = first;
-        while t < last {
-            if !tl.contains_key(&t) {
-                out.push(t);
-            }
-            t += self.bucket_ms;
-        }
-        out
-    }
 }
 
 impl fmt::Display for Timeline {
@@ -147,19 +118,6 @@ event=receive machine=1 cpuTime=12 procTime=0 traceType=3 pid=2 pc=1 sock=2 msgL
         assert_eq!(m0[&30].events, 1);
         let m1 = &t.machines[&1];
         assert_eq!(m1[&10].bytes_recv, 100);
-    }
-
-    #[test]
-    fn peak_and_gaps() {
-        let t = Timeline::analyze(&Trace::parse(LOG), 10);
-        let (at, b) = t.peak(0).unwrap();
-        assert_eq!(at, 0);
-        assert_eq!(b.events, 2);
-        // Machine 0 was silent in buckets 10 and 20.
-        assert_eq!(t.gaps(0), vec![10, 20]);
-        assert!(t.gaps(1).is_empty());
-        assert!(t.gaps(9).is_empty(), "unknown machine has no gaps");
-        assert!(t.peak(9).is_none());
     }
 
     #[test]

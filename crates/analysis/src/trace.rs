@@ -235,11 +235,6 @@ impl Trace {
         v
     }
 
-    /// Events of one process, in log order.
-    pub fn of_process(&self, p: ProcKey) -> Vec<&Event> {
-        self.events.iter().filter(|e| e.proc == p).collect()
-    }
-
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -530,14 +525,6 @@ event=termproc machine=0 cpuTime=40 procTime=10 traceType=10 pid=100 pc=3 reason
             ]
         );
         assert_eq!(t.machines(), vec![0, 1]);
-        assert_eq!(
-            t.of_process(ProcKey {
-                machine: 0,
-                pid: 100
-            })
-            .len(),
-            3
-        );
     }
 
     #[test]

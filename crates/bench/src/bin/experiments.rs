@@ -146,7 +146,7 @@ fn appendix_a_table() {
             "{:<14} {:>6} {:>6} {:>6}",
             n,
             msg.body.trace_type(),
-            dpm_meter::msg::HEADER_LEN,
+            dpm_meter::HEADER_LEN,
             bytes.len()
         );
     }

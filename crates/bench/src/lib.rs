@@ -12,6 +12,7 @@
 //! metering-overhead layer.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use dpm_meter::{MeterDecoder, MeterFlags, MeterMsg};
 use dpm_simnet::NetConfig;
@@ -117,7 +118,7 @@ pub fn meter_process(
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn ipc_workload(p: &Proc, rounds: u32, msg_len: usize) -> SysResult<()> {
+pub(crate) fn ipc_workload(p: &Proc, rounds: u32, msg_len: usize) -> SysResult<()> {
     let rx = p.socket(Domain::Inet, SockType::Datagram)?;
     let me = p.cluster().resolve_host(p.hostname())?;
     let port = 6000;

@@ -17,7 +17,7 @@ use dpm_simos::{Cluster, Machine, Pid, Sig, Uid};
 
 /// The program name controllers spawn under (their notification
 /// listener forks as `control+`).
-pub const CONTROLLER_PROGRAM: &str = "control";
+pub(crate) const CONTROLLER_PROGRAM: &str = "control";
 
 /// Live (non-zombie) meterdaemon pids on `machine`.
 fn live_daemons(machine: &Machine) -> Vec<Pid> {

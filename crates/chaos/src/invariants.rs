@@ -105,7 +105,7 @@ pub fn check_no_duplicates(reader: &StoreReader) -> Result<SeqCensus, String> {
 /// # Errors
 ///
 /// A description of the first gap found.
-pub fn check_gapless(reader: &StoreReader) -> Result<SeqCensus, String> {
+pub(crate) fn check_gapless(reader: &StoreReader) -> Result<SeqCensus, String> {
     let c = census(reader);
     for (&(machine, pid), seqs) in &c.seqs {
         let mut sorted = seqs.clone();

@@ -49,6 +49,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod disk;
@@ -58,6 +59,6 @@ mod plan;
 mod spec;
 
 pub use disk::{DiskFaultStats, FaultyBackend};
-pub use exec::{crash_controller, crash_daemon, daemon_alive, restart_daemon, CONTROLLER_PROGRAM};
+pub use exec::{crash_controller, crash_daemon, daemon_alive, restart_daemon};
 pub use plan::{ChaosInjector, FaultPlan, FaultTally};
 pub use spec::{ChaosSpec, DiskSpec, Partition, Prob};

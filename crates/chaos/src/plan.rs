@@ -54,16 +54,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The plan's spec.
-    pub fn spec(&self) -> &ChaosSpec {
-        &self.spec
-    }
-
     /// One line naming the plan — print this in test failures so the
     /// schedule can be replayed (`seed` + spec fully determine it).
     pub fn describe(&self) -> String {

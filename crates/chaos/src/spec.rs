@@ -21,12 +21,12 @@ impl Prob {
     }
 
     /// The probability in basis points (`0..=10_000`).
-    pub fn basis_points(self) -> u32 {
+    pub(crate) fn basis_points(self) -> u32 {
         self.0
     }
 
     /// Whether this probability is exactly zero.
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == 0
     }
 }
@@ -75,13 +75,6 @@ pub struct DiskSpec {
     pub error_every: u32,
 }
 
-impl DiskSpec {
-    /// Whether any disk fault is enabled.
-    pub fn is_active(self) -> bool {
-        self.torn_every > 0 || self.error_every > 0
-    }
-}
-
 /// What kinds of faults to inject, and how often. Pure data: combine
 /// with a seed via [`crate::FaultPlan`] to get a concrete, replayable
 /// schedule.
@@ -101,8 +94,6 @@ pub struct ChaosSpec {
     pub meter_dup: Prob,
     /// Partition windows between named machines.
     pub partitions: Vec<Partition>,
-    /// Log store disk faults.
-    pub disk: DiskSpec,
 }
 
 impl ChaosSpec {
@@ -151,20 +142,6 @@ impl ChaosSpec {
         });
         self
     }
-
-    /// Tears every Nth log store append.
-    #[must_use]
-    pub fn disk_torn_every(mut self, n: u32) -> ChaosSpec {
-        self.disk.torn_every = n;
-        self
-    }
-
-    /// Fails every Nth log store append cleanly.
-    #[must_use]
-    pub fn disk_error_every(mut self, n: u32) -> ChaosSpec {
-        self.disk.error_every = n;
-        self
-    }
 }
 
 impl fmt::Display for ChaosSpec {
@@ -184,12 +161,6 @@ impl fmt::Display for ChaosSpec {
         }
         for p in &self.partitions {
             parts.push(p.to_string());
-        }
-        if self.disk.torn_every > 0 {
-            parts.push(format!("torn={}", self.disk.torn_every));
-        }
-        if self.disk.error_every > 0 {
-            parts.push(format!("diskerr={}", self.disk.error_every));
         }
         if parts.is_empty() {
             return f.write_str("no-faults");
@@ -218,8 +189,7 @@ mod tests {
             .duplicate(0.05)
             .delay(0.2, 3000)
             .meter_dup(0.1)
-            .partition("red", "blue", 1000, 5000)
-            .disk_torn_every(3);
+            .partition("red", "blue", 1000, 5000);
         let text = s.to_string();
         assert!(text.contains("drop=10.00%"), "{text}");
         assert!(text.contains("part[red-blue@1000..5000us]"), "{text}");

@@ -18,9 +18,10 @@
 //! [`ProcState`].
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod session;
+mod session;
 
 pub use dpm_controlplane::{JobRecord, ProcAction, ProcState};
 pub use session::{Controller, FilterInfo};

@@ -1573,11 +1573,6 @@ impl Controller {
         self.control_log = Some(ControlLog::open(backend, dir));
     }
 
-    /// Whether control-plane replication is enabled.
-    pub fn control_log_enabled(&self) -> bool {
-        self.control_log.is_some()
-    }
-
     /// Grants this controller a fresh lease on `job` through the
     /// control log.
     fn acquire_lease(&mut self, job: &str) {

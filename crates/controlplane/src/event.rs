@@ -13,10 +13,10 @@ use std::fmt;
 
 /// First word of every encoded control event ("CTL1" little-endian) —
 /// distinguishes control frames from meter records sharing a reader.
-pub const CONTROL_MAGIC: u32 = 0x314C_5443;
+pub(crate) const CONTROL_MAGIC: u32 = 0x314C_5443;
 
 /// Encoding version this build writes and understands.
-pub const CONTROL_EVENT_VERSION: u32 = 2;
+pub(crate) const CONTROL_EVENT_VERSION: u32 = 2;
 
 /// Longest string any event field may carry (the descriptions text is
 /// the big one); a decoder finding more is reading garbage.
@@ -194,15 +194,15 @@ impl fmt::Display for ControlEvent {
 
 /// Event type codes on the wire.
 mod code {
-    pub const JOB_CREATED: u8 = 1;
-    pub const FILTER_CREATED: u8 = 2;
-    pub const PROC_ADDED: u8 = 3;
-    pub const FLAGS_SET: u8 = 4;
-    pub const PROC_STATE_CHANGED: u8 = 5;
-    pub const JOB_REMOVED: u8 = 6;
-    pub const LEASE_ACQUIRED: u8 = 7;
-    pub const LEASE_RENEWED: u8 = 8;
-    pub const PROC_REMOVED: u8 = 9;
+    pub(crate) const JOB_CREATED: u8 = 1;
+    pub(crate) const FILTER_CREATED: u8 = 2;
+    pub(crate) const PROC_ADDED: u8 = 3;
+    pub(crate) const FLAGS_SET: u8 = 4;
+    pub(crate) const PROC_STATE_CHANGED: u8 = 5;
+    pub(crate) const JOB_REMOVED: u8 = 6;
+    pub(crate) const LEASE_ACQUIRED: u8 = 7;
+    pub(crate) const LEASE_RENEWED: u8 = 8;
+    pub(crate) const PROC_REMOVED: u8 = 9;
 }
 
 impl ControlEvent {

@@ -51,6 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod event;
@@ -58,8 +59,8 @@ mod log;
 mod state;
 mod table;
 
-pub use event::{ControlEvent, CONTROL_EVENT_VERSION, CONTROL_MAGIC};
-pub use log::{ControlLog, CONTROL_SHARD};
+pub use event::ControlEvent;
+pub use log::ControlLog;
 pub use state::{ProcAction, ProcState};
 pub use table::{FilterRecord, JobRecord, JobTable, Lease, ProcRecord};
 

@@ -9,7 +9,7 @@ use crate::event::ControlEvent;
 
 /// All control events go to one shard — the stream is tiny next to a
 /// meter trace and total order is the point.
-pub const CONTROL_SHARD: u16 = 0;
+pub(crate) const CONTROL_SHARD: u16 = 0;
 
 /// Append handle on a control-log store.
 ///

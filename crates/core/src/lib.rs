@@ -41,17 +41,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
-
-pub use dpm_analysis as analysis;
-pub use dpm_controller as controller;
-pub use dpm_filter as filter;
-pub use dpm_meter as meter;
-pub use dpm_meterd as meterd;
-pub use dpm_simnet as simnet;
-pub use dpm_simos as simos;
-pub use dpm_telemetry as telemetry;
-pub use dpm_workloads as workloads;
 
 pub use dpm_analysis::Analysis;
 pub use dpm_controller::{Controller, JobRecord, ProcState};

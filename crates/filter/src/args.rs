@@ -46,7 +46,7 @@ pub enum FilterRole {
 impl FilterRole {
     /// The keyword-argument spelling (`role=<this>`).
     #[must_use]
-    pub fn as_arg(self) -> &'static str {
+    pub(crate) fn as_arg(self) -> &'static str {
         match self {
             FilterRole::Leaf => "leaf",
             FilterRole::Edge => "edge",
@@ -56,7 +56,7 @@ impl FilterRole {
 
     /// Parses the keyword-argument spelling.
     #[must_use]
-    pub fn from_arg(s: &str) -> Option<FilterRole> {
+    pub(crate) fn from_arg(s: &str) -> Option<FilterRole> {
         match s {
             "leaf" => Some(FilterRole::Leaf),
             "edge" => Some(FilterRole::Edge),
@@ -94,7 +94,7 @@ impl fmt::Display for ArgsError {
 impl std::error::Error for ArgsError {}
 
 /// The keys of the key table, in canonical order.
-pub const FILTER_ARG_KEYS: &[&str] = &[
+pub(crate) const FILTER_ARG_KEYS: &[&str] = &[
     "file",
     "port",
     "log",
@@ -110,7 +110,7 @@ pub const FILTER_ARG_KEYS: &[&str] = &[
 /// # Errors
 ///
 /// When the colon or a valid non-zero port is missing.
-pub fn parse_host_port(s: &str) -> Result<(String, u16), ArgsError> {
+pub(crate) fn parse_host_port(s: &str) -> Result<(String, u16), ArgsError> {
     let bad = || {
         ArgsError::new(format!(
             "bad value '{s}' for key 'upstream' (want host:port)"

@@ -271,11 +271,6 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
         self.by_type.get(&trace_type).map(|(_, line)| line)
     }
 
-    /// The trace type for an event name (lower-case).
-    pub fn type_of(&self, name: &str) -> Option<u32> {
-        self.by_name.get(&name.to_ascii_lowercase()).copied()
-    }
-
     /// All described events, ordered by trace type.
     pub fn events(&self) -> Vec<&EventDesc> {
         let mut v: Vec<&EventDesc> = self.by_type.values().map(|(event, _)| event).collect();
@@ -451,9 +446,6 @@ mod tests {
         for t in 1..=10 {
             assert!(d.event(t).is_some(), "trace type {t} missing");
         }
-        assert_eq!(d.type_of("send"), Some(1));
-        assert_eq!(d.type_of("ACCEPT"), Some(8));
-        assert_eq!(d.type_of("nothing"), None);
     }
 
     #[test]

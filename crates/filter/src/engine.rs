@@ -62,7 +62,7 @@ pub struct FilterStats {
 
 impl FilterStats {
     /// Component-wise sum, used when merging per-shard statistics.
-    pub fn merge(&self, other: &FilterStats) -> FilterStats {
+    pub(crate) fn merge(&self, other: &FilterStats) -> FilterStats {
         FilterStats {
             seen: self.seen + other.seen,
             kept: self.kept + other.kept,

@@ -30,35 +30,36 @@
 //!   filter (key table, validator, argument vector) that the
 //!   controller, the meterdaemon protocol and the filter program all
 //!   use, including the filter-tree roles;
-//! * [`run_edge`] / [`run_aggregate`] — the tree stages: edge
+//! * `run_edge` / `run_aggregate` — the tree stages the filter
+//!   program runs for `role=edge` / `role=aggregate`: edge
 //!   pre-filters that select records *before* they cross the network,
 //!   and aggregate filters that merge child streams into one
 //!   deduplicated log, appended as records arrive.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod args;
+mod args;
 pub mod desc;
-pub mod engine;
-pub mod log;
-pub mod prefilter;
-pub mod program;
-pub mod rules;
-pub mod shard;
-pub mod store;
-pub mod tree;
+mod engine;
+mod log;
+mod prefilter;
+mod program;
+mod rules;
+mod shard;
+mod store;
+mod tree;
 
-pub use args::{parse_host_port, ArgsError, FilterArgs, FilterRole, FILTER_ARG_KEYS};
+pub use args::{ArgsError, FilterArgs, FilterRole};
 pub use desc::{
     DescParseError, Descriptions, EventDesc, FieldDesc, FieldRef, FieldSlot, FieldValue,
 };
 pub use dpm_meter::SeqWindow;
 pub use engine::{FilterEngine, FilterStats, RecordView};
 pub use log::{KeptRecord, LogRecord};
-pub use prefilter::run_edge;
-pub use program::{filter_main, register_filter_program, FILTER_PROGRAM};
+pub use program::{filter_main, register_filter_program};
 pub use rules::{Condition, Op, Pattern, Rule, RuleParseError, Rules, Verdict};
-pub use shard::{ConnHandle, IngestClock, ShardLog, ShardSink, ShardedFilter, DEFAULT_BATCH_BYTES};
+pub use shard::{ConnHandle, ShardLog, ShardedFilter, DEFAULT_BATCH_BYTES};
 pub use store::SimFsBackend;
-pub use tree::{run_aggregate, MergedRecord, TreeMerge};
+pub use tree::{MergedRecord, TreeMerge};

@@ -104,7 +104,12 @@ where
 ///
 /// `EINVAL` when `args` has no upstream; socket errors propagate;
 /// runs until killed.
-pub fn run_edge(p: &Proc, args: &FilterArgs, desc: Descriptions, rules: Rules) -> SysResult<()> {
+pub(crate) fn run_edge(
+    p: &Proc,
+    args: &FilterArgs,
+    desc: Descriptions,
+    rules: Rules,
+) -> SysResult<()> {
     args.upstream_addr().ok_or(SysError::Einval)?;
     let machine = p.machine().clone();
     let r = dpm_telemetry::registry();

@@ -44,7 +44,7 @@ use std::sync::Arc;
 /// The program-registry name of the standard filter; the default
 /// `filterfile` of the `filter` command is `/bin/filter` containing
 /// `program:filter`.
-pub const FILTER_PROGRAM: &str = "filter";
+pub(crate) const FILTER_PROGRAM: &str = "filter";
 
 /// Registers the standard filter in the cluster's program registry
 /// and installs `/bin/filter` on every machine, so

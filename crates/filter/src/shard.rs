@@ -50,14 +50,14 @@ use std::thread::JoinHandle;
 /// returns "now" in the same machine-local milliseconds the meter
 /// header's `cpu_time` is stamped in. `None` (library/test use, where
 /// there is no machine) skips the staleness histogram.
-pub type IngestClock = Arc<dyn Fn() -> u32 + Send + Sync>;
+pub(crate) type IngestClock = Arc<dyn Fn() -> u32 + Send + Sync>;
 
 /// Bytes of rendered log lines a shard accumulates before writing a
 /// batch to its sink (it also flushes on idle, close, and shutdown).
 pub const DEFAULT_BATCH_BYTES: usize = 8 * 1024;
 
 /// A shard's log writer: receives whole batches of rendered lines.
-pub type ShardSink = Box<dyn FnMut(&[u8]) + Send>;
+pub(crate) type ShardSink = Box<dyn FnMut(&[u8]) + Send>;
 
 /// Where one shard's kept records go.
 ///
@@ -279,7 +279,7 @@ impl ShardedFilter {
     /// [`ShardedFilter::with_logs`] plus the ingesting machine's clock,
     /// which turns on the per-record emit→ingest staleness histogram
     /// (see [`IngestClock`]).
-    pub fn with_logs_clocked<F>(
+    pub(crate) fn with_logs_clocked<F>(
         shards: usize,
         desc: Descriptions,
         rules: Rules,
@@ -332,11 +332,6 @@ impl ShardedFilter {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Registers a new meter connection, assigning it to a shard
     /// round robin.
     pub fn open_conn(&self) -> ConnHandle {
@@ -348,12 +343,6 @@ impl ShardedFilter {
             tx: self.senders[shard].clone(),
             depth: Arc::clone(&self.depths[shard]),
         }
-    }
-
-    /// One shard's counters, merged over its live and closed
-    /// connections (as of its last processed message).
-    pub fn shard_stats(&self, shard: usize) -> FilterStats {
-        self.counters[shard].load()
     }
 
     /// Pipeline-wide counters: the merge of every shard's stats.
@@ -616,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_stats_and_snapshot_merge() {
+    fn shard_stats_merge_into_the_snapshot() {
         let (_logs, factory) = capture_sinks(2);
         let filter = ShardedFilter::with_logs(
             2,
@@ -634,8 +623,6 @@ mod tests {
         a.close();
         b.close();
         filter.flush();
-        assert_eq!(filter.shard_stats(0).kept, 2);
-        assert_eq!(filter.shard_stats(1).kept, 1);
         let total = filter.snapshot();
         assert_eq!(total.kept, 3);
         assert_eq!(total.seen, 3);

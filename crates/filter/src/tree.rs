@@ -92,12 +92,6 @@ impl TreeMerge {
         std::mem::take(&mut self.pending).into_values().collect()
     }
 
-    /// Records awaiting the next flush.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Bytes of raw record data awaiting the next flush.
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
@@ -112,7 +106,7 @@ impl TreeMerge {
 
     /// Records dropped for falling behind the window.
     #[must_use]
-    pub fn stale(&self) -> u64 {
+    pub(crate) fn stale(&self) -> u64 {
         self.window.stale()
     }
 }
@@ -131,7 +125,7 @@ impl TreeMerge {
 ///
 /// `EINVAL` for an unusable configuration; socket errors propagate;
 /// runs until killed.
-pub fn run_aggregate(
+pub(crate) fn run_aggregate(
     p: &Proc,
     args: &FilterArgs,
     desc: Descriptions,
@@ -190,7 +184,7 @@ mod tests {
         assert!(m.insert(2, 10, 3, rec(5)));
         let tags: Vec<u8> = m.drain().into_iter().map(|r| r.raw[0]).collect();
         assert_eq!(tags, vec![4, 3, 2, 1, 5]);
-        assert_eq!(m.pending_len(), 0);
+        assert!(m.drain().is_empty());
     }
 
     #[test]

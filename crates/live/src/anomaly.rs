@@ -26,11 +26,11 @@ use std::collections::HashMap;
 
 /// Number of event-kind buckets in a count vector (one per
 /// [`EventKind`] variant).
-pub const KIND_BUCKETS: usize = 10;
+pub(crate) const KIND_BUCKETS: usize = 10;
 
 /// The count-vector bucket of an event kind. The mapping is stable —
 /// scores and profiles are comparable across runs.
-pub fn kind_bucket(kind: &EventKind) -> usize {
+pub(crate) fn kind_bucket(kind: &EventKind) -> usize {
     match kind {
         EventKind::Send { .. } => 0,
         EventKind::RecvCall => 1,
@@ -63,7 +63,7 @@ pub struct AnomalyScore {
 /// The online scorer: per-process EWMA profiles plus the per-window
 /// scoring rule.
 #[derive(Debug, Clone)]
-pub struct AnomalyScorer {
+pub(crate) struct AnomalyScorer {
     /// EWMA weight of the newest window in the profile.
     alpha: f64,
     profile: HashMap<ProcKey, [f64; KIND_BUCKETS]>,
@@ -83,22 +83,17 @@ fn l2(v: &[f64; KIND_BUCKETS]) -> f64 {
 impl AnomalyScorer {
     /// A scorer with the default EWMA weight (0.4 — responsive but
     /// not dominated by any single window).
-    pub fn new() -> AnomalyScorer {
+    pub(crate) fn new() -> AnomalyScorer {
         AnomalyScorer::with_alpha(0.4)
     }
 
     /// A scorer whose profiles give the newest window weight `alpha`.
-    pub fn with_alpha(alpha: f64) -> AnomalyScorer {
+    pub(crate) fn with_alpha(alpha: f64) -> AnomalyScorer {
         AnomalyScorer {
             alpha,
             profile: HashMap::new(),
             windows: 0,
         }
-    }
-
-    /// Windows scored so far.
-    pub fn windows(&self) -> u64 {
-        self.windows
     }
 
     /// Scores one window and folds it into the profiles. `counts` maps
@@ -108,7 +103,7 @@ impl AnomalyScorer {
     /// `unmatched` maps processes to their currently-unmatched send
     /// counts. Returns scores sorted descending (ties by process key
     /// for determinism).
-    pub fn score_window(
+    pub(crate) fn score_window(
         &mut self,
         counts: &HashMap<ProcKey, [f64; KIND_BUCKETS]>,
         unmatched: &HashMap<ProcKey, u64>,

@@ -219,7 +219,7 @@ impl LiveTrace {
 
     /// Store timestamp (`ts_us`, telemetry-epoch microseconds) of the
     /// newest applied frame — 0 before anything applies.
-    pub fn last_ts_us(&self) -> u64 {
+    pub(crate) fn last_ts_us(&self) -> u64 {
         self.last_ts_us
     }
 
@@ -240,7 +240,7 @@ impl LiveTrace {
     }
 
     /// The distinct processes observed, sorted.
-    pub fn procs(&self) -> Vec<ProcKey> {
+    pub(crate) fn procs(&self) -> Vec<ProcKey> {
         let mut v: Vec<ProcKey> = self.per_proc.keys().copied().collect();
         v.sort();
         v
@@ -302,7 +302,7 @@ impl LiveTrace {
 
     /// The trace and its pairing together (memoized) — for analyses
     /// that need to walk both without cloning.
-    pub fn trace_and_pairing(&mut self) -> (&Trace, &Pairing) {
+    pub(crate) fn trace_and_pairing(&mut self) -> (&Trace, &Pairing) {
         self.ensure();
         (&self.trace, &self.cache.as_ref().expect("ensured").pairing)
     }

@@ -11,7 +11,7 @@
 //!
 //! Three pieces:
 //!
-//! - [`LiveTrace`] ([`engine`]) — an incremental mirror of the batch
+//! - [`LiveTrace`] — an incremental mirror of the batch
 //!   pipeline. Frames arrive in batches, in any order within the
 //!   global sequence space; a reorder buffer replays them in exactly
 //!   the order the batch scan would, and every analysis
@@ -20,10 +20,10 @@
 //!   incrementally-grown inputs. The invariant, property-tested in
 //!   `tests/prop.rs`: at quiescence, a `LiveTrace` equals
 //!   `Trace::from_store` plus batch analyses, field for field.
-//! - [`LiveWatch`] ([`window`]) — windowing on top: each closed window
+//! - [`LiveWatch`] — windowing on top: each closed window
 //!   yields a [`WindowSnapshot`] (new records, active processes,
 //!   pairing lag and its per-link distribution via [`link_lag`]).
-//! - [`AnomalyScorer`] ([`anomaly`]) — online per-process scoring:
+//! - the anomaly scorer ([`AnomalyScore`]) — online per-process scoring:
 //!   event-kind count vectors per window against an EWMA self-profile,
 //!   plus each process's share of the unmatched-send lag. The top
 //!   score localizes a stalled peer or cut link before the run ends.
@@ -34,12 +34,13 @@
 //! [`Trace`]: dpm_analysis::Trace
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod anomaly;
-pub mod engine;
-pub mod window;
+mod anomaly;
+mod engine;
+mod window;
 
-pub use anomaly::{kind_bucket, AnomalyScore, AnomalyScorer, KIND_BUCKETS};
+pub use anomaly::AnomalyScore;
 pub use engine::LiveTrace;
 pub use window::{link_lag, LiveWatch, WindowSnapshot};

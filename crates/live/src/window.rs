@@ -128,11 +128,6 @@ impl LiveWatch {
         &mut self.lt
     }
 
-    /// Windows closed so far.
-    pub fn windows(&self) -> u64 {
-        self.window_no
-    }
-
     /// Closes the current window: summarizes everything applied since
     /// the previous close, scores it, and starts the next window.
     pub fn close_window(&mut self) -> WindowSnapshot {

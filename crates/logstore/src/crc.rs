@@ -44,7 +44,7 @@ const fn make_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 of `data` (IEEE, reflected, init/xorout `0xFFFF_FFFF`) —
 /// the same function `cksum`-style tools and zlib compute.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {

@@ -39,23 +39,19 @@ use dpm_meter::wire::{Reader, Writer};
 use dpm_meter::{MeterRecord, MAX_METER_MSG};
 
 /// Magic bytes opening every segment file.
-pub const SEG_MAGIC: &[u8; 8] = b"DPMSEG01";
+pub(crate) const SEG_MAGIC: &[u8; 8] = b"DPMSEG01";
 
 /// On-disk format version.
-pub const SEG_VERSION: u32 = 1;
+pub(crate) const SEG_VERSION: u32 = 1;
 
 /// Byte length of the fixed segment header.
-pub const SEG_HEADER_LEN: usize = 32;
+pub(crate) const SEG_HEADER_LEN: usize = 32;
 
 /// Byte length of the frame envelope (seq, ts, shard, machine, pid).
-pub const ENVELOPE_LEN: usize = 24;
-
-/// Bytes a frame adds on top of the raw record it stores
-/// (8-byte prefix + envelope).
-pub const FRAME_OVERHEAD: usize = 8 + ENVELOPE_LEN;
+pub(crate) const ENVELOPE_LEN: usize = 24;
 
 /// Largest payload a valid frame may carry.
-pub const MAX_PAYLOAD: usize = ENVELOPE_LEN + MAX_METER_MSG;
+pub(crate) const MAX_PAYLOAD: usize = ENVELOPE_LEN + MAX_METER_MSG;
 
 /// A process key as the store indexes it: the record header's
 /// `machine` and the record body's `pid`.
@@ -76,7 +72,7 @@ impl std::fmt::Display for ProcId {
 /// Extracts the index key from a raw meter record: the header's
 /// `machine` and the body's leading `pid`, which every Appendix-A
 /// event carries there. A record too short for either keys as 0.
-pub fn proc_id_of(raw: &[u8]) -> ProcId {
+pub(crate) fn proc_id_of(raw: &[u8]) -> ProcId {
     let record = MeterRecord::new(raw);
     ProcId {
         machine: record.machine(),
@@ -203,7 +199,11 @@ mod tests {
         let mut buf = Vec::new();
         let n = encode_frame(&mut buf, &env, &raw);
         assert_eq!(n, buf.len());
-        assert_eq!(n, FRAME_OVERHEAD + raw.len());
+        assert_eq!(
+            n,
+            8 + ENVELOPE_LEN + raw.len(),
+            "8-byte prefix + envelope + record"
+        );
         let (got_env, got_raw, next) = decode_frame(&buf, 0).unwrap();
         assert_eq!(got_env, env);
         assert_eq!(

@@ -26,10 +26,10 @@ use dpm_meter::wire::{Reader, WireError, Writer};
 use std::collections::BTreeMap;
 
 /// Magic bytes opening every index sidecar.
-pub const IDX_MAGIC: &[u8; 8] = b"DPMIDX01";
+pub(crate) const IDX_MAGIC: &[u8; 8] = b"DPMIDX01";
 
 /// Sidecar format version.
-pub const IDX_VERSION: u32 = 1;
+pub(crate) const IDX_VERSION: u32 = 1;
 
 /// Wire bytes of one sparse entry (`u64 seq, u64 ts, u32 off`).
 const SPARSE_ENTRY_LEN: usize = 20;
@@ -85,7 +85,7 @@ impl SegmentIndex {
     /// The byte offset to start scanning from for timestamps
     /// `>= ts_us` (frames within a segment are timestamp-ordered: one
     /// shard, one monotonic clock).
-    pub fn seek_ts(&self, ts_us: u64) -> u32 {
+    pub(crate) fn seek_ts(&self, ts_us: u64) -> u32 {
         // Last sparse entry strictly before the target: the clock is
         // monotonic, not strictly increasing, so frames just ahead of
         // an entry stamped `ts_us` may carry `ts_us` too.
@@ -155,7 +155,7 @@ impl SegmentIndex {
 
     /// Rebuilds the index by scanning `segment` (stopping at the
     /// first invalid frame — a torn tail indexes as absent).
-    pub fn rebuild(segment: &[u8], index_every: u32) -> SegmentIndex {
+    pub(crate) fn rebuild(segment: &[u8], index_every: u32) -> SegmentIndex {
         let mut idx = SegmentIndex::new(index_every);
         let mut off = SEG_HEADER_LEN;
         while let Some((env, _raw, next)) = decode_frame(segment, off) {

@@ -15,7 +15,7 @@
 //!   Selection happens before the store; *reduction* (`#` discards)
 //!   is deferred to read time, so the stored bytes are always the
 //!   full record the meter produced.
-//! * **Segments** ([`writer`]) — frames are appended to segment files
+//! * **Segments** ([`SegmentWriter`]) — frames are appended to segment files
 //!   that rotate by size. Every segment starts with a fixed-size
 //!   header, and each carries a sidecar index keyed by record
 //!   ordinal, timestamp, and `(machine, pid)` so readers can seek
@@ -24,7 +24,7 @@
 //!   makes them durable on [`SegmentWriter::flush`] /
 //!   [`SegmentWriter::sync`]; a torn write at the tail of a segment
 //!   is healed on reopen by truncating to the last valid frame.
-//! * **Queries** ([`reader`]) — [`StoreReader::scan`] yields borrowed
+//! * **Queries** ([`StoreReader`]) — [`StoreReader::scan`] yields borrowed
 //!   [`Frame`]s zero-copy in arrival (sequence) order across all
 //!   shards; [`StoreReader::range_by_time`] seeks via the sparse
 //!   index; [`StoreReader::by_proc`] jumps straight to one process's
@@ -41,22 +41,23 @@
 //! [`SimFs`]: Backend
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod crc;
+mod backend;
+mod crc;
 pub mod format;
 pub mod index;
-pub mod reader;
-pub mod tail;
-pub mod writer;
+mod reader;
+mod tail;
+mod writer;
 
 pub use backend::{Backend, DirBackend, MemBackend, StoreSource};
 /// The monitor's one byte codec and its process identifier,
 /// re-exported so crates that frame their records for this store reach
 /// them without a dependency edge of their own.
 pub use dpm_meter::{wire, Pid};
-pub use format::{ProcId, ENVELOPE_LEN, FRAME_OVERHEAD, SEG_HEADER_LEN, SEG_MAGIC};
+pub use format::ProcId;
 pub use reader::{list_segments, Frame, Scan, StoreReader};
 pub use tail::{OwnedFrame, StoreTail};
 pub use writer::{

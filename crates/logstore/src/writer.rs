@@ -69,7 +69,7 @@ pub fn segment_name(dir: &str, shard: u16, no: u32) -> String {
 }
 
 /// The index sidecar name for a segment file name.
-pub fn index_name(seg_name: &str) -> String {
+pub(crate) fn index_name(seg_name: &str) -> String {
     format!("{}.idx", seg_name.trim_end_matches(".seg"))
 }
 
@@ -191,11 +191,6 @@ impl LogStore {
     /// The store directory.
     pub fn dir(&self) -> &str {
         &self.dir
-    }
-
-    /// The store configuration.
-    pub fn config(&self) -> StoreConfig {
-        self.cfg
     }
 
     /// The next arrival sequence number (what the next accepted
@@ -379,11 +374,6 @@ impl SegmentWriter {
         self.durable = valid_len;
         self.index = index;
         self.need_header = false;
-    }
-
-    /// The shard this writer serves.
-    pub fn shard(&self) -> u16 {
-        self.shard
     }
 
     /// Records appended through this writer so far.

@@ -93,29 +93,13 @@ impl MeterFlags {
     }
 
     /// The set of flags in `self` or `other`.
-    pub const fn union(self, other: MeterFlags) -> MeterFlags {
+    pub(crate) const fn union(self, other: MeterFlags) -> MeterFlags {
         MeterFlags(self.0 | other.0)
     }
 
     /// The set of flags in `self` but not in `other`.
-    pub const fn difference(self, other: MeterFlags) -> MeterFlags {
+    pub(crate) const fn difference(self, other: MeterFlags) -> MeterFlags {
         MeterFlags(self.0 & !other.0)
-    }
-
-    /// Iterates over the individual event flags that are set.
-    pub fn iter(self) -> impl Iterator<Item = MeterFlags> {
-        ALL_FLAGS
-            .iter()
-            .map(|&(f, _)| f)
-            .filter(move |f| self.contains(*f))
-    }
-
-    /// The flag's command-line name as used by the controller's
-    /// `setflags` command (paper §4.3), e.g. `"send"` or `"termproc"`.
-    ///
-    /// Returns `None` when `self` is not a single named flag.
-    pub fn name(self) -> Option<&'static str> {
-        ALL_FLAGS.iter().find(|&&(f, _)| f == self).map(|&(_, n)| n)
     }
 }
 
@@ -325,12 +309,5 @@ mod tests {
         // The user's manual lists fork first and connect last (§4.3).
         let f = MeterFlags::CONNECT | MeterFlags::FORK | MeterFlags::SEND;
         assert_eq!(f.to_string(), "fork send connect");
-    }
-
-    #[test]
-    fn iter_yields_set_flags() {
-        let f = MeterFlags::SEND | MeterFlags::ACCEPT;
-        let got: Vec<_> = f.iter().collect();
-        assert_eq!(got, vec![MeterFlags::SEND, MeterFlags::ACCEPT]);
     }
 }

@@ -47,12 +47,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod flags;
-pub mod msg;
-pub mod name;
-pub mod window;
+mod flags;
+mod msg;
+mod name;
+mod window;
 pub mod wire;
 
 pub use flags::MeterFlags;

@@ -47,23 +47,6 @@ pub mod trace_type {
     pub const CONNECT: u32 = 9;
     /// Process terminated.
     pub const TERMPROC: u32 = 10;
-
-    /// The `setflags` name of a trace type, e.g. `"send"`.
-    pub fn name(t: u32) -> Option<&'static str> {
-        Some(match t {
-            SEND => "send",
-            RECEIVECALL => "receivecall",
-            RECEIVE => "receive",
-            SOCKET => "socket",
-            DUP => "dup",
-            DESTSOCKET => "destsocket",
-            FORK => "fork",
-            ACCEPT => "accept",
-            CONNECT => "connect",
-            TERMPROC => "termproc",
-            _ => return None,
-        })
-    }
 }
 
 /// Size in bytes of the encoded [`MeterHeader`].
@@ -1308,13 +1291,6 @@ mod tests {
             MeterRecord::parse(&wire),
             Err(DecodeError::BadSize { .. })
         ));
-    }
-
-    #[test]
-    fn trace_type_names() {
-        assert_eq!(trace_type::name(trace_type::SEND), Some("send"));
-        assert_eq!(trace_type::name(trace_type::ACCEPT), Some("accept"));
-        assert_eq!(trace_type::name(1234), None);
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub const NAME_LEN: usize = 16;
 /// They follow 4.2BSD: `AF_UNIX == 1`, `AF_INET == 2`. Internally
 /// generated socketpair names use the reserved value `0xfffe`.
 mod af {
-    pub const UNIX: u16 = 1;
-    pub const INET: u16 = 2;
-    pub const INTERNAL: u16 = 0xfffe;
+    pub(crate) const UNIX: u16 = 1;
+    pub(crate) const INET: u16 = 2;
+    pub(crate) const INTERNAL: u16 = 0xfffe;
 }
 
 /// A socket name, in one of the three forms of the paper.
@@ -75,7 +75,7 @@ impl SockName {
     /// The number of meaningful bytes in the encoded form, as reported
     /// in the `*NameLen` fields of meter messages. Zero is reserved by
     /// the kernel for "name not available" and never returned here.
-    pub fn wire_len(&self) -> u32 {
+    pub(crate) fn wire_len(&self) -> u32 {
         match self {
             SockName::Inet { .. } => 8,
             SockName::UnixPath(p) => 2 + p.floor_char_boundary(NAME_LEN - 2) as u32,

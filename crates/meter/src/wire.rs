@@ -6,7 +6,7 @@
 //! raw byte runs, and `u32`-length-prefixed byte strings. This module
 //! is the only place that knows how those are laid down and picked up:
 //! a bounded [`Reader`], a [`Writer`], total fixed-offset reads
-//! ([`u16_at`], [`u32_at`]) and the meter stream's framing
+//! ([`u32_at`] and its `u16` twin) and the meter stream's framing
 //! rule ([`frame_step`]). The layouts themselves are contracts and
 //! live with their messages; the cursor that walks them is not, and
 //! lives here once.
@@ -271,7 +271,7 @@ fn array_at<const N: usize>(buf: &[u8], off: usize) -> Option<[u8; N]> {
 
 /// The little-endian `u16` at byte offset `off`, if `buf` reaches it.
 #[inline]
-pub fn u16_at(buf: &[u8], off: usize) -> Option<u16> {
+pub(crate) fn u16_at(buf: &[u8], off: usize) -> Option<u16> {
     array_at(buf, off).map(u16::from_le_bytes)
 }
 

@@ -35,7 +35,7 @@ pub const METERD_PROGRAM: &str = "meterd";
 /// # Errors
 ///
 /// Propagates any read error.
-pub fn read_exact(p: &Proc, fd: Fd, n: usize) -> SysResult<Option<Vec<u8>>> {
+pub(crate) fn read_exact(p: &Proc, fd: Fd, n: usize) -> SysResult<Option<Vec<u8>>> {
     let mut buf = Vec::with_capacity(n);
     while buf.len() < n {
         let chunk = p.read(fd, n - buf.len())?;

@@ -17,16 +17,14 @@
 //! * writes and fetches files, standing in for `rcp` (§3.5.3).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod daemon;
-pub mod proto;
+mod daemon;
+mod proto;
 
 pub use daemon::{
-    meterd_main, notify, read_exact, read_frame, rpc_call, rpc_call_retry, start_meterdaemons,
-    METERD_PORT, METERD_PROGRAM, RPC_TIMEOUT_MS,
+    meterd_main, notify, read_frame, rpc_call, rpc_call_retry, start_meterdaemons, METERD_PORT,
+    METERD_PROGRAM, RPC_TIMEOUT_MS,
 };
-pub use dpm_filter::FilterArgs;
-pub use proto::{
-    frame_len, msg_type, ProtoError, Reply, Request, RpcStatus, FILTER_SPEC_VERSION, MAX_RPC_FRAME,
-};
+pub use proto::{frame_len, ProtoError, Reply, Request, RpcStatus};

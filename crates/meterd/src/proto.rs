@@ -26,63 +26,63 @@ use std::fmt;
 
 /// Message type numbers. `CREATE_REQUEST` and `CREATE_REPLY` are the
 /// two the paper shows.
-pub mod msg_type {
+pub(crate) mod msg_type {
     /// Create a metered process (Fig. 3.6).
-    pub const CREATE_REQUEST: u32 = 11;
+    pub(crate) const CREATE_REQUEST: u32 = 11;
     /// Create a filter process.
-    pub const CREATE_FILTER: u32 = 12;
+    pub(crate) const CREATE_FILTER: u32 = 12;
     /// Change a process's meter flags.
-    pub const SET_FLAGS: u32 = 13;
+    pub(crate) const SET_FLAGS: u32 = 13;
     /// Start (or resume) a process.
-    pub const START: u32 = 14;
+    pub(crate) const START: u32 = 14;
     /// Stop a process.
-    pub const STOP: u32 = 15;
+    pub(crate) const STOP: u32 = 15;
     /// Kill a process.
-    pub const KILL: u32 = 16;
+    pub(crate) const KILL: u32 = 16;
     /// Acquire (begin metering) an already-running process.
-    pub const ACQUIRE: u32 = 17;
+    pub(crate) const ACQUIRE: u32 = 17;
     /// Reply to `CREATE_REQUEST`/`CREATE_FILTER` (Fig. 3.6).
-    pub const CREATE_REPLY: u32 = 18;
+    pub(crate) const CREATE_REPLY: u32 = 18;
     /// Fetch a file (a filter's log).
-    pub const GET_FILE: u32 = 19;
+    pub(crate) const GET_FILE: u32 = 19;
     /// Stop metering a process (used when removing an acquired
     /// process: the filter connection is taken down but the process
     /// keeps running, §4.3 `removejob`).
-    pub const CLEAR_METER: u32 = 20;
+    pub(crate) const CLEAR_METER: u32 = 20;
     /// Generic acknowledgement reply.
-    pub const ACK: u32 = 21;
+    pub(crate) const ACK: u32 = 21;
     /// Reply carrying file contents.
-    pub const FILE_REPLY: u32 = 22;
+    pub(crate) const FILE_REPLY: u32 = 22;
     /// Daemon → controller: a process changed state (§3.5.1's one
     /// exception, where the daemon initiates the connection).
-    pub const STATE_CHANGE: u32 = 23;
+    pub(crate) const STATE_CHANGE: u32 = 23;
     /// Daemon → controller: bytes a process wrote to its redirected
     /// standard output (§3.5.2).
-    pub const IO_DATA: u32 = 24;
+    pub(crate) const IO_DATA: u32 = 24;
     /// Write a file on the daemon's machine — the simulation's `rcp`
     /// (§3.5.3).
-    pub const WRITE_FILE: u32 = 25;
+    pub(crate) const WRITE_FILE: u32 = 25;
     /// Feed bytes to a process's redirected standard input.
-    pub const SEND_INPUT: u32 = 26;
+    pub(crate) const SEND_INPUT: u32 = 26;
     /// An idempotency wrapper: a request id plus a nested request.
     /// Retried calls reuse the id; the daemon replays the cached
     /// reply instead of re-executing.
-    pub const TAGGED: u32 = 27;
+    pub(crate) const TAGGED: u32 = 27;
     /// Query the state of a process (controller resync after a daemon
     /// restart).
-    pub const QUERY_PROC: u32 = 28;
+    pub(crate) const QUERY_PROC: u32 = 28;
     /// Reply to `QUERY_PROC`.
-    pub const PROC_STATUS: u32 = 29;
+    pub(crate) const PROC_STATUS: u32 = 29;
     /// List files under a prefix on the daemon's machine (segment
     /// enumeration for store-backed logs).
-    pub const LIST_FILES: u32 = 30;
+    pub(crate) const LIST_FILES: u32 = 30;
     /// Reply to `LIST_FILES`.
-    pub const FILE_LIST: u32 = 31;
+    pub(crate) const FILE_LIST: u32 = 31;
     /// Acquire a batch of already-running processes in one
     /// round-trip (controller takeover / acquire-at-scale).
-    pub const ACQUIRE_MANY: u32 = 32;
+    pub(crate) const ACQUIRE_MANY: u32 = 32;
     /// Reply to `ACQUIRE_MANY`: per-pid outcomes.
-    pub const ACQUIRE_MANY_REPLY: u32 = 33;
+    pub(crate) const ACQUIRE_MANY_REPLY: u32 = 33;
 }
 
 /// Status code carried in replies. On the wire this is a bare `u32`
@@ -123,7 +123,7 @@ impl RpcStatus {
     }
 
     /// The wire code.
-    pub fn code(self) -> u32 {
+    pub(crate) fn code(self) -> u32 {
         self.into()
     }
 }
@@ -199,7 +199,7 @@ fn role_from_code(code: u32) -> Result<FilterRole, ProtoError> {
 const SPEC_TAG: u32 = 0xFFFF_FFFF;
 
 /// The `CreateFilter` body's wire version.
-pub const FILTER_SPEC_VERSION: u32 = 2;
+pub(crate) const FILTER_SPEC_VERSION: u32 = 2;
 
 /// Writes a [`FilterArgs`] as the `CreateFilter` body:
 /// `SPEC_TAG, version, filterfile, port, logfile, descriptions,
@@ -498,7 +498,7 @@ impl From<WireError> for ProtoError {
 /// segment fits, a corrupted prefix does not) — the one bound stream
 /// readers check [`frame_len`] against, and the cap on every string
 /// and byte field inside a frame.
-pub const MAX_RPC_FRAME: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_RPC_FRAME: usize = 16 * 1024 * 1024;
 
 /// Most program parameters a `Create` may carry.
 const MAX_PARAMS: usize = 4096;
@@ -551,7 +551,7 @@ fn count(
 
 impl Request {
     /// The message's type number.
-    pub fn msg_type(&self) -> u32 {
+    pub(crate) fn msg_type(&self) -> u32 {
         match self {
             Request::Create { .. } => msg_type::CREATE_REQUEST,
             Request::CreateFilter { .. } => msg_type::CREATE_FILTER,
@@ -769,7 +769,7 @@ impl Request {
 
 impl Reply {
     /// The message's type number.
-    pub fn msg_type(&self) -> u32 {
+    pub(crate) fn msg_type(&self) -> u32 {
         match self {
             Reply::Create { .. } => msg_type::CREATE_REPLY,
             Reply::Ack { .. } => msg_type::ACK,

@@ -81,8 +81,8 @@ fn create_req(filename: &str, params: Vec<String>, flags: MeterFlags, redirect: 
     }
 }
 
-fn filter_spec() -> dpm_meterd::FilterArgs {
-    dpm_meterd::FilterArgs {
+fn filter_spec() -> dpm_filter::FilterArgs {
+    dpm_filter::FilterArgs {
         port: 4000,
         logfile: "/usr/tmp/log.f1".into(),
         ..Default::default()
@@ -342,7 +342,7 @@ fn hostile_create_filter_bodies_fail_and_spawn_nothing() {
         wide_port[at..at + 4].copy_from_slice(&69_536u32.to_le_bytes());
         let hostile = [
             Request::CreateFilter {
-                spec: dpm_meterd::FilterArgs {
+                spec: dpm_filter::FilterArgs {
                     role: dpm_filter::FilterRole::Edge,
                     logfile: String::new(),
                     ..good.clone()
@@ -350,7 +350,7 @@ fn hostile_create_filter_bodies_fail_and_spawn_nothing() {
             }
             .encode(),
             Request::CreateFilter {
-                spec: dpm_meterd::FilterArgs {
+                spec: dpm_filter::FilterArgs {
                     shards: 0,
                     ..good.clone()
                 },

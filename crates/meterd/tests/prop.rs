@@ -68,7 +68,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
                     // Any field combination, valid or not: decode must
                     // return exactly the ones the validator allows.
                     Request::CreateFilter {
-                        spec: dpm_meterd::FilterArgs {
+                        spec: dpm_filter::FilterArgs {
                             filterfile,
                             port,
                             logfile,

@@ -128,11 +128,6 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// The configuration this model was built from.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
     /// Samples a one-way latency between two hosts, in microseconds.
     /// Same-host traffic uses the (smaller, fixed) local latency.
     pub fn sample_us(&mut self, src: HostId, dst: HostId) -> u64 {

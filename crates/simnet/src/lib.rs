@@ -40,13 +40,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod config;
-pub mod fault;
-pub mod registry;
-pub mod stats;
+mod clock;
+mod config;
+mod fault;
+mod registry;
+mod stats;
 
 pub use clock::{ClockSpec, GlobalTime, MachineClock};
 pub use config::{Fate, LatencyModel, NetConfig};

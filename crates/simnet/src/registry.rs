@@ -120,14 +120,6 @@ impl HostRegistry {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Iterates over `(id, name)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (HostId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (HostId(i as u32), n.as_str()))
-    }
 }
 
 #[cfg(test)]
@@ -160,15 +152,6 @@ mod tests {
         assert_eq!(r.name(a), Some("yellow"));
         assert_eq!(r.lookup("nope"), None);
         assert_eq!(r.name(HostId(99)), None);
-    }
-
-    #[test]
-    fn iter_in_registration_order() {
-        let mut r = HostRegistry::new();
-        r.register("a");
-        r.register("b");
-        let got: Vec<_> = r.iter().map(|(i, n)| (i.0, n.to_owned())).collect();
-        assert_eq!(got, vec![(0, "a".to_owned()), (1, "b".to_owned())]);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Default for ClusterConfig {
 /// The process's thread runs this function; returning `Ok(())` is a
 /// normal exit, returning an error (in particular [`SysError::Killed`]
 /// after a kill signal) terminates the process abnormally.
-pub type ProgramFn = Arc<dyn Fn(Proc, Vec<String>) -> SysResult<()> + Send + Sync>;
+pub(crate) type ProgramFn = Arc<dyn Fn(Proc, Vec<String>) -> SysResult<()> + Send + Sync>;
 
 /// Builder for a [`Cluster`].
 ///
@@ -239,7 +239,7 @@ impl Cluster {
     }
 
     /// The cluster's configuration.
-    pub fn config(&self) -> &ClusterConfig {
+    pub(crate) fn config(&self) -> &ClusterConfig {
         &self.config
     }
 
@@ -260,7 +260,7 @@ impl Cluster {
     }
 
     /// Looks up a machine by host id.
-    pub fn machine_by_id(&self, id: HostId) -> Option<Arc<Machine>> {
+    pub(crate) fn machine_by_id(&self, id: HostId) -> Option<Arc<Machine>> {
         self.machines.read().get(id.0 as usize).cloned()
     }
 
@@ -280,11 +280,6 @@ impl Cluster {
         self.registry.read().lookup(name).ok_or(SysError::Enoent)
     }
 
-    /// The literal name of a host id.
-    pub fn host_name(&self, id: HostId) -> Option<String> {
-        self.registry.read().name(id).map(str::to_owned)
-    }
-
     /// Registers a program under a name; the simulation's way of
     /// installing an executable. Program *files* on each machine's
     /// file system contain `program:<name>` and are created with
@@ -297,7 +292,7 @@ impl Cluster {
     }
 
     /// Looks up a registered program.
-    pub fn program(&self, name: &str) -> Option<ProgramFn> {
+    pub(crate) fn program(&self, name: &str) -> Option<ProgramFn> {
         self.programs.read().get(name).cloned()
     }
 
@@ -430,7 +425,6 @@ mod tests {
         assert_eq!(c.machine("green").unwrap().id(), HostId(1));
         assert_eq!(c.resolve_host("blue").unwrap(), HostId(2));
         assert_eq!(c.resolve_host("mauve"), Err(SysError::Enoent));
-        assert_eq!(c.host_name(HostId(0)).unwrap(), "red");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! "binaries" (whose contents name an entry in the program registry),
 //! filter description/template files, command scripts for `source`,
 //! redirected-input files, and the filter log files under `/usr/tmp`.
-//! The `rcp` utility of §3.5.3 is [`SimFs::copy_from`].
+//! The `rcp` of §3.5.3 is the meterdaemon's `WriteFile` RPC
+//! (`dpm_meterd::Request::WriteFile`): the controller reads a program,
+//! input or filter file from its own machine's store and sends the
+//! bytes to the target machine's daemon, which writes them here.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -57,23 +60,6 @@ impl SimFs {
         self.files.read().contains_key(path)
     }
 
-    /// Removes a file, returning whether it existed.
-    pub fn remove(&self, path: &str) -> bool {
-        self.files.write().remove(path).is_some()
-    }
-
-    /// Copies `src_path` on `src` to `dst_path` here — the simulated
-    /// `rcp` (§3.5.3). Returns `false` when the source does not exist.
-    pub fn copy_from(&self, src: &SimFs, src_path: &str, dst_path: &str) -> bool {
-        match src.read(src_path) {
-            Some(data) => {
-                self.write(dst_path, data);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Lists paths with the given prefix, in sorted order.
     pub fn list(&self, prefix: &str) -> Vec<String> {
         self.files
@@ -97,9 +83,6 @@ mod tests {
         assert!(fs.exists("/a"));
         assert_eq!(fs.read("/a").unwrap(), b"hello");
         assert_eq!(fs.read_string("/a").unwrap(), "hello");
-        assert!(fs.remove("/a"));
-        assert!(!fs.remove("/a"));
-        assert_eq!(fs.read("/a"), None);
     }
 
     #[test]
@@ -108,16 +91,6 @@ mod tests {
         fs.append("/usr/tmp/log1", b"one\n");
         fs.append("/usr/tmp/log1", b"two\n");
         assert_eq!(fs.read_string("/usr/tmp/log1").unwrap(), "one\ntwo\n");
-    }
-
-    #[test]
-    fn rcp_between_machines() {
-        let local = SimFs::new();
-        let remote = SimFs::new();
-        local.write("/bin/A", b"program:worker".to_vec());
-        assert!(remote.copy_from(&local, "/bin/A", "/bin/A"));
-        assert_eq!(remote.read("/bin/A").unwrap(), b"program:worker");
-        assert!(!remote.copy_from(&local, "/bin/missing", "/bin/x"));
     }
 
     #[test]

@@ -57,25 +57,26 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod backoff;
-pub mod cluster;
-pub mod error;
-pub mod fs;
-pub(crate) mod machine;
-pub(crate) mod metering;
-pub mod process;
-pub mod socket;
-pub mod syscall;
+mod backoff;
+mod cluster;
+mod error;
+mod fs;
+mod machine;
+mod metering;
+mod process;
+mod socket;
+mod syscall;
 
 pub use backoff::{connect_backoff, Backoff};
-pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, CpuCosts, ProgramFn};
+pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, CpuCosts};
 pub use error::{SysError, SysResult};
 pub use fs::SimFs;
 pub use machine::Machine;
-pub use process::{Desc, Pid, ProcEntry, RunState, Sig, Uid};
-pub use socket::{Domain, SockId, SockType};
+pub use process::{Pid, RunState, Sig, Uid};
+pub use socket::{Domain, SockType};
 pub use syscall::{BindTo, Fd, FlagSel, PidSel, Proc, SockSel};
 
 // Re-export the vocabulary types users constantly need alongside.

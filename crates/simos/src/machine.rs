@@ -47,26 +47,26 @@ pub(crate) struct KernState {
 }
 
 impl KernState {
-    /// Allocates a socket id and inserts a fresh socket.
-    pub fn alloc_sock(&mut self, mk: impl FnOnce(SockId) -> Socket) -> SockId {
+    /// Allocates a socket id and inserts a fresh socket under it.
+    pub(crate) fn alloc_sock(&mut self, sock: Socket) -> SockId {
         self.next_sock += 1;
         let id = SockId(self.next_sock);
-        self.socks.insert(id, mk(id));
+        self.socks.insert(id, sock);
         id
     }
 
     /// Looks up a process entry or fails with `ESRCH`.
-    pub fn proc_mut(&mut self, pid: Pid) -> SysResult<&mut ProcEntry> {
+    pub(crate) fn proc_mut(&mut self, pid: Pid) -> SysResult<&mut ProcEntry> {
         self.procs.get_mut(&pid).ok_or(SysError::Esrch)
     }
 
     /// Looks up a process entry or fails with `ESRCH`.
-    pub fn proc_ref(&self, pid: Pid) -> SysResult<&ProcEntry> {
+    pub(crate) fn proc_ref(&self, pid: Pid) -> SysResult<&ProcEntry> {
         self.procs.get(&pid).ok_or(SysError::Esrch)
     }
 
     /// Resolves a process's descriptor to a socket id.
-    pub fn fd_sock(&self, pid: Pid, fd: u32) -> SysResult<SockId> {
+    pub(crate) fn fd_sock(&self, pid: Pid, fd: u32) -> SysResult<SockId> {
         match self.proc_ref(pid)?.desc(fd) {
             Some(Desc::Sock(s)) => Ok(s),
             _ => Err(SysError::Ebadf),
@@ -74,12 +74,12 @@ impl KernState {
     }
 
     /// Looks up a socket or fails with `EBADF`.
-    pub fn sock_mut(&mut self, id: SockId) -> SysResult<&mut Socket> {
+    pub(crate) fn sock_mut(&mut self, id: SockId) -> SysResult<&mut Socket> {
         self.socks.get_mut(&id).ok_or(SysError::Ebadf)
     }
 
     /// Next free ephemeral port.
-    pub fn eph_port(&mut self) -> u16 {
+    pub(crate) fn eph_port(&mut self) -> u16 {
         loop {
             if self.next_eph_port < 1024 {
                 self.next_eph_port = 1024;
@@ -94,7 +94,7 @@ impl KernState {
 
     /// Drops one reference to a socket; returns it when that was the
     /// last, for [`Machine::destroy`].
-    pub fn release_sock(&mut self, id: SockId) -> Option<SockId> {
+    pub(crate) fn release_sock(&mut self, id: SockId) -> Option<SockId> {
         let sock = self.socks.get_mut(&id).filter(|s| s.refs > 0)?;
         sock.refs -= 1;
         (sock.refs == 0).then_some(id)
@@ -179,7 +179,7 @@ impl Machine {
     }
 
     /// The machine's host id (the `machine` field of meter headers).
-    pub fn id(&self) -> HostId {
+    pub(crate) fn id(&self) -> HostId {
         self.id
     }
 
@@ -438,7 +438,7 @@ impl Machine {
     }
 
     /// The uid owning a process, if it exists.
-    pub fn proc_uid(&self, pid: Pid) -> Option<Uid> {
+    pub(crate) fn proc_uid(&self, pid: Pid) -> Option<Uid> {
         self.kern.lock().procs.get(&pid).map(|p| p.uid)
     }
 
@@ -551,7 +551,7 @@ impl Machine {
     }
 
     /// Marks every live process for killing.
-    pub fn kill_all(&self) {
+    pub(crate) fn kill_all(&self) {
         let mut k = self.kern.lock();
         for p in k.procs.values_mut() {
             if !p.state.is_dead() {
@@ -568,7 +568,7 @@ impl Machine {
     /// Joins all process threads that have been spawned on this
     /// machine. Call after [`Machine::kill_all`] (or once all programs
     /// have finished) or this will block.
-    pub fn join_all(&self) {
+    pub(crate) fn join_all(&self) {
         let handles: Vec<_> = {
             let mut t = self.threads.lock();
             t.drain().map(|(_, h)| h).collect()

@@ -23,7 +23,7 @@ impl Uid {
     pub const ROOT: Uid = Uid(0);
 
     /// Whether this is the superuser.
-    pub fn is_root(self) -> bool {
+    pub(crate) fn is_root(self) -> bool {
         self == Uid::ROOT
     }
 }
@@ -62,7 +62,7 @@ impl RunState {
 
 /// What a descriptor-table slot points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Desc {
+pub(crate) enum Desc {
     /// A socket in this machine's socket table.
     Sock(SockId),
     /// The process's console: writes accumulate in a per-process
@@ -86,7 +86,7 @@ pub enum Sig {
 
 /// One entry in a machine's process table.
 #[derive(Debug)]
-pub struct ProcEntry {
+pub(crate) struct ProcEntry {
     /// Process id.
     pub pid: Pid,
     /// Parent process id, if the parent is on this machine.
@@ -141,7 +141,12 @@ pub struct ProcEntry {
 
 impl ProcEntry {
     /// Creates an embryonic process entry with stdio on the console.
-    pub fn new(pid: Pid, parent: Option<Pid>, uid: Uid, name: impl Into<String>) -> ProcEntry {
+    pub(crate) fn new(
+        pid: Pid,
+        parent: Option<Pid>,
+        uid: Uid,
+        name: impl Into<String>,
+    ) -> ProcEntry {
         ProcEntry {
             pid,
             parent,
@@ -170,7 +175,7 @@ impl ProcEntry {
     }
 
     /// Allocates the lowest free descriptor slot, as UNIX does.
-    pub fn alloc_fd(&mut self, desc: Desc) -> u32 {
+    pub(crate) fn alloc_fd(&mut self, desc: Desc) -> u32 {
         for (i, slot) in self.descs.iter_mut().enumerate() {
             if slot.is_none() {
                 *slot = Some(desc);
@@ -182,24 +187,24 @@ impl ProcEntry {
     }
 
     /// Looks up a descriptor.
-    pub fn desc(&self, fd: u32) -> Option<Desc> {
+    pub(crate) fn desc(&self, fd: u32) -> Option<Desc> {
         self.descs.get(fd as usize).copied().flatten()
     }
 
     /// Clears a descriptor slot, returning what it held.
-    pub fn clear_fd(&mut self, fd: u32) -> Option<Desc> {
+    pub(crate) fn clear_fd(&mut self, fd: u32) -> Option<Desc> {
         self.descs.get_mut(fd as usize).and_then(Option::take)
     }
 
     /// CPU time in the 10 ms granularity the paper reports
     /// ("CPU use is updated in increments of 10ms", §4.1).
-    pub fn proc_time_ms(&self) -> u32 {
+    pub(crate) fn proc_time_ms(&self) -> u32 {
         ((self.cpu_us / 10_000) * 10) as u32
     }
 
     /// The sockets currently referenced from the descriptor table
     /// (with multiplicity, for refcount accounting).
-    pub fn socket_descs(&self) -> Vec<SockId> {
+    pub(crate) fn socket_descs(&self) -> Vec<SockId> {
         self.descs
             .iter()
             .filter_map(|d| match d {

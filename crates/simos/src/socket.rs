@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 /// within the system descriptor table. This ensures that socket
 /// addresses are unique within a particular machine." (§4.1)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SockId(pub u32);
+pub(crate) struct SockId(pub u32);
 
 impl std::fmt::Display for SockId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -28,7 +28,7 @@ impl std::fmt::Display for SockId {
 
 /// A reference to a socket that may live on another machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RemoteSock {
+pub(crate) struct RemoteSock {
     /// The machine holding the socket.
     pub host: HostId,
     /// The socket on that machine.
@@ -47,7 +47,7 @@ pub enum Domain {
 impl Domain {
     /// The numeric value carried in socket-create meter messages
     /// (4.2BSD: `AF_UNIX == 1`, `AF_INET == 2`).
-    pub fn as_u32(self) -> u32 {
+    pub(crate) fn as_u32(self) -> u32 {
         match self {
             Domain::Unix => 1,
             Domain::Inet => 2,
@@ -69,7 +69,7 @@ pub enum SockType {
 impl SockType {
     /// The numeric value carried in socket-create meter messages
     /// (4.2BSD: `SOCK_STREAM == 1`, `SOCK_DGRAM == 2`).
-    pub fn as_u32(self) -> u32 {
+    pub(crate) fn as_u32(self) -> u32 {
         match self {
             SockType::Stream => 1,
             SockType::Datagram => 2,
@@ -79,7 +79,7 @@ impl SockType {
 
 /// A datagram queued for delivery.
 #[derive(Debug, Clone)]
-pub struct Dgram {
+pub(crate) struct Dgram {
     /// Payload bytes.
     pub data: Vec<u8>,
     /// Name of the sending socket, if it had one (it always does in
@@ -92,7 +92,7 @@ pub struct Dgram {
 
 /// A segment of stream data in flight or queued.
 #[derive(Debug, Clone)]
-pub struct Segment {
+pub(crate) struct Segment {
     /// Payload bytes.
     pub data: Vec<u8>,
     /// Global time at which the segment becomes readable.
@@ -101,7 +101,7 @@ pub struct Segment {
 
 /// A connection request parked on a listening socket.
 #[derive(Debug, Clone)]
-pub struct PendingConn {
+pub(crate) struct PendingConn {
     /// The connecting socket (possibly on another machine).
     pub from: RemoteSock,
     /// Name bound to the connecting socket (auto-bound if the caller
@@ -113,7 +113,7 @@ pub struct PendingConn {
 
 /// Stream-specific state.
 #[derive(Debug, Default)]
-pub enum StreamState {
+pub(crate) enum StreamState {
     /// Fresh socket: neither listening nor connected.
     #[default]
     Idle,
@@ -147,7 +147,7 @@ pub enum StreamState {
 
 /// Kind-specific socket state.
 #[derive(Debug)]
-pub enum SockKind {
+pub(crate) enum SockKind {
     /// Stream socket state plus its receive buffer.
     Stream {
         /// Connection state.
@@ -180,15 +180,11 @@ pub enum SockKind {
 
 /// A socket: the kernel-resident endpoint object.
 #[derive(Debug)]
-pub struct Socket {
-    /// This socket's id (its "file table entry address").
-    pub id: SockId,
+pub(crate) struct Socket {
     /// Address family.
     pub domain: Domain,
     /// Stream or datagram.
     pub stype: SockType,
-    /// Protocol number (always 0, the domain default).
-    pub protocol: u32,
     /// Name bound with `bind()` or auto-bound by the kernel.
     pub name: Option<SockName>,
     /// Reference count: descriptor-table entries (across all
@@ -202,7 +198,7 @@ pub struct Socket {
 impl Socket {
     /// Creates a fresh, unbound, unconnected socket with one
     /// reference (the descriptor about to be handed to the creator).
-    pub fn new(id: SockId, domain: Domain, stype: SockType) -> Socket {
+    pub(crate) fn new(domain: Domain, stype: SockType) -> Socket {
         let kind = match stype {
             SockType::Stream => SockKind::Stream {
                 state: StreamState::Idle,
@@ -217,10 +213,8 @@ impl Socket {
             },
         };
         Socket {
-            id,
             domain,
             stype,
-            protocol: 0,
             name: None,
             refs: 1,
             kind,
@@ -228,30 +222,10 @@ impl Socket {
     }
 
     /// Convenience: the stream state, if this is a stream socket.
-    pub fn stream_state(&self) -> Option<&StreamState> {
+    pub(crate) fn stream_state(&self) -> Option<&StreamState> {
         match &self.kind {
             SockKind::Stream { state, .. } => Some(state),
             SockKind::Datagram { .. } => None,
-        }
-    }
-
-    /// Whether this stream socket is connected.
-    pub fn is_connected(&self) -> bool {
-        matches!(
-            self.kind,
-            SockKind::Stream {
-                state: StreamState::Connected { .. },
-                ..
-            }
-        )
-    }
-
-    /// Total bytes currently buffered for reading (whether or not yet
-    /// visible).
-    pub fn buffered_bytes(&self) -> usize {
-        match &self.kind {
-            SockKind::Stream { rx, .. } => rx.iter().map(|s| s.data.len()).sum(),
-            SockKind::Datagram { rx, .. } => rx.iter().map(|d| d.data.len()).sum(),
         }
     }
 }
@@ -262,17 +236,14 @@ mod tests {
 
     #[test]
     fn new_stream_socket_is_idle() {
-        let s = Socket::new(SockId(7), Domain::Inet, SockType::Stream);
-        assert_eq!(s.id, SockId(7));
+        let s = Socket::new(Domain::Inet, SockType::Stream);
         assert!(matches!(s.stream_state(), Some(StreamState::Idle)));
-        assert!(!s.is_connected());
         assert_eq!(s.refs, 1);
-        assert_eq!(s.buffered_bytes(), 0);
     }
 
     #[test]
     fn new_datagram_socket_has_no_stream_state() {
-        let s = Socket::new(SockId(1), Domain::Unix, SockType::Datagram);
+        let s = Socket::new(Domain::Unix, SockType::Datagram);
         assert!(s.stream_state().is_none());
         assert_eq!(s.domain.as_u32(), 1);
         assert_eq!(s.stype.as_u32(), 2);
@@ -284,23 +255,5 @@ mod tests {
         assert_eq!(Domain::Inet.as_u32(), 2);
         assert_eq!(SockType::Stream.as_u32(), 1);
         assert_eq!(SockType::Datagram.as_u32(), 2);
-    }
-
-    #[test]
-    fn buffered_bytes_counts_all_queued() {
-        let mut s = Socket::new(SockId(1), Domain::Inet, SockType::Datagram);
-        if let SockKind::Datagram { rx, .. } = &mut s.kind {
-            rx.push_back(Dgram {
-                data: vec![0; 10],
-                src: None,
-                visible_at_us: 0,
-            });
-            rx.push_back(Dgram {
-                data: vec![0; 5],
-                src: None,
-                visible_at_us: 99,
-            });
-        }
-        assert_eq!(s.buffered_bytes(), 15);
     }
 }

@@ -105,7 +105,7 @@ impl Proc {
     }
 
     /// The owning user.
-    pub fn uid(&self) -> Uid {
+    pub(crate) fn uid(&self) -> Uid {
         self.machine.proc_uid(self.pid).unwrap_or_default()
     }
 
@@ -223,7 +223,7 @@ impl Proc {
         let mut plans = Vec::new();
         let fd = {
             let mut k = self.machine.kern.lock();
-            let sid = k.alloc_sock(|id| Socket::new(id, domain, stype));
+            let sid = k.alloc_sock(Socket::new(domain, stype));
             let p = k.proc_mut(self.pid)?;
             let fd = p.alloc_fd(Desc::Sock(sid));
             plans.extend(metering::emit(
@@ -343,26 +343,6 @@ impl Proc {
             },
             SockKind::Datagram { .. } => Err(SysError::Eopnotsupp),
         }
-    }
-
-    /// The name bound to a socket, if any.
-    pub fn sock_name(&self, fd: Fd) -> SysResult<Option<SockName>> {
-        let k = self.machine.kern.lock();
-        let sid = k.fd_sock(self.pid, fd)?;
-        Ok(k.socks.get(&sid).and_then(|s| s.name.clone()))
-    }
-
-    /// The peer's name for a connected stream socket.
-    pub fn peer_name(&self, fd: Fd) -> SysResult<Option<SockName>> {
-        let k = self.machine.kern.lock();
-        let sid = k.fd_sock(self.pid, fd)?;
-        Ok(k.socks.get(&sid).and_then(|s| match &s.kind {
-            SockKind::Stream {
-                state: StreamState::Connected { peer_name, .. },
-                ..
-            } => Some(peer_name.clone()),
-            _ => None,
-        }))
     }
 
     // ------------------------------------------------------------------
@@ -582,10 +562,9 @@ impl Proc {
                 p.local_us = p.local_us.max(pend.visible_at_us);
                 p.local_us
             };
-            let new_sid = k.alloc_sock(|id| {
-                let mut s = Socket::new(id, Domain::Inet, SockType::Stream);
-                s.name = Some(listener_name.clone());
-                s.kind = SockKind::Stream {
+            let new_sid = k.alloc_sock(Socket {
+                name: Some(listener_name.clone()),
+                kind: SockKind::Stream {
                     state: StreamState::Connected {
                         peer: pend.from,
                         peer_name: pend.peer_name.clone(),
@@ -594,8 +573,8 @@ impl Proc {
                     rx_floor_us: local,
                     rx_eof: false,
                     wr_closed: false,
-                };
-                s
+                },
+                ..Socket::new(Domain::Inet, SockType::Stream)
             });
             let new_fd = k.proc_mut(self.pid)?.alloc_fd(Desc::Sock(new_sid));
             Ok(Wait::Ready((
@@ -676,15 +655,13 @@ impl Proc {
             let name_a = SockName::Internal(cluster.alloc_internal());
             let name_b = SockName::Internal(cluster.alloc_internal());
             let local = k.proc_ref(self.pid)?.local_us;
-            let sid_a = k.alloc_sock(|id| {
-                let mut s = Socket::new(id, Domain::Unix, SockType::Stream);
-                s.name = Some(name_a.clone());
-                s
+            let sid_a = k.alloc_sock(Socket {
+                name: Some(name_a.clone()),
+                ..Socket::new(Domain::Unix, SockType::Stream)
             });
-            let sid_b = k.alloc_sock(|id| {
-                let mut s = Socket::new(id, Domain::Unix, SockType::Stream);
-                s.name = Some(name_b.clone());
-                s
+            let sid_b = k.alloc_sock(Socket {
+                name: Some(name_b.clone()),
+                ..Socket::new(Domain::Unix, SockType::Stream)
             });
             for (sid, peer_sid, peer_name) in [
                 (sid_a, sid_b, name_b.clone()),
@@ -1584,24 +1561,6 @@ impl Proc {
                 Some(x) => Ok(Wait::Ready(x)),
                 None if has_live_children => Ok(Wait::Block),
                 None => Err(SysError::Esrch),
-            }
-        })
-    }
-
-    /// Non-blocking variant of [`Proc::wait_child`]; `Ok(None)` when
-    /// no child has terminated yet.
-    ///
-    /// # Errors
-    ///
-    /// `ESRCH` when the process has no children at all.
-    pub fn wait_child_nb(&self) -> SysResult<Option<(Pid, TermReason)>> {
-        self.enter()?;
-        let me = self.pid;
-        self.machine.poll_on(me, move |k| {
-            let entry = k.proc_mut(me)?;
-            match entry.dead_children.pop_front() {
-                Some(x) => Ok(Wait::Ready(x)),
-                None => Ok(Wait::Block),
             }
         })
     }

@@ -37,7 +37,7 @@ pub struct FlightRecorder {
 }
 
 /// Default ring capacity — enough to cover the tail of any chaos run.
-pub const FLIGHT_CAPACITY: usize = 1024;
+pub(crate) const FLIGHT_CAPACITY: usize = 1024;
 
 impl Default for FlightRecorder {
     fn default() -> FlightRecorder {
@@ -54,13 +54,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Appends an event, evicting the oldest at capacity.
-    pub fn note(&self, component: &str, label: &str, what: impl Into<String>) {
+    pub(crate) fn note(&self, component: &str, label: &str, what: impl Into<String>) {
         if !crate::enabled() {
             return;
         }
@@ -83,7 +78,7 @@ impl FlightRecorder {
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ring.lock().unwrap().len()
     }
 
@@ -92,14 +87,9 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Discards all retained events.
-    pub fn clear(&self) {
-        self.ring.lock().unwrap().clear();
-    }
-
     /// Renders the timeline as text: a header with `reason`, then one
     /// `+<t>us component[label] what` line per event, oldest first.
-    pub fn render(&self, reason: &str) -> String {
+    pub(crate) fn render(&self, reason: &str) -> String {
         let ring = self.ring.lock().unwrap();
         let mut out = String::new();
         out.push_str(&format!(

@@ -40,12 +40,13 @@
 //! belt-and-braces floor.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod flight;
 mod metrics;
 mod registry;
 
-pub use flight::{FlightEvent, FlightRecorder, FLIGHT_CAPACITY};
+pub use flight::{FlightEvent, FlightRecorder};
 pub use metrics::{bucket_bounds, Counter, Gauge, HistSnapshot, Histogram, HIST_BUCKETS};
 pub use registry::{MetricSnapshot, MetricValue, Registry, TelemetrySnapshot};
 

@@ -228,22 +228,22 @@ impl HistSnapshot {
     }
 
     /// The median (see [`HistSnapshot::quantile`]).
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
     /// The 95th percentile.
-    pub fn p95(&self) -> u64 {
+    pub(crate) fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
 
     /// The 99th percentile.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
 
     /// The mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -157,7 +157,7 @@ fn mismatch(component: &str, name: &str, label: &str, want: &str, got: &str) -> 
 
 impl TelemetrySnapshot {
     /// The metrics whose component matches `filter` (all when `None`).
-    pub fn filtered(&self, filter: Option<&str>) -> Vec<&MetricSnapshot> {
+    pub(crate) fn filtered(&self, filter: Option<&str>) -> Vec<&MetricSnapshot> {
         self.metrics
             .iter()
             .filter(|m| filter.is_none_or(|f| m.component == f))

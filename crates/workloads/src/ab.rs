@@ -16,7 +16,7 @@ use dpm_simos::{BindTo, Cluster, Domain, Proc, SockType, SysError, SysResult};
 use std::sync::Arc;
 
 /// Default port `B` listens on.
-pub const B_PORT: u16 = 1700;
+pub(crate) const B_PORT: u16 = 1700;
 
 /// Program `A`: args `[b_host] [port] [rounds]` (defaults: `green`,
 /// 1700, 5).
@@ -24,7 +24,7 @@ pub const B_PORT: u16 = 1700;
 /// # Errors
 ///
 /// Propagates socket errors; fails if `B` never comes up.
-pub fn a_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn a_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let host = args.first().map_or("green", String::as_str).to_owned();
     let port: u16 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(B_PORT);
     let rounds: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5);
@@ -58,7 +58,7 @@ pub fn a_main(p: Proc, args: Vec<String>) -> SysResult<()> {
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn b_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn b_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let port: u16 = args.first().and_then(|s| s.parse().ok()).unwrap_or(B_PORT);
     let s = p.socket(Domain::Inet, SockType::Stream)?;
     p.bind(s, BindTo::Port(port))?;
@@ -75,7 +75,7 @@ pub fn b_main(p: Proc, args: Vec<String>) -> SysResult<()> {
 
 /// Registers `A` and `B` and installs `/bin/A` on red-like machines
 /// and `/bin/B` everywhere (the controller will `rcp` as needed).
-pub fn register(cluster: &Arc<Cluster>) {
+pub(crate) fn register(cluster: &Arc<Cluster>) {
     cluster.register_program("A", a_main);
     cluster.register_program("B", b_main);
     for m in cluster.machines() {

@@ -65,7 +65,7 @@ fn parse_beacon(data: &[u8]) -> Option<(u32, u32)> {
 /// # Errors
 ///
 /// Propagates socket errors; `EINVAL` on bad arguments.
-pub fn byzantine_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn byzantine_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let index: u32 = arg(&args, 0).ok_or(SysError::Einval)?;
     let n: u32 = arg(&args, 1).ok_or(SysError::Einval)?;
     let order: u32 = arg::<u32>(&args, 2).ok_or(SysError::Einval)? % 2;
@@ -257,7 +257,7 @@ fn arg<T: std::str::FromStr>(args: &[String], i: usize) -> Option<T> {
 }
 
 /// Registers the program and installs `/bin/byz` everywhere.
-pub fn register(cluster: &Arc<Cluster>) {
+pub(crate) fn register(cluster: &Arc<Cluster>) {
     cluster.register_program("byz", byzantine_main);
     for m in cluster.machines() {
         let name = m.name().to_owned();

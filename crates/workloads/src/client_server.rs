@@ -61,7 +61,7 @@ pub fn server_main(p: Proc, args: Vec<String>) -> SysResult<()> {
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn client_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn client_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let host = args.first().map_or("red", String::as_str).to_owned();
     let port: u16 = args
         .get(1)

@@ -106,7 +106,7 @@ struct Channel {
 /// # Errors
 ///
 /// Propagates socket errors; `EINVAL` on bad arguments.
-pub fn lamport_mutex_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn lamport_mutex_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let index: u32 = arg(&args, 0).ok_or(SysError::Einval)?;
     let n: u32 = arg(&args, 1).ok_or(SysError::Einval)?;
     let rounds: u32 = arg(&args, 2).unwrap_or(2);
@@ -328,7 +328,7 @@ fn arg<T: std::str::FromStr>(args: &[String], i: usize) -> Option<T> {
 }
 
 /// Registers the program and installs `/bin/lmutex` everywhere.
-pub fn register(cluster: &Arc<Cluster>) {
+pub(crate) fn register(cluster: &Arc<Cluster>) {
     cluster.register_program("lmutex", lamport_mutex_main);
     for m in cluster.machines() {
         let name = m.name().to_owned();

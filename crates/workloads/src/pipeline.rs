@@ -13,7 +13,7 @@ use dpm_simos::{BindTo, Cluster, Domain, Proc, SockType, SysError, SysResult};
 use std::sync::Arc;
 
 /// Base port; stage `i` (for `i > 0`) listens on `PIPE_PORT + i`.
-pub const PIPE_PORT: u16 = 2100;
+pub(crate) const PIPE_PORT: u16 = 2100;
 
 /// Pipeline stage: args `[index, n_stages, next_host, n_items,
 /// work_ms]`.
@@ -26,7 +26,7 @@ pub const PIPE_PORT: u16 = 2100;
 /// # Errors
 ///
 /// Propagates socket errors; `EINVAL` on bad arguments.
-pub fn stage_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn stage_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let index: u16 = arg(&args, 0).ok_or(SysError::Einval)?;
     let n_stages: u16 = arg(&args, 1).ok_or(SysError::Einval)?;
     let next_host: String = args.get(2).cloned().unwrap_or_default();
@@ -85,7 +85,7 @@ fn arg<T: std::str::FromStr>(args: &[String], i: usize) -> Option<T> {
 }
 
 /// Registers the stage program and installs `/bin/stage` everywhere.
-pub fn register(cluster: &Arc<Cluster>) {
+pub(crate) fn register(cluster: &Arc<Cluster>) {
     cluster.register_program("stage", stage_main);
     for m in cluster.machines() {
         let name = m.name().to_owned();

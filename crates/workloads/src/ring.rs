@@ -13,7 +13,7 @@ use dpm_simos::{BindTo, Cluster, Domain, Proc, SockName, SockType, SysError, Sys
 use std::sync::Arc;
 
 /// Base port; node `i` listens on `RING_PORT + i`.
-pub const RING_PORT: u16 = 1900;
+pub(crate) const RING_PORT: u16 = 1900;
 
 /// Retransmission timeout, virtual milliseconds.
 const RETRANS_MS: u64 = 30;

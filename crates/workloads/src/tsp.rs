@@ -44,7 +44,7 @@ pub fn distance_matrix(n: usize, seed: u64) -> Vec<Vec<u32>> {
 /// prefix. Returns the best complete-tour length found that beats
 /// `bound` (or `bound` itself) and the number of search-tree nodes
 /// explored (the virtual CPU the caller should charge).
-pub fn solve(dist: &[Vec<u32>], prefix: &[usize], bound: u32) -> (u32, u64) {
+pub(crate) fn solve(dist: &[Vec<u32>], prefix: &[usize], bound: u32) -> (u32, u64) {
     let n = dist.len();
     let mut visited = vec![false; n];
     let mut len = 0u32;
@@ -120,7 +120,7 @@ pub fn solve_sequential(dist: &[Vec<u32>]) -> (u32, u64) {
 /// # Errors
 ///
 /// Propagates socket errors; `EINVAL` on bad arguments.
-pub fn master_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn master_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let port: u16 = arg(&args, 0).unwrap_or(TSP_PORT);
     let n: usize = arg(&args, 1).unwrap_or(10);
     let workers: usize = arg(&args, 2).unwrap_or(2);
@@ -194,7 +194,7 @@ pub fn master_main(p: Proc, args: Vec<String>) -> SysResult<()> {
 /// # Errors
 ///
 /// Propagates socket errors; `EINVAL` on a garbled task.
-pub fn worker_main(p: Proc, args: Vec<String>) -> SysResult<()> {
+pub(crate) fn worker_main(p: Proc, args: Vec<String>) -> SysResult<()> {
     let host = args.first().map_or("red", String::as_str).to_owned();
     let port: u16 = arg(&args, 1).unwrap_or(TSP_PORT);
     let s = crate::util::connect_retry(&p, &host, port, 300)?;

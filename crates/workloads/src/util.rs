@@ -50,7 +50,7 @@ pub fn read_timeout(p: &Proc, fd: Fd, max: usize, timeout_ms: u64) -> SysResult<
 /// # Errors
 ///
 /// Write errors propagate.
-pub fn write_line(p: &Proc, fd: Fd, line: &str) -> SysResult<()> {
+pub(crate) fn write_line(p: &Proc, fd: Fd, line: &str) -> SysResult<()> {
     let mut bytes = line.as_bytes().to_vec();
     bytes.push(b'\n');
     p.write(fd, &bytes)?;
