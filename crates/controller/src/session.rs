@@ -105,7 +105,7 @@ impl FilterInfo {
         // than drop it.
         let discard = match self.rules.verdict(&self.desc, raw) {
             Verdict::Keep { discard_fields } => discard_fields,
-            Verdict::Reject => Vec::new(),
+            Verdict::Reject => Default::default(),
         };
         if let Some(rec) = KeptRecord::new(&self.desc, raw, &discard) {
             out.push_str(indent);

@@ -48,8 +48,8 @@ pub use dpm_analysis::Analysis;
 pub use dpm_controller::{Controller, JobRecord, ProcState};
 pub use dpm_filter::{Descriptions, FilterEngine, LogRecord, Rules};
 pub use dpm_meter::{MeterFlags, MeterMsg, SockName, TermReason};
-pub use dpm_simnet::{ClockSpec, NetConfig};
-pub use dpm_simos::{Cluster, ClusterConfig, CpuCosts, Pid, Proc, SysError, SysResult, Uid};
+pub use dpm_simnet::NetConfig;
+pub use dpm_simos::{Cluster, ClusterConfig, Pid, Proc, SysError, SysResult, Uid};
 
 use dpm_controller::FilterInfo;
 use std::sync::atomic::{AtomicU16, Ordering};
@@ -59,11 +59,9 @@ use std::time::Duration;
 /// Builder for a ready-to-measure [`Simulation`].
 #[derive(Default)]
 pub struct SimulationBuilder {
-    machines: Vec<(String, Option<ClockSpec>)>,
+    machines: Vec<String>,
     net: Option<NetConfig>,
     seed: Option<u64>,
-    costs: Option<CpuCosts>,
-    meter_buffer: Option<u32>,
     skip_workloads: bool,
     injector: Option<Arc<dyn dpm_simnet::FaultInjector>>,
 }
@@ -82,15 +80,7 @@ impl std::fmt::Debug for SimulationBuilder {
 impl SimulationBuilder {
     /// Adds machines by name.
     pub fn machines<'a>(mut self, names: impl IntoIterator<Item = &'a str>) -> Self {
-        for n in names {
-            self.machines.push((n.to_owned(), None));
-        }
-        self
-    }
-
-    /// Adds one machine with an explicit clock.
-    pub fn machine_with_clock(mut self, name: &str, spec: ClockSpec) -> Self {
-        self.machines.push((name.to_owned(), Some(spec)));
+        self.machines.extend(names.into_iter().map(str::to_owned));
         self
     }
 
@@ -103,18 +93,6 @@ impl SimulationBuilder {
     /// Sets the randomness seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Sets the virtual CPU cost model.
-    pub fn costs(mut self, costs: CpuCosts) -> Self {
-        self.costs = Some(costs);
-        self
-    }
-
-    /// Sets the kernel meter-buffer flush threshold.
-    pub fn meter_buffer(mut self, msgs: u32) -> Self {
-        self.meter_buffer = Some(msgs);
         self
     }
 
@@ -153,20 +131,11 @@ impl SimulationBuilder {
         if let Some(seed) = self.seed {
             b = b.seed(seed);
         }
-        if let Some(costs) = self.costs {
-            b = b.costs(costs);
-        }
-        if let Some(m) = self.meter_buffer {
-            b = b.meter_buffer(m);
-        }
         if let Some(inj) = self.injector {
             b = b.fault_injector(inj);
         }
-        for (name, spec) in &self.machines {
-            b = match spec {
-                Some(s) => b.machine_with_clock(name, *s),
-                None => b.machine(name),
-            };
+        for name in &self.machines {
+            b = b.machine(name);
         }
         let cluster = b.build();
         dpm_filter::register_filter_program(&cluster);
@@ -192,13 +161,6 @@ impl Simulation {
     /// Starts building a simulation.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder::default()
-    }
-
-    /// A four-machine default (`yellow red green blue`), LAN network.
-    pub fn standard() -> Simulation {
-        Simulation::builder()
-            .machines(["yellow", "red", "green", "blue"])
-            .build()
     }
 
     /// The underlying cluster.

@@ -25,9 +25,10 @@ use crate::log::LogLine;
 use dpm_meter::{SockName, NAME_LEN};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// One field of an event record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FieldDesc {
     /// Field name, e.g. `msgLength`.
     pub name: String,
@@ -40,7 +41,7 @@ pub struct FieldDesc {
 }
 
 /// The description of one event type.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EventDesc {
     /// Event name as written in the file, lower-cased (`send`).
     pub name: String,
@@ -56,38 +57,13 @@ pub struct Descriptions {
     header_fields: Vec<String>,
     /// Each event's description and its §3.4 line, compiled once.
     by_type: HashMap<u32, (EventDesc, LogLine)>,
-    by_name: HashMap<String, u32>,
-}
-
-/// A value extracted from a record field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldValue {
-    /// An integer (base-10 field).
-    Int(u64),
-    /// Raw bytes (base-16 field, i.e. a socket name).
-    Bytes(Vec<u8>),
-}
-
-impl FieldValue {
-    fn as_ref(&self) -> FieldRef<'_> {
-        match self {
-            FieldValue::Int(v) => FieldRef::Int(*v),
-            FieldValue::Bytes(b) => FieldRef::Bytes(b),
-        }
-    }
-}
-
-impl fmt::Display for FieldValue {
-    /// Integers print in decimal. Byte fields print as a decoded
-    /// socket name when possible (`inet:1:1701`), otherwise as hex.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_ref().fmt(f)
-    }
+    /// A hash of the events: what compiled rules are tagged with.
+    pub(crate) fingerprint: u64,
 }
 
 /// A field value borrowed from its record: what [`FieldSlot::read`]
 /// yields, so a value is looked at — or a text line written — without
-/// copying name bytes. Displays like [`FieldValue`].
+/// copying name bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldRef<'a> {
     /// An integer (base-10 field).
@@ -97,13 +73,6 @@ pub enum FieldRef<'a> {
 }
 
 impl FieldRef<'_> {
-    pub(crate) fn to_value(self) -> FieldValue {
-        match self {
-            FieldRef::Int(v) => FieldValue::Int(v),
-            FieldRef::Bytes(b) => FieldValue::Bytes(b.to_vec()),
-        }
-    }
-
     /// Whether this is a byte field holding no name (all zeros) — the
     /// value the log writes as `-`.
     pub fn is_blank(self) -> bool {
@@ -152,7 +121,7 @@ impl std::error::Error for DescParseError {}
 
 /// Standard header layout (24 bytes): field name, offset, length.
 /// `dummy` is not listed — the paper's Fig. 3.2 header omits it too.
-const HEADER_LAYOUT: &[(&str, usize, usize)] = &[
+const HEADER_LAYOUT: [(&str, usize, usize); 5] = [
     ("size", 0, 4),
     ("machine", 4, 2),
     ("cpuTime", 8, 4),
@@ -216,13 +185,12 @@ impl Descriptions {
                     base: parse_num(parts[3])? as u32,
                 });
             }
-            if out.by_name.contains_key(&name) {
+            if out.by_type.values().any(|(event, _)| event.name == name) {
                 return Err(err(lineno, &format!("duplicate event `{name}`")));
             }
             if out.by_type.contains_key(&trace_type) {
                 return Err(err(lineno, &format!("duplicate trace type {trace_type}")));
             }
-            out.by_name.insert(name.clone(), trace_type);
             let event = EventDesc {
                 name,
                 trace_type,
@@ -234,6 +202,9 @@ impl Descriptions {
         if out.header_fields.is_empty() {
             return Err(err(0, "missing HEADER line"));
         }
+        let mut hasher = DefaultHasher::new();
+        out.events().hash(&mut hasher);
+        out.fingerprint = hasher.finish();
         Ok(out)
     }
 
@@ -282,34 +253,21 @@ TERMPROC 10, pid,0,4,10 pc,4,4,10 reason,8,4,10
     pub fn record_type(record: &[u8]) -> Option<u32> {
         read_int(record, 20, 4).map(|v| v as u32)
     }
-
-    /// Extracts a named field from a raw record, consulting the header
-    /// layout first and then the event body fields. The pseudo-field
-    /// `type` resolves to `traceType`, and an event name can be used
-    /// as a `type` value by the rules layer.
-    pub fn field(&self, record: &[u8], name: &str) -> Option<FieldValue> {
-        if let Some(v) = header_field(record, name) {
-            return v.map(FieldValue::Int);
-        }
-        let event = self.event(Self::record_type(record)?)?;
-        let f = event.fields.iter().find(|f| f.name == name)?;
-        read_at(record, HEADER_LEN.saturating_add(f.offset), f.len, f.base).map(FieldRef::to_value)
-    }
 }
 
 impl EventDesc {
     /// The fields a §3.4 line of this event carries, in line order,
     /// each with its `(offset from the record start, length, base)`:
     /// the header's but `size`, then the body's in file order but the
-    /// `*Len` bookkeeping. Names resolve header-first (see
-    /// [`Descriptions::field`]), so a body field called like a header
-    /// field — SOCKET's `type` — carries the header's value.
+    /// `*Len` bookkeeping. Names resolve header-first, as the rules
+    /// resolve them, so a body field called like a header field —
+    /// SOCKET's `type` — carries the header's value.
     pub(crate) fn line_layout(&self) -> impl Iterator<Item = (&str, (usize, usize, u32))> {
         let header = HEADER_LAYOUT.iter().filter(|(name, ..)| *name != "size");
         let body = self.fields.iter().filter(|f| !f.name.ends_with("Len"));
         let body = body.map(|f| {
             let at = (HEADER_LEN.saturating_add(f.offset), f.len, f.base);
-            let loc = header_loc(&f.name).map_or(at, |(off, len)| (off, len, 10));
+            let loc = header_loc(&f.name).map_or(at, |(_, off, len)| (off, len, 10));
             (f.name.as_str(), loc)
         });
         header
@@ -329,20 +287,24 @@ impl EventDesc {
     }
 }
 
-/// Where the header keeps `name` (`type` is `traceType`), as
-/// `(offset, length)`; `None` when it is not a header field.
-fn header_loc(name: &str) -> Option<(usize, usize)> {
+/// Where the header keeps `name` (`type` is `traceType`), as its
+/// index in [`header_ints`], offset and length; `None` when it is not
+/// a header field.
+pub(crate) fn header_loc(name: &str) -> Option<(usize, usize, usize)> {
     let name = if name == "type" { "traceType" } else { name };
-    HEADER_LAYOUT
+    let at = HEADER_LAYOUT
         .iter()
-        .find(|(hname, ..)| *hname == name)
-        .map(|&(_, off, len)| (off, len))
+        .position(|(hname, ..)| *hname == name)?;
+    let (_, off, len) = HEADER_LAYOUT[at];
+    Some((at, off, len))
 }
 
-/// Reads `name` as a header field: `None` when it is not one,
-/// `Some(None)` when the record is too short to hold it.
-fn header_field(record: &[u8], name: &str) -> Option<Option<u64>> {
-    header_loc(name).map(|(off, len)| read_int(record, off, len))
+/// The header's integer fields, in layout order; `None` when `record`
+/// is shorter than a header.
+pub(crate) fn header_ints(record: &[u8]) -> Option<[u64; 5]> {
+    let header = record.get(..HEADER_LEN)?;
+    let int = |(_, off, len): (&str, usize, usize)| le_int(&header[off..off + len]);
+    Some(std::array::from_fn(|i| int(HEADER_LAYOUT[i])))
 }
 
 /// Reads the `len` bytes at `off` as their base says: raw bytes for
@@ -452,14 +414,19 @@ mod tests {
     fn field_extraction_from_a_real_record() {
         let d = Descriptions::standard();
         let r = send_record();
-        assert_eq!(d.field(&r, "machine"), Some(FieldValue::Int(5)));
-        assert_eq!(d.field(&r, "cpuTime"), Some(FieldValue::Int(9_999)));
-        assert_eq!(d.field(&r, "type"), Some(FieldValue::Int(1)));
-        assert_eq!(d.field(&r, "pid"), Some(FieldValue::Int(2120)));
-        assert_eq!(d.field(&r, "msgLength"), Some(FieldValue::Int(612)));
-        let dest = d.field(&r, "destName").unwrap();
-        assert_eq!(dest.to_string(), "inet:1:1701");
-        assert_eq!(d.field(&r, "nonexistent"), None);
+        let send = d.event(1).unwrap();
+        let read = |name: &str| send.slot(name).read(&r).map(|v| v.to_string());
+        for (name, value) in [
+            ("machine", "5"),
+            ("cpuTime", "9999"),
+            ("traceType", "1"),
+            ("pid", "2120"),
+            ("msgLength", "612"),
+            ("destName", "inet:1:1701"),
+        ] {
+            assert_eq!(read(name).as_deref(), Some(value), "{name}");
+        }
+        assert_eq!(read("nonexistent"), None);
     }
 
     /// The logged fields of `r`, as its §3.4 line carries them.
@@ -567,6 +534,7 @@ mod tests {
             }),
         }
         .encode();
-        assert_eq!(d.field(&r, "destName").unwrap().to_string(), "-");
+        let dest = d.event(1).unwrap().slot("destName").read(&r).unwrap();
+        assert_eq!(dest.to_string(), "-");
     }
 }

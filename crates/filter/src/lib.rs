@@ -52,9 +52,7 @@ mod store;
 mod tree;
 
 pub use args::{ArgsError, FilterArgs, FilterRole};
-pub use desc::{
-    DescParseError, Descriptions, EventDesc, FieldDesc, FieldRef, FieldSlot, FieldValue,
-};
+pub use desc::{DescParseError, Descriptions, EventDesc, FieldDesc, FieldRef, FieldSlot};
 pub use dpm_meter::SeqWindow;
 pub use engine::{FilterEngine, FilterStats, RecordView};
 pub use log::{KeptRecord, LogRecord};

@@ -15,8 +15,13 @@
 //! template; a template matches when **all** its conditions hold). An
 //! empty rule set keeps everything.
 
-use crate::desc::{Descriptions, FieldValue};
-use std::fmt;
+use crate::desc::{
+    header_ints, header_loc, read_at, Descriptions, EventDesc, FieldRef, HEADER_LEN,
+};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 /// Comparison operator of a condition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,11 +130,23 @@ impl fmt::Display for Rule {
 
 /// A parsed templates file: one rule per line; a record is kept when
 /// any rule matches.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Rules {
     /// The templates, in file order.
     pub rules: Vec<Rule>,
+    /// The rules compiled, by the first verdict.
+    compiled: OnceLock<Table>,
 }
+
+/// Rules are equal when their templates are: the compiled table is a
+/// cache.
+impl PartialEq for Rules {
+    fn eq(&self, other: &Rules) -> bool {
+        self.rules == other.rules
+    }
+}
+
+impl Eq for Rules {}
 
 /// Error parsing a templates file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,13 +167,14 @@ impl std::error::Error for RuleParseError {}
 
 /// Result of matching a record against the rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
+pub enum Verdict<'a> {
     /// Discard the record.
     Reject,
     /// Keep the record, stripping the named fields (from `#` values).
     Keep {
-        /// Field names to strip from the saved record.
-        discard_fields: Vec<String>,
+        /// Field names to strip from the saved record: the `#` fields
+        /// of the first rule that matched, borrowed from the rules.
+        discard_fields: Cow<'a, [String]>,
     },
 }
 
@@ -170,7 +188,7 @@ impl Rules {
     ///
     /// Returns [`RuleParseError`] naming the offending line.
     pub fn parse(text: &str) -> Result<Rules, RuleParseError> {
-        let mut rules = Vec::new();
+        let mut out = Rules::default();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
@@ -194,73 +212,76 @@ impl Rules {
                     message: "empty rule".to_owned(),
                 });
             }
-            rules.push(Rule { conditions });
+            out.rules.push(Rule { conditions });
         }
-        Ok(Rules { rules })
+        Ok(out)
     }
 
     /// Matches a raw event record. With no rules at all, everything is
     /// kept unedited.
-    pub fn verdict(&self, desc: &Descriptions, record: &[u8]) -> Verdict {
+    ///
+    /// The rules run compiled against `desc`: the first call compiles
+    /// them once per event type and keeps the table, tagged with the
+    /// descriptions' content; a call with other descriptions compiles
+    /// afresh. So `rules` is not to be edited once matching has begun.
+    pub fn verdict<'a>(&'a self, desc: &Descriptions, record: &[u8]) -> Verdict<'a> {
         if self.rules.is_empty() {
             return Verdict::Keep {
-                discard_fields: Vec::new(),
+                discard_fields: Cow::Borrowed(&[]),
             };
         }
-        for rule in &self.rules {
-            if let Some(discards) = match_rule(rule, desc, record) {
-                return Verdict::Keep {
-                    discard_fields: discards,
-                };
-            }
+        let table = self.compiled.get_or_init(|| Table::new(&self.rules, desc));
+        let hit = if table.fingerprint == desc.fingerprint {
+            table.first_match(record)
+        } else {
+            Table::new(&self.rules, desc).first_match(record)
+        };
+        match hit {
+            Some(rule) => Verdict::Keep {
+                discard_fields: Cow::Borrowed(&table.discards[rule]),
+            },
+            None => Verdict::Reject,
         }
-        Verdict::Reject
     }
 }
 
 /// Parses a single condition like `cpuTime<10000`, `pid=#1*`, or
-/// `sockName=peerName`.
+/// `sockName=peerName`. The operator is the leftmost `!`, `<`, `>` or
+/// `=` (with a following `=`: `!=`, `<=`, `>=`), so a value may hold
+/// operator characters: `destName=unix:/tmp/a<b`.
 fn parse_condition(s: &str) -> Result<Condition, String> {
-    // Find the operator; check two-character ones first.
-    let ops: &[(&str, Op)] = &[
-        ("!=", Op::Ne),
-        ("<=", Op::Le),
-        (">=", Op::Ge),
-        ("<", Op::Lt),
-        (">", Op::Gt),
-        ("=", Op::Eq),
-    ];
-    for (tok, op) in ops {
-        if let Some(pos) = s.find(tok) {
-            let field = s[..pos].trim();
-            let mut value = s[pos + tok.len()..].trim();
-            if field.is_empty() || value.is_empty() {
-                return Err(format!("malformed condition `{s}`"));
-            }
-            let discard = value.starts_with('#');
-            if discard {
-                value = value[1..].trim();
-                if value.is_empty() {
-                    return Err(format!("discard prefix without value in `{s}`"));
-                }
-            }
-            let pattern = parse_pattern(value);
-            if matches!(pattern, Pattern::Prefix(_) | Pattern::Any)
-                && !matches!(op, Op::Eq | Op::Ne)
-            {
-                return Err(format!(
-                    "wildcard patterns only work with = and != in `{s}`"
-                ));
-            }
-            return Ok(Condition {
-                field: field.to_owned(),
-                op: *op,
-                pattern,
-                discard,
-            });
+    let pos = s
+        .find(['!', '<', '>', '='])
+        .ok_or_else(|| format!("no operator in condition `{s}`"))?;
+    let ops = [Op::Ne, Op::Le, Op::Ge, Op::Lt, Op::Gt, Op::Eq].map(|op| (op, op.to_string()));
+    let (op, token) = ops
+        .into_iter()
+        .find(|(_, token)| s[pos..].starts_with(token.as_str()))
+        .ok_or_else(|| format!("malformed condition `{s}`"))?;
+    let field = s[..pos].trim();
+    let mut value = s[pos + token.len()..].trim();
+    if field.is_empty() || value.is_empty() {
+        return Err(format!("malformed condition `{s}`"));
+    }
+    let discard = value.starts_with('#');
+    if discard {
+        value = value[1..].trim();
+        if value.is_empty() {
+            return Err(format!("discard prefix without value in `{s}`"));
         }
     }
-    Err(format!("no operator in condition `{s}`"))
+    let pattern = parse_pattern(value);
+    if matches!(pattern, Pattern::Prefix(_) | Pattern::Any) && !matches!(op, Op::Eq | Op::Ne) {
+        return Err(format!(
+            "wildcard patterns only work with = and != in `{s}`"
+        ));
+    }
+    Ok(Condition {
+        field: field.to_owned(),
+        op,
+        pattern,
+        discard,
+    })
 }
 
 fn parse_pattern(value: &str) -> Pattern {
@@ -290,93 +311,219 @@ fn parse_pattern(value: &str) -> Pattern {
     }
 }
 
-/// Returns the discard-field list if the rule matches, else `None`.
-fn match_rule(rule: &Rule, desc: &Descriptions, record: &[u8]) -> Option<Vec<String>> {
-    let mut discards = Vec::new();
-    for cond in &rule.conditions {
-        if !match_condition(cond, desc, record) {
-            return None;
-        }
-        if cond.discard {
-            discards.push(cond.field.clone());
-        }
-    }
-    Some(discards)
+/// `(offset from the record start, length, base)` of a field.
+type Loc = (usize, usize, u32);
+
+/// Rules compiled against one [`Descriptions`]: for each described
+/// trace type, and for all other types, the rules that can match such
+/// a record, each condition resolved to where its field lies.
+#[derive(Debug, Clone)]
+struct Table {
+    /// The fingerprint of the descriptions compiled against.
+    fingerprint: u64,
+    /// The described trace types.
+    types: Vec<u32>,
+    /// Per described type, then for every other type.
+    by_type: Vec<TypeRules>,
+    /// Each rule's `#` fields, in condition order.
+    discards: Vec<Vec<String>>,
 }
 
-fn match_condition(cond: &Condition, desc: &Descriptions, record: &[u8]) -> bool {
-    let Some(value) = lookup(desc, record, &cond.field) else {
-        return false; // field absent from this event type: no match
+/// The rules that can match a record of one type, in file order: each
+/// one's index and conditions.
+type TypeRules = Vec<(usize, Vec<Cond>)>;
+
+impl Table {
+    fn new(rules: &[Rule], desc: &Descriptions) -> Table {
+        let events = desc.events();
+        let by_type = events.iter().map(|&e| Some(e)).chain([None]).map(|event| {
+            let compiled = rules.iter().enumerate();
+            compiled
+                .filter_map(|(i, rule)| Some((i, compile_rule(rule, event)?)))
+                .collect()
+        });
+        let discards = rules.iter().map(|rule| {
+            let fields = rule.conditions.iter().filter(|c| c.discard);
+            fields.map(|c| c.field.clone()).collect()
+        });
+        Table {
+            fingerprint: desc.fingerprint,
+            types: events.iter().map(|e| e.trace_type).collect(),
+            by_type: by_type.collect(),
+            discards: discards.collect(),
+        }
+    }
+
+    /// The index of the first rule `record` matches.
+    fn first_match(&self, record: &[u8]) -> Option<usize> {
+        let ty = Descriptions::record_type(record);
+        let at = self.types.iter().position(|&t| Some(t) == ty);
+        let rules = &self.by_type[at.unwrap_or(self.types.len())];
+        // A record of a described type holds a header: read it once.
+        let head = header_ints(record).unwrap_or_default();
+        let hit = rules
+            .iter()
+            .find(|(_, conds)| conds.iter().all(|c| c.holds(record, &head)));
+        hit.map(|&(rule, _)| rule)
+    }
+}
+
+/// A rule's conditions resolved for records of `event` (`None`: of an
+/// undescribed type), or `None` when no such record can match it: a
+/// condition names a field they lack, is `*` under an operator other
+/// than `=`, or bounds an integer beyond its range.
+fn compile_rule(rule: &Rule, event: Option<&EventDesc>) -> Option<Vec<Cond>> {
+    let compile = |c: &Condition| {
+        let (at, head) = rule_loc(event, &c.field)?;
+        let text = |text| Test::Text(Box::new(text));
+        let test = match &c.pattern {
+            Pattern::Any if c.op == Op::Eq => Test::Any,
+            Pattern::Any => return None,
+            Pattern::Int(v) if at.2 != 16 => {
+                let (lo, hi) = match c.op {
+                    Op::Eq | Op::Ne => (*v, *v),
+                    Op::Lt => (0, v.checked_sub(1)?),
+                    Op::Le => (0, *v),
+                    Op::Gt => (v.checked_add(1)?, u64::MAX),
+                    Op::Ge => (*v, u64::MAX),
+                };
+                Test::Int(lo, hi, c.op == Op::Ne)
+            }
+            Pattern::Int(v) => text(TextTest::Cmp(c.op, None, v.to_string())),
+            Pattern::Prefix(p) => text(TextTest::Prefix(c.op == Op::Ne, p.clone())),
+            Pattern::Field(name) => {
+                let other = rule_loc(event, name).map(|(loc, _)| loc);
+                text(TextTest::Cmp(c.op, other, name.clone()))
+            }
+            Pattern::Text(t) => text(TextTest::Cmp(c.op, None, t.clone())),
+        };
+        Some(Cond { at, head, test })
     };
-    match &cond.pattern {
-        Pattern::Any => matches!(cond.op, Op::Eq),
-        Pattern::Int(rhs) => match &value {
-            FieldValue::Int(lhs) => compare(cond.op, *lhs, *rhs),
-            FieldValue::Bytes(_) => {
-                // Numeric literal against a name field compares the
-                // display form (the paper's `destName=228320140`).
-                text_compare(cond.op, &value.to_string(), &rhs.to_string())
-            }
-        },
-        Pattern::Prefix(pfx) => {
-            let s = value.to_string();
-            let hit = s.starts_with(pfx.as_str());
-            if cond.op == Op::Ne {
-                !hit
-            } else {
-                hit
-            }
+    rule.conditions.iter().map(compile).collect()
+}
+
+/// Where a rule reads `name` in records of `event` (`None`: of an
+/// undescribed type). `size` is `msgLength`; a header name (`type` is
+/// `traceType`) is the header's field, whatever the body holds; else
+/// the first body field so called, `*Len` bookkeeping included. A
+/// header field of a described type comes with its index in the
+/// header: such a record holds the whole header.
+fn rule_loc(event: Option<&EventDesc>, name: &str) -> Option<(Loc, Option<usize>)> {
+    let name = if name == "size" { "msgLength" } else { name };
+    if let Some((i, off, len)) = header_loc(name) {
+        return Some(((off, len, 10), event.map(|_| i)));
+    }
+    let f = event?.fields.iter().find(|f| f.name == name)?;
+    Some(((HEADER_LEN.saturating_add(f.offset), f.len, f.base), None))
+}
+
+/// A condition resolved for one event type: where its field lies and
+/// what its value must pass. A record too short to hold the field
+/// fails it.
+#[derive(Debug, Clone)]
+struct Cond {
+    at: Loc,
+    /// Its index among the header's integers, for a header field of a
+    /// described type: read once per record, not at `at`.
+    head: Option<usize>,
+    test: Test,
+}
+
+/// What a condition's value must pass.
+#[derive(Debug, Clone)]
+enum Test {
+    /// An integer field against an integer literal, as the values that
+    /// pass: `lo..=hi`, or (`true`: `!=`) all others. A bound nothing
+    /// meets (`< 0`, `> u64::MAX`) drops the rule instead.
+    Int(u64, u64, bool),
+    /// `=*`: any value.
+    Any,
+    /// A test on the value's text (boxed: the integer tests, which
+    /// most records meet, stay small).
+    Text(Box<TextTest>),
+}
+
+/// A test on a value's text, as its `Display` writes it.
+#[derive(Debug, Clone)]
+enum TextTest {
+    /// Against the field at `Loc`, if the record holds it — two
+    /// integers compare as numbers, else their texts — or else against
+    /// the text: a text pattern, an integer literal against a name
+    /// field, or the name of the other field.
+    Cmp(Op, Option<Loc>, String),
+    /// Starts with the digits (`true`: `!=`, does not).
+    Prefix(bool, String),
+}
+
+impl Cond {
+    /// Whether `record`, whose header integers are `head`, passes.
+    fn holds(&self, record: &[u8], head: &[u64; 5]) -> bool {
+        let value = match self.head {
+            Some(i) => Some(FieldRef::Int(head[i])),
+            None => read_at(record, self.at.0, self.at.1, self.at.2),
+        };
+        match (&self.test, value) {
+            (Test::Int(lo, hi, out), Some(FieldRef::Int(v))) => (*lo..=*hi).contains(&v) != *out,
+            (Test::Any, Some(_)) => true,
+            (Test::Text(test), Some(v)) => test.holds(v, record),
+            // Absent, or past the record's end.
+            _ => false,
         }
-        Pattern::Field(other) => {
-            // Field-to-field comparison; if `other` is not a field of
-            // this record, fall back to text comparison.
-            match lookup(desc, record, other) {
-                Some(rhs) => values_compare(cond.op, &value, &rhs),
-                None => text_compare(cond.op, &value.to_string(), other),
-            }
-        }
-        Pattern::Text(t) => text_compare(cond.op, &value.to_string(), t),
     }
 }
 
-/// Resolves a field, also accepting the alias `size` for `msgLength`
-/// (the paper's Fig. 3.4 rule `size>=512` against send records) and
-/// event names as `type` values.
-fn lookup(desc: &Descriptions, record: &[u8], field: &str) -> Option<FieldValue> {
-    if field == "size" {
-        // `size` in rules means the message payload length, not the
-        // record's own header size field.
-        return desc.field(record, "msgLength");
-    }
-    desc.field(record, field)
-}
-
-fn compare(op: Op, lhs: u64, rhs: u64) -> bool {
-    match op {
-        Op::Eq => lhs == rhs,
-        Op::Ne => lhs != rhs,
-        Op::Lt => lhs < rhs,
-        Op::Gt => lhs > rhs,
-        Op::Le => lhs <= rhs,
-        Op::Ge => lhs >= rhs,
+impl TextTest {
+    /// Whether `value`, of `record`, passes.
+    fn holds(&self, value: FieldRef<'_>, record: &[u8]) -> bool {
+        let (op, other, text) = match self {
+            TextTest::Prefix(negated, digits) => return text_cmp(value, digits).1 != *negated,
+            TextTest::Cmp(op, other, text) => (op, other, text),
+        };
+        let other = other.and_then(|(off, len, base)| read_at(record, off, len, base));
+        op.holds(match (value, other) {
+            (FieldRef::Int(lhs), Some(FieldRef::Int(rhs))) => lhs.cmp(&rhs),
+            (_, Some(other)) => text_cmp(value, &other.to_string()).0,
+            (_, None) => text_cmp(value, text).0,
+        })
     }
 }
 
-fn text_compare(op: Op, lhs: &str, rhs: &str) -> bool {
-    match op {
-        Op::Eq => lhs == rhs,
-        Op::Ne => lhs != rhs,
-        Op::Lt => lhs < rhs,
-        Op::Gt => lhs > rhs,
-        Op::Le => lhs <= rhs,
-        Op::Ge => lhs >= rhs,
+impl Op {
+    /// Whether a comparison that came out `ord` satisfies the operator.
+    fn holds(self, ord: Ordering) -> bool {
+        use Ordering::{Equal, Greater, Less};
+        matches!(
+            (self, ord),
+            (Op::Eq | Op::Le | Op::Ge, Equal)
+                | (Op::Ne | Op::Lt | Op::Le, Less)
+                | (Op::Ne | Op::Gt | Op::Ge, Greater)
+        )
     }
 }
 
-fn values_compare(op: Op, lhs: &FieldValue, rhs: &FieldValue) -> bool {
-    match (lhs, rhs) {
-        (FieldValue::Int(a), FieldValue::Int(b)) => compare(op, *a, *b),
-        _ => text_compare(op, &lhs.to_string(), &rhs.to_string()),
+/// How `value`'s text (its `Display`) compares with `rhs`, and whether
+/// it starts with `rhs` — found as the text is written, not built.
+fn text_cmp(value: FieldRef<'_>, rhs: &str) -> (Ordering, bool) {
+    let mut cmp = TextCmp(rhs.as_bytes(), 0, Ordering::Equal);
+    write!(cmp, "{value}").expect("comparing never fails");
+    let TextCmp(_, len, ord) = cmp;
+    (
+        ord.then(len.cmp(&rhs.len())),
+        ord.is_eq() && len >= rhs.len(),
+    )
+}
+
+/// A writer comparing the text written to it with `.0`: `.1` is the
+/// length written, `.2` the first difference over their common length.
+struct TextCmp<'a>(&'a [u8], usize, Ordering);
+
+impl fmt::Write for TextCmp<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let rest = self.0.get(self.1..).unwrap_or_default();
+        let n = s.len().min(rest.len());
+        self.2 = self.2.then(s.as_bytes()[..n].cmp(&rest[..n]));
+        self.1 += s.len();
+        Ok(())
     }
 }
 
@@ -587,6 +734,33 @@ mod tests {
     fn comment_lines_are_ignored() {
         let rules = Rules::parse("# only sends\ntype=1\n").unwrap();
         assert_eq!(rules.rules.len(), 1);
+    }
+
+    /// The operator is the leftmost one, so a value may hold `<`, `!=`
+    /// and the like.
+    #[test]
+    fn conditions_split_at_the_leftmost_operator() {
+        for (text, field, op, value) in [
+            (
+                "destName=unix:/tmp/a<b",
+                "destName",
+                Op::Eq,
+                "unix:/tmp/a<b",
+            ),
+            ("sockName=unix:/x!=y", "sockName", Op::Eq, "unix:/x!=y"),
+            ("pid<=3", "pid", Op::Le, "3"),
+            ("pid!=3", "pid", Op::Ne, "3"),
+            ("pid>=3", "pid", Op::Ge, "3"),
+            ("pid>3", "pid", Op::Gt, "3"),
+            ("pid==3", "pid", Op::Eq, "=3"),
+        ] {
+            let rules = Rules::parse(text).unwrap();
+            let c = &rules.rules[0].conditions[0];
+            assert_eq!((c.field.as_str(), c.op), (field, op), "{text}");
+            assert_eq!(c.pattern.to_string(), value, "{text}");
+            assert_eq!(c.to_string(), text);
+        }
+        assert!(Rules::parse("pid!3").is_err(), "a lone `!` is no operator");
     }
 
     #[test]

@@ -72,14 +72,14 @@ fn wire(first_seq: u32) -> Vec<u8> {
                     pid,
                     pc,
                     sock,
-                    msg_length: 64 + round,
+                    msg_length: 64 + 8 * round,
                     dest_name: None,
                 }),
                 1 => MeterBody::Recv(MeterRecvMsg {
                     pid,
                     pc,
                     sock,
-                    msg_length: 64 + round,
+                    msg_length: 64 + 8 * round,
                     source_name: peer,
                 }),
                 _ => MeterBody::Accept(MeterAccept {
@@ -152,4 +152,18 @@ fn a_kept_record_to_a_raw_sink_allocates_nothing() {
     assert!(stats.kept > 0 && stats.rejected > 0, "{stats:?}");
     assert_eq!(stats.kept + stats.rejected, 2 * n);
     assert_eq!(allocs, 0, "{allocs} allocations under integer templates");
+
+    // With `#` discards and a decimal prefix: the benchmark's sixteen
+    // templates (`selective_rules(16)` of `pipeline_bench`), and
+    // Fig. 3.4's rule.
+    let selective: String = (51..=65)
+        .map(|m| format!("machine={m}\n"))
+        .chain(["machine=3, type=1, msgLength>=320, pc=#*\n".to_owned()])
+        .collect();
+    for templates in [&selective[..], "machine=#*, type=1, pid=1*, size>=512"] {
+        let rules = Rules::parse(templates).expect("rules parse");
+        let (allocs, stats, _) = steady_state(rules);
+        assert!(stats.kept > 0 && stats.rejected > 0, "{stats:?}");
+        assert_eq!(allocs, 0, "{allocs} allocations under {templates:?}");
+    }
 }

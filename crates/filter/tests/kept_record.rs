@@ -2,7 +2,9 @@
 //! Appendix-A event type, for generated descriptions files and for
 //! every discard list, [`KeptRecord`]'s `Display` and
 //! [`LogRecord::from_raw`] must be what resolving each field *by name*
-//! through [`Descriptions::field`] produced.
+//! through [`oracle::field`] produced.
+
+mod oracle;
 
 use dpm_filter::{Descriptions, FilterEngine, KeptRecord, LogRecord, Rules};
 use dpm_meter::{
@@ -116,7 +118,7 @@ fn samples() -> Vec<Vec<u8>> {
 /// The renderer as it was: every logged field looked up by name, its
 /// value shown through `Display`, the line escaped by
 /// [`LogRecord::new`]. (Body field names must be unique for this to be
-/// the reference: `Descriptions::field` finds only the first.)
+/// the reference: [`oracle::field`] finds only the first.)
 fn by_name(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<LogRecord> {
     let event = desc.event(Descriptions::record_type(record)?)?;
     let fields = ["machine", "cpuTime", "procTime", "traceType"]
@@ -128,7 +130,7 @@ fn by_name(desc: &Descriptions, record: &[u8], discard: &[String]) -> Option<Log
                 .iter()
                 .any(|d| d == n || (d == "size" && *n == "msgLength"))
         })
-        .filter_map(|n| Some((n, desc.field(record, n)?.to_string())))
+        .filter_map(|n| Some((n, oracle::field(desc, record, n)?.to_string())))
         .collect::<Vec<_>>();
     Some(LogRecord::new(
         &event.name,

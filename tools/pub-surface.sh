@@ -16,7 +16,7 @@
 #
 # usage: tools/pub-surface.sh [repo-root]   (default: the checkout it lives in)
 set -eu
-ceiling=46
+ceiling=45
 rule=$(cd "$(dirname "$0")" && pwd)/non-test.awk
 root=${1:-$(dirname "$0")/..}
 cd "$root"
