@@ -8,7 +8,8 @@
 //! misparsing it.
 
 use crate::state::ProcState;
-use dpm_logstore::wire::{Reader, Writer};
+use dpm_logstore::layout;
+use dpm_logstore::wire::{Leaf, Reader, Str, Writer};
 use std::fmt;
 
 /// First word of every encoded control event ("CTL1" little-endian) —
@@ -21,6 +22,9 @@ pub(crate) const CONTROL_EVENT_VERSION: u32 = 2;
 /// Longest string any event field may carry (the descriptions text is
 /// the big one); a decoder finding more is reading garbage.
 const MAX_STR: usize = 64 * 1024;
+
+/// A string field of an event.
+type Text = Str<MAX_STR>;
 
 /// One mutation of controller state, as recorded in the control log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,85 +209,71 @@ mod code {
     pub(crate) const PROC_REMOVED: u8 = 9;
 }
 
+/// An event's tag: [`CONTROL_MAGIC`] and [`CONTROL_EVENT_VERSION`], so
+/// that a reader refuses a frame that is not a control event (or is of
+/// another format) instead of misparsing it, then the type code.
+struct Code;
+
+impl Leaf<String> for Code {
+    type Value = u8;
+    fn put(v: &u8, w: &mut Writer<'_>) {
+        <(u32, u32) as Leaf<String>>::put(&(CONTROL_MAGIC, CONTROL_EVENT_VERSION), w);
+        <u8 as Leaf<String>>::put(v, w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u8, String> {
+        match <u32 as Leaf<String>>::get(r)? {
+            CONTROL_MAGIC => {}
+            magic => return Err(format!("not a control event (magic {magic:#x})")),
+        }
+        match <u32 as Leaf<String>>::get(r)? {
+            CONTROL_EVENT_VERSION => <u8 as Leaf<String>>::get(r),
+            version => Err(format!("unknown control event version {version}")),
+        }
+    }
+}
+
+/// A process state as its keyword.
+impl Leaf<String> for ProcState {
+    type Value = ProcState;
+    fn put(v: &ProcState, w: &mut Writer<'_>) {
+        <Text as Leaf<String>>::put(&v.keyword().to_owned(), w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<ProcState, String> {
+        <Text as Leaf<String>>::get(r)?.parse()
+    }
+}
+
+layout! {
+    impl Leaf<String> for ControlEvent by Code;
+    fn code() -> u8 {
+        code::JOB_CREATED => JobCreated { job: Text, filter: Text },
+        code::FILTER_CREATED => FilterCreated {
+            name: Text, machine: Text, pid: u32, port: u16, logfile: Text, shards: u32,
+            role: Text, upstream: Text, desc_text: Text, templates_text: Text,
+        },
+        code::PROC_ADDED => ProcAdded {
+            job: Text, name: Text, machine: Text, pid: u32, state: ProcState,
+        },
+        code::FLAGS_SET => FlagsSet { job: Text, flags: u32 },
+        code::PROC_STATE_CHANGED => ProcStateChanged {
+            job: Text, machine: Text, pid: u32, state: ProcState,
+        },
+        code::PROC_REMOVED => ProcRemoved { job: Text, machine: Text, pid: u32 },
+        code::JOB_REMOVED => JobRemoved { job: Text },
+        code::LEASE_ACQUIRED => LeaseAcquired {
+            job: Text, owner: Text, at_us: u64, expires_us: u64,
+        },
+        code::LEASE_RENEWED => LeaseRenewed {
+            job: Text, owner: Text, at_us: u64, expires_us: u64,
+        },
+    } else other => format!("unknown control event type {other}")
+}
+
 impl ControlEvent {
     /// Encodes to the control log's record form.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
-        let mut w = Writer::new(&mut buf);
-        w.u32(CONTROL_MAGIC).u32(CONTROL_EVENT_VERSION);
-        w.u8(match self {
-            ControlEvent::JobCreated { .. } => code::JOB_CREATED,
-            ControlEvent::FilterCreated { .. } => code::FILTER_CREATED,
-            ControlEvent::ProcAdded { .. } => code::PROC_ADDED,
-            ControlEvent::FlagsSet { .. } => code::FLAGS_SET,
-            ControlEvent::ProcStateChanged { .. } => code::PROC_STATE_CHANGED,
-            ControlEvent::ProcRemoved { .. } => code::PROC_REMOVED,
-            ControlEvent::JobRemoved { .. } => code::JOB_REMOVED,
-            ControlEvent::LeaseAcquired { .. } => code::LEASE_ACQUIRED,
-            ControlEvent::LeaseRenewed { .. } => code::LEASE_RENEWED,
-        });
-        match self {
-            ControlEvent::JobCreated { job, filter } => {
-                w.str(job).str(filter);
-            }
-            ControlEvent::FilterCreated {
-                name,
-                machine,
-                pid,
-                port,
-                logfile,
-                shards,
-                role,
-                upstream,
-                desc_text,
-                templates_text,
-            } => {
-                w.str(name).str(machine).u32(*pid).u16(*port);
-                w.str(logfile).u32(*shards).str(role).str(upstream);
-                w.str(desc_text).str(templates_text);
-            }
-            ControlEvent::ProcAdded {
-                job,
-                name,
-                machine,
-                pid,
-                state,
-            } => {
-                w.str(job).str(name).str(machine).u32(*pid);
-                w.str(state.keyword());
-            }
-            ControlEvent::FlagsSet { job, flags } => {
-                w.str(job).u32(*flags);
-            }
-            ControlEvent::ProcStateChanged {
-                job,
-                machine,
-                pid,
-                state,
-            } => {
-                w.str(job).str(machine).u32(*pid).str(state.keyword());
-            }
-            ControlEvent::ProcRemoved { job, machine, pid } => {
-                w.str(job).str(machine).u32(*pid);
-            }
-            ControlEvent::JobRemoved { job } => {
-                w.str(job);
-            }
-            ControlEvent::LeaseAcquired {
-                job,
-                owner,
-                at_us,
-                expires_us,
-            }
-            | ControlEvent::LeaseRenewed {
-                job,
-                owner,
-                at_us,
-                expires_us,
-            } => {
-                w.str(job).str(owner).u64(*at_us).u64(*expires_us);
-            }
-        }
+        <ControlEvent as Leaf<String>>::put(self, &mut Writer::new(&mut buf));
         buf
     }
 
@@ -294,74 +284,7 @@ impl ControlEvent {
     /// A description of the malformation: wrong magic (not a control
     /// event at all), an unknown version or type code, or truncation.
     pub fn decode(buf: &[u8]) -> Result<ControlEvent, String> {
-        let mut r = Reader::new(buf);
-        let string = |r: &mut Reader<'_>| r.str(MAX_STR).map(str::to_owned);
-        let state = |r: &mut Reader<'_>| r.str(MAX_STR)?.parse::<ProcState>();
-        let magic = r.u32()?;
-        if magic != CONTROL_MAGIC {
-            return Err(format!("not a control event (magic {magic:#x})"));
-        }
-        let version = r.u32()?;
-        if version != CONTROL_EVENT_VERSION {
-            return Err(format!("unknown control event version {version}"));
-        }
-        let code = r.u8()?;
-        Ok(match code {
-            code::JOB_CREATED => ControlEvent::JobCreated {
-                job: string(&mut r)?,
-                filter: string(&mut r)?,
-            },
-            code::FILTER_CREATED => ControlEvent::FilterCreated {
-                name: string(&mut r)?,
-                machine: string(&mut r)?,
-                pid: r.u32()?,
-                port: r.u16()?,
-                logfile: string(&mut r)?,
-                shards: r.u32()?,
-                role: string(&mut r)?,
-                upstream: string(&mut r)?,
-                desc_text: string(&mut r)?,
-                templates_text: string(&mut r)?,
-            },
-            code::PROC_ADDED => ControlEvent::ProcAdded {
-                job: string(&mut r)?,
-                name: string(&mut r)?,
-                machine: string(&mut r)?,
-                pid: r.u32()?,
-                state: state(&mut r)?,
-            },
-            code::FLAGS_SET => ControlEvent::FlagsSet {
-                job: string(&mut r)?,
-                flags: r.u32()?,
-            },
-            code::PROC_STATE_CHANGED => ControlEvent::ProcStateChanged {
-                job: string(&mut r)?,
-                machine: string(&mut r)?,
-                pid: r.u32()?,
-                state: state(&mut r)?,
-            },
-            code::PROC_REMOVED => ControlEvent::ProcRemoved {
-                job: string(&mut r)?,
-                machine: string(&mut r)?,
-                pid: r.u32()?,
-            },
-            code::JOB_REMOVED => ControlEvent::JobRemoved {
-                job: string(&mut r)?,
-            },
-            code::LEASE_ACQUIRED => ControlEvent::LeaseAcquired {
-                job: string(&mut r)?,
-                owner: string(&mut r)?,
-                at_us: r.u64()?,
-                expires_us: r.u64()?,
-            },
-            code::LEASE_RENEWED => ControlEvent::LeaseRenewed {
-                job: string(&mut r)?,
-                owner: string(&mut r)?,
-                at_us: r.u64()?,
-                expires_us: r.u64()?,
-            },
-            other => return Err(format!("unknown control event type {other}")),
-        })
+        <ControlEvent as Leaf<String>>::get(&mut Reader::new(buf))
     }
 }
 

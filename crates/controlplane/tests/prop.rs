@@ -125,6 +125,29 @@ proptest! {
         prop_assert_eq!(ControlEvent::decode(&wire).unwrap(), ev);
     }
 
+    /// Every proper prefix of an event, the empty one included, is
+    /// refused.
+    #[test]
+    fn truncation_is_an_error(ev in arb_event()) {
+        let wire = ev.encode();
+        for keep in 0..wire.len() {
+            prop_assert!(ControlEvent::decode(&wire[..keep]).is_err(), "cut to {}", keep);
+        }
+    }
+
+    /// A flipped byte is decoded or refused, never a panic.
+    #[test]
+    fn a_flipped_byte_is_decoded_or_refused(
+        ev in arb_event(),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let mut wire = ev.encode();
+        let at = at % wire.len();
+        wire[at] ^= mask;
+        let _ = ControlEvent::decode(&wire);
+    }
+
     /// Replay order is indifferent to *how* the log was written —
     /// re-opening the log mid-stream (a controller restart) changes
     /// segments and writer state but not the reconstructed table.

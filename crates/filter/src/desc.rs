@@ -22,7 +22,7 @@
 //! (socket names).
 
 use crate::log::LogLine;
-use dpm_meter::{SockName, NAME_LEN};
+use dpm_meter::{NameRef, NAME_LEN};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -89,7 +89,7 @@ impl fmt::Display for FieldRef<'_> {
                     return f.write_str("-");
                 }
                 if b.len() == NAME_LEN {
-                    if let Ok(name) = SockName::decode(b) {
+                    if let Ok(name) = NameRef::decode(b) {
                         return write!(f, "{name}");
                     }
                 }
@@ -357,7 +357,7 @@ impl FieldSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpm_meter::{MeterBody, MeterHeader, MeterMsg, MeterSendMsg};
+    use dpm_meter::{MeterBody, MeterHeader, MeterMsg, MeterSendMsg, SockName};
 
     fn send_record() -> Vec<u8> {
         MeterMsg {

@@ -476,15 +476,39 @@ impl TextTest {
     /// Whether `value`, of `record`, passes.
     fn holds(&self, value: FieldRef<'_>, record: &[u8]) -> bool {
         let (op, other, text) = match self {
-            TextTest::Prefix(negated, digits) => return text_cmp(value, digits).1 != *negated,
+            TextTest::Prefix(negated, digits) => {
+                return text_cmp(value, digits.as_bytes()).1 != *negated
+            }
             TextTest::Cmp(op, other, text) => (op, other, text),
         };
         let other = other.and_then(|(off, len, base)| read_at(record, off, len, base));
         op.holds(match (value, other) {
             (FieldRef::Int(lhs), Some(FieldRef::Int(rhs))) => lhs.cmp(&rhs),
-            (_, Some(other)) => text_cmp(value, &other.to_string()).0,
-            (_, None) => text_cmp(value, text).0,
+            (_, Some(other)) => {
+                // The other field's text, written on the stack: every
+                // integer, name and byte field of up to 32 bytes fits.
+                let mut stack = Stack([0; 64], 0);
+                match write!(stack, "{other}") {
+                    Ok(()) => text_cmp(value, &stack.0[..stack.1]).0,
+                    Err(_) => text_cmp(value, other.to_string().as_bytes()).0,
+                }
+            }
+            (_, None) => text_cmp(value, text.as_bytes()).0,
         })
+    }
+}
+
+/// Text written into a fixed buffer: `.1` bytes of `.0`, and an error
+/// once they would not fit.
+struct Stack([u8; 64], usize);
+
+impl fmt::Write for Stack {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.1 + s.len();
+        let to = self.0.get_mut(self.1..end).ok_or(fmt::Error)?;
+        to.copy_from_slice(s.as_bytes());
+        self.1 = end;
+        Ok(())
     }
 }
 
@@ -503,8 +527,8 @@ impl Op {
 
 /// How `value`'s text (its `Display`) compares with `rhs`, and whether
 /// it starts with `rhs` — found as the text is written, not built.
-fn text_cmp(value: FieldRef<'_>, rhs: &str) -> (Ordering, bool) {
-    let mut cmp = TextCmp(rhs.as_bytes(), 0, Ordering::Equal);
+fn text_cmp(value: FieldRef<'_>, rhs: &[u8]) -> (Ordering, bool) {
+    let mut cmp = TextCmp(rhs, 0, Ordering::Equal);
     write!(cmp, "{value}").expect("comparing never fails");
     let TextCmp(_, len, ord) = cmp;
     (
@@ -655,6 +679,36 @@ mod tests {
         assert!(matches!(rules.verdict(&d, &same), Verdict::Keep { .. }));
         assert_eq!(rules.verdict(&d, &different), Verdict::Reject);
         assert_eq!(record_type_of(&same), trace_type::ACCEPT);
+    }
+
+    #[test]
+    fn fields_too_long_for_the_stack_compare_by_their_text() {
+        // 40 and 36 bytes written in hex: longer than the stack's 64.
+        let d = Descriptions::parse(
+            "HEADER size machine cpuTime procTime traceType\n\
+             ACCEPT 8, both,16,40,16 tail,20,36,16\n",
+        )
+        .unwrap();
+        let accept = record(
+            0,
+            0,
+            MeterBody::Accept(MeterAccept {
+                pid: 1,
+                pc: 0,
+                sock: 1,
+                new_sock: 2,
+                sock_name: Some(SockName::inet(1, 80)),
+                peer_name: Some(SockName::inet(2, 81)),
+            }),
+        );
+        let kept = |rule: &str| {
+            let rules = Rules::parse(rule).unwrap();
+            matches!(rules.verdict(&d, &accept), Verdict::Keep { .. })
+        };
+        assert!(kept("both=both"));
+        assert!(!kept("both=tail"));
+        // "08000000 08000000 …" against "08000000 02000000 …".
+        assert!(kept("both>tail") && kept("tail<both"));
     }
 
     fn record_type_of(r: &[u8]) -> u32 {

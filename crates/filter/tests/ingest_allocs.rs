@@ -62,6 +62,11 @@ const ROUNDS: u32 = 64;
 /// pass is new records to the dedup, with every frame boundary where
 /// the first pass had it.
 fn wire(first_seq: u32) -> Vec<u8> {
+    wire_named(first_seq, &SockName::inet(9, 80))
+}
+
+/// [`wire`], every accept's own name `local`.
+fn wire_named(first_seq: u32, local: &SockName) -> Vec<u8> {
     let mut out = Vec::new();
     for round in 0..ROUNDS {
         for p in 0..PROCS {
@@ -87,7 +92,7 @@ fn wire(first_seq: u32) -> Vec<u8> {
                     pc,
                     sock,
                     new_sock: 4,
-                    sock_name: Some(SockName::inet(9, 80)),
+                    sock_name: Some(local.clone()),
                     peer_name: peer,
                 }),
             };
@@ -121,7 +126,11 @@ fn feed_counted(engine: &mut FilterEngine, wire: &[u8], sink: &mut Vec<u8>) -> u
 }
 
 fn steady_state(rules: Rules) -> (u64, FilterStats, Vec<u8>) {
-    let (first, second) = (wire(1), wire(1 + ROUNDS));
+    steady_state_named(rules, &SockName::inet(9, 80))
+}
+
+fn steady_state_named(rules: Rules, local: &SockName) -> (u64, FilterStats, Vec<u8>) {
+    let (first, second) = (wire_named(1, local), wire_named(1 + ROUNDS, local));
     let mut sink = Vec::with_capacity(first.len() + second.len());
     let mut engine = FilterEngine::new(Descriptions::standard(), rules);
     // The first pass grows the dedup map and the carry buffer to size.
@@ -166,4 +175,26 @@ fn a_kept_record_to_a_raw_sink_allocates_nothing() {
         assert!(stats.kept > 0 && stats.rejected > 0, "{stats:?}");
         assert_eq!(allocs, 0, "{allocs} allocations under {templates:?}");
     }
+
+    // Field-to-field tests on names — Fig. 3.4's own rule and an order
+    // on names — over accepts whose own name is one of the peers', an
+    // inet name between them, or a `unix:` name: the other field's
+    // text is written on the stack, and a `unix:` path is read in place.
+    let mut kept = 0;
+    for local in [
+        SockName::inet(3, 1701),
+        SockName::inet(2, 80),
+        SockName::unix("/tmp/f1"),
+    ] {
+        for templates in ["type=8, sockName=peerName", "type=8, sockName<peerName"] {
+            let rules = Rules::parse(templates).expect("rules parse");
+            let (allocs, stats, _) = steady_state_named(rules, &local);
+            assert_eq!(
+                allocs, 0,
+                "{allocs} allocations under {templates:?}, {local}"
+            );
+            kept += stats.kept;
+        }
+    }
+    assert!(kept > 0, "the name comparisons keep some accepts");
 }

@@ -186,4 +186,37 @@ fn a_line_allocates_nothing_and_a_log_record_once() {
         );
         assert_eq!(again, out);
     }
+
+    // A `unix:` name is written from the record's bytes, not decoded
+    // into an owned name first.
+    let records: Vec<Vec<u8>> = (0..N)
+        .map(|i| {
+            let path = SockName::unix(format!("/tmp/s{i}"));
+            let body = MeterBody::Send(MeterSendMsg {
+                pid: 100 + i,
+                pc: i,
+                sock: 3,
+                msg_length: i,
+                dest_name: Some(path),
+            });
+            let header = MeterHeader {
+                trace_type: body.trace_type(),
+                ..MeterHeader::default()
+            };
+            MeterMsg { header, body }.encode()
+        })
+        .collect();
+    out.clear();
+    let allocs = allocations_in(|| {
+        for r in &records {
+            let kept = KeptRecord::new(&desc, r, &[]).expect("described");
+            kept.write_to(&mut out).expect("write to String");
+            out.push('\n');
+        }
+    });
+    assert_eq!(allocs, 0, "unix names: {allocs} allocations");
+    assert!(
+        out.lines().all(|l| l.contains("destName=unix:/tmp/s")),
+        "{out}"
+    );
 }

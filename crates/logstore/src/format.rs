@@ -112,6 +112,7 @@ pub fn encode_frame(out: &mut Vec<u8>, env: &Envelope, raw: &[u8]) -> usize {
 /// envelope, the raw record slice, and the offset one past the frame.
 /// `None` for anything invalid — truncation, out-of-range length, or
 /// CRC mismatch — which recovery treats as the torn tail.
+#[inline]
 pub fn decode_frame(bytes: &[u8], off: usize) -> Option<(Envelope, &[u8], usize)> {
     let mut r = Reader::new(bytes.get(off..)?);
     let payload_len = r.u32().ok()? as usize;

@@ -56,7 +56,7 @@ pub use backend::{Backend, DirBackend, MemBackend, StoreSource};
 /// The monitor's one byte codec and its process identifier,
 /// re-exported so crates that frame their records for this store reach
 /// them without a dependency edge of their own.
-pub use dpm_meter::{wire, Pid};
+pub use dpm_meter::{layout, wire, Pid};
 pub use format::ProcId;
 pub use reader::{list_segments, Frame, Scan, StoreReader};
 pub use tail::{OwnedFrame, StoreTail};

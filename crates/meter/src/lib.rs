@@ -62,5 +62,5 @@ pub use msg::{
     MeterDup, MeterFork, MeterHeader, MeterMsg, MeterRecord, MeterRecvCall, MeterRecvMsg,
     MeterSendMsg, MeterSockCrt, MeterTermProc, Pid, TermReason, HEADER_LEN, MAX_METER_MSG,
 };
-pub use name::{NameDecodeError, SockName, NAME_LEN};
+pub use name::{NameDecodeError, NameRef, SockName, NAME_LEN};
 pub use window::SeqWindow;

@@ -14,8 +14,8 @@
 //! [`MeterTermProc`] supply the obvious layouts and are documented as
 //! reconstructions.
 
-use crate::name::{NameDecodeError, SockName, NAME_LEN};
-use crate::wire::{frame_step, u16_at, u32_at, FrameStep, Reader, WireError, Writer};
+use crate::name::{Name, NameDecodeError, SockName};
+use crate::wire::{frame_step, u16_at, u32_at, Frame, FrameStep, Leaf, Reader, WireError, Writer};
 use std::fmt;
 use std::ops::Deref;
 
@@ -108,32 +108,6 @@ pub struct MeterHeader {
     pub proc_time: u32,
     /// Event kind; one of the [`trace_type`] constants.
     pub trace_type: u32,
-}
-
-/// Writes an optional name's `nameLen` field. Length zero means the
-/// name was not available to the metering software (§4.1), e.g. the
-/// recipient of a `write` across a connection.
-fn write_name_len(w: &mut Writer<'_>, name: &Option<SockName>) {
-    w.u32(name.as_ref().map_or(0, SockName::wire_len));
-}
-
-/// Writes an optional name's 16-byte `NAME` field, zeros when absent.
-fn write_name(w: &mut Writer<'_>, name: &Option<SockName>) {
-    match name {
-        Some(n) => n.write(w),
-        None => {
-            w.raw(&[0u8; NAME_LEN]);
-        }
-    }
-}
-
-/// Reads a `NAME` field whose `nameLen` field said `len_field`.
-fn read_name(r: &mut Reader<'_>, len_field: u32) -> Result<Option<SockName>, DecodeError> {
-    let field = r.take(NAME_LEN)?;
-    if len_field == 0 {
-        return Ok(None);
-    }
-    Ok(Some(SockName::decode(field)?))
 }
 
 /// `struct MeterSendMsg`: a message was sent (trace type
@@ -363,22 +337,6 @@ pub enum MeterBody {
 }
 
 impl MeterBody {
-    /// The [`trace_type`] constant for this body.
-    pub fn trace_type(&self) -> u32 {
-        match self {
-            MeterBody::Send(_) => trace_type::SEND,
-            MeterBody::RecvCall(_) => trace_type::RECEIVECALL,
-            MeterBody::Recv(_) => trace_type::RECEIVE,
-            MeterBody::SockCrt(_) => trace_type::SOCKET,
-            MeterBody::Dup(_) => trace_type::DUP,
-            MeterBody::DestSock(_) => trace_type::DESTSOCKET,
-            MeterBody::Fork(_) => trace_type::FORK,
-            MeterBody::Accept(_) => trace_type::ACCEPT,
-            MeterBody::Connect(_) => trace_type::CONNECT,
-            MeterBody::TermProc(_) => trace_type::TERMPROC,
-        }
-    }
-
     /// The process id common to every body.
     pub fn pid(&self) -> u32 {
         match self {
@@ -394,147 +352,76 @@ impl MeterBody {
             MeterBody::TermProc(b) => b.pid,
         }
     }
+}
 
-    fn write(&self, w: &mut Writer<'_>) {
-        match self {
-            MeterBody::Send(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.msg_length);
-                write_name_len(w, &b.dest_name);
-                write_name(w, &b.dest_name);
-            }
-            MeterBody::RecvCall(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock);
-            }
-            MeterBody::Recv(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.msg_length);
-                write_name_len(w, &b.source_name);
-                write_name(w, &b.source_name);
-            }
-            MeterBody::SockCrt(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock);
-                w.u32(b.domain).u32(b.sock_type).u32(b.protocol);
-            }
-            MeterBody::Dup(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.new_sock);
-            }
-            MeterBody::DestSock(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock);
-            }
-            MeterBody::Fork(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.new_pid);
-            }
-            MeterBody::Accept(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock).u32(b.new_sock);
-                write_name_len(w, &b.sock_name);
-                write_name_len(w, &b.peer_name);
-                write_name(w, &b.sock_name);
-                write_name(w, &b.peer_name);
-            }
-            MeterBody::Connect(b) => {
-                w.u32(b.pid).u32(b.pc).u32(b.sock);
-                write_name_len(w, &b.sock_name);
-                write_name_len(w, &b.peer_name);
-                write_name(w, &b.sock_name);
-                write_name(w, &b.peer_name);
-            }
-            MeterBody::TermProc(b) => {
-                w.u32(b.pid).u32(b.pc).u32(match b.reason {
-                    TermReason::Normal => 0,
-                    TermReason::Killed => 1,
-                });
-            }
-        }
+/// A `short` in its VAX word: the value, then two bytes of padding.
+struct Short;
+
+impl Leaf<DecodeError> for Short {
+    type Value = u16;
+    #[inline]
+    fn put(v: &u16, w: &mut Writer<'_>) {
+        <(u16, u16) as Leaf<DecodeError>>::put(&(*v, 0), w);
     }
+    fn get(r: &mut Reader<'_>) -> Result<u16, DecodeError> {
+        Ok(<(u16, u16) as Leaf<DecodeError>>::get(r)?.0)
+    }
+}
 
-    /// Reads the body of a `trace` event; `r` stands just past the
-    /// header, so a short body reports sizes of the whole message.
-    fn read(trace: u32, r: &mut Reader<'_>) -> Result<MeterBody, DecodeError> {
-        Ok(match trace {
-            trace_type::SEND => {
-                let (pid, pc, sock) = (r.u32()?, r.u32()?, r.u32()?);
-                let (msg_length, len) = (r.u32()?, r.u32()?);
-                MeterBody::Send(MeterSendMsg {
-                    pid,
-                    pc,
-                    sock,
-                    msg_length,
-                    dest_name: read_name(r, len)?,
-                })
-            }
-            trace_type::RECEIVECALL => MeterBody::RecvCall(MeterRecvCall {
-                pid: r.u32()?,
-                pc: r.u32()?,
-                sock: r.u32()?,
-            }),
-            trace_type::RECEIVE => {
-                let (pid, pc, sock) = (r.u32()?, r.u32()?, r.u32()?);
-                let (msg_length, len) = (r.u32()?, r.u32()?);
-                MeterBody::Recv(MeterRecvMsg {
-                    pid,
-                    pc,
-                    sock,
-                    msg_length,
-                    source_name: read_name(r, len)?,
-                })
-            }
-            trace_type::SOCKET => MeterBody::SockCrt(MeterSockCrt {
-                pid: r.u32()?,
-                pc: r.u32()?,
-                sock: r.u32()?,
-                domain: r.u32()?,
-                sock_type: r.u32()?,
-                protocol: r.u32()?,
-            }),
-            trace_type::DUP => MeterBody::Dup(MeterDup {
-                pid: r.u32()?,
-                pc: r.u32()?,
-                sock: r.u32()?,
-                new_sock: r.u32()?,
-            }),
-            trace_type::DESTSOCKET => MeterBody::DestSock(MeterDestSock {
-                pid: r.u32()?,
-                pc: r.u32()?,
-                sock: r.u32()?,
-            }),
-            trace_type::FORK => MeterBody::Fork(MeterFork {
-                pid: r.u32()?,
-                pc: r.u32()?,
-                new_pid: r.u32()?,
-            }),
-            trace_type::ACCEPT => {
-                let (pid, pc, sock, new_sock) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
-                let (sock_len, peer_len) = (r.u32()?, r.u32()?);
-                MeterBody::Accept(MeterAccept {
-                    pid,
-                    pc,
-                    sock,
-                    new_sock,
-                    sock_name: read_name(r, sock_len)?,
-                    peer_name: read_name(r, peer_len)?,
-                })
-            }
-            trace_type::CONNECT => {
-                let (pid, pc, sock) = (r.u32()?, r.u32()?, r.u32()?);
-                let (sock_len, peer_len) = (r.u32()?, r.u32()?);
-                MeterBody::Connect(MeterConnect {
-                    pid,
-                    pc,
-                    sock,
-                    sock_name: read_name(r, sock_len)?,
-                    peer_name: read_name(r, peer_len)?,
-                })
-            }
-            trace_type::TERMPROC => MeterBody::TermProc(MeterTermProc {
-                pid: r.u32()?,
-                pc: r.u32()?,
-                reason: match r.u32()? {
-                    0 => TermReason::Normal,
-                    _ => TermReason::Killed,
-                },
-            }),
-            other => return Err(DecodeError::UnknownTraceType { trace_type: other }),
+/// A termination reason as a `bool` word: killed or not.
+impl Leaf<DecodeError> for TermReason {
+    type Value = TermReason;
+    fn put(v: &TermReason, w: &mut Writer<'_>) {
+        <bool as Leaf<DecodeError>>::put(&(*v == TermReason::Killed), w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<TermReason, DecodeError> {
+        let killed = <bool as Leaf<DecodeError>>::get(r)?;
+        Ok(if killed {
+            TermReason::Killed
+        } else {
+            TermReason::Normal
         })
     }
+}
+
+// Appendix A. The header leaves out its two derived words: `size` is
+// the frame's length and `traceType` the body's tag.
+crate::layout! {
+    impl Leaf<DecodeError> for MeterHeader {
+        machine: Short, cpu_time: u32, seq: u32, proc_time: u32, ..MeterHeader::default()
+    }
+}
+
+crate::layout! {
+    impl Leaf<DecodeError> for MeterMsg { header: MeterHeader, body: MeterBody }
+}
+
+crate::layout! {
+    impl Leaf<DecodeError> for MeterBody by u32;
+    /// The [`trace_type`] constant for this body.
+    pub fn trace_type() -> u32 {
+        trace_type::SEND => Send(MeterSendMsg) {
+            pid: u32, pc: u32, sock: u32, msg_length: u32, dest_name: Name<1, 0>,
+        },
+        trace_type::RECEIVECALL => RecvCall(MeterRecvCall) { pid: u32, pc: u32, sock: u32 },
+        trace_type::RECEIVE => Recv(MeterRecvMsg) {
+            pid: u32, pc: u32, sock: u32, msg_length: u32, source_name: Name<1, 0>,
+        },
+        trace_type::SOCKET => SockCrt(MeterSockCrt) {
+            pid: u32, pc: u32, sock: u32, domain: u32, sock_type: u32, protocol: u32,
+        },
+        trace_type::DUP => Dup(MeterDup) { pid: u32, pc: u32, sock: u32, new_sock: u32 },
+        trace_type::DESTSOCKET => DestSock(MeterDestSock) { pid: u32, pc: u32, sock: u32 },
+        trace_type::FORK => Fork(MeterFork) { pid: u32, pc: u32, new_pid: u32 },
+        trace_type::ACCEPT => Accept(MeterAccept) {
+            pid: u32, pc: u32, sock: u32, new_sock: u32,
+            sock_name: Name<2, 0>, peer_name: Name<2, 1>,
+        },
+        trace_type::CONNECT => Connect(MeterConnect) {
+            pid: u32, pc: u32, sock: u32, sock_name: Name<2, 0>, peer_name: Name<2, 1>,
+        },
+        trace_type::TERMPROC => TermProc(MeterTermProc) { pid: u32, pc: u32, reason: TermReason },
+    } else t => DecodeError::UnknownTraceType { trace_type: t }
 }
 
 /// A complete meter message: standard header plus event body.
@@ -562,15 +449,8 @@ impl MeterMsg {
     /// Appends the encoding to `out` and returns the encoded length.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
         let start = out.len();
-        let mut w = Writer::new(out);
-        let h = &self.header;
-        w.u32(0).u16(h.machine).u16(0); // size placeholder, padding
-        w.u32(h.cpu_time).u32(h.seq).u32(h.proc_time);
-        w.u32(self.body.trace_type());
-        self.body.write(&mut w);
-        let size = w.len() - start;
-        w.patch_u32(start, size as u32);
-        size
+        <Frame<MeterMsg> as Leaf<DecodeError>>::put(self, &mut Writer::new(out));
+        out.len() - start
     }
 
     /// Decodes one message from the front of `buf`, returning the
@@ -726,11 +606,11 @@ impl<'a> MeterRecord<'a> {
     /// (body shorter than its trace type requires) or
     /// [`DecodeError::BadName`].
     pub fn to_msg(&self) -> Result<MeterMsg, DecodeError> {
-        let header = self.header();
-        let mut r = Reader::new(self.bytes);
-        r.take(HEADER_LEN)?;
-        let body = MeterBody::read(header.trace_type, &mut r)?;
-        Ok(MeterMsg { header, body })
+        let msg = <Frame<MeterMsg> as Leaf<DecodeError>>::get(&mut Reader::new(self.bytes))?;
+        Ok(MeterMsg {
+            header: self.header(),
+            ..msg
+        })
     }
 }
 
@@ -828,7 +708,8 @@ pub enum DecodeError {
         /// Bytes available.
         have: usize,
     },
-    /// The header's size field is smaller than a header.
+    /// The header's size field is smaller than a header or larger
+    /// than [`MAX_METER_MSG`].
     BadSize {
         /// The offending size.
         size: u32,
@@ -848,7 +729,7 @@ impl fmt::Display for DecodeError {
             DecodeError::Truncated { need, have } => {
                 write!(f, "meter message truncated: need {need} bytes, have {have}")
             }
-            DecodeError::BadSize { size } => write!(f, "meter message size {size} is too small"),
+            DecodeError::BadSize { size } => write!(f, "meter message size {size} is out of range"),
             DecodeError::UnknownTraceType { trace_type } => {
                 write!(f, "unknown trace type {trace_type}")
             }
@@ -879,7 +760,9 @@ impl From<WireError> for DecodeError {
         match e {
             WireError::Truncated { need, have } => DecodeError::Truncated { need, have },
             WireError::TooLong { len, .. } => DecodeError::BadSize { size: len as u32 },
-            WireError::NotUtf8 => DecodeError::BadName(NameDecodeError::BadPath),
+            WireError::NotUtf8 | WireError::OutOfRange(..) => {
+                DecodeError::BadName(NameDecodeError::BadPath)
+            }
         }
     }
 }
@@ -887,6 +770,7 @@ impl From<WireError> for DecodeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NAME_LEN;
 
     fn header(trace: u32) -> MeterHeader {
         MeterHeader {

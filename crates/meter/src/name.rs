@@ -8,7 +8,7 @@
 //! names are important in matching the sockets in a connection and in
 //! identifying the recipient of datagrams."
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{u32_at, Leaf, Reader, WireError, Writer};
 use std::fmt;
 
 /// The fixed on-wire size of a socket name: `sizeof(struct sockaddr)`
@@ -109,43 +109,135 @@ impl SockName {
         w.raw(&[0u8; NAME_LEN][..end - w.len()]);
     }
 
-    /// Decodes a 16-byte `NAME` field.
+    /// Decodes a 16-byte `NAME` field: [`NameRef::decode`], the path
+    /// copied out.
+    ///
+    /// # Errors
+    ///
+    /// As [`NameRef::decode`].
+    pub fn decode(buf: &[u8]) -> Result<SockName, NameDecodeError> {
+        Ok(match NameRef::decode(buf)? {
+            NameRef::Inet { host, port } => SockName::Inet { host, port },
+            NameRef::UnixPath(path) => SockName::UnixPath(path.to_owned()),
+            NameRef::Internal(id) => SockName::Internal(id),
+        })
+    }
+}
+
+impl fmt::Display for SockName {
+    /// Formats as [`NameRef`] does.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SockName::Inet { host, port } => NameRef::Inet {
+                host: *host,
+                port: *port,
+            },
+            SockName::UnixPath(path) => NameRef::UnixPath(path),
+            SockName::Internal(id) => NameRef::Internal(*id),
+        }
+        .fmt(f)
+    }
+}
+
+/// A `NAME` field read in place, its UNIX path borrowed from the bytes:
+/// what [`SockName::decode`] copies into an owned name, and the one
+/// text form of every name, owned or in a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NameRef<'a> {
+    /// As [`SockName::Inet`].
+    Inet {
+        /// Numeric host identifier.
+        host: u32,
+        /// Port number.
+        port: u16,
+    },
+    /// As [`SockName::UnixPath`].
+    UnixPath(&'a str),
+    /// As [`SockName::Internal`].
+    Internal(u64),
+}
+
+impl<'a> NameRef<'a> {
+    /// Reads a 16-byte `NAME` field.
     ///
     /// # Errors
     ///
     /// Returns [`NameDecodeError`] if the buffer is shorter than
     /// [`NAME_LEN`], carries an unknown address family, or (for the
     /// UNIX domain) contains a non-UTF-8 path.
-    pub fn decode(buf: &[u8]) -> Result<SockName, NameDecodeError> {
+    pub fn decode(buf: &'a [u8]) -> Result<NameRef<'a>, NameDecodeError> {
         let mut r = Reader::new(Reader::new(buf).take(NAME_LEN)?);
         let family = r.u16()?;
         match family {
             af::INET => {
                 let (port, host) = (r.u16()?, r.u32()?);
-                Ok(SockName::Inet { host, port })
+                Ok(NameRef::Inet { host, port })
             }
             af::UNIX => {
                 let path = r.rest();
                 let end = path.iter().position(|&b| b == 0).unwrap_or(path.len());
-                let path = std::str::from_utf8(&path[..end])
-                    .map_err(|_| NameDecodeError::BadPath)?
-                    .to_owned();
-                Ok(SockName::UnixPath(path))
+                let path =
+                    std::str::from_utf8(&path[..end]).map_err(|_| NameDecodeError::BadPath)?;
+                Ok(NameRef::UnixPath(path))
             }
-            af::INTERNAL => Ok(SockName::Internal(r.u64()?)),
+            af::INTERNAL => Ok(NameRef::Internal(r.u64()?)),
             _ => Err(NameDecodeError::BadFamily { family }),
         }
     }
 }
 
-impl fmt::Display for SockName {
+impl fmt::Display for NameRef<'_> {
     /// Formats in the textual form used in trace logs and selection
     /// rules: `inet:<host>:<port>`, `unix:<path>`, or `pair:<id>`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SockName::Inet { host, port } => write!(f, "inet:{host}:{port}"),
-            SockName::UnixPath(path) => write!(f, "unix:{path}"),
-            SockName::Internal(id) => write!(f, "pair:{id}"),
+            NameRef::Inet { host, port } => write!(f, "inet:{host}:{port}"),
+            NameRef::UnixPath(path) => write!(f, "unix:{path}"),
+            NameRef::Internal(id) => write!(f, "pair:{id}"),
+        }
+    }
+}
+
+/// `NAME` field `I` of a group of `K` whose `nameLen` words all come
+/// first — Appendix A's order: accept and connect write both lengths,
+/// then both names; send and receive are groups of one. A length of
+/// zero is a name the metering software did not have (§4.1): sixteen
+/// zero bytes written, `None` read, whatever the bytes hold.
+pub(crate) struct Name<const K: usize, const I: usize>;
+
+impl<E, const K: usize, const I: usize> Leaf<E> for Name<K, I>
+where
+    E: From<WireError> + From<NameDecodeError>,
+{
+    type Value = Option<SockName>;
+    #[inline]
+    fn put(v: &Option<SockName>, w: &mut Writer<'_>) {
+        if I == 0 {
+            for _ in 0..K {
+                w.u32(0);
+            }
+        }
+        // This name's length word, behind the group's names before it.
+        let at = w.len() - 4 * (K - I) - NAME_LEN * I;
+        w.patch_u32(at, v.as_ref().map_or(0, SockName::wire_len));
+        match v {
+            Some(name) => name.write(w),
+            None => {
+                w.raw(&[0u8; NAME_LEN]);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Option<SockName>, E> {
+        if I == 0 {
+            for _ in 0..K {
+                r.u32()?;
+            }
+        }
+        let field = r.take(NAME_LEN)?;
+        let read = r.consumed();
+        match u32_at(read, read.len() - 4 * (K - I) - NAME_LEN * (I + 1)) {
+            Some(0) => Ok(None),
+            _ => Ok(Some(SockName::decode(field)?)),
         }
     }
 }
@@ -189,7 +281,7 @@ impl From<WireError> for NameDecodeError {
     fn from(e: WireError) -> NameDecodeError {
         match e {
             WireError::Truncated { have, .. } => NameDecodeError::Truncated { have },
-            WireError::TooLong { .. } | WireError::NotUtf8 => NameDecodeError::BadPath,
+            _ => NameDecodeError::BadPath,
         }
     }
 }

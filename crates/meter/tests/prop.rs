@@ -161,10 +161,22 @@ proptest! {
     }
 
     #[test]
-    fn truncation_is_detected(msg in arb_msg(), cut in 1usize..10) {
+    fn truncation_is_detected(msg in arb_msg()) {
+        // Every proper prefix of the message, the empty one included.
         let wire = msg.encode();
-        let keep = wire.len().saturating_sub(cut);
-        prop_assert!(MeterMsg::decode(&wire[..keep]).is_err());
+        for keep in 0..wire.len() {
+            prop_assert!(MeterMsg::decode(&wire[..keep]).is_err(), "cut to {}", keep);
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_is_decoded_or_refused(msg in arb_msg(), at in any::<usize>(), mask in 1u8..=255) {
+        let mut wire = msg.encode();
+        let at = at % wire.len();
+        wire[at] ^= mask;
+        // `Ok` or `Err`, never a panic, by every path in.
+        let _ = MeterMsg::decode(&wire);
+        let _ = MeterRecord::new(&wire).to_msg();
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! `u32 length + bytes`, all little-endian (VAX order).
 
 use dpm_filter::{FilterArgs, FilterRole};
-use dpm_meter::wire::{u32_at, Reader, WireError, Writer};
-use dpm_meter::MeterFlags;
+use dpm_meter::wire::{
+    u32_at, Bytes, Frame, Leaf, List, Nested, OptStr, Port, Reader, Str, WireError, Writer,
+};
+use dpm_meter::{layout, MeterFlags};
 use dpm_simos::Pid;
 use std::fmt;
 
@@ -173,73 +175,12 @@ impl fmt::Display for RpcStatus {
     }
 }
 
-/// [`FilterRole`]'s wire code.
-fn role_code(role: FilterRole) -> u32 {
-    match role {
-        FilterRole::Leaf => 0,
-        FilterRole::Edge => 1,
-        FilterRole::Aggregate => 2,
-    }
-}
-
-/// Decodes a [`FilterRole`] wire code; unknown values are rejected —
-/// silently mis-placing a filter in the tree would corrupt a
-/// measurement session.
-fn role_from_code(code: u32) -> Result<FilterRole, ProtoError> {
-    match code {
-        0 => Ok(FilterRole::Leaf),
-        1 => Ok(FilterRole::Edge),
-        2 => Ok(FilterRole::Aggregate),
-        other => Err(ProtoError::new(format!("unknown filter role {other}"))),
-    }
-}
-
 /// First word of a `CreateFilter` body, ahead of the version — part
 /// of the pinned layout.
 const SPEC_TAG: u32 = 0xFFFF_FFFF;
 
 /// The `CreateFilter` body's wire version.
 pub(crate) const FILTER_SPEC_VERSION: u32 = 2;
-
-/// Writes a [`FilterArgs`] as the `CreateFilter` body:
-/// `SPEC_TAG, version, filterfile, port, logfile, descriptions,
-/// templates, shards, role, upstream`.
-fn encode_filter_args(spec: &FilterArgs, w: &mut Writer<'_>) {
-    w.u32(SPEC_TAG).u32(FILTER_SPEC_VERSION);
-    w.str(&spec.filterfile).u32(spec.port as u32);
-    w.str(&spec.logfile).str(&spec.descriptions);
-    w.str(&spec.templates).u32(spec.shards);
-    w.u32(role_code(spec.role)).str(&spec.upstream);
-}
-
-/// Reads a `CreateFilter` body and runs [`FilterArgs::validate`] on
-/// it, so a daemon never spawns (or registers an edge for) a filter
-/// that would die on its own argument check. Unknown versions and
-/// roles are rejected outright.
-fn decode_filter_args(r: &mut Reader<'_>) -> Result<FilterArgs, ProtoError> {
-    if r.u32()? != SPEC_TAG {
-        return Err(ProtoError::new("filter spec: missing version tag"));
-    }
-    let version = r.u32()?;
-    if version != FILTER_SPEC_VERSION {
-        return Err(ProtoError::new(format!(
-            "unknown filter spec version {version}"
-        )));
-    }
-    let spec = FilterArgs {
-        filterfile: string(r)?,
-        port: port(r)?,
-        logfile: string(r)?,
-        descriptions: string(r)?,
-        templates: string(r)?,
-        shards: r.u32()?,
-        role: role_from_code(r.u32()?)?,
-        upstream: string(r)?,
-    };
-    spec.validate()
-        .map_err(|e| ProtoError::new(format!("filter spec: {e}")))?;
-    Ok(spec)
-}
 
 /// A request sent from the controller to a meterdaemon (or, for the
 /// last two variants, from a daemon to a controller).
@@ -492,8 +433,6 @@ impl From<WireError> for ProtoError {
     }
 }
 
-// --- wire helpers -----------------------------------------------------
-
 /// Largest total length a frame may claim (16 MiB: a fetched store
 /// segment fits, a corrupted prefix does not) — the one bound stream
 /// readers check [`frame_len`] against, and the cap on every string
@@ -507,157 +446,155 @@ const MAX_PARAMS: usize = 4096;
 /// `FileList`, may carry.
 const MAX_BATCH: usize = 65536;
 
-/// A complete frame of type `ty`: `u32 total-length, u32 type`, then
-/// whatever `body` writes.
-fn frame(ty: u32, body: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    let mut w = Writer::new(&mut out);
-    w.u32(0).u32(ty); // length placeholder
-    body(&mut w);
-    let len = w.len() as u32;
-    w.patch_u32(0, len);
-    out
-}
+/// A string field of a frame.
+type Text = Str<MAX_RPC_FRAME>;
 
-/// A port number: carried as a `u32`, rejected beyond 65535 instead
-/// of narrowed to some other port.
-fn port(r: &mut Reader<'_>) -> Result<u16, ProtoError> {
-    let v = r.u32()?;
-    u16::try_from(v).map_err(|_| ProtoError::new(format!("port {v} out of range")))
-}
+/// A byte field of a frame.
+type Data = Bytes<MAX_RPC_FRAME>;
 
-fn bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, ProtoError> {
-    Ok(r.bytes(MAX_RPC_FRAME)?.to_vec())
-}
-
-fn string(r: &mut Reader<'_>) -> Result<String, ProtoError> {
-    Ok(r.str(MAX_RPC_FRAME)?.to_owned())
-}
-
-/// An element count no larger than `cap` that the rest of the frame
-/// can hold at `min_elem_bytes` apiece.
-fn count(
-    r: &mut Reader<'_>,
-    min_elem_bytes: usize,
-    cap: usize,
-    what: &str,
-) -> Result<usize, ProtoError> {
-    match r.count(min_elem_bytes) {
-        Ok(n) if n <= cap => Ok(n),
-        Err(e @ WireError::Truncated { .. }) => Err(e.into()),
-        _ => Err(ProtoError::new(format!("absurd {what} count"))),
+/// A status as its wire code.
+impl Leaf<ProtoError> for RpcStatus {
+    type Value = RpcStatus;
+    fn put(v: &RpcStatus, w: &mut Writer<'_>) {
+        <u32 as Leaf<ProtoError>>::put(&v.code(), w);
     }
+    fn get(r: &mut Reader<'_>) -> Result<RpcStatus, ProtoError> {
+        <u32 as Leaf<ProtoError>>::get(r).map(RpcStatus::from)
+    }
+}
+
+/// [`FilterRole`]s by wire code. An unknown code is refused: silently
+/// mis-placing a filter in the tree would corrupt a measurement
+/// session.
+const ROLES: [FilterRole; 3] = [FilterRole::Leaf, FilterRole::Edge, FilterRole::Aggregate];
+
+/// A [`FilterRole`] as its index in [`ROLES`].
+struct Role;
+
+impl Leaf<ProtoError> for Role {
+    type Value = FilterRole;
+    fn put(v: &FilterRole, w: &mut Writer<'_>) {
+        let code = ROLES
+            .iter()
+            .position(|r| r == v)
+            .expect("every role has a code");
+        <u32 as Leaf<ProtoError>>::put(&(code as u32), w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<FilterRole, ProtoError> {
+        let code = <u32 as Leaf<ProtoError>>::get(r)?;
+        let role = ROLES.get(code as usize).copied();
+        role.ok_or_else(|| ProtoError::new(format!("unknown filter role {code}")))
+    }
+}
+
+layout! {
+    impl Leaf<ProtoError> for FilterArgs {
+        filterfile: Text, port: Port, logfile: Text, descriptions: Text, templates: Text,
+        shards: u32, role: Role, upstream: Text,
+    }
+}
+
+/// A `CreateFilter` body: [`SPEC_TAG`], the version, then the
+/// [`FilterArgs`] — read back only if [`FilterArgs::validate`] passes,
+/// so a daemon never spawns (or registers an edge for) a filter that
+/// would die on its own argument check. Unknown versions are refused.
+struct Spec;
+
+impl Leaf<ProtoError> for Spec {
+    type Value = FilterArgs;
+    fn put(v: &FilterArgs, w: &mut Writer<'_>) {
+        <(u32, u32) as Leaf<ProtoError>>::put(&(SPEC_TAG, FILTER_SPEC_VERSION), w);
+        <FilterArgs as Leaf<ProtoError>>::put(v, w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<FilterArgs, ProtoError> {
+        if <u32 as Leaf<ProtoError>>::get(r)? != SPEC_TAG {
+            return Err(ProtoError::new("filter spec: missing version tag"));
+        }
+        match <u32 as Leaf<ProtoError>>::get(r)? {
+            FILTER_SPEC_VERSION => {}
+            v => return Err(ProtoError::new(format!("unknown filter spec version {v}"))),
+        }
+        let spec = <FilterArgs as Leaf<ProtoError>>::get(r)?;
+        spec.validate()
+            .map_err(|e| ProtoError::new(format!("filter spec: {e}")))?;
+        Ok(spec)
+    }
+}
+
+/// A tagged call's request: a whole frame inside a byte field, written
+/// in place, and refused if it is itself tagged.
+struct Inner;
+
+impl Leaf<ProtoError> for Inner {
+    type Value = Box<Request>;
+    fn put(v: &Self::Value, w: &mut Writer<'_>) {
+        <Nested<Frame<Request>, MAX_RPC_FRAME> as Leaf<ProtoError>>::put(v, w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self::Value, ProtoError> {
+        match <Nested<Frame<Request>, MAX_RPC_FRAME> as Leaf<ProtoError>>::get(r)? {
+            Request::Tagged { .. } => Err(ProtoError::new("nested tagged request")),
+            inner => Ok(Box::new(inner)),
+        }
+    }
+}
+
+// Fig. 3.6: after the frame's length word, the type number, then the
+// body. Ports travel as `u32`s.
+layout! {
+    impl Leaf<ProtoError> for Request by u32;
+    /// The message's type number.
+    pub(crate) fn msg_type() -> u32 {
+        msg_type::CREATE_REQUEST => Create {
+            filename: Text, params: List<Text, MAX_PARAMS>, filter_port: Port, filter_host: Text,
+            meter_flags: MeterFlags, control_port: Port, control_host: Text, redirect_io: bool,
+            stdin_file: OptStr<MAX_RPC_FRAME>,
+        },
+        msg_type::CREATE_FILTER => CreateFilter { spec: Spec },
+        msg_type::SET_FLAGS => SetFlags { pid: Pid, flags: MeterFlags },
+        msg_type::START => Start { pid: Pid },
+        msg_type::STOP => Stop { pid: Pid },
+        msg_type::KILL => Kill { pid: Pid },
+        msg_type::ACQUIRE => Acquire {
+            pid: Pid, filter_port: Port, filter_host: Text, meter_flags: MeterFlags,
+            control_port: Port, control_host: Text,
+        },
+        msg_type::ACQUIRE_MANY => AcquireMany {
+            pids: List<Pid, MAX_BATCH>, filter_port: Port, filter_host: Text,
+            meter_flags: MeterFlags, control_port: Port, control_host: Text, rebind_only: bool,
+        },
+        msg_type::GET_FILE => GetFile { path: Text },
+        msg_type::CLEAR_METER => ClearMeter { pid: Pid },
+        msg_type::WRITE_FILE => WriteFile { path: Text, data: Data },
+        msg_type::SEND_INPUT => SendInput { pid: Pid, data: Data },
+        msg_type::STATE_CHANGE => StateChange { pid: Pid, state: u32 },
+        msg_type::IO_DATA => IoData { pid: Pid, data: Data },
+        msg_type::TAGGED => Tagged { req_id: u64, inner: Inner },
+        msg_type::QUERY_PROC => QueryProc { pid: Pid },
+        msg_type::LIST_FILES => ListFiles { prefix: Text },
+    } else ty => ProtoError::new(format!("unknown request type {ty}"))
+}
+
+layout! {
+    impl Leaf<ProtoError> for Reply by u32;
+    /// The message's type number.
+    pub(crate) fn msg_type() -> u32 {
+        msg_type::CREATE_REPLY => Create { pid: Pid, status: RpcStatus },
+        msg_type::ACK => Ack { status: RpcStatus },
+        msg_type::FILE_REPLY => File { status: RpcStatus, data: Data },
+        msg_type::PROC_STATUS => ProcStatus { status: RpcStatus, state: u32 },
+        msg_type::FILE_LIST => FileList { status: RpcStatus, names: List<Text, MAX_BATCH> },
+        msg_type::ACQUIRE_MANY_REPLY => AcquireMany {
+            status: RpcStatus, results: List<(Pid, RpcStatus), MAX_BATCH>,
+        },
+    } else ty => ProtoError::new(format!("unknown reply type {ty}"))
 }
 
 impl Request {
-    /// The message's type number.
-    pub(crate) fn msg_type(&self) -> u32 {
-        match self {
-            Request::Create { .. } => msg_type::CREATE_REQUEST,
-            Request::CreateFilter { .. } => msg_type::CREATE_FILTER,
-            Request::SetFlags { .. } => msg_type::SET_FLAGS,
-            Request::Start { .. } => msg_type::START,
-            Request::Stop { .. } => msg_type::STOP,
-            Request::Kill { .. } => msg_type::KILL,
-            Request::Acquire { .. } => msg_type::ACQUIRE,
-            Request::AcquireMany { .. } => msg_type::ACQUIRE_MANY,
-            Request::GetFile { .. } => msg_type::GET_FILE,
-            Request::ClearMeter { .. } => msg_type::CLEAR_METER,
-            Request::WriteFile { .. } => msg_type::WRITE_FILE,
-            Request::SendInput { .. } => msg_type::SEND_INPUT,
-            Request::StateChange { .. } => msg_type::STATE_CHANGE,
-            Request::IoData { .. } => msg_type::IO_DATA,
-            Request::Tagged { .. } => msg_type::TAGGED,
-            Request::QueryProc { .. } => msg_type::QUERY_PROC,
-            Request::ListFiles { .. } => msg_type::LIST_FILES,
-        }
-    }
-
     /// Encodes to the wire form.
     pub fn encode(&self) -> Vec<u8> {
-        frame(self.msg_type(), |w| match self {
-            Request::Create {
-                filename,
-                params,
-                filter_port,
-                filter_host,
-                meter_flags,
-                control_port,
-                control_host,
-                redirect_io,
-                stdin_file,
-            } => {
-                w.str(filename).u32(params.len() as u32);
-                for p in params {
-                    w.str(p);
-                }
-                w.u32(*filter_port as u32).str(filter_host);
-                w.u32(meter_flags.bits());
-                w.u32(*control_port as u32).str(control_host);
-                w.u32(*redirect_io as u32);
-                w.str(stdin_file.as_deref().unwrap_or(""));
-            }
-            Request::CreateFilter { spec } => encode_filter_args(spec, w),
-            Request::SetFlags { pid, flags } => {
-                w.u32(pid.0).u32(flags.bits());
-            }
-            Request::Start { pid }
-            | Request::Stop { pid }
-            | Request::Kill { pid }
-            | Request::ClearMeter { pid }
-            | Request::QueryProc { pid } => {
-                w.u32(pid.0);
-            }
-            Request::Acquire {
-                pid,
-                filter_port,
-                filter_host,
-                meter_flags,
-                control_port,
-                control_host,
-            } => {
-                w.u32(pid.0);
-                w.u32(*filter_port as u32).str(filter_host);
-                w.u32(meter_flags.bits());
-                w.u32(*control_port as u32).str(control_host);
-            }
-            Request::AcquireMany {
-                pids,
-                filter_port,
-                filter_host,
-                meter_flags,
-                control_port,
-                control_host,
-                rebind_only,
-            } => {
-                w.u32(pids.len() as u32);
-                for pid in pids {
-                    w.u32(pid.0);
-                }
-                w.u32(*filter_port as u32).str(filter_host);
-                w.u32(meter_flags.bits());
-                w.u32(*control_port as u32).str(control_host);
-                w.u32(*rebind_only as u32);
-            }
-            Request::GetFile { path } => {
-                w.str(path);
-            }
-            Request::WriteFile { path, data } => {
-                w.str(path).bytes(data);
-            }
-            Request::SendInput { pid, data } | Request::IoData { pid, data } => {
-                w.u32(pid.0).bytes(data);
-            }
-            Request::StateChange { pid, state } => {
-                w.u32(pid.0).u32(*state);
-            }
-            Request::Tagged { req_id, inner } => {
-                w.u64(*req_id).bytes(&inner.encode());
-            }
-            Request::ListFiles { prefix } => {
-                w.str(prefix);
-            }
-        })
+        let mut out = Vec::with_capacity(64);
+        <Frame<Request> as Leaf<ProtoError>>::put(self, &mut Writer::new(&mut out));
+        out
     }
 
     /// Decodes a complete message (including its length prefix).
@@ -667,147 +604,16 @@ impl Request {
     /// [`ProtoError`] on truncation, an unknown type number, a port
     /// beyond 65535, or a filter description its validator rejects.
     pub fn decode(buf: &[u8]) -> Result<Request, ProtoError> {
-        let r = &mut Reader::new(buf);
-        let (_len, ty) = (r.u32()?, r.u32()?);
-        Ok(match ty {
-            msg_type::CREATE_REQUEST => {
-                let filename = string(r)?;
-                // A parameter is at least its own length prefix.
-                let n = count(r, 4, MAX_PARAMS, "parameter")?;
-                let mut params = Vec::with_capacity(n);
-                for _ in 0..n {
-                    params.push(string(r)?);
-                }
-                Request::Create {
-                    filename,
-                    params,
-                    filter_port: port(r)?,
-                    filter_host: string(r)?,
-                    meter_flags: MeterFlags::from_bits(r.u32()?),
-                    control_port: port(r)?,
-                    control_host: string(r)?,
-                    redirect_io: r.u32()? != 0,
-                    stdin_file: {
-                        let s = string(r)?;
-                        if s.is_empty() {
-                            None
-                        } else {
-                            Some(s)
-                        }
-                    },
-                }
-            }
-            msg_type::CREATE_FILTER => Request::CreateFilter {
-                spec: decode_filter_args(r)?,
-            },
-            msg_type::SET_FLAGS => Request::SetFlags {
-                pid: Pid(r.u32()?),
-                flags: MeterFlags::from_bits(r.u32()?),
-            },
-            msg_type::START => Request::Start { pid: Pid(r.u32()?) },
-            msg_type::STOP => Request::Stop { pid: Pid(r.u32()?) },
-            msg_type::KILL => Request::Kill { pid: Pid(r.u32()?) },
-            msg_type::ACQUIRE => Request::Acquire {
-                pid: Pid(r.u32()?),
-                filter_port: port(r)?,
-                filter_host: string(r)?,
-                meter_flags: MeterFlags::from_bits(r.u32()?),
-                control_port: port(r)?,
-                control_host: string(r)?,
-            },
-            msg_type::ACQUIRE_MANY => {
-                let n = count(r, 4, MAX_BATCH, "pid")?;
-                let mut pids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pids.push(Pid(r.u32()?));
-                }
-                Request::AcquireMany {
-                    pids,
-                    filter_port: port(r)?,
-                    filter_host: string(r)?,
-                    meter_flags: MeterFlags::from_bits(r.u32()?),
-                    control_port: port(r)?,
-                    control_host: string(r)?,
-                    rebind_only: r.u32()? != 0,
-                }
-            }
-            msg_type::GET_FILE => Request::GetFile { path: string(r)? },
-            msg_type::CLEAR_METER => Request::ClearMeter { pid: Pid(r.u32()?) },
-            msg_type::WRITE_FILE => Request::WriteFile {
-                path: string(r)?,
-                data: bytes(r)?,
-            },
-            msg_type::SEND_INPUT => Request::SendInput {
-                pid: Pid(r.u32()?),
-                data: bytes(r)?,
-            },
-            msg_type::STATE_CHANGE => Request::StateChange {
-                pid: Pid(r.u32()?),
-                state: r.u32()?,
-            },
-            msg_type::IO_DATA => Request::IoData {
-                pid: Pid(r.u32()?),
-                data: bytes(r)?,
-            },
-            msg_type::TAGGED => {
-                let req_id = r.u64()?;
-                let inner = Request::decode(r.bytes(MAX_RPC_FRAME)?)?;
-                if matches!(inner, Request::Tagged { .. }) {
-                    return Err(ProtoError::new("nested tagged request"));
-                }
-                Request::Tagged {
-                    req_id,
-                    inner: Box::new(inner),
-                }
-            }
-            msg_type::QUERY_PROC => Request::QueryProc { pid: Pid(r.u32()?) },
-            msg_type::LIST_FILES => Request::ListFiles { prefix: string(r)? },
-            other => return Err(ProtoError::new(format!("unknown request type {other}"))),
-        })
+        <Frame<Request> as Leaf<ProtoError>>::get(&mut Reader::new(buf))
     }
 }
 
 impl Reply {
-    /// The message's type number.
-    pub(crate) fn msg_type(&self) -> u32 {
-        match self {
-            Reply::Create { .. } => msg_type::CREATE_REPLY,
-            Reply::Ack { .. } => msg_type::ACK,
-            Reply::File { .. } => msg_type::FILE_REPLY,
-            Reply::ProcStatus { .. } => msg_type::PROC_STATUS,
-            Reply::FileList { .. } => msg_type::FILE_LIST,
-            Reply::AcquireMany { .. } => msg_type::ACQUIRE_MANY_REPLY,
-        }
-    }
-
     /// Encodes to the wire form.
     pub fn encode(&self) -> Vec<u8> {
-        frame(self.msg_type(), |w| match self {
-            Reply::Create { pid, status } => {
-                w.u32(pid.0).u32(status.code());
-            }
-            Reply::Ack { status } => {
-                w.u32(status.code());
-            }
-            Reply::File { status, data } => {
-                w.u32(status.code()).bytes(data);
-            }
-            Reply::ProcStatus { status, state } => {
-                w.u32(status.code()).u32(*state);
-            }
-            Reply::FileList { status, names } => {
-                w.u32(status.code()).u32(names.len() as u32);
-                for n in names {
-                    w.str(n);
-                }
-            }
-            Reply::AcquireMany { status, results } => {
-                w.u32(status.code()).u32(results.len() as u32);
-                for (pid, st) in results {
-                    w.u32(pid.0).u32(st.code());
-                }
-            }
-        })
+        let mut out = Vec::with_capacity(64);
+        <Frame<Reply> as Leaf<ProtoError>>::put(self, &mut Writer::new(&mut out));
+        out
     }
 
     /// Decodes a complete message.
@@ -816,44 +622,7 @@ impl Reply {
     ///
     /// [`ProtoError`] on truncation or an unknown type number.
     pub fn decode(buf: &[u8]) -> Result<Reply, ProtoError> {
-        let r = &mut Reader::new(buf);
-        let (_len, ty) = (r.u32()?, r.u32()?);
-        Ok(match ty {
-            msg_type::CREATE_REPLY => Reply::Create {
-                pid: Pid(r.u32()?),
-                status: RpcStatus::from(r.u32()?),
-            },
-            msg_type::ACK => Reply::Ack {
-                status: RpcStatus::from(r.u32()?),
-            },
-            msg_type::FILE_REPLY => Reply::File {
-                status: RpcStatus::from(r.u32()?),
-                data: bytes(r)?,
-            },
-            msg_type::PROC_STATUS => Reply::ProcStatus {
-                status: RpcStatus::from(r.u32()?),
-                state: r.u32()?,
-            },
-            msg_type::FILE_LIST => {
-                let status = RpcStatus::from(r.u32()?);
-                let n = count(r, 4, MAX_BATCH, "file")?;
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(string(r)?);
-                }
-                Reply::FileList { status, names }
-            }
-            msg_type::ACQUIRE_MANY_REPLY => {
-                let status = RpcStatus::from(r.u32()?);
-                let n = count(r, 8, MAX_BATCH, "pid")?;
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    results.push((Pid(r.u32()?), RpcStatus::from(r.u32()?)));
-                }
-                Reply::AcquireMany { status, results }
-            }
-            other => return Err(ProtoError::new(format!("unknown reply type {other}"))),
-        })
+        <Frame<Reply> as Leaf<ProtoError>>::get(&mut Reader::new(buf))
     }
 }
 
@@ -1070,7 +839,7 @@ mod tests {
         let mut wire = req.encode();
         wire[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = Request::decode(&wire).unwrap_err();
-        assert!(err.to_string().contains("absurd pid count"), "{err}");
+        assert!(err.to_string().contains("absurd length"), "{err}");
         // Truncated mid-batch.
         let wire = req.encode();
         assert!(Request::decode(&wire[..wire.len() - 2]).is_err());
@@ -1082,7 +851,7 @@ mod tests {
         let mut wire = rep.encode();
         wire[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = Reply::decode(&wire).unwrap_err();
-        assert!(err.to_string().contains("absurd pid count"), "{err}");
+        assert!(err.to_string().contains("absurd length"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests of the controller↔daemon protocol: arbitrary
-//! well-formed messages round-trip; arbitrary bytes never panic the
-//! decoders.
+//! well-formed messages (retry-tagged ones too) round-trip; every cut
+//! of one is refused; arbitrary bytes, a flipped byte or a hostile word
+//! never panic the decoders; a tag in a tag is refused.
 
 use dpm_meter::MeterFlags;
 use dpm_meterd::{frame_len, Reply, Request, RpcStatus};
@@ -11,7 +12,28 @@ fn arb_string() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9/._-]{0,40}"
 }
 
+/// Any request: a plain one, or a plain one in a retry tag.
 fn arb_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        3 => arb_plain_request(),
+        1 => (any::<u64>(), arb_plain_request()).prop_map(|(req_id, inner)| Request::Tagged {
+            req_id,
+            inner: Box::new(inner),
+        }),
+    ]
+}
+
+/// Whether the daemon accepts `req`: every filter description in it
+/// passes its validator.
+fn valid(req: &Request) -> bool {
+    match req {
+        Request::CreateFilter { spec } => spec.validate().is_ok(),
+        Request::Tagged { inner, .. } => valid(inner),
+        _ => true,
+    }
+}
+
+fn arb_plain_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         (
             arb_string(),
@@ -130,12 +152,24 @@ proptest! {
     fn requests_round_trip(req in arb_request()) {
         let wire = req.encode();
         prop_assert_eq!(frame_len(&wire), Some(wire.len()));
-        match &req {
-            Request::CreateFilter { spec } if spec.validate().is_err() => {
-                prop_assert!(Request::decode(&wire).is_err(), "decoded invalid {:?}", spec);
-            }
-            _ => prop_assert_eq!(Request::decode(&wire).expect("decode"), req),
+        if valid(&req) {
+            prop_assert_eq!(Request::decode(&wire).expect("decode"), req);
+        } else {
+            prop_assert!(Request::decode(&wire).is_err(), "decoded invalid {:?}", req);
         }
+    }
+
+    #[test]
+    fn a_tag_in_a_tag_is_refused(req in arb_request(), outer in any::<u64>()) {
+        let inner = match req {
+            tagged @ Request::Tagged { .. } => tagged,
+            plain => Request::Tagged { req_id: outer, inner: Box::new(plain) },
+        };
+        let double = Request::Tagged { req_id: outer, inner: Box::new(inner) };
+        let err = Request::decode(&double.encode()).expect_err("a tag in a tag");
+        // An invalid filter description is refused first, from within.
+        let named = err.to_string().contains("nested tagged");
+        prop_assert!(named || !valid(&double), "{}", err);
     }
 
     #[test]
@@ -168,9 +202,31 @@ proptest! {
     }
 
     #[test]
-    fn truncation_is_an_error(req in arb_request(), cut in 1usize..8) {
+    fn truncation_is_an_error(req in arb_request(), rep in arb_reply()) {
+        // Every proper prefix of the frame, the empty one included.
         let wire = req.encode();
-        let keep = wire.len().saturating_sub(cut);
-        prop_assert!(Request::decode(&wire[..keep]).is_err());
+        for keep in 0..wire.len() {
+            prop_assert!(Request::decode(&wire[..keep]).is_err(), "request cut to {}", keep);
+        }
+        let wire = rep.encode();
+        for keep in 0..wire.len() {
+            prop_assert!(Reply::decode(&wire[..keep]).is_err(), "reply cut to {}", keep);
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_is_decoded_or_refused(
+        req in arb_request(),
+        rep in arb_reply(),
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        for mut wire in [req.encode(), rep.encode()] {
+            let at = at % wire.len();
+            wire[at] ^= mask;
+            // `Ok` or `Err`, never a panic.
+            let _ = Request::decode(&wire);
+            let _ = Reply::decode(&wire);
+        }
     }
 }
